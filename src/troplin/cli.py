@@ -2,7 +2,9 @@
 
 Exit codes: 0 for a computed result (or a true predicate), 1 for a
 false predicate (a certificate is still printed), 2 for usage or input
-errors, reported as {"error": ..., "message": ..., "witness": ...}.
+errors, reported as {"error": ..., "message": ..., "witness": ...};
+an unexpected fault of the program is reported the same way, as an
+"InternalError" with exit 2.
 Identical inputs always produce byte-identical outputs.
 """
 
@@ -267,6 +269,16 @@ def run(argv=None):
         code = 2
     except (ValueError, KeyError, TypeError, OSError) as exc:
         out = {"error": type(exc).__name__, "message": str(exc),
+               "witness": None}
+        code = 2
+    except Exception as exc:
+        # a fault of the program, not of the input: still exit 2 with a
+        # JSON body, so that exit 1 keeps meaning "false predicate".
+        # traceback is imported only here, off the start-up path.
+        import traceback
+
+        traceback.print_exc()
+        out = {"error": "InternalError", "message": str(exc),
                "witness": None}
         code = 2
     _write(args.output, jsonio.dumps(out, args.pretty))

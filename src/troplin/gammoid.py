@@ -6,11 +6,10 @@ itself at cost 0.  All valuations here arise by tropical minors of the
 reduction matrix, whose rows are indexed by the non-sink vertices.
 """
 
-from .errors import (NegativeCycle, NoBasis, NotMinimalMatching,
-                     TroplinError)
+from .errors import NegativeCycle, NoBasis, NotMinimalMatching
 from .trop import INF, ZERO, min_assignment, stiefel, trop_minor
-from .util import bits, elems, list1, mask_of
-from .valuated import v_dual
+from .util import bits, elems, list1
+from .valuated import ValuatedMatroid, v_dual
 
 
 def _fmt(v):
@@ -98,24 +97,12 @@ def linking_value(g, subset):
 
 
 def gammoid_valuation(g):
-    "The valuated matroid of min-weight linkings onto the sinks."
-    from .valuated import ValuatedMatroid
-    from .util import ksubsets
-
-    d = g.sinks.bit_count()
-    n = g.n
+    """The valuated matroid of min-weight linkings onto the sinks: the
+    dual of the Stiefel image of the reduction matrix, since the linking
+    value of a set is the minor at its complementary columns."""
     if g.sinks == g.n_full():
-        return ValuatedMatroid(n, n, {g.n_full(): ZERO})
-    a = g.reduction_matrix()
-    entries = {}
-    for b in ksubsets(n, d):
-        v = trop_minor(a, g.n_full() ^ b)
-        if v != INF:
-            entries[b] = v
-    vm = ValuatedMatroid(n, d, entries)
-    if vm != v_dual(stiefel(a)):
-        raise TroplinError("linking values disagree with the dual minors")
-    return vm
+        return ValuatedMatroid(g.n, g.n, {g.n_full(): ZERO})
+    return v_dual(stiefel(g.reduction_matrix()))
 
 
 def digraph_from_presentation(points, basis=None, matching=None):

@@ -9,10 +9,10 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
-from .errors import NoBasis, OutOfDomain
+from .errors import NoBasis, NotAMatroid, OutOfDomain
 from .matroid import Matroid
 from .trop import INF, ZERO
-from .util import bits, elems, ksubsets
+from .util import bits, elems, ksubsets, list1
 from .valuated import ValuatedMatroid, initial_matroid, maximal_cells
 
 
@@ -53,6 +53,46 @@ def stiefel_bruteforce(a):
     if not any_finite:
         raise OutOfDomain("every maximal minor is infinite")
     return ValuatedMatroid(n, d, entries)
+
+
+def check_pluecker_bruteforce(vm):
+    """Every (d-1, d+1) relation in ascending mask order, on the Fraction
+    table: (True, None) or (False, {"a", "c"}) for the first pair whose
+    minimum is finite and attained only once."""
+    n, d = vm.n, vm.d
+    for a in ksubsets(n, d - 1):
+        for c in ksubsets(n, d + 1):
+            best = INF
+            cnt = 0
+            for j in bits(c & ~a):
+                jb = 1 << j
+                left = vm.table[a | jb]
+                right = vm.table[c ^ jb]
+                t = INF if left == INF or right == INF else left + right
+                if t < best:
+                    best = t
+                    cnt = 1
+                elif t == best and t != INF:
+                    cnt += 1
+            if best != INF and cnt < 2:
+                return False, {"a": list1(a), "c": list1(c)}
+    return True, None
+
+
+def check_exchange_bruteforce(m):
+    """Basis exchange over all ordered (b1, b2, e) triples, searching
+    b2 - b1 for each; raises NotAMatroid at the first failing triple."""
+    bs = m.baseset
+    for b1 in m.bases:
+        for b2 in m.bases:
+            for e in bits(b1 & ~b2):
+                removed = b1 ^ (1 << e)
+                if not any(removed | (1 << f) in bs
+                           for f in bits(b2 & ~b1)):
+                    raise NotAMatroid(
+                        "exchange fails",
+                        witness={"b1": list1(b1), "b2": list1(b2),
+                                 "e": e + 1})
 
 
 def subdivision_sample(vm, trials=2000, seed=0):

@@ -8,6 +8,7 @@ vertices of connected maximal cells of the contractions at cyclic flats.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import (AllInfinite, CellNotFound, CountMismatch,
                      NotCyclicFlat, NotTransversalFacets, PointOutsideL,
@@ -336,8 +337,6 @@ def presentation_space_member(vm, points):
     def localize(e, p):
         return tuple(INF if p[g] == INF else p[g] - e.vertex[i]
                      for i, g in enumerate(e.coords))
-
-    from itertools import combinations
 
     def assign(i, remaining):
         if i == len(entries):

@@ -6,9 +6,10 @@ under both, so no rounding can occur anywhere.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import AllInfinite, InfiniteBase, OutOfDomain
-from .util import bits, ksubsets, list1, mask_of
+from .util import bits, list1, mask_of
 
 INF = float("inf")
 ZERO = Fraction(0)
@@ -198,7 +199,13 @@ def stiefel_domain_witness(a):
 
 
 def stiefel(a):
-    "Tropical minors of all d-column-sets, as a valuated matroid."
+    """Tropical minors of all d-column-sets, as a valuated matroid.
+
+    One min-plus Laplace expansion along the rows shares its subproblems
+    across all column sets: after row k, cur[S] is the minor of rows
+    1..k on the k-set S, the min over j in S of the minor on S - j plus
+    a[k][j].  Absent keys stand for inf.
+    """
     from .valuated import ValuatedMatroid
 
     d, n = matrix_shape(a)
@@ -210,12 +217,26 @@ def stiefel(a):
         raise OutOfDomain(
             "matrix carries an all-infinite blocking submatrix",
             witness={"rows": list1(rows), "cols": list1(cols)})
-    entries = {}
-    for bmask in ksubsets(n, d):
-        value, _ = min_assignment(
-            [[row[c] for c in bits(bmask)] for row in a])
-        entries[bmask] = value
-    return ValuatedMatroid(n, d, entries)
+    # integers over one common denominator: Fraction sums and compares
+    # would cost several times the expansion itself
+    den = lcm(*(v.denominator for row in a for v in row if v != INF))
+    finite = [[(1 << j, v.numerator * (den // v.denominator))
+               for j, v in enumerate(row) if v != INF] for row in a]
+    cur = {0: 0}
+    for row in finite:
+        prev, cur = cur, {}
+        for s, base in prev.items():
+            for jb, v in row:
+                if s & jb:
+                    continue
+                t = base + v
+                key = s | jb
+                old = cur.get(key)
+                if old is None or t < old:
+                    cur[key] = t
+    low = min(cur.values())
+    return ValuatedMatroid(
+        n, d, {s: Fraction(t - low, den) for s, t in cur.items()})
 
 
 def trop_cone_sample(a, coeffs):

@@ -6,9 +6,12 @@ polytope is computed exactly: maximal cells by a descent-plus-wall-flip
 walk, the full face complex by closing the maximal cells under flat faces.
 """
 
+from itertools import combinations
+from math import lcm
+
 from .errors import (AllInfinite, EmptyIntersection, EmptySupport,
-                     InconsistentCell, InfiniteBase, RankCollapse,
-                     TroplinError)
+                     InconsistentCell, InfiniteBase, NotAMatroid,
+                     RankCollapse, TroplinError)
 from .matroid import Matroid
 from .trop import INF, ONE, ZERO, check_point, xsum
 from .util import bits, elems, ksubsets, list1, mask_of, submasks
@@ -17,9 +20,9 @@ from .util import bits, elems, ksubsets, list1, mask_of, submasks
 class ValuatedMatroid:
     """Dense table of min-plus Pluecker coordinates.
 
-    Construction only validates shape and normalizes; the exchange axiom
-    on the support is checked by underlying(), the three-term relations
-    by check_pluecker().
+    Construction only validates shape and normalizes.  underlying()
+    checks that the support is a matroid; check_pluecker() checks that
+    and the tropical Pluecker relations.
     """
 
     def __init__(self, n, d, entries):
@@ -104,21 +107,69 @@ class CellComplex:
 
 
 def check_pluecker(vm):
-    """Three-term exchange over all (d-1, d+1)-set pairs.
+    """Tropical Pluecker relations of the table, in two phases.
 
-    Returns (True, None) or (False, witness) where the witness names the
-    first pair whose minimum is finite and attained only once.
+    Phase one checks that the support is a matroid (basis exchange, via
+    underlying()).  Phase two checks the three-term relations: for every
+    (d-2)-set S and i < j < k < l outside S, the least of
+    pl(Sij) + pl(Skl), pl(Sik) + pl(Sjl) and pl(Sil) + pl(Sjk) is
+    attained twice when finite.  Over a matroid support these imply
+    every (d-1, d+1) relation (Dress-Wenzel 1992).
+
+    Returns (True, None), or (False, witness) where the witness names the
+    first (d-1, d+1)-set pair (a, c), in ascending mask order, whose
+    minimum over j in c - a of pl(a + j) + pl(c - j) is finite and
+    attained only once.  That ordered scan runs only on rejection.
     """
-    n, d = vm.n, vm.d
+    table = _integer_table(vm)
+    try:
+        vm.underlying()
+    except NotAMatroid:
+        return _first_violated_pair(vm.n, vm.d, table)
+    if _three_terms_hold(vm.n, vm.d, table):
+        return True, None
+    return _first_violated_pair(vm.n, vm.d, table)
+
+
+def _integer_table(vm):
+    "The table scaled to integers by one common denominator; inf stays."
+    den = lcm(*(vm.table[b].denominator for b in vm.support))
+    table = dict.fromkeys(vm.table, INF)
+    for b in vm.support:
+        v = vm.table[b]
+        table[b] = v.numerator * (den // v.denominator)
+    return table
+
+
+def _three_terms_hold(n, d, table):
+    full = (1 << n) - 1
+    for s in ksubsets(n, d - 2):
+        rest = [1 << e for e in bits(full & ~s)]
+        for i, j, k, l in combinations(rest, 4):
+            x = _pair_sum(table, s | i | j, s | k | l)
+            y = _pair_sum(table, s | i | k, s | j | l)
+            z = _pair_sum(table, s | i | l, s | j | k)
+            lo, hi = (x, y) if x <= y else (y, x)
+            if z < lo or (z > lo and lo < hi):
+                return False
+    return True
+
+
+def _pair_sum(table, b1, b2):
+    v1 = table[b1]
+    v2 = table[b2]
+    return INF if v1 == INF or v2 == INF else v1 + v2
+
+
+def _first_violated_pair(n, d, table):
+    "The ordered scan over all (d-1, d+1)-set pairs behind check_pluecker."
     for a in ksubsets(n, d - 1):
         for c in ksubsets(n, d + 1):
             best = INF
             cnt = 0
             for j in bits(c & ~a):
                 jb = 1 << j
-                left = vm.table[a | jb]
-                right = vm.table[c ^ jb]
-                t = INF if left == INF or right == INF else left + right
+                t = _pair_sum(table, a | jb, c ^ jb)
                 if t < best:
                     best = t
                     cnt = 1

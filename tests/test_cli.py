@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from troplin.cli import run
+from troplin.cli import COMMANDS, run
 
 
 def lines(path):
@@ -260,6 +260,32 @@ def test_malformed_input_is_a_usage_error(tmp_path):
     src.write_text(json.dumps({"n": 3}))
     code = run(["underlying", "--input", str(src), "--output", str(dst)])
     assert code == 2
+
+
+# Not a valuated matroid: the relation at a = {1}, c = {2,3,4} has the
+# unique minimum 2 + 0.
+NON_PLUECKER = {"n": 4, "rank": 2,
+                "entries": {"1,2": "0", "1,3": "2", "1,4": "0",
+                            "2,3": "2", "2,4": "0", "3,4": "0"}}
+
+
+@pytest.mark.parametrize("command",
+                         ["distinguished", "sample-presentation"])
+def test_non_pluecker_input_exits_two_with_a_body(tmp_path, command):
+    code, out, _ = call(tmp_path, command, NON_PLUECKER)
+    assert code == 2
+    assert set(out) == {"error", "message", "witness"}
+
+
+def test_unexpected_exception_is_an_internal_error(tmp_path, monkeypatch):
+    def broken(payload, args):
+        raise RuntimeError("broken on purpose")
+
+    monkeypatch.setitem(COMMANDS, "stiefel", broken)
+    code, out, _ = call(tmp_path, "stiefel", RANK2_FOUR)
+    assert code == 2
+    assert out == {"error": "InternalError", "message": "broken on purpose",
+                   "witness": None}
 
 
 def test_unknown_command_exits_two():

@@ -156,3 +156,24 @@ def test_stable_intersect_hyperplanes():
         stable_intersect_hyperplanes(rows[:2], snow)
     with pytest.raises(ValueError):
         stable_intersect_hyperplanes([], snow)
+
+
+def test_gammoid_valuation_matches_linking_values():
+    rng = random.Random(4242)
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        order = rng.sample(range(n), n)
+        weights = {}
+        for x in range(n):
+            for y in range(x + 1, n):
+                if rng.random() < 0.5:
+                    weights[(order[x], order[y])] = Fraction(
+                        rng.randint(-3, 6), rng.choice((1, 2)))
+        sinks = mask_of(rng.sample(range(n), rng.randint(1, n)))
+        g = WeightedDigraph(n, sinks, weights)
+        v = gammoid_valuation(g)
+        raw = {b: linking_value(g, b)
+               for b in ksubsets(n, sinks.bit_count())}
+        low = min(raw.values())
+        assert v.table == {b: (INF if x == INF else x - low)
+                           for b, x in raw.items()}

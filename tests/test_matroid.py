@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from common import three_pair_matroid
+from common import random_rows, three_pair_matroid
 from troplin import (Matroid, NoBasis, NotAFlat, NotAMatroid, direct_sum,
-                     transversal_matroid, uniform_matroid)
+                     stiefel, transversal_matroid, uniform_matroid)
+from troplin.oracle import check_exchange_bruteforce
 from troplin.util import ksubsets, list1, mask_of
 
 
@@ -18,6 +19,43 @@ def test_exchange_rejects_two_disjoint_pairs():
         Matroid(4, [mask_of([0, 1]), mask_of([2, 3])])
     wit = err.value.witness
     assert set(wit) == {"b1", "b2", "e"}
+
+
+def exchange_witness(check):
+    try:
+        check()
+    except NotAMatroid as exc:
+        return exc.witness
+    return None
+
+
+def random_family(rng):
+    """Equal-size basis families on n <= 7: random ones, and matroids from
+    Stiefel supports with one basis dropped or one k-set added."""
+    d = rng.randint(0, 4)
+    n = rng.randint(max(d, 1), 7)
+    slots = ksubsets(n, d)
+    if d == 0 or rng.random() < 0.5:
+        return n, rng.sample(slots, rng.randint(1, len(slots)))
+    fam = list(stiefel(random_rows(rng, d, n, rng.uniform(0, 0.5))).support)
+    if len(fam) > 1 and rng.random() < 0.5:
+        fam.remove(rng.choice(fam))
+    else:
+        fam.append(rng.choice(slots))
+    return n, fam
+
+
+def test_exchange_matches_the_quadratic_loop():
+    rng = random.Random(1736)
+    failures = 0
+    for _ in range(600):
+        n, fam = random_family(rng)
+        fast = exchange_witness(lambda: Matroid(n, fam))
+        slow = exchange_witness(
+            lambda: check_exchange_bruteforce(Matroid(n, fam, check=False)))
+        assert fast == slow
+        failures += fast is not None
+    assert 60 < failures < 400
 
 
 def test_bases_must_be_equicardinal():

@@ -145,3 +145,26 @@ def test_cone_samples_stay_in_the_space():
         coeffs = tuple(Fraction(rng.randint(-3, 3)) for _ in rows)
         y = trop_cone_sample(rows, coeffs)
         assert membership(v, y)
+
+
+def test_stiefel_dp_matches_bruteforce():
+    rng = random.Random(2718)
+    inside = outside = 0
+    for _ in range(120):
+        d = rng.randint(1, 5)
+        n = rng.randint(d, 9 if d < 5 else 7)
+        p = rng.uniform(0.0, 0.5)
+        a = [[(INF if rng.random() < p
+               else Fraction(rng.randint(-4, 8), rng.choice((1, 2, 3))))
+              for _ in range(n)] for _ in range(d)]
+        try:
+            want = stiefel_bruteforce(a)
+        except OutOfDomain:
+            with pytest.raises(OutOfDomain):
+                stiefel(a)
+            outside += 1
+            continue
+        got = stiefel(a)
+        assert got.table == want.table
+        inside += 1
+    assert inside > 60 and outside > 0

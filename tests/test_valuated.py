@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from common import (fr, rank2_four, rank2_four_rows, rank3_five,
-                    random_valuation, three_pair_valuation)
+from common import (fr, random_rows, rank2_four, rank2_four_rows,
+                    rank3_five, random_valuation, three_pair_valuation)
 from troplin import (INF, AllInfinite, EmptyIntersection, EmptySupport,
                      InconsistentCell, InfiniteBase, Matroid, NotAMatroid,
                      ValuatedMatroid, cell_complex, cell_vertex,
@@ -12,7 +12,8 @@ from troplin import (INF, AllInfinite, EmptyIntersection, EmptySupport,
                      maximal_cells, membership, stable_intersection,
                      stable_sum, stiefel, trop_cone_sample, uniform_matroid,
                      v_contract, v_dual, v_restrict)
-from troplin.oracle import cell_complex_bruteforce, subdivision_sample
+from troplin.oracle import (cell_complex_bruteforce,
+                            check_pluecker_bruteforce, subdivision_sample)
 from troplin.util import bits, elems, ksubsets, mask_of, submasks
 
 
@@ -72,6 +73,51 @@ def test_check_pluecker_accepts_examples_and_images():
         d = rng.randint(1, 3)
         v = random_valuation(rng, d, rng.randint(d + 1, 6), inf_prob=0.2)
         assert check_pluecker(v) == (True, None)
+
+
+def random_pluecker_case(rng):
+    """A table with d <= 4 and n <= 8: a Stiefel image, one perturbed
+    entry, entries killed to inf, or random 0/inf/small-integer values."""
+    d = rng.randint(0, 4)
+    n = rng.randint(max(d, 1), 8)
+    slots = ksubsets(n, d)
+    kind = rng.choice(("image", "perturbed", "killed", "random"))
+    if kind == "random" or d == 0:
+        table = {b: rng.choice((INF, 0, 0, 1, 2, 3)) for b in slots}
+        table[rng.choice(slots)] = 0
+        return ValuatedMatroid(n, d, table)
+    table = dict(stiefel(random_rows(rng, d, n, rng.uniform(0, 0.4))).table)
+    finite = [b for b in slots if table[b] != INF]
+    if kind == "perturbed":
+        b = rng.choice(finite)
+        table[b] += rng.choice((-1, 1)) * Fraction(rng.randint(1, 4), 2)
+    elif kind == "killed":
+        for b in rng.sample(finite, rng.randint(1, len(finite))):
+            table[b] = INF
+        table[rng.choice(finite)] = 0
+    return ValuatedMatroid(n, d, table)
+
+
+def test_check_pluecker_matches_the_ordered_full_scan():
+    rng = random.Random(1992)
+    verdicts = {True: 0, False: 0}
+    for _ in range(400):
+        v = random_pluecker_case(rng)
+        got = check_pluecker(v)
+        assert got == check_pluecker_bruteforce(v)
+        verdicts[got[0]] += 1
+    assert verdicts[True] > 200 and verdicts[False] > 50
+
+
+def test_check_pluecker_vacuous_ranks():
+    rng = random.Random(77)
+    for n in range(1, 7):
+        for d in {0, 1, n - 1, n}:
+            slots = ksubsets(n, d)
+            table = {b: rng.choice((INF, 0, 1, 2)) for b in slots}
+            table[slots[-1]] = 0
+            v = ValuatedMatroid(n, d, table)
+            assert check_pluecker(v) == check_pluecker_bruteforce(v)
 
 
 def test_membership_golden():
