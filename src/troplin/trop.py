@@ -6,10 +6,10 @@ under both, so no rounding can occur anywhere.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from .errors import AllInfinite, InfiniteBase, OutOfDomain
-from .util import bits, list1, mask_of
+from .util import bits, ksubsets, list1, mask_of
 
 INF = float("inf")
 ZERO = Fraction(0)
@@ -198,13 +198,22 @@ def stiefel_domain_witness(a):
     return mask_of(rows), mask_of(badcols[: n + 1 - k])
 
 
+def integer_scaled(values):
+    """(den, ints): each finite Fraction times the least common denominator
+    den of them all, inf left as inf.  Integer sums and compares cost
+    several times less than Fraction ones in the hot loops."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values if v != INF))
+    return den, [v if v == INF else v.numerator * (den // v.denominator)
+                 for v in values]
+
+
 def stiefel(a):
     """Tropical minors of all d-column-sets, as a valuated matroid.
 
-    One min-plus Laplace expansion along the rows shares its subproblems
-    across all column sets: after row k, cur[S] is the minor of rows
-    1..k on the k-set S, the min over j in S of the minor on S - j plus
-    a[k][j].  Absent keys stand for inf.
+    Two exact methods, chosen by shape (see _laplace_pays): one min-plus
+    Laplace expansion shared by all column sets, or one Hungarian run per
+    column set.
     """
     from .valuated import ValuatedMatroid
 
@@ -217,11 +226,32 @@ def stiefel(a):
         raise OutOfDomain(
             "matrix carries an all-infinite blocking submatrix",
             witness={"rows": list1(rows), "cols": list1(cols)})
-    # integers over one common denominator: Fraction sums and compares
-    # would cost several times the expansion itself
-    den = lcm(*(v.denominator for row in a for v in row if v != INF))
-    finite = [[(1 << j, v.numerator * (den // v.denominator))
-               for j, v in enumerate(row) if v != INF] for row in a]
+    if _laplace_pays(d, n):
+        entries = _laplace_minors(a)
+    else:
+        entries = _assignment_minors(a)
+    return ValuatedMatroid(n, d, entries)
+
+
+def _laplace_pays(d, n):
+    """Is the Laplace expansion the cheaper method for a d x n matrix?
+
+    It keeps a state for every k-subset of columns, k < d: cheap while d
+    is small against n, about 2^n when d is near n.  A Hungarian run
+    costs about d^3 steps, each measured about as dear as one state.
+    """
+    return sum(comb(n, k) for k in range(d)) <= comb(n, d) * d ** 3
+
+
+def _laplace_minors(a):
+    """All maximal minors, normalized, in one expansion along the rows:
+    after row k, cur[S] is the minor of rows 1..k on the k-set S, the
+    min over j in S of the minor on S - j plus a[k][j].  Absent keys
+    stand for inf."""
+    d, n = matrix_shape(a)
+    den, flat = integer_scaled(v for row in a for v in row)
+    finite = [[(1 << j, v) for j, v in enumerate(flat[i * n:(i + 1) * n])
+               if v != INF] for i in range(d)]
     cur = {0: 0}
     for row in finite:
         prev, cur = cur, {}
@@ -235,8 +265,14 @@ def stiefel(a):
                 if old is None or t < old:
                     cur[key] = t
     low = min(cur.values())
-    return ValuatedMatroid(
-        n, d, {s: Fraction(t - low, den) for s, t in cur.items()})
+    return {s: Fraction(t - low, den) for s, t in cur.items()}
+
+
+def _assignment_minors(a):
+    "All maximal minors, raw, by one Hungarian run per column set."
+    d, n = matrix_shape(a)
+    return {b: min_assignment([[row[c] for c in bits(b)] for row in a])[0]
+            for b in ksubsets(n, d)}
 
 
 def trop_cone_sample(a, coeffs):

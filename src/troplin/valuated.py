@@ -7,13 +7,12 @@ walk, the full face complex by closing the maximal cells under flat faces.
 """
 
 from itertools import combinations
-from math import lcm
 
 from .errors import (AllInfinite, EmptyIntersection, EmptySupport,
                      InconsistentCell, InfiniteBase, NotAMatroid,
                      RankCollapse, TroplinError)
 from .matroid import Matroid
-from .trop import INF, ONE, ZERO, check_point, xsum
+from .trop import INF, ONE, ZERO, check_point, integer_scaled, xsum
 from .util import bits, elems, ksubsets, list1, mask_of, submasks
 
 
@@ -121,7 +120,8 @@ def check_pluecker(vm):
     minimum over j in c - a of pl(a + j) + pl(c - j) is finite and
     attained only once.  That ordered scan runs only on rejection.
     """
-    table = _integer_table(vm)
+    _, ints = integer_scaled(vm.table.values())
+    table = dict(zip(vm.table, ints))
     try:
         vm.underlying()
     except NotAMatroid:
@@ -129,16 +129,6 @@ def check_pluecker(vm):
     if _three_terms_hold(vm.n, vm.d, table):
         return True, None
     return _first_violated_pair(vm.n, vm.d, table)
-
-
-def _integer_table(vm):
-    "The table scaled to integers by one common denominator; inf stays."
-    den = lcm(*(vm.table[b].denominator for b in vm.support))
-    table = dict.fromkeys(vm.table, INF)
-    for b in vm.support:
-        v = vm.table[b]
-        table[b] = v.numerator * (den // v.denominator)
-    return table
 
 
 def _three_terms_hold(n, d, table):

@@ -158,22 +158,37 @@ def test_stable_intersect_hyperplanes():
         stable_intersect_hyperplanes([], snow)
 
 
+def random_acyclic_digraph(rng, n, nsinks, density):
+    order = rng.sample(range(n), n)
+    weights = {}
+    for x in range(n):
+        for y in range(x + 1, n):
+            if rng.random() < density:
+                weights[(order[x], order[y])] = Fraction(
+                    rng.randint(-3, 6), rng.choice((1, 2)))
+    return WeightedDigraph(n, mask_of(rng.sample(range(n), nsinks)), weights)
+
+
+def assert_matches_linking_values(g):
+    v = gammoid_valuation(g)
+    raw = {b: linking_value(g, b) for b in ksubsets(g.n, g.sinks.bit_count())}
+    low = min(raw.values())
+    assert v.table == {b: (INF if x == INF else x - low)
+                       for b, x in raw.items()}
+
+
 def test_gammoid_valuation_matches_linking_values():
     rng = random.Random(4242)
     for _ in range(40):
         n = rng.randint(1, 7)
-        order = rng.sample(range(n), n)
-        weights = {}
-        for x in range(n):
-            for y in range(x + 1, n):
-                if rng.random() < 0.5:
-                    weights[(order[x], order[y])] = Fraction(
-                        rng.randint(-3, 6), rng.choice((1, 2)))
-        sinks = mask_of(rng.sample(range(n), rng.randint(1, n)))
-        g = WeightedDigraph(n, sinks, weights)
-        v = gammoid_valuation(g)
-        raw = {b: linking_value(g, b)
-               for b in ksubsets(n, sinks.bit_count())}
-        low = min(raw.values())
-        assert v.table == {b: (INF if x == INF else x - low)
-                           for b, x in raw.items()}
+        assert_matches_linking_values(
+            random_acyclic_digraph(rng, n, rng.randint(1, n), 0.5))
+
+
+def test_gammoid_valuation_with_few_sinks():
+    # reduction matrices of 15 x 16 and 14 x 16: the first is past the
+    # point where the Laplace expansion would keep about 2^16 states
+    rng = random.Random(2024)
+    for nsinks in (1, 2):
+        assert_matches_linking_values(
+            random_acyclic_digraph(rng, 16, nsinks, 0.8))

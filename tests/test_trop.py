@@ -6,9 +6,11 @@ import pytest
 from common import fr, points_of, rank2_four, rank2_four_rows, \
     rank3_five_rows, random_rows
 from troplin import (INF, AllInfinite, InfiniteBase, OutOfDomain,
-                     membership, min_assignment, normalize_point, relsupp,
-                     stiefel, trop_cone_sample, trop_minor, zoom)
+                     ValuatedMatroid, membership, min_assignment,
+                     normalize_point, relsupp, stiefel, trop_cone_sample,
+                     trop_minor, zoom)
 from troplin.oracle import stiefel_bruteforce, trop_minor_bruteforce
+from troplin.trop import _assignment_minors, _laplace_minors, _laplace_pays
 from troplin.util import ksubsets, list1, mask_of
 
 
@@ -168,3 +170,35 @@ def test_stiefel_dp_matches_bruteforce():
         assert got.table == want.table
         inside += 1
     assert inside > 60 and outside > 0
+
+
+def test_stiefel_methods_agree_on_both_sides_of_the_choice():
+    rng = random.Random(1618)
+    shapes = [(3, 7), (5, 10), (8, 10), (9, 10), (11, 12), (15, 16)]
+    assert [_laplace_pays(d, n) for d, n in shapes] == [True] * 5 + [False]
+    for d, n in shapes:
+        a = [[(INF if rng.random() < 0.2
+               else Fraction(rng.randint(-4, 8), rng.choice((1, 2, 3))))
+              for _ in range(n)] for _ in range(d)]
+        raw = _assignment_minors(a)
+        low = min(raw.values())
+        fast = _laplace_minors(a)
+        assert {b: INF if v == INF else v - low for b, v in raw.items()} \
+            == {b: fast.get(b, INF) for b in raw}
+
+
+def test_stiefel_picks_the_method_by_shape(monkeypatch):
+    import troplin.trop as trop
+
+    def refuse(a):
+        raise AssertionError("wrong method for this shape")
+
+    wide = [[fr(i * j % 5) for j in range(10)] for i in range(5)]
+    square = [[fr(i * j % 7) for j in range(16)] for i in range(15)]
+    monkeypatch.setattr(trop, "_assignment_minors", refuse)
+    want = stiefel(wide)
+    monkeypatch.undo()
+    monkeypatch.setattr(trop, "_laplace_minors", refuse)
+    assert want == stiefel_bruteforce(wide)
+    assert stiefel(square).table == ValuatedMatroid(
+        16, 15, _assignment_minors(square)).table
