@@ -12,7 +12,7 @@ from .errors import (AllInfinite, CellNotFound, CountMismatch,
                      EmptyGroundSet, EmptyIntersection, EmptySupport,
                      InconsistentCell, InfiniteBase, NegativeCycle,
                      NoBasis, NotAFlat, NotAMatroid, NotCyclicFlat,
-                     NotMinimalMatching, NotTransversal,
+                     NotMinimalMatching, NotPluecker, NotTransversal,
                      NotTransversalFacets, OutOfDomain, PointOutsideL,
                      RankCollapse, TroplinError, WrongArity)
 from .gammoid import (WeightedDigraph, digraph_from_presentation,
@@ -22,8 +22,7 @@ from .matroid import (CyclicFlatData, FlatLattice, Matroid, direct_sum,
                       uniform_matroid)
 from .presentations import (DistinguishedData, DistinguishedEntry,
                             contract_presentation, distinguished,
-                            has_transversal_facets, is_transversal_valuated,
-                            presentation_fan_member,
+                            is_transversal_valuated, presentation_fan_member,
                             presentation_space_member, r0_member,
                             rinf_member, sample_presentation,
                             verify_presentation)

@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import jsonio
-from .errors import PointOutsideL, TroplinError
+from .errors import NotPluecker, PointOutsideL, TroplinError
 from .gammoid import digraph_from_presentation, gammoid_valuation
 from .presentations import (distinguished, presentation_space_member,
                             sample_presentation, verify_presentation)
@@ -37,6 +37,21 @@ def _rows(payload):
     if isinstance(payload, dict):
         payload = payload.get("matrix", payload.get("points"))
     return jsonio.parse_matrix(payload)
+
+
+def _assuming_pluecker(compute, vm, *args):
+    """compute(vm, *args), for commands that assume vm is a valuated
+    matroid.  Only when that fails is the table checked, once: a
+    non-Pluecker input raises NotPluecker with the failing relation,
+    and any other failure is raised as it was."""
+    try:
+        return compute(vm, *args)
+    except Exception:
+        ok, witness = check_pluecker(vm)
+        if not ok:
+            raise NotPluecker("input is not a valuated matroid",
+                              witness=witness) from None
+        raise
 
 
 def cmd_stiefel(payload, args):
@@ -129,7 +144,7 @@ def cmd_verify_presentation(payload, args):
 
 def cmd_distinguished(payload, args):
     vm = jsonio.parse_valuated(payload)
-    data = distinguished(vm)
+    data = _assuming_pluecker(distinguished, vm)
     entries = [{"flat": list1(e.flat),
                 "matroid": jsonio.fmt_matroid(e.matroid),
                 "coords": [g + 1 for g in e.coords],
@@ -145,13 +160,13 @@ def cmd_distinguished(payload, args):
 def cmd_in_presentation_space(payload, args):
     vm = jsonio.parse_valuated(_need(payload, "valuation"))
     points = [jsonio.parse_point(p) for p in _need(payload, "points")]
-    ok = presentation_space_member(vm, points)
+    ok = _assuming_pluecker(presentation_space_member, vm, points)
     return (0 if ok else 1), {"ok": ok}
 
 
 def cmd_sample_presentation(payload, args):
     vm = jsonio.parse_valuated(payload)
-    points = sample_presentation(vm, args.seed)
+    points = _assuming_pluecker(sample_presentation, vm, args.seed)
     return 0, {"n": vm.n, "points": jsonio.fmt_matrix(points)}
 
 

@@ -28,6 +28,10 @@ class NotAMatroid(TroplinError):
     "Basis exchange fails; witness names the offending bases and element."
 
 
+class NotPluecker(TroplinError):
+    "A tropical Pluecker relation fails; witness is its {a, c} set pair."
+
+
 class EmptyGroundSet(TroplinError):
     pass
 

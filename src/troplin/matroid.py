@@ -1,7 +1,7 @@
 """Matroids on {0..n-1} with bases stored as bitmasks."""
 
 from .errors import EmptyGroundSet, NoBasis, NotAFlat, NotAMatroid
-from .util import bits, elems, ksubsets, list1, mask_of
+from .util import bits, elems, ksubsets, list1
 
 
 class Matroid:
@@ -293,9 +293,6 @@ class CyclicFlatData:
             raise NotCyclicFlat(witness=list1(f))
         return sum(self.mobius(f, g) * self.cork(g)
                    for g in self.flats if f & g == f)
-
-    def tau_map(self):
-        return {f: self.tau(f) for f in self.flats}
 
     def multiset(self):
         "Flats with positive tau, repeated tau times, sorted."

@@ -7,9 +7,10 @@ scans instead of Moebius counting.  Sizes are capped accordingly.
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import (combinations, combinations_with_replacement,
+                       permutations)
 
-from .errors import NoBasis, NotAMatroid, OutOfDomain
+from .errors import NoBasis, NotAMatroid, NotCyclicFlat, OutOfDomain
 from .matroid import Matroid
 from .trop import INF, ZERO
 from .util import bits, elems, ksubsets, list1
@@ -325,3 +326,126 @@ def cell_complex_bruteforce(vm):
             seen.add(keep)
             queue.append(keep)
     return seen
+
+
+def rinf_member_lp(vm, m, flat, z):
+    """Escape-region membership by the full-row LP, with no cache.
+
+    One LP per finite coordinate j of z on the flat, with one region row
+    per support basis off the face and one row per other finite
+    coordinate, duplicates included; rinf_member sends the same LP with
+    every duplicate row collapsed.
+    """
+    from .linprog import solve_lp
+    from .presentations import _locate_cell
+    from .trop import ONE, check_point, xsum
+    from .valuated import face_witness
+
+    cf = m.cyclic_flats()
+    if flat not in cf:
+        raise NotCyclicFlat(witness=list1(flat))
+    z = check_point(z)
+    if all(z[j] == INF for j in bits(flat)):
+        return True
+    cell = _locate_cell(vm, m)
+    w = m.polytope_face(flat)
+    xw = face_witness(vm, m, cell.witness, flat)
+    comps = w.connected_components()
+    c = len(comps)
+    where = {}
+    for i, k in enumerate(comps):
+        for e in bits(k):
+            where[e] = i
+    ranks = [w.rank(k) for k in comps]
+    m0 = vm.table[w.bases[0]] - xsum(xw, w.bases[0])
+    # variables t_0..t_{c-2} (component shifts, last one gauged to 0), s
+    region = []
+    for b in vm.support:
+        if b in w.baseset:
+            continue
+        coeffs = [ZERO] * c
+        for i in range(c - 1):
+            coeffs[i] = Fraction((b & comps[i]).bit_count() - ranks[i])
+        coeffs[c - 1] = ONE
+        gap = vm.table[b] - xsum(xw, b) - m0
+        region.append((coeffs, "<=", gap))
+    cap = [ZERO] * c
+    cap[c - 1] = ONE
+    region.append((cap, "<=", ONE))
+    for j in bits(flat):
+        if z[j] == INF:
+            continue
+        cons = list(region)
+        bad = False
+        for k in range(vm.n):
+            if k == j or z[k] == INF:
+                continue
+            coeffs = [ZERO] * c
+            ck, cj = where[k], where[j]
+            if ck < c - 1:
+                coeffs[ck] += 1
+            if cj < c - 1:
+                coeffs[cj] -= 1
+            rhs = (z[k] - z[j]) - (xw[k] - xw[j])
+            if ck == cj and rhs < 0:
+                bad = True
+                break
+            cons.append((coeffs, "<=", rhs))
+        if bad:
+            continue
+        status, value, _ = solve_lp(c, cap, cons)
+        if status == "optimal" and value > 0:
+            return False
+    return True
+
+
+def _solve_exactly(a, b):
+    "The unique solution of the square system a x = b, or None."
+    n = len(a)
+    rows = [list(r) + [v] for r, v in zip(a, b)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if rows[i][col] != 0), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        for i in range(n):
+            if i != col and rows[i][col] != 0:
+                f = rows[i][col] / rows[col][col]
+                rows[i] = [u - f * v for u, v in zip(rows[i], rows[col])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def lp_bruteforce(num_vars, objective, constraints):
+    """Maximize objective . x by enumerating vertices, for bounded regions.
+
+    Every choice of num_vars rows, made tight, is solved exactly; the
+    feasible solutions are the vertices of the region.  The region must
+    be bounded (a box among the rows, say): then it is empty, and the
+    answer ("infeasible", None), or it has a vertex, and the answer is
+    ("optimal", the largest objective value over the vertices).
+    """
+    rows = []
+    for coeffs, rel, rhs in constraints:
+        coeffs = [Fraction(v) for v in coeffs]
+        rhs = Fraction(rhs)
+        if rel == ">=":
+            coeffs, rhs, rel = [-v for v in coeffs], -rhs, "<="
+        rows.append((coeffs, rel, rhs))
+    best = None
+    for pick in combinations(rows, num_vars):
+        x = _solve_exactly([r[0] for r in pick], [r[2] for r in pick])
+        if x is None:
+            continue
+        ok = True
+        for coeffs, rel, rhs in rows:
+            lhs = sum(u * v for u, v in zip(coeffs, x))
+            if lhs > rhs or (rel == "=" and lhs != rhs):
+                ok = False
+                break
+        if ok:
+            val = sum(Fraction(u) * v for u, v in zip(objective, x))
+            if best is None or val > best:
+                best = val
+    if best is None:
+        return "infeasible", None
+    return "optimal", best

@@ -13,13 +13,11 @@ from itertools import combinations
 from .errors import (AllInfinite, CellNotFound, CountMismatch,
                      NotCyclicFlat, NotTransversalFacets, PointOutsideL,
                      TroplinError, WrongArity)
-from .linprog import solve_lp
-from .matroid import Matroid
+from .linprog import distinct_rows, solve_lp
 from .trop import INF, ONE, ZERO, check_point, relsupp, xsum
 from .util import bits, elems, list1, mask_of
 from .valuated import (ValuatedMatroid, cell_complex, cell_vertex,
-                       face_witness, initial_matroid, maximal_cells,
-                       membership, v_contract)
+                       face_witness, maximal_cells, membership, v_contract)
 from . import transversal
 
 
@@ -43,7 +41,8 @@ def _locate_cell(vm, m):
 
 
 def _rinf_context(vm, m, flat):
-    "Static data for the escape-region LP: the wall cell and its region."
+    """Static data for the escape-region LP: the wall cell and its region,
+    the region already reduced to one row per distinct constraint."""
     key = (m.bases, flat)
     hit = vm._rinfcache.get(key)
     if hit is not None:
@@ -66,14 +65,14 @@ def _rinf_context(vm, m, flat):
             continue
         coeffs = [ZERO] * c
         for i in range(c - 1):
-            coeffs[i] = Fraction((b & comps[i]).bit_count() - ranks[i])
+            coeffs[i] = (b & comps[i]).bit_count() - ranks[i]
         coeffs[c - 1] = ONE
         gap = vm.table[b] - xsum(xw, b) - m0
         region.append((coeffs, "<=", gap))
     cap = [ZERO] * c
     cap[c - 1] = ONE
     region.append((cap, "<=", ONE))
-    hit = (xw, where, c, region, cap)
+    hit = (xw, where, c, distinct_rows(region), cap)
     vm._rinfcache[key] = hit
     return hit
 
@@ -82,9 +81,15 @@ def rinf_member(vm, m, flat, z):
     """Is z inside the escape region of `flat` seen from everywhere on the
     cell's stretch of the space?
 
-    Decided by one small exact LP per finite coordinate of z on the flat:
-    z escapes iff some such coordinate can attain the minimum of z - y
-    for a y interior to the cell of polytope_face(m, flat).
+    z escapes iff some finite coordinate j of z on the flat can attain
+    the minimum of z - y for a y interior to the cell of
+    polytope_face(m, flat).  Each such j is one small exact LP in the
+    shifts of the face's components and a margin s, maximizing s:
+    the region rows (one per support basis off the face, plus s <= 1)
+    are built and deduplicated once per wall and cached, and the rows
+    saying that j attains the minimum collapse to one per pair of
+    components.  A finite z[k] in j's own component with
+    z[k] - z[j] < xw[k] - xw[j] rules j out with no LP at all.
     """
     cf = m.cyclic_flats()
     if flat not in cf:
@@ -95,30 +100,25 @@ def rinf_member(vm, m, flat, z):
     if all(z[j] == INF for j in bits(flat)):
         return True
     xw, where, c, region, cap = _rinf_context(vm, m, flat)
-    nv = c
-    goal = cap
     for j in bits(flat):
         if z[j] == INF:
             continue
-        cons = list(region)
-        bad = False
+        cons = []
         for k in range(vm.n):
             if k == j or z[k] == INF:
                 continue
-            coeffs = [ZERO] * nv
+            coeffs = [ZERO] * c
             ck, cj = where[k], where[j]
             if ck < c - 1:
                 coeffs[ck] += 1
             if cj < c - 1:
                 coeffs[cj] -= 1
-            rhs = (z[k] - z[j]) - (xw[k] - xw[j])
-            if ck == cj and rhs < 0:
-                bad = True
-                break
-            cons.append((coeffs, "<=", rhs))
-        if bad:
+            cons.append((coeffs, "<=", (z[k] - z[j]) - (xw[k] - xw[j])))
+        # these rows leave s free, so none repeats a region row
+        cons = distinct_rows(cons)
+        if cons is None:
             continue
-        status, value, _ = solve_lp(nv, goal, cons)
+        status, value, _ = solve_lp(c, cap, region + cons)
         if status == "optimal" and value > 0:
             return False
     return True
@@ -169,18 +169,10 @@ def verify_presentation(vm, points):
     return {"ok": not violations, "violations": violations}
 
 
-def has_transversal_facets(vm):
-    "Are all maximal cells transversal matroids?"
-    for cell in maximal_cells(vm):
-        ok, _ = transversal.is_transversal(cell.matroid)
-        if not ok:
-            return False
-    return True
-
-
 def is_transversal_valuated(vm):
     "A valuated matroid is transversal iff all its maximal cells are."
-    return has_transversal_facets(vm)
+    return all(transversal.is_transversal(cell.matroid)[0]
+               for cell in maximal_cells(vm))
 
 
 class DistinguishedEntry:

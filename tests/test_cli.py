@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import troplin.cli
 from troplin.cli import COMMANDS, run
+from troplin.valuated import check_pluecker
 
 
 def lines(path):
@@ -269,12 +271,43 @@ NON_PLUECKER = {"n": 4, "rank": 2,
                             "2,3": "2", "2,4": "0", "3,4": "0"}}
 
 
-@pytest.mark.parametrize("command",
-                         ["distinguished", "sample-presentation"])
+NON_PLUECKER_PAYLOADS = {
+    "distinguished": NON_PLUECKER,
+    "sample-presentation": NON_PLUECKER,
+    "in-presentation-space": {"valuation": NON_PLUECKER,
+                              "points": RANK2_FOUR},
+}
+
+
+@pytest.mark.parametrize("command", sorted(NON_PLUECKER_PAYLOADS))
 def test_non_pluecker_input_exits_two_with_a_body(tmp_path, command):
-    code, out, _ = call(tmp_path, command, NON_PLUECKER)
+    code, out, _ = call(tmp_path, command, NON_PLUECKER_PAYLOADS[command])
     assert code == 2
-    assert set(out) == {"error", "message", "witness"}
+    assert out == {"error": "NotPluecker",
+                   "message": "input is not a valuated matroid",
+                   "witness": {"a": [1], "c": [2, 3, 4]}}
+
+
+def test_pluecker_check_runs_only_on_failure(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(vm):
+        calls.append(vm)
+        return check_pluecker(vm)
+
+    _, table, _ = call(tmp_path, "stiefel", RANK2_FOUR)
+    monkeypatch.setattr(troplin.cli, "check_pluecker", counting)
+    for command, payload in (
+            ("distinguished", table), ("sample-presentation", table),
+            ("in-presentation-space",
+             {"valuation": table, "points": RANK2_FOUR})):
+        code, _, _ = call(tmp_path, command, payload, "--seed", "2")
+        assert code == 0
+    assert calls == []
+    # a valuated matroid that the command rejects keeps its own error
+    code, out, _ = call(tmp_path, "distinguished", snow_full())
+    assert code == 2 and out["error"] == "NotTransversalFacets"
+    assert len(calls) == 1
 
 
 def test_unexpected_exception_is_an_internal_error(tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ from troplin import (INF, NegativeCycle, NoBasis, NotMinimalMatching,
                      linking_value, stable_intersect_hyperplanes, stiefel,
                      v_dual)
 from troplin.oracle import linking_bruteforce
-from troplin.util import ksubsets, list1, mask_of
+from troplin.util import ksubsets, mask_of
 
 
 def paper_weights(g):

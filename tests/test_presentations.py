@@ -6,14 +6,16 @@ import pytest
 from common import (fr, points_of, rank2_four, rank3_five, rank3_five_rows,
                     random_rows, random_valuation, three_pair_dual_rows,
                     three_pair_valuation)
-from troplin import (INF, CountMismatch, Matroid, NotCyclicFlat,
+from troplin import (INF, CountMismatch, Matroid, NotAMatroid, NotCyclicFlat,
                      NotTransversalFacets, PointOutsideL, TroplinError,
                      ValuatedMatroid, WrongArity, contract_presentation,
-                     distinguished, maximal_cells, membership,
-                     presentation_fan_member, presentation_space_member,
-                     r0_member, rinf_member, sample_presentation, stiefel,
-                     uniform_matroid, v_contract, v_dual, verify_presentation)
-from troplin.oracle import rinf_facet_oracle
+                     distinguished, is_transversal_valuated, maximal_cells,
+                     membership, presentation_fan_member,
+                     presentation_space_member, r0_member, rinf_member,
+                     sample_presentation, stiefel, uniform_matroid,
+                     v_contract, v_dual, verify_presentation)
+from troplin.oracle import (presentations_exhaustive, rinf_facet_oracle,
+                            rinf_member_lp)
 from troplin.util import ksubsets, list1, mask_of
 
 
@@ -70,6 +72,37 @@ def test_rinf_agrees_with_interval_oracle():
                     assert rinf_member(v, m, f, z) == want
                     compared += 1
     assert compared >= 80
+
+
+def test_rinf_agrees_with_the_full_row_lp():
+    """rinf_member sends deduplicated rows; the full-row LP of the oracle
+    must give the same verdict on walls with 1, 2 and 3 components."""
+    rng = random.Random(4321)
+    pool = [rank2_four(), rank3_five()]
+    while len(pool) < 8:
+        v = random_valuation(rng, 3, 6, inf_prob=0.1)
+        if not v.underlying().loops():
+            pool.append(v)
+    by_components = {}
+    for v in pool:
+        for cell in maximal_cells(v):
+            m = cell.matroid
+            for f in m.cyclic_flats():
+                if f == 0:
+                    continue
+                c = len(m.polytope_face(f).connected_components())
+                for _ in range(6):
+                    z = tuple(INF if rng.random() < 0.15
+                              else Fraction(rng.randint(-4, 8),
+                                            rng.choice((1, 2)))
+                              for _ in range(v.n))
+                    if all(x == INF for x in z):
+                        continue
+                    got = rinf_member(v, m, f, z)
+                    assert got == rinf_member_lp(v, m, f, z)
+                    by_components.setdefault(c, set()).add(got)
+    assert {1, 2, 3} <= set(by_components)
+    assert by_components[2] == by_components[3] == {True, False}
 
 
 def test_verify_presentation_golden():
@@ -239,3 +272,43 @@ def test_contraction_round_trip_random():
             done += 1
             nontrivial += bool(f)
     assert nontrivial >= 4
+
+
+def k4_graphic_valuation():
+    "The trivial valuation of M(K4): edges 12 13 14 23 24 34, no triangle."
+    triangles = {mask_of(t) for t in ((0, 1, 3), (0, 2, 4), (1, 2, 5),
+                                      (3, 4, 5))}
+    return ValuatedMatroid(6, 3, {b: 0 for b in ksubsets(6, 3)
+                                  if b not in triangles})
+
+
+def test_is_transversal_valuated():
+    rng = random.Random(2718)
+    for _ in range(12):
+        d = rng.randint(1, 3)
+        v = random_valuation(rng, d, rng.randint(d + 1, 6), inf_prob=0.2)
+        assert is_transversal_valuated(v)
+    assert not is_transversal_valuated(k4_graphic_valuation())
+    assert not is_transversal_valuated(three_pair_valuation())
+
+
+def test_is_transversal_valuated_matches_exhaustive_presentations():
+    rng = random.Random(1618)
+    pool = [rank2_four(), rank3_five()]
+    for _ in range(10):
+        d = rng.randint(1, 3)
+        pool.append(random_valuation(rng, d, rng.randint(d + 1, 5),
+                                     inf_prob=0.2))
+    for n, d in ((4, 2), (5, 2), (5, 3)):
+        # trivial valuations of random matroids, Stiefel or not
+        for _ in range(3):
+            bases = rng.sample(ksubsets(n, d), rng.randint(1, 5))
+            try:
+                m = Matroid(n, bases, check=True)
+            except NotAMatroid:
+                continue
+            pool.append(ValuatedMatroid(n, d, {b: 0 for b in m.bases}))
+    for v in pool:
+        want = all(presentations_exhaustive(c.matroid)
+                   for c in maximal_cells(v))
+        assert is_transversal_valuated(v) == want

@@ -9,7 +9,7 @@ from troplin import (Matroid, NoBasis, NotTransversal, beta_solutions,
                      max_presentation, transversal_matroid, uniform_matroid,
                      verify_set_presentation)
 from troplin.oracle import presentations_exhaustive
-from troplin.util import ksubsets, list1, mask_of
+from troplin.util import ksubsets, mask_of
 
 
 def series_pair():

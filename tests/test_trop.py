@@ -3,15 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from common import fr, points_of, rank2_four, rank2_four_rows, \
-    rank3_five_rows, random_rows
+from common import (fr, rank2_four, rank2_four_rows, rank3_five_rows,
+                    random_rows)
 from troplin import (INF, AllInfinite, InfiniteBase, OutOfDomain,
                      ValuatedMatroid, membership, min_assignment,
                      normalize_point, relsupp, stiefel, trop_cone_sample,
                      trop_minor, zoom)
 from troplin.oracle import stiefel_bruteforce, trop_minor_bruteforce
 from troplin.trop import _assignment_minors, _laplace_minors, _laplace_pays
-from troplin.util import ksubsets, list1, mask_of
+from troplin.util import ksubsets, mask_of
 
 
 def test_stiefel_rank2_four_table():

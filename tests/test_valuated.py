@@ -3,15 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from common import (fr, random_rows, rank2_four, rank2_four_rows,
-                    rank3_five, random_valuation, three_pair_valuation)
+from common import (fr, random_rows, rank2_four, rank3_five,
+                    random_valuation, three_pair_valuation)
 from troplin import (INF, AllInfinite, EmptyIntersection, EmptySupport,
                      InconsistentCell, InfiniteBase, Matroid, NotAMatroid,
                      ValuatedMatroid, cell_complex, cell_vertex,
-                     check_pluecker, hyperplane, initial_matroid,
+                     check_pluecker, hyperplane, initial_matroid, linprog,
                      maximal_cells, membership, stable_intersection,
-                     stable_sum, stiefel, trop_cone_sample, uniform_matroid,
-                     v_contract, v_dual, v_restrict)
+                     stable_sum, stiefel, uniform_matroid, v_contract,
+                     v_dual, v_restrict)
 from troplin.oracle import (cell_complex_bruteforce,
                             check_pluecker_bruteforce, subdivision_sample)
 from troplin.util import bits, elems, ksubsets, mask_of, submasks
@@ -200,17 +200,31 @@ def test_cell_vertex_contradictory_on_non_cells():
         cell_vertex(rank2_four(), uniform_matroid(2, 4))
 
 
-def test_cell_complex_matches_bruteforce():
+def test_cell_complex_matches_bruteforce(monkeypatch):
+    """Closing the maximal cells under flat faces reaches every loop-free
+    cell: the result equals the closure under all faces, with no LP."""
+    def no_lp(*args):
+        raise AssertionError("cell_complex ran the simplex")
+
+    monkeypatch.setattr(linprog, "solve_lp", no_lp)
     rng = random.Random(31415)
     pool = [rank2_four(), rank3_five()]
-    while len(pool) < 8:
+    shapes = set()
+    while len(pool) < 44:
         d = rng.randint(1, 3)
-        v = random_valuation(rng, d, rng.randint(d + 1, 5), inf_prob=0.25)
+        n = rng.randint(d + 1, 6)
+        v = random_valuation(rng, d, n, inf_prob=rng.uniform(0, 0.3))
         if not v.underlying().loops():
             pool.append(v)
+            shapes.add((d, n))
+    assert {(2, 6), (3, 6)} <= shapes
     for v in pool:
-        got = {c.matroid.bases for c in cell_complex(v).cells}
+        cc = cell_complex(v)
+        got = {c.matroid.bases for c in cc.cells}
         assert got == cell_complex_bruteforce(v)
+        for c in cc.cells:
+            assert not c.matroid.loops()
+            assert initial_matroid(v, c.witness) == c.matroid
 
 
 def test_subdivision_sampler_agrees():
