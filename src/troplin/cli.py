@@ -39,6 +39,14 @@ def _rows(payload):
     return jsonio.parse_matrix(payload)
 
 
+def _require_pluecker(vm):
+    "Raise NotPluecker, with the failing relation, unless vm is valid."
+    ok, witness = check_pluecker(vm)
+    if not ok:
+        raise NotPluecker("input is not a valuated matroid",
+                          witness=witness) from None
+
+
 def _assuming_pluecker(compute, vm, *args):
     """compute(vm, *args), for commands that assume vm is a valuated
     matroid.  Only when that fails is the table checked, once: a
@@ -47,10 +55,7 @@ def _assuming_pluecker(compute, vm, *args):
     try:
         return compute(vm, *args)
     except Exception:
-        ok, witness = check_pluecker(vm)
-        if not ok:
-            raise NotPluecker("input is not a valuated matroid",
-                              witness=witness) from None
+        _require_pluecker(vm)
         raise
 
 
@@ -96,13 +101,13 @@ def cmd_cells(payload, args):
     cells = [{"bases": [list1(b) for b in c.matroid.bases],
               "witness": jsonio.fmt_point(c.witness),
               "maximal": c.is_maximal}
-             for c in cell_complex(vm)]
+             for c in _assuming_pluecker(cell_complex, vm)]
     return 0, {"n": vm.n, "rank": vm.d, "cells": cells}
 
 
 def cmd_vertices(payload, args):
     vm = jsonio.parse_valuated(payload)
-    verts = cell_complex(vm).vertices
+    verts = _assuming_pluecker(cell_complex, vm).vertices
     out = [{"bases": [list1(b) for b in bases],
             "point": jsonio.fmt_point(p)}
            for bases, p in sorted(verts.items())]
@@ -135,10 +140,13 @@ def cmd_verify_presentation(payload, args):
     vm = jsonio.parse_valuated(_need(payload, "valuation"))
     points = [jsonio.parse_point(p) for p in _need(payload, "points")]
     try:
-        report = verify_presentation(vm, points)
+        report = _assuming_pluecker(verify_presentation, vm, points)
     except PointOutsideL as exc:
         return 1, {"ok": False, "violations": [],
                    "outside": exc.witness}
+    if not report["ok"]:
+        # a false answer on a non-Pluecker table would be meaningless
+        _require_pluecker(vm)
     return (0 if report["ok"] else 1), report
 
 
@@ -256,25 +264,36 @@ def _write(path, text):
             fh.write(text)
 
 
+_PARSER = None
+
+
+def _parser():
+    "The argument parser, built on first use and kept for the process."
+    global _PARSER
+    if _PARSER is None:
+        ap = argparse.ArgumentParser(
+            prog="troplin",
+            description="Exact min-plus computations with valuated "
+                        "matroids. All ground-set elements in the JSON "
+                        "formats are 1-based.")
+        ap.add_argument("command", choices=sorted(COMMANDS))
+        ap.add_argument("--input", default="-", metavar="FILE",
+                        help="input JSON file, or - for stdin (default)")
+        ap.add_argument("--output", default="-", metavar="FILE",
+                        help="output JSON file, or - for stdout (default)")
+        ap.add_argument("--seed", type=int, default=0,
+                        help="sampling seed (0 picks the canonical answer)")
+        ap.add_argument("--threads", type=int, default=1,
+                        help="accepted for interface compatibility; all "
+                             "computations are single-threaded")
+        ap.add_argument("--pretty", action="store_true",
+                        help="indent the output JSON")
+        _PARSER = ap
+    return _PARSER
+
+
 def run(argv=None):
-    ap = argparse.ArgumentParser(
-        prog="troplin",
-        description="Exact min-plus computations with valuated matroids. "
-                    "All ground-set elements in the JSON formats are "
-                    "1-based.")
-    ap.add_argument("command", choices=sorted(COMMANDS))
-    ap.add_argument("--input", default="-", metavar="FILE",
-                    help="input JSON file, or - for stdin (default)")
-    ap.add_argument("--output", default="-", metavar="FILE",
-                    help="output JSON file, or - for stdout (default)")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="sampling seed (0 picks the canonical answer)")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="accepted for interface compatibility; all "
-                         "computations are single-threaded")
-    ap.add_argument("--pretty", action="store_true",
-                    help="indent the output JSON")
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         payload = _read(args.input)
         code, out = COMMANDS[args.command](payload, args)

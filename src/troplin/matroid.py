@@ -158,16 +158,38 @@ class Matroid:
         return self._cf
 
     def connected_components(self):
-        "Partition of the ground set by direct-sum separators, as masks."
+        """Partition of the ground set into connected components, as masks
+        sorted by value.
+
+        Fix the basis B = bases[0].  The fundamental circuit of e outside
+        B is e together with every f in B such that B - f + e is a basis,
+        and the components are the classes of the union of these
+        circuits (Oxley, Matroid Theory, fundamental circuits): O(n d)
+        basis lookups, no rank call.  Loops and coloops lie in no
+        circuit with another element, so they come out as singletons.
+        """
         if self._comps is None:
-            comp = {e: self.full for e in range(self.n)}
-            for s in range(1, self.full):
-                if self.rank(s) + self.rank(self.full ^ s) != self.d:
-                    continue
-                t = self.full ^ s
-                for e in range(self.n):
-                    comp[e] &= s if (s >> e) & 1 else t
-            self._comps = tuple(sorted(set(comp.values())))
+            b = self.bases[0]
+            bs = self.baseset
+            blocks = []
+            covered = 0
+            for e in bits(self.full & ~b):
+                with_e = b | (1 << e)
+                c = 1 << e
+                for f in bits(b):
+                    if with_e ^ (1 << f) in bs:
+                        c |= 1 << f
+                covered |= c
+                rest = []
+                for k in blocks:
+                    if k & c:
+                        c |= k
+                    else:
+                        rest.append(k)
+                rest.append(c)
+                blocks = rest
+            blocks.extend(1 << e for e in bits(self.full & ~covered))
+            self._comps = tuple(sorted(blocks))
         return self._comps
 
     def dual(self):

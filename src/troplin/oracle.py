@@ -12,7 +12,7 @@ from itertools import (combinations, combinations_with_replacement,
 
 from .errors import NoBasis, NotAMatroid, NotCyclicFlat, OutOfDomain
 from .matroid import Matroid
-from .trop import INF, ZERO
+from .trop import INF, ZERO, xsum
 from .util import bits, elems, ksubsets, list1
 from .valuated import ValuatedMatroid, initial_matroid, maximal_cells
 
@@ -237,7 +237,6 @@ def rinf_facet_oracle(vm, m, flat, z):
     face has more components (oracle not applicable).
     """
     from .presentations import _locate_cell
-    from .trop import xsum
     from .valuated import face_witness
 
     if all(z[j] == INF for j in bits(flat)):
@@ -338,7 +337,7 @@ def rinf_member_lp(vm, m, flat, z):
     """
     from .linprog import solve_lp
     from .presentations import _locate_cell
-    from .trop import ONE, check_point, xsum
+    from .trop import ONE, check_point
     from .valuated import face_witness
 
     cf = m.cyclic_flats()
@@ -449,3 +448,30 @@ def lp_bruteforce(num_vars, objective, constraints):
     if best is None:
         return "infeasible", None
     return "optimal", best
+
+
+def connected_components_bruteforce(m):
+    """Partition of the ground set by direct-sum separators, as masks:
+    every subset s with rank(s) + rank(E - s) = d splits the classes."""
+    comp = {e: m.full for e in range(m.n)}
+    for s in range(1, m.full):
+        if m.rank(s) + m.rank(m.full ^ s) != m.d:
+            continue
+        t = m.full ^ s
+        for e in range(m.n):
+            comp[e] &= s if (s >> e) & 1 else t
+    return tuple(sorted(set(comp.values())))
+
+
+def initial_matroid_bruteforce(vm, x):
+    "Bases minimizing pl(B) - x(B), by Fraction sums over the support."
+    best = INF
+    keep = []
+    for b in vm.support:
+        v = vm.table[b] - xsum(x, b)
+        if v < best:
+            best = v
+            keep = [b]
+        elif v == best:
+            keep.append(b)
+    return Matroid(vm.n, keep, check=False)

@@ -1,8 +1,9 @@
 """Transversal matroids: matchings, recognition, set presentations.
 
-Recognition runs two independent tests -- the Moebius/corank counting
-conditions on cyclic flats and the quantified rank inequalities over
-families of cyclic flats -- and insists they agree.
+Recognition runs the Moebius/corank counting conditions on cyclic
+flats.  Only when they reject does it scan families of cyclic flats for
+a quantified rank inequality that fails, as the certificate; a
+rejection that no family confirms is a fault, never a bare "no".
 """
 
 from itertools import combinations
@@ -88,14 +89,16 @@ def is_transversal(m):
 
     The presentation is the maximal one: the complement of each cyclic
     flat, repeated by its corank-transform multiplicity.  The
-    certificate is a violating family of cyclic flats.
+    certificate is a violating family of cyclic flats; the exponential
+    family scan runs only once the counting conditions have rejected,
+    and raises RuntimeError if it finds no family to back them.
     """
     count = _counting_violation(m)
-    ranks = _rank_violation(m)
-    if (count is None) != (ranks is None):
-        raise RuntimeError("transversality tests disagree: %r vs %r"
-                           % (count, ranks))
-    if ranks is not None:
+    if count is not None:
+        ranks = _rank_violation(m)
+        if ranks is None:
+            raise RuntimeError("transversality tests disagree: %r vs %r"
+                               % (count, ranks))
         return False, ranks
     cf = m.cyclic_flats()
     sets = []

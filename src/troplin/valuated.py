@@ -7,6 +7,7 @@ walk, the full face complex by closing the maximal cells under flat faces.
 """
 
 from itertools import combinations
+from math import lcm
 
 from .errors import (AllInfinite, EmptyIntersection, EmptySupport,
                      InconsistentCell, InfiniteBase, NotAMatroid,
@@ -50,6 +51,7 @@ class ValuatedMatroid:
         self.table = table
         self.support = tuple(b for b in slots if table[b] != INF)
         self._underlying = None
+        self._intsupport = None
         self._maxcells = None
         self._complex = None
         self._vertexcache = {}
@@ -240,8 +242,25 @@ def _val(vm, b, x):
     return INF if v == INF else v - xsum(x, b)
 
 
+def _integer_support(vm):
+    """(den, rows): each support basis with its entry times the common
+    denominator den of the support, and its element list.  Built on
+    first use and kept on the valuation."""
+    if vm._intsupport is None:
+        den, ints = integer_scaled(vm.table[b] for b in vm.support)
+        vm._intsupport = (den, [(b, v, elems(b))
+                                for b, v in zip(vm.support, ints)])
+    return vm._intsupport
+
+
 def initial_matroid(vm, x):
-    "Bases minimizing pl(B) - x(B); x must be finite."
+    """Bases minimizing pl(B) - x(B); x must be finite.
+
+    Compared on integers: the support table scaled once per valuation
+    (_integer_support) and x scaled by its own common denominator are
+    both brought to the lcm of the two, so each basis costs one product
+    and at most d integer subtractions.
+    """
     x = tuple(x)
     if len(x) != vm.n:
         raise ValueError("point length mismatch")
@@ -249,11 +268,17 @@ def initial_matroid(vm, x):
         raise InfiniteBase("initial matroid needs a finite point",
                            witness=list1(mask_of(
                                j for j, v in enumerate(x) if v == INF)))
-    best = INF
+    den, rows = _integer_support(vm)
+    common = lcm(den, *(v.denominator for v in x))
+    scale = common // den
+    xs = [v.numerator * (common // v.denominator) for v in x]
+    best = None
     keep = []
-    for b in vm.support:
-        v = vm.table[b] - xsum(x, b)
-        if v < best:
+    for b, t, es in rows:
+        v = t * scale
+        for e in es:
+            v -= xs[e]
+        if best is None or v < best:
             best = v
             keep = [b]
         elif v == best:

@@ -87,3 +87,72 @@ def random_valuation(rng, d, n, inf_prob=0.0):
 
 def points_of(rows):
     return [tuple(r) for r in rows]
+
+
+def random_point(rng, n, dens=(1,), lo=-6, hi=6):
+    "Finite point with coordinates k/q, k in [lo, hi], q drawn from dens."
+    return tuple(Fraction(rng.randint(lo, hi), rng.choice(dens))
+                 for _ in range(n))
+
+
+def matroid_pool(rng, count):
+    """`count` matroids for property tests against the oracle.
+
+    Cycles through initial matroids of random valuations with d <= 4,
+    n <= 8 (at coarse random points, and maximal cells), flat faces and
+    duals of those, direct sums of two random matroids, sums with loops
+    and coloops, rank-2 matroids of random parallel classes, uniform
+    matroids and single-basis matroids.
+    """
+    from troplin import (direct_sum, initial_matroid, maximal_cells,
+                         uniform_matroid)
+
+    def initial():
+        d = rng.randint(1, 4)
+        n = rng.randint(d, 8)
+        v = random_valuation(rng, d, n, inf_prob=rng.uniform(0, 0.4))
+        if rng.random() < 0.5:
+            return rng.choice(maximal_cells(v)).matroid
+        return initial_matroid(v, random_point(rng, n, (1, 2), 0, 2))
+
+    def face():
+        m = initial()
+        return m.polytope_face(rng.choice(m.flats().flats))
+
+    def small():
+        n = rng.randint(1, 4)
+        if rng.random() < 0.5:
+            return uniform_matroid(rng.randint(0, n), n)
+        d = rng.randint(1, min(n, 3))
+        v = random_valuation(rng, d, n, inf_prob=rng.uniform(0, 0.4))
+        return v.underlying()
+
+    def loops_coloops():
+        m = small()
+        k = rng.randint(1, 2)
+        extra = uniform_matroid(rng.choice((0, k)), k)
+        return direct_sum(extra, m) if rng.random() < 0.5 \
+            else direct_sum(m, extra)
+
+    def parallel_classes():
+        "Rank 2: a pair is a basis iff it meets two different classes."
+        n = rng.randint(4, 8)
+        label = [rng.randint(0, 2) for _ in range(n)]
+        label[:2] = [0, 1]
+        return Matroid(n, [b for b in ksubsets(n, 2)
+                           if len({label[e] for e in range(n)
+                                   if (b >> e) & 1}) == 2], check=False)
+
+    def uniform():
+        n = rng.randint(0, 7)
+        return uniform_matroid(rng.randint(0, n), n)
+
+    def single():
+        n = rng.randint(0, 8)
+        return Matroid(n, [mask_of(e for e in range(n)
+                                   if rng.random() < 0.5)], check=False)
+
+    kinds = (initial, initial, face, lambda: initial().dual(),
+             lambda: direct_sum(small(), small()), loops_coloops,
+             parallel_classes, uniform, single)
+    return [kinds[i % len(kinds)]() for i in range(count)]

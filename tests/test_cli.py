@@ -272,10 +272,16 @@ NON_PLUECKER = {"n": 4, "rank": 2,
 
 
 NON_PLUECKER_PAYLOADS = {
+    "cells": NON_PLUECKER,
+    "vertices": NON_PLUECKER,
     "distinguished": NON_PLUECKER,
     "sample-presentation": NON_PLUECKER,
     "in-presentation-space": {"valuation": NON_PLUECKER,
                               "points": RANK2_FOUR},
+    # the second point lies outside the space, a false answer
+    "verify-presentation": {"valuation": NON_PLUECKER,
+                            "points": [["0", "0", "0", "0"],
+                                       ["0", "1", "0", "0"]]},
 }
 
 
@@ -298,8 +304,11 @@ def test_pluecker_check_runs_only_on_failure(tmp_path, monkeypatch):
     _, table, _ = call(tmp_path, "stiefel", RANK2_FOUR)
     monkeypatch.setattr(troplin.cli, "check_pluecker", counting)
     for command, payload in (
+            ("cells", table), ("vertices", table),
             ("distinguished", table), ("sample-presentation", table),
             ("in-presentation-space",
+             {"valuation": table, "points": RANK2_FOUR}),
+            ("verify-presentation",
              {"valuation": table, "points": RANK2_FOUR})):
         code, _, _ = call(tmp_path, command, payload, "--seed", "2")
         assert code == 0
@@ -308,6 +317,36 @@ def test_pluecker_check_runs_only_on_failure(tmp_path, monkeypatch):
     code, out, _ = call(tmp_path, "distinguished", snow_full())
     assert code == 2 and out["error"] == "NotTransversalFacets"
     assert len(calls) == 1
+    # and a false verify-presentation answer stands, checked once each
+    code, out, _ = call(tmp_path, "verify-presentation",
+                        {"valuation": table,
+                         "points": [["0", "0", "0", "0"],
+                                    ["0", "1", "1", "1"]]})
+    assert code == 1 and out["outside"] == {"index": 2}
+    assert len(calls) == 2
+    code, out, _ = call(tmp_path, "verify-presentation",
+                        {"valuation": table,
+                         "points": [["0", "0", "0", "0"],
+                                    ["0", "0", "0", "0"]]})
+    assert code == 1 and out["violations"]
+    assert len(calls) == 3
+
+
+def test_parser_is_reused_across_runs(tmp_path):
+    """Consecutive runs in one process answer as each would alone."""
+    _, table, _ = call(tmp_path, "stiefel", RANK3_FIVE)
+    requests = [("sample-presentation", table, "--seed", "3"),
+                ("stiefel", RANK2_FOUR),
+                ("sample-presentation", table, "--seed", "5"),
+                ("dual", table, "--pretty")]
+    alone = []
+    for command, payload, *extra in requests:
+        troplin.cli._PARSER = None
+        alone.append(call(tmp_path, command, payload, *extra)[::2])
+    together = [call(tmp_path, command, payload, *extra)[::2]
+                for command, payload, *extra in requests]
+    assert together == alone
+    assert troplin.cli._PARSER is troplin.cli._parser()
 
 
 def test_unexpected_exception_is_an_internal_error(tmp_path, monkeypatch):

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from common import random_rows, three_pair_matroid
+from common import matroid_pool, random_rows, three_pair_matroid
 from troplin import (Matroid, NoBasis, NotAFlat, NotAMatroid, direct_sum,
                      stiefel, transversal_matroid, uniform_matroid)
-from troplin.oracle import check_exchange_bruteforce
+from troplin.oracle import (check_exchange_bruteforce,
+                            connected_components_bruteforce)
 from troplin.util import ksubsets, list1, mask_of
 
 
@@ -115,6 +116,33 @@ def test_connected_components():
                                               mask_of([2, 3, 4])]
     assert list(uniform_matroid(2, 4).connected_components()) == \
         [mask_of(range(4))]
+
+
+def test_connected_components_match_the_separator_scan():
+    """Fundamental circuits of one basis give the components that the
+    scan over all 2^n separators finds."""
+    pool = matroid_pool(random.Random(2718), 360)
+    shapes = set()
+    for m in pool:
+        comps = m.connected_components()
+        assert comps == connected_components_bruteforce(m)
+        shapes.add((bool(m.loops()), bool(m.coloops()),
+                    1 < len(comps) < m.n))
+    assert {(True, False, True), (False, True, True), (False, False, True),
+            (False, False, False)} <= shapes
+
+
+def test_connected_components_need_no_rank(monkeypatch):
+    "A direct sum of four U(2,4): 16 elements, 1296 bases, no 2^16 scan."
+    def no_rank(self, subset):
+        raise AssertionError("connected_components called rank")
+
+    u = uniform_matroid(2, 4)
+    m = direct_sum(direct_sum(u, u), direct_sum(u, u))
+    assert (m.n, len(m.bases)) == (16, 1296)
+    monkeypatch.setattr(Matroid, "rank", no_rank)
+    assert m.connected_components() == tuple(0b1111 << (4 * i)
+                                             for i in range(4))
 
 
 def test_minors():

@@ -1,14 +1,15 @@
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from common import three_pair_matroid
+from common import matroid_pool, three_pair_matroid
 from troplin import (Matroid, NoBasis, NotTransversal, beta_solutions,
                      direct_sum, is_pseudopresentation, is_transversal,
                      max_presentation, transversal_matroid, uniform_matroid,
                      verify_set_presentation)
 from troplin.oracle import presentations_exhaustive
+from troplin.transversal import _counting_violation, _rank_violation
 from troplin.util import ksubsets, mask_of
 
 
@@ -60,6 +61,54 @@ def test_transversal_images_are_accepted():
         assert ok
         assert transversal_matroid(pres, n) == m
         built += 1
+
+
+def alternating_rank_gap(m, family):
+    """r(meet of the family) plus the sum over nonempty subfamilies I of
+    (-1)^|I| r(union of I): positive iff the family violates the rank
+    inequality that every transversal matroid satisfies."""
+    inter = m.full
+    for f in family:
+        inter &= f
+    total = m.rank(inter)
+    for k in range(1, len(family) + 1):
+        for sub in combinations(family, k):
+            u = 0
+            for f in sub:
+                u |= f
+            total += (-1) ** k * m.rank(u)
+    return total
+
+
+def test_counting_and_family_scan_agree():
+    """The counting conditions reject exactly when some cyclic-flat family
+    violates the rank inequality, and is_transversal certifies with the
+    first such family."""
+    rng = random.Random(1618)
+    pool = matroid_pool(rng, 360) + [k4_cycle_matroid(),
+                                     three_pair_matroid()]
+    while len(pool) < 400:
+        n = rng.randint(2, 7)
+        sets = [mask_of(rng.sample(range(n), rng.randint(1, n)))
+                for _ in range(rng.randint(1, min(4, n)))]
+        try:
+            pool.append(transversal_matroid(sets, n))
+        except NoBasis:
+            continue
+    rejected = 0
+    for m in pool:
+        family = _rank_violation(m)
+        assert (_counting_violation(m) is None) == (family is None)
+        ok, payload = is_transversal(m)
+        assert ok == (family is None)
+        if family is None:
+            continue
+        rejected += 1
+        assert payload == family
+        flats = [mask_of(e - 1 for e in f) for f in family["family"]]
+        assert all(f in m.cyclic_flats() for f in flats)
+        assert alternating_rank_gap(m, flats) > 0
+    assert rejected >= 10
 
 
 def test_max_presentation_golden():

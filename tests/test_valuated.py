@@ -3,17 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from common import (fr, random_rows, rank2_four, rank3_five,
+from common import (fr, random_point, random_rows, rank2_four, rank3_five,
                     random_valuation, three_pair_valuation)
 from troplin import (INF, AllInfinite, EmptyIntersection, EmptySupport,
                      InconsistentCell, InfiniteBase, Matroid, NotAMatroid,
                      ValuatedMatroid, cell_complex, cell_vertex,
                      check_pluecker, hyperplane, initial_matroid, linprog,
                      maximal_cells, membership, stable_intersection,
-                     stable_sum, stiefel, uniform_matroid, v_contract,
-                     v_dual, v_restrict)
+                     stable_sum, stiefel, trop, uniform_matroid,
+                     v_contract, v_dual, v_restrict, valuated)
 from troplin.oracle import (cell_complex_bruteforce,
-                            check_pluecker_bruteforce, subdivision_sample)
+                            check_pluecker_bruteforce,
+                            initial_matroid_bruteforce, subdivision_sample)
 from troplin.util import bits, elems, ksubsets, mask_of, submasks
 
 
@@ -136,6 +137,48 @@ def test_initial_matroid_golden():
     assert initial_matroid(v, (fr(0), fr(0), fr(1), fr(1))) == cell_without_12()
     with pytest.raises(InfiniteBase):
         initial_matroid(v, (fr(0), INF, fr(0), fr(0)))
+
+
+def test_initial_matroid_matches_the_fraction_reference():
+    """The integer comparison picks the bases that Fraction sums pick:
+    valuations with denominators up to 24, points with denominators
+    1..12 and negative coordinates, cell witnesses and vertices."""
+    rng = random.Random(8128)
+    ties = 0
+    for _ in range(90):
+        d = rng.randint(1, 4)
+        n = rng.randint(d, 8)
+        q = Fraction(1, rng.randint(1, 12))
+        rows = [[v if v == INF else v * q for v in row]
+                for row in random_rows(rng, d, n, rng.uniform(0, 0.3))]
+        v = stiefel(rows)
+        points = [random_point(rng, n, range(1, 13), -12, 12),
+                  random_point(rng, n, (1, 2), -2, 2),
+                  tuple(x * q for x in random_point(rng, n, (1,), -2, 2))]
+        points += [c.witness for c in maximal_cells(v)]
+        if n <= 6 and not v.underlying().loops():
+            cc = cell_complex(v)
+            points += [c.witness for c in cc] + list(cc.vertices.values())
+        for x in points:
+            m = initial_matroid(v, x)
+            assert m == initial_matroid_bruteforce(v, x)
+            ties += len(m.bases) > 1
+    assert ties > 300
+
+
+def test_initial_matroid_needs_no_fraction_sums(monkeypatch):
+    def no_xsum(x, mask):
+        raise AssertionError("initial_matroid summed Fractions")
+
+    rng = random.Random(496)
+    v = stiefel(random_rows(rng, 3, 8))
+    points = [c.witness for c in maximal_cells(v)]
+    points.append(random_point(rng, 8, range(1, 13)))
+    want = [initial_matroid_bruteforce(v, x) for x in points]
+    fresh = ValuatedMatroid(v.n, v.d, v.table)
+    monkeypatch.setattr(trop, "xsum", no_xsum)
+    monkeypatch.setattr(valuated, "xsum", no_xsum)
+    assert [initial_matroid(fresh, x) for x in points] == want
 
 
 def test_maximal_cells_rank2_four():
