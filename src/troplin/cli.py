@@ -196,7 +196,7 @@ def cmd_gammoid(payload, args):
 
 
 def cmd_digraph_from_presentation(payload, args):
-    points = [jsonio.parse_point(p) for p in _need(payload, "points")]
+    points = jsonio.parse_matrix(_need(payload, "points"))
     n = len(points[0])
     basis = None
     sigma = None

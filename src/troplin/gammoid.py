@@ -71,9 +71,6 @@ class WeightedDigraph:
             return ZERO
         return self.edges.get((i, j), INF)
 
-    def sources(self):
-        return self.n_full() ^ self.sinks
-
     def n_full(self):
         return (1 << self.n) - 1
 

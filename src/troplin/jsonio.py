@@ -135,13 +135,6 @@ def fmt_valuated(vm):
     return {"n": vm.n, "rank": vm.d, "entries": entries, "sparse": False}
 
 
-def parse_sets(obj):
-    n = _get_n(obj)
-    if not isinstance(obj.get("sets"), list):
-        raise ValueError("set system needs a list of sets")
-    return n, [parse_elements(s, n) for s in obj["sets"]]
-
-
 def fmt_sets(n, sets):
     return {"n": n, "sets": [list1(s) for s in sets]}
 

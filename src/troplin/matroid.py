@@ -126,9 +126,6 @@ class Matroid:
             inter &= b
         return inter
 
-    def is_basis(self, subset):
-        return subset in self.baseset
-
     def independent(self, subset):
         return self.rank(subset) == subset.bit_count()
 
@@ -257,19 +254,6 @@ class FlatLattice:
 
     def __contains__(self, f):
         return f in self._set
-
-    def covers(self):
-        "All covering pairs (f, g) with f < g and nothing between."
-        out = []
-        for f in self.flats:
-            for g in self.flats:
-                if f == g or f & g != f:
-                    continue
-                if any(h != f and h != g and f & h == f and h & g == h
-                       for h in self.flats):
-                    continue
-                out.append((f, g))
-        return out
 
 
 class CyclicFlatData:

@@ -1,6 +1,6 @@
 """Brute-force reference implementations used to cross-check the fast paths.
 
-Everything here trades time for obviousness: permutple enumeration instead
+Everything here trades time for obviousness: permutation enumeration instead
 of augmenting paths, point sampling instead of wall flips, full multiset
 scans instead of Moebius counting.  Sizes are capped accordingly.
 """
@@ -475,3 +475,21 @@ def initial_matroid_bruteforce(vm, x):
         elif v == best:
             keep.append(b)
     return Matroid(vm.n, keep, check=False)
+
+
+def first_breakpoint_bruteforce(vm, m, x, flat, r):
+    """Least (pl(b) - x(b) - pl(m) + x(m)) / (|b & flat| - r) over the
+    support bases b off the cell m with |b & flat| > r, or INF, by
+    Fraction sums."""
+    m0 = vm.table[m.bases[0]] - xsum(x, m.bases[0])
+    tstar = INF
+    for b in vm.support:
+        if b in m.baseset:
+            continue
+        cnt = (b & flat).bit_count()
+        if cnt <= r:
+            continue
+        t = (vm.table[b] - xsum(x, b) - m0) / (cnt - r)
+        if t < tstar:
+            tstar = t
+    return tstar

@@ -14,9 +14,9 @@ from .errors import (AllInfinite, CellNotFound, CountMismatch,
                      NotCyclicFlat, NotTransversalFacets, PointOutsideL,
                      TroplinError, WrongArity)
 from .linprog import distinct_rows, solve_lp
-from .trop import INF, ONE, ZERO, check_point, relsupp, xsum
+from .trop import INF, ONE, ZERO, check_point, relsupp
 from .util import bits, elems, list1, mask_of
-from .valuated import (ValuatedMatroid, cell_complex, cell_vertex,
+from .valuated import (ValuatedMatroid, _values, cell_complex, cell_vertex,
                        face_witness, maximal_cells, membership, v_contract)
 from . import transversal
 
@@ -57,18 +57,18 @@ def _rinf_context(vm, m, flat):
         for e in bits(k):
             where[e] = i
     ranks = [w.rank(k) for k in comps]
-    m0 = vm.table[w.bases[0]] - xsum(xw, w.bases[0])
+    common, vals = _values(vm, xw)
+    w0 = vals[w.bases[0]]
     # variables t_0..t_{c-2} (component shifts, last one gauged to 0), s
     region = []
-    for b in vm.support:
+    for b, v in vals.items():
         if b in w.baseset:
             continue
         coeffs = [ZERO] * c
         for i in range(c - 1):
             coeffs[i] = (b & comps[i]).bit_count() - ranks[i]
         coeffs[c - 1] = ONE
-        gap = vm.table[b] - xsum(xw, b) - m0
-        region.append((coeffs, "<=", gap))
+        region.append((coeffs, "<=", Fraction(v - w0, common)))
     cap = [ZERO] * c
     cap[c - 1] = ONE
     region.append((cap, "<=", ONE))

@@ -118,20 +118,13 @@ def max_presentation(m):
 def verify_set_presentation(m, sets):
     """Does the set system present m?  Decided without matchings.
 
-    Complements must be flats whose coclosures realize the corank
-    transform multiset, and every subfamily intersection must keep
-    corank at least the family size.
+    m must be transversal, the complements must be a pseudopresentation
+    (flats whose coclosures realize the corank transform multiset), and
+    every subfamily intersection must keep corank at least the family
+    size.
     """
-    if len(sets) != m.d:
-        return False
     comps = [m.full ^ a for a in sets]
-    if any(not m.is_flat(f) for f in comps):
-        return False
-    ok, _ = is_transversal(m)
-    if not ok:
-        return False
-    cf = m.cyclic_flats()
-    if sorted(m.coclosure(f) for f in comps) != cf.multiset():
+    if not is_pseudopresentation(m, comps) or not is_transversal(m)[0]:
         return False
     for k in range(1, len(comps) + 1):
         for sub in combinations(comps, k):

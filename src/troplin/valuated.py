@@ -4,8 +4,12 @@ Entries live on d-subsets of {0..n-1} (as bitmasks) and are normalized so
 the least finite entry is 0.  The induced regular subdivision of the basis
 polytope is computed exactly: maximal cells by a descent-plus-wall-flip
 walk, the full face complex by closing the maximal cells under flat faces.
+The walk compares on integers: _values puts pl(B) - x(B) for every
+support basis on one integer scale, and _first_break reads off how far
+x moves along a flat before another basis ties the current cell.
 """
 
+from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
@@ -28,8 +32,6 @@ class ValuatedMatroid:
     def __init__(self, n, d, entries):
         if not 0 <= d <= n:
             raise ValueError("rank out of range")
-        from fractions import Fraction
-
         slots = ksubsets(n, d)
         slotset = set(slots)
         for key in entries:
@@ -237,29 +239,60 @@ def v_contract(vm, subset):
     return v_dual(v_restrict(v_dual(vm), vm.full ^ subset))
 
 
-def _val(vm, b, x):
-    v = vm.table[b]
-    return INF if v == INF else v - xsum(x, b)
+def _scaled(vm, x):
+    """(common, scale, xs, rows): the support and x on one integer scale.
 
-
-def _integer_support(vm):
-    """(den, rows): each support basis with its entry times the common
-    denominator den of the support, and its element list.  Built on
-    first use and kept on the valuation."""
+    rows, built on first use and kept on the valuation, holds
+    (b, pl(b) * den, elements of b) per support basis b, den the
+    support's common denominator.  common is the lcm of den and the
+    denominators of x, xs = x * common and scale = common / den.
+    """
     if vm._intsupport is None:
         den, ints = integer_scaled(vm.table[b] for b in vm.support)
         vm._intsupport = (den, [(b, v, elems(b))
                                 for b, v in zip(vm.support, ints)])
-    return vm._intsupport
+    den, rows = vm._intsupport
+    common = lcm(den, *(v.denominator for v in x))
+    xs = [v.numerator * (common // v.denominator) for v in x]
+    return common, common // den, xs, rows
+
+
+def _values(vm, x):
+    """(common, vals): vals[b] / common is pl(b) - x(b) for every support
+    basis b, on integers.  x must be finite."""
+    common, scale, xs, rows = _scaled(vm, x)
+    vals = {}
+    for b, t, es in rows:
+        v = t * scale
+        for e in es:
+            v -= xs[e]
+        vals[b] = v
+    return common, vals
+
+
+def _first_break(common, vals, m, flat, r):
+    """Least (val(b) - val(m)) / (|b & flat| - r) over support bases b
+    with |b & flat| > r, or INF: how far x may move by t on `flat` before
+    another basis ties the cell m.  r is the rank of `flat` in m, so no
+    basis of m counts.  The counts are positive, so candidates compare
+    exactly by cross multiplication."""
+    m0 = vals[m.bases[0]]
+    num, den = None, 1
+    for b, v in vals.items():
+        cnt = (b & flat).bit_count() - r
+        if cnt <= 0:
+            continue
+        if num is None or (v - m0) * den < num * cnt:
+            num, den = v - m0, cnt
+    return INF if num is None else Fraction(num, den * common)
 
 
 def initial_matroid(vm, x):
     """Bases minimizing pl(B) - x(B); x must be finite.
 
-    Compared on integers: the support table scaled once per valuation
-    (_integer_support) and x scaled by its own common denominator are
-    both brought to the lcm of the two, so each basis costs one product
-    and at most d integer subtractions.
+    Compared on integers, on the scale of _values, in one pass that
+    keeps the running minimum: each basis costs one product and at most
+    d integer subtractions.
     """
     x = tuple(x)
     if len(x) != vm.n:
@@ -268,10 +301,7 @@ def initial_matroid(vm, x):
         raise InfiniteBase("initial matroid needs a finite point",
                            witness=list1(mask_of(
                                j for j, v in enumerate(x) if v == INF)))
-    den, rows = _integer_support(vm)
-    common = lcm(den, *(v.denominator for v in x))
-    scale = common // den
-    xs = [v.numerator * (common // v.denominator) for v in x]
+    _, scale, xs, rows = _scaled(vm, x)
     best = None
     keep = []
     for b, t, es in rows:
@@ -299,30 +329,14 @@ def _descend_to_maximal(vm, uv, target):
         guard += 1
         if guard > len(vm.support) + n:
             raise InconsistentCell("descent failed to converge")
-        k = None
-        for c in comps:
-            for u in uv.connected_components():
-                if c & u == c and c != u:
-                    k = c
-                    break
-            if k is not None:
-                break
-        # k exists: cell components refine support components
+        # cell components refine support components, so some k is not one
+        k = next(c for c in comps if c not in uv.connected_components())
         r = (m.bases[0] & k).bit_count()
-        m0 = _val(vm, m.bases[0], x)
-        tplus = INF
-        tminus = INF
-        for b in vm.support:
-            if b in m.baseset:
-                continue
-            cnt = (b & k).bit_count()
-            gap = _val(vm, b, x) - m0
-            if cnt > r:
-                tplus = min(tplus, gap / (cnt - r))
-            elif cnt < r:
-                tminus = min(tminus, gap / (r - cnt))
-        step = tplus if tplus != INF else -tminus
-        if step == INF or step == -INF:
+        common, vals = _values(vm, x)
+        step = _first_break(common, vals, m, k, r)
+        if step == INF:
+            step = -_first_break(common, vals, m, vm.full ^ k, vm.d - r)
+        if step == -INF:
             raise InconsistentCell("descent found no breakpoint")
         for e in bits(k):
             x[e] += step
@@ -345,24 +359,14 @@ def maximal_cells(vm):
     while queue:
         cell = queue.pop()
         m = cell.matroid
-        m0 = _val(vm, m.bases[0], cell.witness)
+        common, vals = _values(vm, cell.witness)
         for f in m.cyclic_flats():
             if f == 0 or f == m.full:
                 continue
             w = m.polytope_face(f)
             if len(w.connected_components()) != target + 1:
                 continue
-            rf = m.rank(f)
-            tstar = INF
-            for b in vm.support:
-                if b in m.baseset:
-                    continue
-                cnt = (b & f).bit_count()
-                if cnt <= rf:
-                    continue
-                t = (_val(vm, b, cell.witness) - m0) / (cnt - rf)
-                if t < tstar:
-                    tstar = t
+            tstar = _first_break(common, vals, m, f, m.rank(f))
             if tstar == INF:
                 continue  # wall sits on the boundary of the support
             x2 = tuple(v + tstar if (f >> e) & 1 else v
@@ -391,18 +395,7 @@ def face_witness(vm, m, xm, flat):
     w = m.polytope_face(flat)
     if w.bases == m.bases:
         return tuple(xm)
-    m0 = _val(vm, m.bases[0], xm)
-    rf = m.rank(flat)
-    t1 = INF
-    for b in vm.support:
-        if b in m.baseset:
-            continue
-        cnt = (b & flat).bit_count()
-        if cnt <= rf:
-            continue
-        t = (_val(vm, b, xm) - m0) / (cnt - rf)
-        if t < t1:
-            t1 = t
+    t1 = _first_break(*_values(vm, xm), m, flat, m.rank(flat))
     tw = ONE if t1 == INF else t1 / 2
     return tuple(v + tw if (flat >> e) & 1 else v
                  for e, v in enumerate(xm))

@@ -241,6 +241,19 @@ def test_gammoid_and_digraph_round_trip(tmp_path):
     assert err["witness"] == {"weight": "1", "minimum": "0"}
 
 
+@pytest.mark.parametrize("points, message", [
+    ([], "matrix must be a nonempty list of rows"),
+    ([["0", "1"], ["0"]], "ragged matrix")])
+def test_digraph_from_bad_points_is_an_input_error(tmp_path, capsys,
+                                                   points, message):
+    code, err, _ = call(tmp_path, "digraph-from-presentation",
+                        {"points": points})
+    assert code == 2
+    assert err == {"error": "ValueError", "message": message,
+                   "witness": None}
+    assert capsys.readouterr().err == ""
+
+
 def test_gammoid_negative_cycle_error(tmp_path):
     code, err, _ = call(tmp_path, "gammoid",
                         {"n": 2, "sinks": [2],

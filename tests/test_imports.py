@@ -1,18 +1,26 @@
-"""No module of the package or of the tests imports a name it never uses.
+"""No module imports a name it never uses, and no function goes uncalled.
 
 A standard-library stand-in for pyflakes' unused-import check: every
 name an import statement binds must occur as a name somewhere in the
 same module (the root of `a.b.c` counts for `import a.b`).  The
 package's __init__.py re-exports on purpose and is skipped.
+
+Next to it, a dead-code check: the name of every function or method the
+package defines (dunders aside) must occur somewhere in the text of the
+package, the tests or the benchmark, outside its own definition.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(p for p in [*(ROOT / "src" / "troplin").glob("*.py"),
-                             *(ROOT / "tests").glob("*.py")]
+PACKAGE = sorted((ROOT / "src" / "troplin").glob("*.py"))
+SOURCES = sorted(p for p in [*PACKAGE, *(ROOT / "tests").glob("*.py")]
                  if p.name != "__init__.py")
+USERS = sorted([*(ROOT / "tests").glob("*.py"),
+                *(ROOT / "bench").glob("*.py")])
 
 
 def unused_imports(source):
@@ -44,3 +52,48 @@ def test_no_unused_imports():
              for p in SOURCES
              for line, name in unused_imports(p.read_text(encoding="utf-8"))]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def _words(text):
+    return Counter(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text))
+
+
+def unused_functions(defining, using):
+    """(label, line, name) for each function or method that the modules
+    in `defining` ({label: text}) define, dunders aside, and whose name
+    occurs nowhere in `defining` or `using` outside its own definition."""
+    total = Counter()
+    for text in [*defining.values(), *using]:
+        total.update(_words(text))
+    found = []
+    for label, text in defining.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            own = _words(ast.get_source_segment(text, node))[name]
+            if total[name] == own:
+                found.append((label, node.lineno, name))
+    return sorted(found)
+
+
+def test_dead_code_checker_sees_uncalled_functions():
+    defining = {"m": "def loop():\n    return loop()\n"
+                     "def used():\n    return 1\n"
+                     "class C:\n    def meth(self):\n"
+                     "        return used()\n"
+                     "    def spare(self):\n        return 2\n"
+                     "    def __len__(self):\n        return 0\n"}
+    using = ["from m import C\nC().meth()\n"]
+    assert unused_functions(defining, using) == [("m", 1, "loop"),
+                                                 ("m", 8, "spare")]
+
+
+def test_no_uncalled_functions():
+    defining = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
+                for p in PACKAGE}
+    using = [p.read_text(encoding="utf-8") for p in USERS]
+    found = ["%s:%d %s" % hit for hit in unused_functions(defining, using)]
+    assert not found, "functions nobody calls:\n" + "\n".join(found)

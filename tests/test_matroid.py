@@ -7,7 +7,7 @@ from troplin import (Matroid, NoBasis, NotAFlat, NotAMatroid, direct_sum,
                      stiefel, transversal_matroid, uniform_matroid)
 from troplin.oracle import (check_exchange_bruteforce,
                             connected_components_bruteforce)
-from troplin.util import ksubsets, list1, mask_of
+from troplin.util import ksubsets, mask_of
 
 
 def series_pair():
@@ -185,13 +185,6 @@ def test_polytope_face():
         [mask_of([0, 2]), mask_of([1, 2]), mask_of([0, 3]), mask_of([1, 3])])
     with pytest.raises(NotAFlat):
         m.polytope_face(mask_of([0, 2]))
-
-
-def test_flat_lattice_covers():
-    lat = uniform_matroid(2, 3).flats()
-    covers = sorted((list1(a), list1(b)) for a, b in lat.covers())
-    assert covers == [([], [1]), ([], [2]), ([], [3]),
-                      ([1], [1, 2, 3]), ([2], [1, 2, 3]), ([3], [1, 2, 3])]
 
 
 def test_rank_is_cached_consistently():

@@ -14,6 +14,7 @@ from troplin import (INF, AllInfinite, EmptyIntersection, EmptySupport,
                      v_contract, v_dual, v_restrict, valuated)
 from troplin.oracle import (cell_complex_bruteforce,
                             check_pluecker_bruteforce,
+                            first_breakpoint_bruteforce,
                             initial_matroid_bruteforce, subdivision_sample)
 from troplin.util import bits, elems, ksubsets, mask_of, submasks
 
@@ -168,7 +169,12 @@ def test_initial_matroid_matches_the_fraction_reference():
 
 def test_initial_matroid_needs_no_fraction_sums(monkeypatch):
     def no_xsum(x, mask):
-        raise AssertionError("initial_matroid summed Fractions")
+        raise AssertionError("the cell walk summed Fractions")
+
+    def faces(vm):
+        return [(c.matroid, f, valuated.face_witness(vm, c.matroid,
+                                                     c.witness, f))
+                for c in maximal_cells(vm) for f in c.matroid.flats()]
 
     rng = random.Random(496)
     v = stiefel(random_rows(rng, 3, 8))
@@ -176,9 +182,50 @@ def test_initial_matroid_needs_no_fraction_sums(monkeypatch):
     points.append(random_point(rng, 8, range(1, 13)))
     want = [initial_matroid_bruteforce(v, x) for x in points]
     fresh = ValuatedMatroid(v.n, v.d, v.table)
+    v2 = stiefel(random_rows(rng, 3, 8))
+    want_cells = [(c.matroid, c.witness) for c in maximal_cells(v2)]
+    want_faces = faces(v2)
+    fresh2 = ValuatedMatroid(v2.n, v2.d, v2.table)
     monkeypatch.setattr(trop, "xsum", no_xsum)
     monkeypatch.setattr(valuated, "xsum", no_xsum)
     assert [initial_matroid(fresh, x) for x in points] == want
+    assert [(c.matroid, c.witness)
+            for c in maximal_cells(fresh2)] == want_cells
+    assert faces(fresh2) == want_faces
+
+
+def test_first_break_matches_the_fraction_reference():
+    """_first_break on the integer values of _values equals the Fraction
+    loop, INF included: Stiefel images with d <= 4, n <= 8 and
+    denominators up to 12, at every flat of every maximal cell, seen from
+    its witness and from a random point, at every flat of the cells of
+    random points, and along the complements of components with the
+    complementary rank, as the descent asks."""
+    rng = random.Random(1729)
+    seen = {"inf": 0, "finite": 0}
+    for _ in range(40):
+        d = rng.randint(1, 4)
+        n = rng.randint(d, 8)
+        rows = [[v if v == INF else v / rng.randint(1, 12) for v in row]
+                for row in random_rows(rng, d, n, rng.uniform(0, 0.3))]
+        v = stiefel(rows)
+        pairs = []
+        for c in maximal_cells(v):
+            x = random_point(rng, n, range(1, 13), -12, 12)
+            pairs += [(c.matroid, c.witness), (c.matroid, x)]
+        for x in (random_point(rng, n, range(1, 13), -12, 12),
+                  random_point(rng, n, (1, 2), -2, 2)):
+            pairs.append((initial_matroid(v, x), x))
+        for m, x in pairs:
+            common, vals = valuated._values(v, x)
+            asks = [(f, m.rank(f)) for f in m.flats()]
+            asks += [(v.full ^ k, d - m.rank(k))
+                     for k in m.connected_components()]
+            for f, r in asks:
+                got = valuated._first_break(common, vals, m, f, r)
+                assert got == first_breakpoint_bruteforce(v, m, x, f, r)
+                seen["inf" if got == INF else "finite"] += 1
+    assert seen["inf"] > 1000 and seen["finite"] > 1000
 
 
 def test_maximal_cells_rank2_four():
