@@ -18,8 +18,7 @@ from .errors import (AllInfinite, CellNotFound, CountMismatch,
 from .gammoid import (WeightedDigraph, digraph_from_presentation,
                       gammoid_valuation, linking_value,
                       stable_intersect_hyperplanes)
-from .matroid import (CyclicFlatData, FlatLattice, Matroid, direct_sum,
-                      uniform_matroid)
+from .matroid import CyclicFlatData, Matroid, direct_sum, uniform_matroid
 from .presentations import (DistinguishedData, DistinguishedEntry,
                             contract_presentation, distinguished,
                             is_transversal_valuated, presentation_fan_member,

@@ -22,7 +22,10 @@ def parse_scalar(v):
         s = v.strip()
         if s == "inf":
             return INF
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in scalar %r" % (v,)) from None
     if isinstance(v, bool):
         raise ValueError("not a scalar: %r" % (v,))
     if isinstance(v, int):
@@ -100,9 +103,12 @@ def parse_matroid(obj):
     n = _get_n(obj)
     if not isinstance(obj.get("bases"), list):
         raise ValueError("matroid needs a list of bases")
+    d = obj.get("rank")
+    if "rank" in obj and (isinstance(d, bool) or not isinstance(d, int)):
+        raise ValueError("matroid rank must be an integer")
     bases = [parse_elements(b, n) for b in obj["bases"]]
     m = Matroid(n, bases, check=True)
-    if "rank" in obj and m.d != obj["rank"]:
+    if "rank" in obj and m.d != d:
         raise ValueError("rank field disagrees with the bases")
     return m
 

@@ -1,5 +1,7 @@
 """Matroids on {0..n-1} with bases stored as bitmasks."""
 
+from math import comb
+
 from .errors import EmptyGroundSet, NoBasis, NotAFlat, NotAMatroid
 from .util import bits, elems, ksubsets, list1
 
@@ -46,7 +48,10 @@ class Matroid:
         axiom holds iff every basis meets every distinct cover mask, one
         AND per pair.  Only on failure are the ordered (b1, b2, e)
         triples scanned, so the witness is the first failing triple.
+        When every d-set is a basis the axiom holds outright.
         """
+        if len(self.bases) == comb(self.n, self.d):
+            return
         bs = self.baseset
         cover = {}
         for b1 in self.bases:
@@ -130,6 +135,7 @@ class Matroid:
         return self.rank(subset) == subset.bit_count()
 
     def flats(self):
+        "All flats, sorted by (size, mask)."
         if self._flats is None:
             found = {self.closure(0)}
             queue = [self.closure(0)]
@@ -142,9 +148,8 @@ class Matroid:
                     if g not in found:
                         found.add(g)
                         queue.append(g)
-            flist = sorted(found, key=lambda f: (f.bit_count(), f))
-            self._flats = FlatLattice(
-                self.n, tuple(flist), {f: self.rank(f) for f in flist})
+            self._flats = tuple(sorted(found,
+                                       key=lambda f: (f.bit_count(), f)))
         return self._flats
 
     def cyclic_flats(self):
@@ -235,25 +240,6 @@ class Matroid:
         r = self.rank(flat)
         keep = [b for b in self.bases if (b & flat).bit_count() == r]
         return Matroid(self.n, keep, check=False)
-
-
-class FlatLattice:
-    "Flats sorted by (size, mask), with their ranks."
-
-    def __init__(self, n, flats, rank):
-        self.n = n
-        self.flats = flats
-        self.rank = rank
-        self._set = frozenset(flats)
-
-    def __iter__(self):
-        return iter(self.flats)
-
-    def __len__(self):
-        return len(self.flats)
-
-    def __contains__(self, f):
-        return f in self._set
 
 
 class CyclicFlatData:

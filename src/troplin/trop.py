@@ -199,9 +199,10 @@ def stiefel_domain_witness(a):
 
 
 def integer_scaled(values):
-    """(den, ints): each finite Fraction times the least common denominator
-    den of them all, inf left as inf.  Integer sums and compares cost
-    several times less than Fraction ones in the hot loops."""
+    """(den, ints): each finite int or Fraction times the least common
+    denominator den of them all, inf left as inf.  Integer sums and
+    compares cost several times less than Fraction ones in the hot
+    loops."""
     values = list(values)
     den = lcm(*(v.denominator for v in values if v != INF))
     return den, [v if v == INF else v.numerator * (den // v.denominator)
@@ -244,7 +245,7 @@ def _laplace_pays(d, n):
 
 
 def _laplace_minors(a):
-    """All maximal minors, normalized, in one expansion along the rows:
+    """All maximal minors, raw, in one expansion along the rows:
     after row k, cur[S] is the minor of rows 1..k on the k-set S, the
     min over j in S of the minor on S - j plus a[k][j].  Absent keys
     stand for inf."""
@@ -264,8 +265,7 @@ def _laplace_minors(a):
                 old = cur.get(key)
                 if old is None or t < old:
                     cur[key] = t
-    low = min(cur.values())
-    return {s: Fraction(t - low, den) for s, t in cur.items()}
+    return {s: Fraction(t, den) for s, t in cur.items()}
 
 
 def _assignment_minors(a):

@@ -24,9 +24,14 @@ from .util import bits, elems, ksubsets, list1, mask_of, submasks
 class ValuatedMatroid:
     """Dense table of min-plus Pluecker coordinates.
 
-    Construction only validates shape and normalizes.  underlying()
-    checks that the support is a matroid; check_pluecker() checks that
-    and the tropical Pluecker relations.
+    Entries are ints, Fractions or INF, and d-sets left out are INF.
+    The constructor is the one place that scales them: den is the lcm
+    of the input denominators, and ints[b] / den is pl(b), with the
+    least finite entry 0, so sums of entries compare on integers.
+    table is the Fraction view of ints, for the API, equality, hashing
+    and output; den depends on the input, so equality is on table.
+    underlying() checks that the support is a matroid; check_pluecker()
+    checks that and the tropical Pluecker relations.
     """
 
     def __init__(self, n, d, entries):
@@ -37,23 +42,21 @@ class ValuatedMatroid:
         for key in entries:
             if key not in slotset:
                 raise ValueError("entry key is not a %d-subset mask" % d)
-        table = {}
-        for b in slots:
-            v = entries.get(b, INF)
-            table[b] = INF if v == INF else Fraction(v)
-        m = min(table.values())
-        if m == INF:
+        den, raw = integer_scaled(entries.get(b, INF) for b in slots)
+        low = min(raw)
+        if low == INF:
             raise AllInfinite("no finite Pluecker entry")
-        if m != ZERO:
-            table = {b: (v if v == INF else v - m)
-                     for b, v in table.items()}
+        ints = {b: (v if v == INF else v - low) for b, v in zip(slots, raw)}
         self.n = n
         self.d = d
         self.full = (1 << n) - 1
-        self.table = table
-        self.support = tuple(b for b in slots if table[b] != INF)
+        self.den = den
+        self.ints = ints
+        self.table = {b: (v if v == INF else Fraction(v, den))
+                      for b, v in ints.items()}
+        self.support = tuple(b for b in slots if ints[b] != INF)
         self._underlying = None
-        self._intsupport = None
+        self._rows = None
         self._maxcells = None
         self._complex = None
         self._vertexcache = {}
@@ -124,15 +127,13 @@ def check_pluecker(vm):
     minimum over j in c - a of pl(a + j) + pl(c - j) is finite and
     attained only once.  That ordered scan runs only on rejection.
     """
-    _, ints = integer_scaled(vm.table.values())
-    table = dict(zip(vm.table, ints))
     try:
         vm.underlying()
     except NotAMatroid:
-        return _first_violated_pair(vm.n, vm.d, table)
-    if _three_terms_hold(vm.n, vm.d, table):
+        return _first_violated_pair(vm.n, vm.d, vm.ints)
+    if _three_terms_hold(vm.n, vm.d, vm.ints):
         return True, None
-    return _first_violated_pair(vm.n, vm.d, table)
+    return _first_violated_pair(vm.n, vm.d, vm.ints)
 
 
 def _three_terms_hold(n, d, table):
@@ -243,18 +244,15 @@ def _scaled(vm, x):
     """(common, scale, xs, rows): the support and x on one integer scale.
 
     rows, built on first use and kept on the valuation, holds
-    (b, pl(b) * den, elements of b) per support basis b, den the
-    support's common denominator.  common is the lcm of den and the
-    denominators of x, xs = x * common and scale = common / den.
+    (b, ints[b], elements of b) per support basis b.  common is the lcm
+    of den and the denominators of x, xs = x * common and
+    scale = common / den.
     """
-    if vm._intsupport is None:
-        den, ints = integer_scaled(vm.table[b] for b in vm.support)
-        vm._intsupport = (den, [(b, v, elems(b))
-                                for b, v in zip(vm.support, ints)])
-    den, rows = vm._intsupport
-    common = lcm(den, *(v.denominator for v in x))
+    if vm._rows is None:
+        vm._rows = [(b, vm.ints[b], elems(b)) for b in vm.support]
+    common = lcm(vm.den, *(v.denominator for v in x))
     xs = [v.numerator * (common // v.denominator) for v in x]
-    return common, common // den, xs, rows
+    return common, common // vm.den, xs, vm._rows
 
 
 def _values(vm, x):
@@ -527,26 +525,11 @@ def stable_intersection(v1, v2):
     "Dual of the min-plus sum of the duals."
     if v1.n != v2.n:
         raise ValueError("ground sets differ")
-    n = v1.n
-    k = v1.d + v2.d - n
-    if k < 0:
+    if v1.d + v2.d < v1.n:
         raise EmptyIntersection("ranks do not add up to the ground set")
-    full = (1 << n) - 1
-    entries = {}
-    for j in ksubsets(n, k):
-        best = INF
-        for s in submasks(full ^ j, v1.d - k):
-            a = v1.table[j | s]
-            b = v2.table[full ^ s]
-            if a == INF or b == INF:
-                continue
-            t = a + b
-            if t < best:
-                best = t
-        entries[j] = best
     try:
-        return ValuatedMatroid(n, k, entries)
-    except AllInfinite:
+        return v_dual(stable_sum(v_dual(v1), v_dual(v2)))
+    except EmptySupport:
         raise EmptyIntersection("stable intersection is empty")
 
 

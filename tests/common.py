@@ -117,7 +117,7 @@ def matroid_pool(rng, count):
 
     def face():
         m = initial()
-        return m.polytope_face(rng.choice(m.flats().flats))
+        return m.polytope_face(rng.choice(m.flats()))
 
     def small():
         n = rng.randint(1, 4)

@@ -254,6 +254,33 @@ def test_digraph_from_bad_points_is_an_input_error(tmp_path, capsys,
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("stiefel", [["0", "1/0"], ["0", "0"]]),
+    ("membership", {"valuation": SNOW, "point": ["0", "0", "1/0", "0",
+                                                   "0", "0"]}),
+    ("gammoid", {"n": 2, "sinks": [2],
+                 "edges": [{"from": 1, "to": 2, "w": "1/0"}]})])
+def test_zero_denominator_is_an_input_error(tmp_path, capsys, command,
+                                            payload):
+    code, err, _ = call(tmp_path, command, payload)
+    assert code == 2
+    assert err == {"error": "ValueError",
+                   "message": "zero denominator in scalar '1/0'",
+                   "witness": None}
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("rank", [True, "2", 2.0, None])
+def test_matroid_rank_must_be_an_integer(tmp_path, capsys, rank):
+    code, err, _ = call(tmp_path, "is-transversal-matroid",
+                        {"n": 3, "rank": rank, "bases": [[1, 2], [1, 3]]})
+    assert code == 2
+    assert err == {"error": "ValueError",
+                   "message": "matroid rank must be an integer",
+                   "witness": None}
+    assert capsys.readouterr().err == ""
+
+
 def test_gammoid_negative_cycle_error(tmp_path):
     code, err, _ = call(tmp_path, "gammoid",
                         {"n": 2, "sinks": [2],

@@ -1,10 +1,11 @@
 import random
+from math import comb
 
 import pytest
 
 from common import matroid_pool, random_rows, three_pair_matroid
 from troplin import (Matroid, NoBasis, NotAFlat, NotAMatroid, direct_sum,
-                     stiefel, transversal_matroid, uniform_matroid)
+                     matroid, stiefel, transversal_matroid, uniform_matroid)
 from troplin.oracle import (check_exchange_bruteforce,
                             connected_components_bruteforce)
 from troplin.util import ksubsets, mask_of
@@ -48,15 +49,27 @@ def random_family(rng):
 
 def test_exchange_matches_the_quadratic_loop():
     rng = random.Random(1736)
+    families = [random_family(rng) for _ in range(600)]
+    families += [(n, ksubsets(n, d)) for n in range(8) for d in range(n + 1)]
     failures = 0
-    for _ in range(600):
-        n, fam = random_family(rng)
+    for n, fam in families:
         fast = exchange_witness(lambda: Matroid(n, fam))
         slow = exchange_witness(
             lambda: check_exchange_bruteforce(Matroid(n, fam, check=False)))
         assert fast == slow
         failures += fast is not None
     assert 60 < failures < 400
+
+
+def test_uniform_exchange_needs_no_cover_masks(monkeypatch):
+    "Every d-set is a basis, so the exchange check returns at once."
+    def no_bits(mask):
+        raise AssertionError("the exchange check built cover masks")
+
+    monkeypatch.setattr(matroid, "bits", no_bits)
+    for n, d in ((8, 4), (10, 3), (6, 0), (5, 5)):
+        assert len(Matroid(n, ksubsets(n, d), check=True).bases) == \
+            comb(n, d)
 
 
 def test_bases_must_be_equicardinal():

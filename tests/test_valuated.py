@@ -37,6 +37,73 @@ def test_constructor_coerces_and_normalizes():
     assert v.table[mask_of([1, 2])] == INF
 
 
+def test_constructor_matches_the_fraction_reference():
+    """table, support, == and hash agree with a table normalized on
+    Fractions: mixed int and Fraction inputs with denominators 1..12,
+    least entry not 0, and a share of INF from 0 to 0.5."""
+    def reference(n, d, entries):
+        full = {b: (INF if entries.get(b, INF) == INF
+                    else Fraction(entries[b])) for b in ksubsets(n, d)}
+        low = min(full.values())
+        return {b: v if v == INF else v - low for b, v in full.items()}
+
+    rng = random.Random(4104)
+    for _ in range(200):
+        d = rng.randint(0, 4)
+        n = rng.randint(max(d, 1), 7)
+        share = rng.uniform(0, 0.5)
+        entries = {}
+        for b in ksubsets(n, d):
+            if rng.random() < share:
+                if rng.random() < 0.5:
+                    entries[b] = INF
+            elif rng.random() < 0.3:
+                entries[b] = rng.randint(-20, 20)
+            else:
+                entries[b] = Fraction(rng.randint(-40, 40),
+                                      rng.randint(1, 12))
+        if all(v == INF for v in entries.values()):
+            entries[rng.choice(ksubsets(n, d))] = rng.randint(1, 5)
+        v = ValuatedMatroid(n, d, entries)
+        want = reference(n, d, entries)
+        assert v.table == want
+        assert all(type(t) is Fraction for t in v.table.values() if t != INF)
+        assert min(v.ints.values()) == 0
+        assert all(t == INF if u == INF else t == Fraction(u, v.den)
+                   for t, u in zip(v.table.values(), v.ints.values()))
+        assert v.support == tuple(b for b, t in want.items() if t != INF)
+        shift = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        w = ValuatedMatroid(n, d, {b: t if t == INF else t + shift
+                                   for b, t in want.items()})
+        assert v == w and hash(v) == hash(w)
+        if len(v.support) > 1:
+            other = dict(want)
+            other[v.support[-1]] += 1
+            assert v != ValuatedMatroid(n, d, other)
+
+
+def test_valuation_is_scaled_once(monkeypatch):
+    """After construction, the Pluecker check, initial matroids and the
+    cell walk read the valuation's own integer table."""
+    def no_scaling(values):
+        raise AssertionError("integer_scaled called after construction")
+
+    rng = random.Random(6174)
+    rows = [[v if v == INF else v / rng.randint(1, 12) for v in row]
+            for row in random_rows(rng, 4, 8, 0.2)]
+    v = stiefel(rows)
+    points = [random_point(rng, 8, range(1, 13), -12, 12) for _ in range(3)]
+    want = (check_pluecker(v), [initial_matroid(v, x) for x in points],
+            [(c.matroid, c.witness) for c in maximal_cells(v)])
+    fresh = ValuatedMatroid(v.n, v.d, v.table)
+    monkeypatch.setattr(trop, "integer_scaled", no_scaling)
+    monkeypatch.setattr(valuated, "integer_scaled", no_scaling)
+    assert check_pluecker(fresh) == want[0] == (True, None)
+    assert [initial_matroid(fresh, x) for x in points] == want[1]
+    assert [(c.matroid, c.witness)
+            for c in maximal_cells(fresh)] == want[2]
+
+
 def test_constructor_rejects_bad_keys_and_empty():
     with pytest.raises(ValueError):
         ValuatedMatroid(3, 2, {mask_of([0]): 0})
@@ -414,10 +481,61 @@ def test_stable_guards():
     with pytest.raises(EmptySupport):
         stable_sum(v3, v3)
     w = ValuatedMatroid(2, 1, {1: 0})
-    with pytest.raises(EmptyIntersection):
+    with pytest.raises(EmptyIntersection,
+                       match="^stable intersection is empty$"):
         stable_intersection(w, w)
+    u = ValuatedMatroid(3, 1, {1: 0})
+    with pytest.raises(EmptyIntersection,
+                       match="^ranks do not add up to the ground set$"):
+        stable_intersection(u, u)
     with pytest.raises(ValueError):
         stable_sum(v3, ValuatedMatroid(3, 1, {1: 0}))
+
+
+def test_stable_intersection_matches_the_entrywise_minimum():
+    """The entry at a k-set j, k = d1 + d2 - n, is the least
+    v1[j | s] + v2[full - s] over (d1 - k)-sets s outside j,
+    normalized: Stiefel pairs and hyperplanes with infinite apex
+    coordinates, empty intersections included."""
+    def reference(v1, v2):
+        n, full = v1.n, v1.full
+        k = v1.d + v2.d - n
+        entries = {}
+        for j in ksubsets(n, k):
+            sums = [v1.table[j | s] + v2.table[full ^ s]
+                    for s in submasks(full ^ j, v1.d - k)]
+            entries[j] = min(sums, default=INF)
+        low = min(entries.values())
+        if low == INF:
+            return None
+        return {j: v if v == INF else v - low for j, v in entries.items()}
+
+    rng = random.Random(3301)
+    seen = {"finite": 0, "empty": 0}
+    for _ in range(150):
+        n = rng.randint(2, 7)
+        d1 = rng.randint(1, n)
+        v1 = random_valuation(rng, d1, n, rng.uniform(0, 0.7))
+        if rng.random() < 0.5:
+            apex = [INF if rng.random() < 0.5
+                    else Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                    for _ in range(n)]
+            if all(v == INF for v in apex):
+                apex[rng.randrange(n)] = fr(0)
+            v2 = hyperplane(apex)
+        else:
+            v2 = random_valuation(rng, rng.randint(max(1, n - d1), n), n,
+                                  rng.uniform(0, 0.7))
+        want = reference(v1, v2)
+        if want is None:
+            with pytest.raises(EmptyIntersection,
+                               match="^stable intersection is empty$"):
+                stable_intersection(v1, v2)
+            seen["empty"] += 1
+        else:
+            assert stable_intersection(v1, v2).table == want
+            seen["finite"] += 1
+    assert seen["finite"] > 100 and seen["empty"] > 2
 
 
 def test_stable_intersection_can_reach_rank_zero():
