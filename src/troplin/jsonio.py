@@ -8,6 +8,7 @@ d-subset table keys are comma-joined ("1,3,4").
 """
 
 import json
+import re
 from fractions import Fraction
 
 from .gammoid import WeightedDigraph
@@ -17,11 +18,24 @@ from .util import ksubsets, list1
 from .valuated import ValuatedMatroid
 
 
+# A decimal exponent costs time and bits that grow with its size, so
+# string scalars may shift by at most 10^4300: Python's default limit on
+# the digits of an int, which bounds a JSON integer literal the same way.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\Z")
+
+
 def parse_scalar(v):
     if isinstance(v, str):
         s = v.strip()
         if s == "inf":
             return INF
+        exp = ("e" in s or "E" in s) and _EXPONENT.search(s)
+        if exp:
+            digits = exp.group(1).replace("_", "").lstrip("0")
+            if len(digits) > 4 or int(digits or 0) > MAX_EXPONENT:
+                raise ValueError("exponent beyond %d in scalar %r"
+                                 % (MAX_EXPONENT, v))
         try:
             return Fraction(s)
         except ZeroDivisionError:

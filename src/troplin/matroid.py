@@ -100,11 +100,20 @@ class Matroid:
         return self.d - self.rank(subset)
 
     def closure(self, subset):
-        r = self.rank(subset)
-        cl = subset
-        for e in range(self.n):
-            if not (subset >> e) & 1 and self.rank(subset | (1 << e)) == r:
-                cl |= 1 << e
+        """One scan of the bases: e outside `subset` is outside its closure
+        iff some basis meeting `subset` in r(subset) elements holds e.
+        The rank found on the way is cached for both sets."""
+        r = -1
+        span = 0
+        for b in self.bases:
+            k = (b & subset).bit_count()
+            if k > r:
+                r = k
+                span = b
+            elif k == r:
+                span |= b
+        cl = subset | (self.full & ~span)
+        self._rank[subset] = self._rank[cl] = r
         return cl
 
     def is_flat(self, subset):
@@ -153,11 +162,57 @@ class Matroid:
         return self._flats
 
     def cyclic_flats(self):
+        """Cyclic flats, sorted by (size, mask), without the flat lattice.
+
+        The cyclic flats form a lattice with bottom cl(empty), the loops,
+        and join cl(X | Y); the closure of a circuit is a cyclic flat,
+        and every cyclic flat is the join of the closures of the
+        circuits inside it (Bonin and de Mier, "The lattice of cyclic
+        flats of a matroid", Ann. Comb. 2008).  Every circuit is the
+        fundamental circuit C(e, B) of some basis B, so the closures of
+        the distinct C(e, B), closed under joins, are all of them.  A
+        circuit C inside a known cyclic flat of rank |C| - 1 has that
+        flat as its closure and costs no scan.
+        """
         if self._cf is None:
-            cf = [f for f in self.flats() if self.coclosure(f) == f]
+            found = {self.closure(0)}
+            circuits = {c for b in self.bases
+                        for c in self._fundamental_circuits(b)}
+            for c in circuits:
+                r = c.bit_count() - 1
+                if not any(c & ~z == 0 and self._rank[z] == r
+                           for z in found):
+                    found.add(self.closure(c))
+            queue = list(found)
+            joined = set(found)
+            while queue:
+                x = queue.pop()
+                for y in list(found):
+                    if x | y in joined:
+                        continue
+                    joined.add(x | y)
+                    z = self.closure(x | y)
+                    if z not in found:
+                        found.add(z)
+                        queue.append(z)
+            cf = tuple(sorted(found, key=lambda f: (f.bit_count(), f)))
             self._cf = CyclicFlatData(
-                self.d, tuple(cf), {f: self.rank(f) for f in cf})
+                self.d, cf, {f: self._rank[f] for f in cf})
         return self._cf
+
+    def _fundamental_circuits(self, b):
+        """C(e, b) for each e outside the basis b, in increasing e: e
+        together with every f in b such that b - f + e is a basis."""
+        inside = [1 << f for f in bits(b)]
+        out = []
+        for e in bits(self.full & ~b):
+            with_e = b | (1 << e)
+            c = 1 << e
+            for f in inside:
+                if with_e ^ f in self.baseset:
+                    c |= f
+            out.append(c)
+        return out
 
     def connected_components(self):
         """Partition of the ground set into connected components, as masks
@@ -171,16 +226,9 @@ class Matroid:
         circuit with another element, so they come out as singletons.
         """
         if self._comps is None:
-            b = self.bases[0]
-            bs = self.baseset
             blocks = []
             covered = 0
-            for e in bits(self.full & ~b):
-                with_e = b | (1 << e)
-                c = 1 << e
-                for f in bits(b):
-                    if with_e ^ (1 << f) in bs:
-                        c |= 1 << f
+            for c in self._fundamental_circuits(self.bases[0]):
                 covered |= c
                 rest = []
                 for k in blocks:

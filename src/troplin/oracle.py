@@ -493,3 +493,9 @@ def first_breakpoint_bruteforce(vm, m, x, flat, r):
         if t < tstar:
             tstar = t
     return tstar
+
+
+def cyclic_flats_bruteforce(m):
+    """Cyclic flats by filtering the whole flat lattice: the flats f with
+    coclosure(f) == f, sorted by (size, mask)."""
+    return tuple(f for f in m.flats() if m.coclosure(f) == f)

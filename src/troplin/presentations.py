@@ -315,9 +315,14 @@ def presentation_space_member(vm, points):
     for p in points:
         if len(p) != vm.n:
             raise ValueError("point length mismatch")
-    data = distinguished(vm)
+    return _fits_distinguished(distinguished(vm), points)
+
+
+def _fits_distinguished(data, points):
+    """The assignment search of presentation_space_member, on checked
+    points of the right arity and the valuation's distinguished data."""
     entries = data.entries
-    infmask = [mask_of(j for j in range(vm.n) if p[j] == INF)
+    infmask = [mask_of(j for j in range(data.n) if p[j] == INF)
                for p in points]
     compat = []
     for p, im in zip(points, infmask):
@@ -377,7 +382,7 @@ def sample_presentation(vm, seed=0):
                         if (g >> i) & 1:
                             p[gl] = e.apex[gl] + c
                     trial.append(tuple(p))
-            if presentation_space_member(vm, trial):
+            if _fits_distinguished(data, trial):
                 points = trial
                 break
     if points is None:

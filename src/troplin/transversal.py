@@ -44,13 +44,28 @@ def transversal_matroid(sets, n):
 
 
 def _counting_violation(m):
-    "Nonnegativity of the corank transform, then the covering counts."
+    """Nonnegativity of the corank transform, then the covering counts.
+
+    The covering count at a flat f is the tau-sum over the cyclic flats
+    containing f, bounded by cork(f).  It is checked only at the meets
+    of nonempty families of cyclic flats, not on the flat lattice: if
+    no cyclic flat contains f the sum is 0, and otherwise the meet I of
+    those that do is a flat containing f, contained in exactly the same
+    cyclic flats, with cork(I) <= cork(f).  So any violating flat has a
+    violating meet.
+    """
     cf = m.cyclic_flats()
+    tau = {f: cf.tau(f) for f in cf}
     for f in cf:
-        if cf.tau(f) < 0:
+        if tau[f] < 0:
             return {"kind": "negative", "flat": list1(f)}
-    for f in m.flats():
-        total = sum(cf.tau(g) for g in cf if f & g == f)
+    meets = set(cf)
+    new = meets
+    while new:
+        new = {f & g for f in new for g in cf} - meets
+        meets |= new
+    for f in meets:
+        total = sum(t for g, t in tau.items() if f & g == f)
         if total > m.corank(f):
             return {"kind": "covering", "flat": list1(f)}
     return None

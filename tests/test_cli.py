@@ -1,9 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 import troplin.cli
 from troplin.cli import COMMANDS, run
+from troplin.jsonio import parse_scalar
 from troplin.valuated import check_pluecker
 
 
@@ -268,6 +270,28 @@ def test_zero_denominator_is_an_input_error(tmp_path, capsys, command,
                    "message": "zero denominator in scalar '1/0'",
                    "witness": None}
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("scalar", ["1e100000", "1e-100000"])
+@pytest.mark.parametrize("command", ["stiefel", "membership"])
+def test_huge_exponent_is_an_input_error(tmp_path, capsys, command, scalar):
+    payload = ([["0", scalar], ["0", "0"]] if command == "stiefel" else
+               {"valuation": SNOW,
+                "point": ["0", "0", scalar, "0", "0", "0"]})
+    code, err, _ = call(tmp_path, command, payload)
+    assert code == 2
+    assert err == {"error": "ValueError",
+                   "message": "exponent beyond 4300 in scalar %r" % scalar,
+                   "witness": None}
+    assert capsys.readouterr().err == ""
+
+
+def test_small_exponents_still_parse(tmp_path):
+    code, out, _ = call(tmp_path, "stiefel", [["1e3", "-2.5e-2", "0"]])
+    assert code == 0
+    assert out["entries"] == {"1": "40001/40", "2": "0", "3": "1/40"}
+    assert parse_scalar("1E+4300") == 10 ** 4300
+    assert parse_scalar("-1e-0_4300") == Fraction(-1, 10 ** 4300)
 
 
 @pytest.mark.parametrize("rank", [True, "2", 2.0, None])

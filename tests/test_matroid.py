@@ -7,7 +7,8 @@ from common import matroid_pool, random_rows, three_pair_matroid
 from troplin import (Matroid, NoBasis, NotAFlat, NotAMatroid, direct_sum,
                      matroid, stiefel, transversal_matroid, uniform_matroid)
 from troplin.oracle import (check_exchange_bruteforce,
-                            connected_components_bruteforce)
+                            connected_components_bruteforce,
+                            cyclic_flats_bruteforce)
 from troplin.util import ksubsets, mask_of
 
 
@@ -121,6 +122,38 @@ def test_cyclic_flats_and_tau_series_pair():
 def test_tau_three_pair_is_negative_at_bottom():
     cf = three_pair_matroid().cyclic_flats()
     assert cf.tau(0) == -1
+
+
+def test_cyclic_flats_match_the_lattice_filter():
+    """Closures of fundamental circuits, closed under joins, give the
+    cyclic flats that filtering the whole flat lattice gives, in the same
+    (size, mask) order and with their ranks."""
+    pool = matroid_pool(random.Random(3141), 630)
+    shapes = set()
+    for m in pool:
+        cf = m.cyclic_flats()
+        fresh = Matroid(m.n, m.bases, check=False)
+        assert cf.flats == cyclic_flats_bruteforce(fresh)
+        assert cf.rank == {f: fresh.rank(f) for f in cf.flats}
+        shapes.add((bool(m.loops()), bool(m.coloops()),
+                    len(m.connected_components()) > 1, len(cf) > 2))
+    assert {(True, False, True, True), (False, True, True, True),
+            (True, True, True, False), (False, False, True, True),
+            (False, False, False, True)} <= shapes
+
+
+def test_closure_is_one_scan_of_the_bases():
+    "closure(S) adds the e with r(S + e) = r(S) and caches r(S) for both."
+    rng = random.Random(1414)
+    for m in matroid_pool(rng, 120):
+        rank = lambda s: max((b & s).bit_count() for b in m.bases)
+        for _ in range(8):
+            s = rng.randrange(1 << m.n) if m.n else 0
+            fresh = Matroid(m.n, m.bases, check=False)
+            cl = fresh.closure(s)
+            assert cl == s | mask_of(e for e in range(m.n)
+                                     if rank(s | 1 << e) == rank(s))
+            assert fresh._rank[s] == fresh._rank[cl] == rank(s)
 
 
 def test_connected_components():

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -9,11 +10,13 @@ from common import (fr, points_of, rank2_four, rank3_five, rank3_five_rows,
 from troplin import (INF, CountMismatch, Matroid, NotAMatroid, NotCyclicFlat,
                      NotTransversalFacets, PointOutsideL, TroplinError,
                      ValuatedMatroid, WrongArity, contract_presentation,
-                     distinguished, is_transversal_valuated, maximal_cells,
-                     membership, presentation_fan_member,
-                     presentation_space_member, r0_member, rinf_member,
-                     sample_presentation, stiefel, uniform_matroid,
-                     v_contract, v_dual, verify_presentation)
+                     distinguished, is_transversal, is_transversal_valuated,
+                     maximal_cells, membership, presentation_fan_member,
+                     presentation_space_member, presentations, r0_member,
+                     rinf_member, sample_presentation, stiefel,
+                     uniform_matroid, v_contract, v_dual, verify_presentation)
+from troplin.cli import run
+from troplin.jsonio import fmt_matrix
 from troplin.oracle import (presentations_exhaustive, rinf_facet_oracle,
                             rinf_member_lp)
 from troplin.util import ksubsets, list1, mask_of
@@ -230,6 +233,63 @@ def test_sample_presentation_seeds():
             assert presentation_space_member(v, pts)
             for p in pts:
                 assert membership(v, p)
+
+
+def test_distinguished_builds_no_flat_lattice(monkeypatch, tmp_path):
+    """Apices, cell transversality and fiber membership come from cyclic
+    flats alone: with Matroid.flats failing, a 4x8 Stiefel image with a
+    contracted distinguished entry gets the unpatched answers."""
+    rows = random_rows(random.Random(804), 4, 8, inf_prob=0.15)
+    others = [rows[1]] + rows[1:]
+
+    def answers():
+        v = stiefel(rows)
+        data = distinguished(v)
+        cells = [is_transversal(c.matroid) for c in maximal_cells(v)]
+        replies = []
+        for pts in (rows, others):
+            src = tmp_path / "in.json"
+            dst = tmp_path / "out.json"
+            src.write_text(json.dumps({"valuation": json.loads(table),
+                                       "points": fmt_matrix(pts)}))
+            code = run(["in-presentation-space", "--input", str(src),
+                        "--output", str(dst)])
+            replies.append((code, dst.read_text()))
+        return ([(e.flat, e.matroid.bases, e.multiplicity, e.apex)
+                 for e in data], cells, replies)
+
+    src = tmp_path / "rows.json"
+    src.write_text(json.dumps(fmt_matrix(rows)))
+    assert run(["stiefel", "--input", str(src),
+                "--output", str(tmp_path / "table.json")]) == 0
+    table = (tmp_path / "table.json").read_text()
+    expected = answers()
+    entries, cells, replies = expected
+    assert len(cells) > 10 and any(flat for flat, _, _, _ in entries)
+    assert [code for code, _ in replies] == [0, 1]
+
+    def no_flats(self):
+        raise AssertionError("the flat lattice was built")
+
+    monkeypatch.setattr(Matroid, "flats", no_flats)
+    assert answers() == expected
+
+
+def test_sample_presentation_walks_the_apices_once(monkeypatch):
+    "One distinguished() per request, whatever the number of trials."
+    v = rank3_five()
+    expected = [sample_presentation(v, seed) for seed in (1, 2, 3)]
+    calls = []
+
+    def counted(vm):
+        calls.append(vm)
+        return distinguished(vm)
+
+    monkeypatch.setattr(presentations, "distinguished", counted)
+    for seed, want in zip((1, 2, 3), expected):
+        calls.clear()
+        assert sample_presentation(rank3_five(), seed) == want
+        assert len(calls) == 1
 
 
 def test_contract_presentation_golden():

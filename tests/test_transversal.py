@@ -80,14 +80,25 @@ def alternating_rank_gap(m, family):
     return total
 
 
+def lattice_counting_verdict(m):
+    """Does m pass the counting conditions checked on every flat of the
+    lattice, the reference for the check on cyclic-flat meets?"""
+    cf = m.cyclic_flats()
+    if any(cf.tau(f) < 0 for f in cf):
+        return False
+    return all(sum(cf.tau(g) for g in cf if f & g == f) <= m.corank(f)
+               for f in m.flats())
+
+
 def test_counting_and_family_scan_agree():
-    """The counting conditions reject exactly when some cyclic-flat family
-    violates the rank inequality, and is_transversal certifies with the
-    first such family."""
+    """The counting conditions, checked on meets of cyclic flats, reject
+    exactly when they reject on some flat of the lattice, and exactly when
+    some cyclic-flat family violates the rank inequality; is_transversal
+    certifies with the first such family."""
     rng = random.Random(1618)
-    pool = matroid_pool(rng, 360) + [k4_cycle_matroid(),
+    pool = matroid_pool(rng, 630) + [k4_cycle_matroid(),
                                      three_pair_matroid()]
-    while len(pool) < 400:
+    while len(pool) < 670:
         n = rng.randint(2, 7)
         sets = [mask_of(rng.sample(range(n), rng.randint(1, n)))
                 for _ in range(rng.randint(1, min(4, n)))]
@@ -99,6 +110,8 @@ def test_counting_and_family_scan_agree():
     for m in pool:
         family = _rank_violation(m)
         assert (_counting_violation(m) is None) == (family is None)
+        assert lattice_counting_verdict(
+            Matroid(m.n, m.bases, check=False)) == (family is None)
         ok, payload = is_transversal(m)
         assert ok == (family is None)
         if family is None:
