@@ -9,6 +9,7 @@ d-subset table keys are comma-joined ("1,3,4").
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .gammoid import WeightedDigraph
@@ -19,8 +20,10 @@ from .valuated import ValuatedMatroid
 
 
 # A decimal exponent costs time and bits that grow with its size, so
-# string scalars may shift by at most 10^4300: Python's default limit on
-# the digits of an int, which bounds a JSON integer literal the same way.
+# string scalars may shift by at most 10^4300.  Python writes out ints
+# of at most 4300 digits by default, and in-bound scalars can exceed
+# that: 1e4300 has 4301 digits, and differences of entries grow further.
+# So fmt_scalar refuses such output with its own message.
 MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\Z")
 
@@ -52,7 +55,14 @@ def parse_scalar(v):
 
 
 def fmt_scalar(v):
-    return "inf" if v == INF else str(Fraction(v))
+    if v == INF:
+        return "inf"
+    v = Fraction(v)
+    try:
+        return str(v)
+    except ValueError:
+        raise ValueError("output scalar beyond the %d-digit limit"
+                         % sys.get_int_max_str_digits()) from None
 
 
 def parse_point(obj):

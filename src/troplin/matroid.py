@@ -2,7 +2,8 @@
 
 from math import comb
 
-from .errors import EmptyGroundSet, NoBasis, NotAFlat, NotAMatroid
+from .errors import (EmptyGroundSet, NoBasis, NotAFlat, NotAMatroid,
+                     NotCyclicFlat)
 from .util import bits, elems, ksubsets, list1
 
 
@@ -291,14 +292,25 @@ class Matroid:
 
 
 class CyclicFlatData:
-    "Cyclic flats with Moebius function and corank transform on their poset."
+    """Cyclic flats with their ranks and corank transform.
+
+    The corank transform tau is the Moebius inversion from above of the
+    corank on the poset of cyclic flats: cork(f) is the sum of tau(g)
+    over the cyclic flats g containing f.  So, from the largest cyclic
+    flat down, tau(f) = cork(f) minus the sum of tau(g) over cyclic
+    g strictly above f, computed once; transform maps each cyclic flat,
+    in the order of flats, to its tau.
+    """
 
     def __init__(self, d, flats, rank):
-        self.d = d
         self.flats = flats
         self.rank = rank
-        self._set = frozenset(flats)
-        self._mu = {}
+        tau = {}
+        for f in reversed(flats):
+            # every g above f is larger, so later in (size, mask) order
+            tau[f] = d - rank[f] - sum(t for g, t in tau.items()
+                                       if g & f == f)
+        self.transform = {f: tau[f] for f in flats}
 
     def __iter__(self):
         return iter(self.flats)
@@ -307,38 +319,20 @@ class CyclicFlatData:
         return len(self.flats)
 
     def __contains__(self, f):
-        return f in self._set
-
-    def cork(self, f):
-        return self.d - self.rank[f]
-
-    def mobius(self, f, g):
-        if f & g != f:
-            return 0
-        key = (f, g)
-        val = self._mu.get(key)
-        if val is None:
-            if f == g:
-                val = 1
-            else:
-                val = -sum(self.mobius(f, h) for h in self.flats
-                           if f & h == f and h & g == h and h != g)
-            self._mu[key] = val
-        return val
+        return f in self.transform
 
     def tau(self, f):
-        "Moebius-weighted corank sum over cyclic flats above f."
-        if f not in self._set:
-            from .errors import NotCyclicFlat
+        "Corank-transform multiplicity of the cyclic flat f."
+        t = self.transform.get(f)
+        if t is None:
             raise NotCyclicFlat(witness=list1(f))
-        return sum(self.mobius(f, g) * self.cork(g)
-                   for g in self.flats if f & g == f)
+        return t
 
     def multiset(self):
         "Flats with positive tau, repeated tau times, sorted."
         out = []
-        for f in self.flats:
-            out.extend([f] * self.tau(f))
+        for f, t in self.transform.items():
+            out.extend([f] * t)
         out.sort()
         return out
 

@@ -12,9 +12,17 @@ from itertools import (combinations, combinations_with_replacement,
 
 from .errors import NoBasis, NotAMatroid, NotCyclicFlat, OutOfDomain
 from .matroid import Matroid
-from .trop import INF, ZERO, xsum
+from .trop import INF, ZERO
 from .util import bits, elems, ksubsets, list1
 from .valuated import ValuatedMatroid, initial_matroid, maximal_cells
+
+
+def xsum(x, mask):
+    "x(mask), the Fraction sum of the coordinates of x on mask."
+    s = ZERO
+    for e in bits(mask):
+        s += x[e]
+    return s
 
 
 def trop_minor_bruteforce(a, cols):
@@ -499,3 +507,24 @@ def cyclic_flats_bruteforce(m):
     """Cyclic flats by filtering the whole flat lattice: the flats f with
     coclosure(f) == f, sorted by (size, mask)."""
     return tuple(f for f in m.flats() if m.coclosure(f) == f)
+
+
+def corank_transform_mobius(m):
+    """{cyclic flat f: tau(f)}, by the Moebius function of the poset of
+    cyclic flats: tau(f) = sum of mu(f, g) cork(g) over cyclic g above f,
+    with mu computed by its defining recursion."""
+    flats = m.cyclic_flats().flats
+    mu = {}
+
+    def mobius(f, g):
+        if f & g != f:
+            return 0
+        if (f, g) not in mu:
+            mu[f, g] = 1 if f == g else -sum(
+                mobius(f, h) for h in flats
+                if f & h == f and h & g == h and h != g)
+        return mu[f, g]
+
+    return {f: sum(mobius(f, g) * m.corank(g)
+                   for g in flats if f & g == f)
+            for f in flats}

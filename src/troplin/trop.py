@@ -30,13 +30,6 @@ def normalize_point(y):
     return tuple(INF if v == INF else v - m for v in y)
 
 
-def xsum(x, mask):
-    s = ZERO
-    for e in bits(mask):
-        s += x[e]
-    return s
-
-
 def relsupp(x, y):
     """Relative support of y seen from the finite basepoint x.
 

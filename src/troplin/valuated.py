@@ -17,7 +17,7 @@ from .errors import (AllInfinite, EmptyIntersection, EmptySupport,
                      InconsistentCell, InfiniteBase, NotAMatroid,
                      RankCollapse, TroplinError)
 from .matroid import Matroid
-from .trop import INF, ONE, ZERO, check_point, integer_scaled, xsum
+from .trop import INF, ONE, ZERO, check_point, integer_scaled
 from .util import bits, elems, ksubsets, list1, mask_of, submasks
 
 
@@ -450,48 +450,49 @@ def cell_complex(vm):
 def cell_vertex(vm, m):
     """The point of the tropical linear space pinned down by a connected cell.
 
-    Solves pl(B) - y(B) = const over the cell's bases by propagating
-    exchanges; raises InconsistentCell if the system is contradictory or
-    underdetermined (i.e. the cell was not connected after all).
+    Solves pl(B) - y(B) = const over the cell's bases on the integer
+    table.  For B0 = bases[0] and f outside B0, each e in the fundamental
+    circuit C(f, B0) gives y[f] - y[e] = ints[B0 - e + f] - ints[B0].
+    These circuits connect the ground set iff m is connected (Oxley,
+    fundamental circuits), so one search from the least element of B0
+    fixes y.  Raises InconsistentCell if the system is underdetermined
+    (m is not connected) or y misses a basis (m is not a cell).  Returns
+    y / den shifted to minimum 0.
     """
     key = m.bases
     hit = vm._vertexcache.get(key)
     if hit is not None:
         return hit
-    n = vm.n
-    y = [None] * n
-    start = next(bits(m.bases[0]))
-    y[start] = ZERO
-    # edges e -> f with offset pl(B - e + f) - pl(B)
-    adj = {e: [] for e in range(n)}
-    for b in m.bases:
-        for e in bits(b):
-            for f in bits(m.full & ~b):
-                b2 = (b ^ (1 << e)) | (1 << f)
-                if b2 in m.baseset:
-                    adj[e].append((f, vm.table[b2] - vm.table[b]))
+    ints = vm.ints
+    b0 = m.bases[0]
+    adj = [[] for _ in range(vm.n)]
+    for f, c in zip(bits(m.full & ~b0), m._fundamental_circuits(b0)):
+        for e in bits(c & b0):
+            off = ints[(b0 ^ (1 << e)) | (1 << f)] - ints[b0]
+            adj[e].append((f, off))
+            adj[f].append((e, -off))
+    y = [None] * vm.n
+    start = next(bits(b0))
+    y[start] = 0
     queue = [start]
     while queue:
         e = queue.pop()
         for f, off in adj[e]:
-            val = y[e] + off
             if y[f] is None:
-                y[f] = val
+                y[f] = y[e] + off
                 queue.append(f)
-            elif y[f] != val:
-                raise InconsistentCell("vertex system is contradictory",
-                                       witness={"e": e + 1, "f": f + 1})
-    if any(v is None for v in y):
+    if None in y:
         raise InconsistentCell(
             "vertex system is underdetermined",
             witness=list1(mask_of(j for j, v in enumerate(y) if v is None)))
-    c0 = vm.table[m.bases[0]] - xsum(y, m.bases[0])
+    c0 = ints[b0] - sum(y[e] for e in bits(b0))
     for b in m.bases:
-        if vm.table[b] - xsum(y, b) != c0:
+        t = ints[b]
+        if t == INF or t - sum(y[e] for e in bits(b)) != c0:
             raise InconsistentCell("vertex misses a basis",
                                    witness={"b": list1(b)})
-    shift = min(y)
-    out = tuple(v - shift for v in y)
+    low = min(y)
+    out = tuple(Fraction(v - low, vm.den) for v in y)
     vm._vertexcache[key] = out
     return out
 

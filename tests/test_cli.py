@@ -286,6 +286,21 @@ def test_huge_exponent_is_an_input_error(tmp_path, capsys, command, scalar):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("rows", [[["1e4300", "0"]],
+                                  [["9e4299", "-9e4299", "0"]]])
+def test_output_beyond_the_digit_limit_is_an_input_error(tmp_path, capsys,
+                                                         rows):
+    """In-bound scalars whose output has more than 4300 digits (1e4300
+    itself, or the difference of two entries after normalization) are
+    refused by name, not with Python's own conversion message."""
+    code, err, _ = call(tmp_path, "stiefel", rows)
+    assert code == 2
+    assert err == {"error": "ValueError",
+                   "message": "output scalar beyond the 4300-digit limit",
+                   "witness": None}
+    assert capsys.readouterr().err == ""
+
+
 def test_small_exponents_still_parse(tmp_path):
     code, out, _ = call(tmp_path, "stiefel", [["1e3", "-2.5e-2", "0"]])
     assert code == 0

@@ -4,11 +4,12 @@ from math import comb
 import pytest
 
 from common import matroid_pool, random_rows, three_pair_matroid
-from troplin import (Matroid, NoBasis, NotAFlat, NotAMatroid, direct_sum,
-                     matroid, stiefel, transversal_matroid, uniform_matroid)
+from troplin import (Matroid, NoBasis, NotAFlat, NotAMatroid, NotCyclicFlat,
+                     direct_sum, matroid, stiefel, transversal_matroid,
+                     uniform_matroid)
 from troplin.oracle import (check_exchange_bruteforce,
                             connected_components_bruteforce,
-                            cyclic_flats_bruteforce)
+                            corank_transform_mobius, cyclic_flats_bruteforce)
 from troplin.util import ksubsets, mask_of
 
 
@@ -122,6 +123,25 @@ def test_cyclic_flats_and_tau_series_pair():
 def test_tau_three_pair_is_negative_at_bottom():
     cf = three_pair_matroid().cyclic_flats()
     assert cf.tau(0) == -1
+
+
+def test_corank_transform_matches_the_mobius_sum():
+    """The one downward pass of CyclicFlatData gives the tau that the
+    Moebius function of the cyclic-flat poset gives, negative values
+    included; tau off the cyclic flats is an error."""
+    pool = matroid_pool(random.Random(2357), 640) + [three_pair_matroid()]
+    signs = set()
+    for m in pool:
+        cf = m.cyclic_flats()
+        want = corank_transform_mobius(Matroid(m.n, m.bases, check=False))
+        assert cf.transform == want
+        assert [cf.tau(f) for f in cf] == [want[f] for f in cf.flats]
+        signs.update((t > 0) - (t < 0) for t in want.values())
+        others = [f for f in range(m.full + 1) if f not in cf]
+        if others:
+            with pytest.raises(NotCyclicFlat):
+                cf.tau(others[0])
+    assert signs == {-1, 0, 1}
 
 
 def test_cyclic_flats_match_the_lattice_filter():

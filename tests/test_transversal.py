@@ -163,17 +163,14 @@ def test_presentations_exhaustive_u23():
     assert {tuple(sorted(p)) for p in pres} == want
 
 
-def test_beta_solutions_series_pair():
-    m = series_pair()
-    sols = beta_solutions(m)
-    assert len(sols) == 7
+def check_beta_solutions(m, sols):
     cf = m.cyclic_flats()
     lattice = m.flats()
     for beta in sols:
         # covering counts: tight on cyclic flats, bounded elsewhere
         for f in lattice:
             total = sum(b for g, b in beta.items() if g & f == f)
-            if f in set(cf):
+            if f in cf:
                 assert total == m.corank(f)
             else:
                 assert total <= m.corank(f)
@@ -186,6 +183,25 @@ def test_beta_solutions_series_pair():
         for f in cf:
             got = sum(b for g, b in beta.items() if m.coclosure(g) == f)
             assert got == cf.tau(f)
+
+
+def test_beta_solutions_series_pair():
+    """The series pair has 7 weightings; on it and on every transversal
+    pool matroid with n <= 6 and at most 24 flats, each weighting meets
+    the covering counts, presents the matroid and recovers tau on the
+    coclosure classes.  (The weightings of a free matroid of rank 5 or
+    6, with 32 or 64 flats, are too many to enumerate in a test.)"""
+    m = series_pair()
+    sols = beta_solutions(m)
+    assert len(sols) == 7
+    check_beta_solutions(m, sols)
+    checked = 0
+    for m in matroid_pool(random.Random(1123), 300):
+        if m.n > 6 or len(m.flats()) > 24 or not is_transversal(m)[0]:
+            continue
+        check_beta_solutions(m, beta_solutions(m))
+        checked += 1
+    assert checked >= 150
 
 
 def test_beta_solutions_guards():

@@ -234,10 +234,7 @@ def test_initial_matroid_matches_the_fraction_reference():
     assert ties > 300
 
 
-def test_initial_matroid_needs_no_fraction_sums(monkeypatch):
-    def no_xsum(x, mask):
-        raise AssertionError("the cell walk summed Fractions")
-
+def test_initial_matroid_needs_no_fraction_sums():
     def faces(vm):
         return [(c.matroid, f, valuated.face_witness(vm, c.matroid,
                                                      c.witness, f))
@@ -253,8 +250,7 @@ def test_initial_matroid_needs_no_fraction_sums(monkeypatch):
     want_cells = [(c.matroid, c.witness) for c in maximal_cells(v2)]
     want_faces = faces(v2)
     fresh2 = ValuatedMatroid(v2.n, v2.d, v2.table)
-    monkeypatch.setattr(trop, "xsum", no_xsum)
-    monkeypatch.setattr(valuated, "xsum", no_xsum)
+    assert not hasattr(trop, "xsum") and not hasattr(valuated, "xsum")
     assert [initial_matroid(fresh, x) for x in points] == want
     assert [(c.matroid, c.witness)
             for c in maximal_cells(fresh2)] == want_cells
@@ -352,9 +348,67 @@ def test_cell_vertex_underdetermined_on_disconnected_cells():
     assert err.value.witness == [3, 4]
 
 
+def test_cell_vertices_pin_down_their_cells():
+    """On Stiefel images with d <= 4, n <= 8 and denominators up to 12,
+    the vertex of every connected cell has that cell as its initial
+    matroid, by Fraction sums, and minimum 0; every disconnected cell is
+    underdetermined, with the elements outside the component of the
+    least element of its first basis as the witness."""
+    rng = random.Random(2718)
+    seen = {"connected": 0, "disconnected": 0}
+    shapes = set()
+    while seen["connected"] < 400:
+        d = rng.randint(1, 4)
+        n = rng.randint(d + 1, 8)
+        q = Fraction(1, rng.randint(1, 12))
+        rows = [[v if v == INF else v * q for v in row]
+                for row in random_rows(rng, d, n, rng.uniform(0, 0.3))]
+        v = stiefel(rows)
+        if v.underlying().loops():
+            continue
+        shapes.add((d, n))
+        for c in cell_complex(v):
+            m = c.matroid
+            comps = m.connected_components()
+            if len(comps) == 1:
+                y = cell_vertex(v, m)
+                assert initial_matroid_bruteforce(v, y) == m
+                assert min(y) == 0
+                seen["connected"] += 1
+                continue
+            start = next(bits(m.bases[0]))
+            k = next(k for k in comps if (k >> start) & 1)
+            with pytest.raises(InconsistentCell) as err:
+                cell_vertex(v, m)
+            assert str(err.value) == "vertex system is underdetermined"
+            assert err.value.witness == [e + 1 for e in bits(m.full ^ k)]
+            seen["disconnected"] += 1
+    assert (4, 8) in shapes and seen["disconnected"] > 1000
+
+
+def test_cell_complex_reads_only_the_integer_table():
+    """cell_complex, vertices included, never reads the Fraction table:
+    with table removed from a fresh valuation it gives the same cells,
+    witnesses and vertices."""
+    v = stiefel(random_rows(random.Random(4096), 4, 8))
+    want = cell_complex(v)
+    assert want.vertices
+    fresh = ValuatedMatroid(v.n, v.d, v.table)
+    fresh.table = None
+    got = cell_complex(fresh)
+    assert [(c.matroid, c.witness, c.is_maximal) for c in got] == \
+        [(c.matroid, c.witness, c.is_maximal) for c in want]
+    assert got.vertices == want.vertices
+
+
 def test_cell_vertex_contradictory_on_non_cells():
     with pytest.raises(InconsistentCell):
         cell_vertex(rank2_four(), uniform_matroid(2, 4))
+    # a basis off the support, here the first one, misses the vertex
+    off_support = ValuatedMatroid(3, 1, {0b010: fr(0), 0b100: fr(1)})
+    with pytest.raises(InconsistentCell) as err:
+        cell_vertex(off_support, uniform_matroid(1, 3))
+    assert err.value.witness == {"b": [1]}
 
 
 def test_cell_complex_matches_bruteforce(monkeypatch):
