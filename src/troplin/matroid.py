@@ -37,6 +37,8 @@ class Matroid:
         self._rank = {}
         self._flats = None
         self._cf = None
+        self._circuits = None
+        self._transversal = None
         self._comps = None
         if check:
             self._check_exchange()
@@ -171,15 +173,13 @@ class Matroid:
         circuits inside it (Bonin and de Mier, "The lattice of cyclic
         flats of a matroid", Ann. Comb. 2008).  Every circuit is the
         fundamental circuit C(e, B) of some basis B, so the closures of
-        the distinct C(e, B), closed under joins, are all of them.  A
+        the circuits, closed under joins, are all of them.  A
         circuit C inside a known cyclic flat of rank |C| - 1 has that
         flat as its closure and costs no scan.
         """
         if self._cf is None:
             found = {self.closure(0)}
-            circuits = {c for b in self.bases
-                        for c in self._fundamental_circuits(b)}
-            for c in circuits:
+            for c in self.circuits():
                 r = c.bit_count() - 1
                 if not any(c & ~z == 0 and self._rank[z] == r
                            for z in found):
@@ -200,6 +200,25 @@ class Matroid:
             self._cf = CyclicFlatData(
                 self.d, cf, {f: self._rank[f] for f in cf})
         return self._cf
+
+    def circuits(self):
+        """All circuits, sorted by (size, mask), in one pass over the bases.
+
+        A (d+1)-set s holding a basis holds exactly one circuit, the j
+        with s - j a basis (Oxley, Matroid Theory, fundamental circuits),
+        and every circuit is such a C(e, B).  So for each basis b and e
+        outside it, e belongs to the circuit of b + e: one OR per pair,
+        no basis lookup.
+        """
+        if self._circuits is None:
+            circ = {}
+            for b in self.bases:
+                for e in bits(self.full & ~b):
+                    s = b | (1 << e)
+                    circ[s] = circ.get(s, 0) | (1 << e)
+            self._circuits = tuple(sorted(set(circ.values()),
+                                          key=lambda c: (c.bit_count(), c)))
+        return self._circuits
 
     def _fundamental_circuits(self, b):
         """C(e, b) for each e outside the basis b, in increasing e: e
@@ -227,20 +246,8 @@ class Matroid:
         circuit with another element, so they come out as singletons.
         """
         if self._comps is None:
-            blocks = []
-            covered = 0
-            for c in self._fundamental_circuits(self.bases[0]):
-                covered |= c
-                rest = []
-                for k in blocks:
-                    if k & c:
-                        c |= k
-                    else:
-                        rest.append(k)
-                rest.append(c)
-                blocks = rest
-            blocks.extend(1 << e for e in bits(self.full & ~covered))
-            self._comps = tuple(sorted(blocks))
+            self._comps = circuit_blocks(
+                self.full, self._fundamental_circuits(self.bases[0]))
         return self._comps
 
     def dual(self):
@@ -289,6 +296,25 @@ class Matroid:
         r = self.rank(flat)
         keep = [b for b in self.bases if (b & flat).bit_count() == r]
         return Matroid(self.n, keep, check=False)
+
+
+def circuit_blocks(full, circuits):
+    """Classes of the union of `circuits` on the ground set `full`, as
+    masks sorted by value; an element in no circuit is its own class."""
+    blocks = []
+    covered = 0
+    for c in circuits:
+        covered |= c
+        rest = []
+        for k in blocks:
+            if k & c:
+                c |= k
+            else:
+                rest.append(k)
+        rest.append(c)
+        blocks = rest
+    blocks.extend(1 << e for e in bits(full & ~covered))
+    return tuple(sorted(blocks))
 
 
 class CyclicFlatData:

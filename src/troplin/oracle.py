@@ -503,6 +503,38 @@ def first_breakpoint_bruteforce(vm, m, x, flat, r):
     return tstar
 
 
+def membership_bruteforce(vm, y):
+    """Membership of y in the tropical linear space of vm, by Fraction
+    sums: for every (d+1)-set c, the least finite y[j] + pl(c - j) over
+    j in c is attained twice."""
+    for c in ksubsets(vm.n, vm.d + 1):
+        best = INF
+        cnt = 0
+        for j in bits(c):
+            b = c ^ (1 << j)
+            if y[j] == INF or vm.table[b] == INF:
+                continue
+            t = y[j] + vm.table[b]
+            if t < best:
+                best = t
+                cnt = 1
+            elif t == best:
+                cnt += 1
+        if best != INF and cnt < 2:
+            return False
+    return True
+
+
+def circuits_bruteforce(m):
+    """Minimal dependent sets, by a scan over all subsets, sorted by
+    (size, mask)."""
+    dep = [s for s in range(m.full + 1) if not m.independent(s)]
+    return tuple(sorted((s for s in dep
+                         if all(m.independent(s ^ (1 << e))
+                                for e in bits(s))),
+                        key=lambda s: (s.bit_count(), s)))
+
+
 def cyclic_flats_bruteforce(m):
     """Cyclic flats by filtering the whole flat lattice: the flats f with
     coclosure(f) == f, sorted by (size, mask)."""

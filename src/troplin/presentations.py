@@ -14,10 +14,10 @@ from .errors import (AllInfinite, CellNotFound, CountMismatch,
                      NotCyclicFlat, NotTransversalFacets, PointOutsideL,
                      TroplinError, WrongArity)
 from .linprog import distinct_rows, solve_lp
-from .trop import INF, ONE, ZERO, check_point, relsupp
+from .trop import INF, ONE, ZERO, check_point, integer_scaled, relsupp
 from .util import bits, elems, list1, mask_of
-from .valuated import (ValuatedMatroid, _values, cell_complex, cell_vertex,
-                       face_witness, maximal_cells, membership, v_contract)
+from .valuated import (_values, cell_complex, cell_vertex, face_witness,
+                       maximal_cells, membership, v_contract)
 from . import transversal
 
 
@@ -268,19 +268,43 @@ def distinguished(vm):
     return DistinguishedData(vm.n, vm.d, entries)
 
 
+def _in_bergman_fan(m, p):
+    """Is p in the tropical linear space of m with every basis valued 0?
+
+    A (d+1)-set of rank d holds one circuit, the j with c - j a basis,
+    and a set of lower rank gives no term, so membership in the zero
+    valuation asks exactly that, on every circuit, the least finite
+    coordinate (if any) be attained twice.  Compared on integers.
+    """
+    _, ps = integer_scaled(p)
+    for c in m.circuits():
+        best = INF
+        cnt = 0
+        for j in bits(c):
+            v = ps[j]
+            if v < best:
+                best = v
+                cnt = 1
+            elif v == best:
+                cnt += 1
+        if best != INF and cnt < 2:
+            return False
+    return True
+
+
 def presentation_fan_member(m, points):
     """Do these points fill the free slots of a presentation of m?
 
-    There are tau(empty) slots; each point's relative support from the
-    origin must be an independent flat, and the supports' complements
-    together with the maximal presentation of the other cyclic flats
-    must satisfy the set-presentation conditions.
+    There are tau(empty) slots; each point must lie in the tropical
+    linear space of m valued 0 (tested on the circuits of m), its
+    relative support from the origin must be an independent flat, and
+    the supports' complements together with the maximal presentation of
+    the other cyclic flats must satisfy the set-presentation conditions.
     """
     cf = m.cyclic_flats()
     t = cf.tau(0)
     if len(points) != t:
         raise WrongArity(witness={"expected": t, "got": len(points)})
-    vm0 = ValuatedMatroid(m.n, m.d, {b: ZERO for b in m.bases})
     zero = (ZERO,) * m.n
     sets = []
     for p in points:
@@ -290,7 +314,7 @@ def presentation_fan_member(m, points):
             return False
         if len(p) != m.n:
             raise ValueError("point length mismatch")
-        if not membership(vm0, p):
+        if not _in_bergman_fan(m, p):
             return False
         g = relsupp(zero, p)
         if not m.independent(g) or not m.is_flat(g):

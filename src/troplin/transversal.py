@@ -6,11 +6,14 @@ a quantified rank inequality that fails, as the certificate; a
 rejection that no family confirms is a fault, never a bare "no".
 """
 
+from copy import deepcopy
 from itertools import combinations
 
 from .errors import NoBasis, NotTransversal
 from .matroid import Matroid
 from .util import bits, ksubsets, list1
+
+BETA_MAX_FLATS = 24
 
 
 def _matchable(subset, sets):
@@ -106,8 +109,16 @@ def is_transversal(m):
     flat, repeated by its corank-transform multiplicity.  The
     certificate is a violating family of cyclic flats; the exponential
     family scan runs only once the counting conditions have rejected,
-    and raises RuntimeError if it finds no family to back them.
+    and raises RuntimeError if it finds no family to back them.  The
+    verdict is kept on the matroid; each call gets its own copy.
     """
+    if m._transversal is None:
+        m._transversal = _transversal_verdict(m)
+    ok, payload = m._transversal
+    return ok, (list(payload) if ok else deepcopy(payload))
+
+
+def _transversal_verdict(m):
     count = _counting_violation(m)
     if count is not None:
         ranks = _rank_violation(m)
@@ -119,7 +130,7 @@ def is_transversal(m):
     for f, t in m.cyclic_flats().transform.items():
         sets.extend([m.full ^ f] * t)
     assert len(sets) == m.d
-    return True, sets
+    return True, tuple(sets)
 
 
 def max_presentation(m):
@@ -162,9 +173,11 @@ def is_pseudopresentation(m, flats):
 def beta_solutions(m):
     """All nonnegative flat weightings compatible with the covering counts.
 
-    Weights are forced on cyclic flats and bounded elsewhere; ground
-    sets beyond 8 elements are refused since the answer is a full
-    enumeration.
+    Weights are forced on cyclic flats and bounded elsewhere.  The
+    answer is a full enumeration, which grows with the flat lattice, so
+    ground sets beyond 8 elements and lattices beyond BETA_MAX_FLATS
+    flats are refused (the free matroid of rank 5 has 32 flats and
+    more weightings than can be listed).
     """
     if m.n > 8:
         raise ValueError("enumeration capped at 8 elements")
@@ -172,6 +185,8 @@ def beta_solutions(m):
     if not ok:
         raise NotTransversal("matroid is not transversal", witness=cert)
     lattice = m.flats()
+    if len(lattice) > BETA_MAX_FLATS:
+        raise ValueError("enumeration capped at %d flats" % BETA_MAX_FLATS)
     order = sorted(lattice, key=lambda f: (-f.bit_count(), f))
     cfset = set(m.cyclic_flats())
     sols = []

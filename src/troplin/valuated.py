@@ -16,7 +16,7 @@ from math import lcm
 from .errors import (AllInfinite, EmptyIntersection, EmptySupport,
                      InconsistentCell, InfiniteBase, NotAMatroid,
                      RankCollapse, TroplinError)
-from .matroid import Matroid
+from .matroid import Matroid, circuit_blocks
 from .trop import INF, ONE, ZERO, check_point, integer_scaled
 from .util import bits, elems, ksubsets, list1, mask_of, submasks
 
@@ -176,18 +176,30 @@ def _first_violated_pair(n, d, table):
 
 
 def membership(vm, y):
-    "Does y lie in the tropical linear space cut out by vm?"
+    """Does y lie in the tropical linear space cut out by vm?
+
+    For every (d+1)-set c, the least finite y[j] + pl(c - j) over j in c
+    must be attained twice.  Compared on integers, as in _scaled: the
+    finite coordinates of y and the table times the lcm of den and
+    their denominators; infinite coordinates take no part.
+    """
     y = check_point(y)
     if len(y) != vm.n:
         raise ValueError("point length mismatch")
+    finite = mask_of(j for j, v in enumerate(y) if v != INF)
+    common = lcm(vm.den, *(y[j].denominator for j in bits(finite)))
+    scale = common // vm.den
+    ys = [None if v == INF else v.numerator * (common // v.denominator)
+          for v in y]
+    ints = vm.ints
     for c in ksubsets(vm.n, vm.d + 1):
         best = INF
         cnt = 0
-        for j in bits(c):
-            b = c ^ (1 << j)
-            if y[j] == INF or vm.table[b] == INF:
+        for j in bits(c & finite):
+            t = ints[c ^ (1 << j)]
+            if t == INF:
                 continue
-            t = y[j] + vm.table[b]
+            t = ys[j] + t * scale
             if t < best:
                 best = t
                 cnt = 1
@@ -345,7 +357,13 @@ def maximal_cells(vm):
 
     Starts from one maximal cell and flips across every interior wall;
     walls of a maximal cell are its faces at proper cyclic flats whose
-    component count exceeds the support's by one.
+    component count exceeds the support's by one.  A face basis b0 of
+    the flat f has |b0 & f| = r(f), and the face's fundamental circuit
+    of e is C(e, b0) cut down to the side of f that holds e, so the
+    face's components come from one basis of the cell.  The cell across
+    the wall is read off the cell's integer values: moving the witness
+    by tstar on f, with tstar * common = p / q, sends vals[b] to
+    vals[b] * q - p * |b & f| on the common scale times q.
     """
     if vm._maxcells is not None:
         return vm._maxcells
@@ -361,21 +379,35 @@ def maximal_cells(vm):
         for f in m.cyclic_flats():
             if f == 0 or f == m.full:
                 continue
-            w = m.polytope_face(f)
-            if len(w.connected_components()) != target + 1:
+            r = m.rank(f)
+            b0 = next(b for b in m.bases if (b & f).bit_count() == r)
+            side = m.full ^ f
+            face = [c & (f if (f >> e) & 1 else side) for e, c in
+                    zip(bits(m.full & ~b0), m._fundamental_circuits(b0))]
+            if len(circuit_blocks(m.full, face)) != target + 1:
                 continue
-            tstar = _first_break(common, vals, m, f, m.rank(f))
+            tstar = _first_break(common, vals, m, f, r)
             if tstar == INF:
                 continue  # wall sits on the boundary of the support
-            x2 = tuple(v + tstar if (f >> e) & 1 else v
-                       for e, v in enumerate(cell.witness))
-            m2 = initial_matroid(vm, x2)
-            if m2.bases in cells:
+            p, q = (tstar * common).as_integer_ratio()
+            best = None
+            keep = []
+            for b, v in vals.items():
+                v = v * q - p * (b & f).bit_count()
+                if best is None or v < best:
+                    best = v
+                    keep = [b]
+                elif v == best:
+                    keep.append(b)
+            if tuple(keep) in cells:
                 continue
+            m2 = Matroid(vm.n, keep, check=False)
             if len(m2.connected_components()) != target:
                 raise InconsistentCell(
                     "wall flip did not land on a maximal cell",
                     witness={"flat": list1(f)})
+            x2 = tuple(v + tstar if (f >> e) & 1 else v
+                       for e, v in enumerate(cell.witness))
             nc = SubdivisionCell(m2, x2, True)
             cells[m2.bases] = nc
             queue.append(nc)

@@ -7,7 +7,7 @@ from common import matroid_pool, random_rows, three_pair_matroid
 from troplin import (Matroid, NoBasis, NotAFlat, NotAMatroid, NotCyclicFlat,
                      direct_sum, matroid, stiefel, transversal_matroid,
                      uniform_matroid)
-from troplin.oracle import (check_exchange_bruteforce,
+from troplin.oracle import (check_exchange_bruteforce, circuits_bruteforce,
                             connected_components_bruteforce,
                             corank_transform_mobius, cyclic_flats_bruteforce)
 from troplin.util import ksubsets, mask_of
@@ -160,6 +160,28 @@ def test_cyclic_flats_match_the_lattice_filter():
     assert {(True, False, True, True), (False, True, True, True),
             (True, True, True, False), (False, False, True, True),
             (False, False, False, True)} <= shapes
+
+
+def test_circuits_match_the_minimal_dependent_sets():
+    """One pass over the bases and the elements outside each gives the
+    minimal dependent sets that a scan over all 2^n subsets finds, in
+    (size, mask) order, on pool matroids with loops, coloops, rank 0
+    and rank n among them."""
+    pool = matroid_pool(random.Random(1729), 630)
+    pool += [uniform_matroid(0, 3), uniform_matroid(4, 4),
+             uniform_matroid(0, 0), three_pair_matroid()]
+    shapes = set()
+    for m in pool:
+        circ = m.circuits()
+        assert circ == circuits_bruteforce(Matroid(m.n, m.bases,
+                                                   check=False))
+        assert m.circuits() is circ
+        shapes.add((bool(m.loops()), bool(m.coloops()), m.d == 0,
+                    m.d == m.n))
+    assert {(True, False, False, False), (False, True, False, False),
+            (True, True, False, False), (True, False, True, False),
+            (False, True, False, True),
+            (False, False, False, False)} <= shapes
 
 
 def test_closure_is_one_scan_of_the_bases():

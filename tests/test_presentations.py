@@ -3,10 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from common import (fr, points_of, rank2_four, rank3_five, rank3_five_rows,
-                    random_rows, random_valuation, three_pair_dual_rows,
-                    three_pair_valuation)
+from common import (fr, matroid_pool, points_of, rank2_four, rank3_five,
+                    rank3_five_rows, random_rows, random_valuation,
+                    three_pair_dual_rows, three_pair_valuation)
 from troplin import (INF, CountMismatch, Matroid, NotAMatroid, NotCyclicFlat,
                      NotTransversalFacets, PointOutsideL, TroplinError,
                      ValuatedMatroid, WrongArity, contract_presentation,
@@ -17,8 +18,8 @@ from troplin import (INF, CountMismatch, Matroid, NotAMatroid, NotCyclicFlat,
                      uniform_matroid, v_contract, v_dual, verify_presentation)
 from troplin.cli import run
 from troplin.jsonio import fmt_matrix
-from troplin.oracle import (presentations_exhaustive, rinf_facet_oracle,
-                            rinf_member_lp)
+from troplin.oracle import (membership_bruteforce, presentations_exhaustive,
+                            rinf_facet_oracle, rinf_member_lp)
 from troplin.util import ksubsets, list1, mask_of
 
 
@@ -197,6 +198,44 @@ def test_presentation_fan_member_uniform():
         m, [(INF, fr(0), fr(0), fr(0)), (fr(0), fr(2), fr(0), fr(0))])
     with pytest.raises(WrongArity):
         presentation_fan_member(m, [(fr(0),) * 4])
+
+
+FAN_POOL = matroid_pool(random.Random(2024), 180)
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_fan_test_matches_the_zero_valuation_scan(data):
+    """The circuit test of presentation_fan_member answers as membership
+    in the valuation with every basis of m valued 0, for pool matroids
+    and points with infinite and fractional coordinates."""
+    m = data.draw(st.sampled_from(FAN_POOL))
+    if m.n == 0:
+        return
+    value = st.one_of(st.just(INF), st.fractions(-3, 3, max_denominator=4),
+                      st.sampled_from([fr(0), fr(1)]))
+    p = tuple(data.draw(st.lists(value, min_size=m.n, max_size=m.n)))
+    if all(v == INF for v in p):
+        return
+    vm0 = ValuatedMatroid(m.n, m.d, {b: fr(0) for b in m.bases})
+    assert presentations._in_bergman_fan(m, p) == \
+        membership_bruteforce(vm0, p)
+
+
+def test_presentation_fan_member_builds_no_valuation(monkeypatch):
+    """Fan trials of sample_presentation run on the circuits of each
+    distinguished matroid: no ValuatedMatroid and no membership scan."""
+    v = stiefel(random_rows(random.Random(804), 4, 8, inf_prob=0.15))
+    data = distinguished(v)
+    points = sample_presentation(v, seed=3)
+
+    def refuse(*args):
+        raise AssertionError("the fan test built a valuation")
+
+    monkeypatch.setattr(presentations, "membership", refuse)
+    monkeypatch.setattr(ValuatedMatroid, "__init__", refuse)
+    assert presentations._fits_distinguished(data, points)
+    assert not presentations._fits_distinguished(data, [points[0]] * v.d)
 
 
 def test_presentation_space_member_golden():

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from common import matroid_pool, three_pair_matroid
 from troplin import (Matroid, NoBasis, NotTransversal, beta_solutions,
                      direct_sum, is_pseudopresentation, is_transversal,
-                     max_presentation, transversal_matroid, uniform_matroid,
-                     verify_set_presentation)
+                     max_presentation, transversal, transversal_matroid,
+                     uniform_matroid, verify_set_presentation)
 from troplin.oracle import presentations_exhaustive
 from troplin.transversal import _counting_violation, _rank_violation
 from troplin.util import ksubsets, mask_of
@@ -209,6 +210,40 @@ def test_beta_solutions_guards():
         beta_solutions(uniform_matroid(2, 9))
     with pytest.raises(NotTransversal):
         beta_solutions(three_pair_matroid())
+
+
+def test_beta_solutions_refuse_large_flat_lattices():
+    """The free matroid of rank 5 (32 flats) is refused at once, before
+    the enumeration; rank 4 (16 flats) still lists its 1,998
+    weightings."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="capped at %d flats"
+                       % transversal.BETA_MAX_FLATS):
+        beta_solutions(uniform_matroid(5, 5))
+    assert time.perf_counter() - start < 1
+    assert len(beta_solutions(uniform_matroid(4, 4))) == 1998
+
+
+def test_is_transversal_keeps_its_verdict():
+    """The verdict is computed once per matroid object, and every call
+    returns its own copy of the presentation or certificate."""
+    calls = []
+    counting = transversal._counting_violation
+
+    def counted(m):
+        calls.append(m)
+        return counting(m)
+
+    for m in (series_pair(), three_pair_matroid()):
+        calls.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transversal, "_counting_violation", counted)
+            ok, payload = is_transversal(m)
+            (payload if ok else payload["family"]).clear()
+            second = is_transversal(m)
+        assert len(calls) == 1
+        assert second == is_transversal(Matroid(m.n, m.bases, check=False))
+        assert second[1]
 
 
 def test_is_pseudopresentation():

@@ -15,7 +15,8 @@ from troplin import (INF, AllInfinite, EmptyIntersection, EmptySupport,
 from troplin.oracle import (cell_complex_bruteforce,
                             check_pluecker_bruteforce,
                             first_breakpoint_bruteforce,
-                            initial_matroid_bruteforce, subdivision_sample)
+                            initial_matroid_bruteforce,
+                            membership_bruteforce, subdivision_sample)
 from troplin.util import bits, elems, ksubsets, mask_of, submasks
 
 
@@ -199,6 +200,42 @@ def test_membership_golden():
         membership(v, (INF, INF, INF, INF))
 
 
+def test_membership_matches_the_fraction_reference():
+    """The integer scan answers as the Fraction scan: valuations with
+    denominators up to 12, points with denominators 1..12 and infinite
+    coordinates, drawn from row combinations (inside the space) and
+    moved off it at random."""
+    rng = random.Random(6174)
+    seen = {True: 0, False: 0}
+    for _ in range(120):
+        d = rng.randint(1, 4)
+        n = rng.randint(d, 7)
+        q = Fraction(1, rng.randint(1, 12))
+        rows = [[v if v == INF else v * q for v in row]
+                for row in random_rows(rng, d, n, rng.uniform(0, 0.3))]
+        v = stiefel(rows)
+        for _ in range(6):
+            coeffs = [INF if rng.random() < 0.2 else
+                      Fraction(rng.randint(-6, 6), rng.randint(1, 12))
+                      for _ in range(d)]
+            if all(c == INF for c in coeffs):
+                coeffs[0] = fr(0)
+            try:
+                y = list(trop.trop_cone_sample(rows, coeffs))
+            except AllInfinite:
+                continue
+            if rng.random() < 0.5:
+                j = rng.randrange(n)
+                y[j] = (Fraction(rng.randint(-6, 6), rng.randint(1, 12))
+                        if y[j] == INF or rng.random() < 0.5 else INF)
+            if all(c == INF for c in y):
+                continue
+            got = membership(v, y)
+            assert got == membership_bruteforce(v, y)
+            seen[got] += 1
+    assert seen[True] > 200 and seen[False] > 100
+
+
 def test_initial_matroid_golden():
     v = rank2_four()
     assert initial_matroid(v, (fr(0),) * 4) == cell_without_34()
@@ -289,6 +326,49 @@ def test_first_break_matches_the_fraction_reference():
                 assert got == first_breakpoint_bruteforce(v, m, x, f, r)
                 seen["inf" if got == INF else "finite"] += 1
     assert seen["inf"] > 1000 and seen["finite"] > 1000
+
+
+def test_wall_flips_build_no_face_and_run_no_initial_matroid(monkeypatch):
+    """On 4x8 Stiefel images the walk finds the cells and witnesses it
+    found when every wall built its face matroid and every flip ran
+    initial_matroid (frozen as a digest), with polytope_face failing,
+    and initial_matroid called only inside the descent."""
+    import hashlib
+
+    inside = []
+    calls = []
+    descend = valuated._descend_to_maximal
+    initial = valuated.initial_matroid
+
+    def counted_descend(*args):
+        inside.append(True)
+        try:
+            return descend(*args)
+        finally:
+            inside.pop()
+
+    def counted_initial(vm, x):
+        calls.append(bool(inside))
+        return initial(vm, x)
+
+    def no_face(self, flat):
+        raise AssertionError("the walk built a face matroid")
+
+    monkeypatch.setattr(valuated, "_descend_to_maximal", counted_descend)
+    monkeypatch.setattr(valuated, "initial_matroid", counted_initial)
+    monkeypatch.setattr(Matroid, "polytope_face", no_face)
+    h = hashlib.sha256()
+    count = 0
+    for seed in range(6):
+        rows = random_rows(random.Random(1000 + seed), 4, 8, inf_prob=0.15)
+        cells = maximal_cells(stiefel(rows))
+        count += len(cells)
+        for c in cells:
+            h.update(repr((c.matroid.bases, c.witness)).encode())
+    assert count == 93
+    assert h.hexdigest() == ("4496171d92f1e502b8c1e69ad03185e5"
+                             "9246bef0c95c7ade039aedf791be2055")
+    assert calls and all(calls)
 
 
 def test_maximal_cells_rank2_four():
