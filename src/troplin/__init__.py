@@ -14,7 +14,7 @@ from .errors import (AllInfinite, CellNotFound, CountMismatch,
                      NoBasis, NotAFlat, NotAMatroid, NotCyclicFlat,
                      NotMinimalMatching, NotPluecker, NotTransversal,
                      NotTransversalFacets, OutOfDomain, PointOutsideL,
-                     RankCollapse, TroplinError, WrongArity)
+                     RankCollapse, TooLarge, TroplinError, WrongArity)
 from .gammoid import (WeightedDigraph, digraph_from_presentation,
                       gammoid_valuation, linking_value,
                       stable_intersect_hyperplanes)

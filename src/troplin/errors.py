@@ -80,6 +80,10 @@ class NotTransversalFacets(TroplinError):
     "Some maximal cell is not transversal, so apex data is undefined."
 
 
+class TooLarge(TroplinError):
+    "C(n, d) beyond valuated.MAX_SLOTS; witness gives n, rank and slots."
+
+
 class WrongArity(TroplinError):
     pass
 

@@ -486,11 +486,13 @@ def initial_matroid_bruteforce(vm, x):
 
 
 def first_breakpoint_bruteforce(vm, m, x, flat, r):
-    """Least (pl(b) - x(b) - pl(m) + x(m)) / (|b & flat| - r) over the
-    support bases b off the cell m with |b & flat| > r, or INF, by
-    Fraction sums."""
+    """(tstar, ties): the least (pl(b) - x(b) - pl(m) + x(m)) /
+    (|b & flat| - r) over the support bases b off the cell m with
+    |b & flat| > r, or INF, and the bases that attain it, by Fraction
+    sums."""
     m0 = vm.table[m.bases[0]] - xsum(x, m.bases[0])
     tstar = INF
+    ties = []
     for b in vm.support:
         if b in m.baseset:
             continue
@@ -500,7 +502,10 @@ def first_breakpoint_bruteforce(vm, m, x, flat, r):
         t = (vm.table[b] - xsum(x, b) - m0) / (cnt - r)
         if t < tstar:
             tstar = t
-    return tstar
+            ties = [b]
+        elif t == tstar:
+            ties.append(b)
+    return tstar, ties
 
 
 def membership_bruteforce(vm, y):
@@ -539,6 +544,36 @@ def cyclic_flats_bruteforce(m):
     """Cyclic flats by filtering the whole flat lattice: the flats f with
     coclosure(f) == f, sorted by (size, mask)."""
     return tuple(f for f in m.flats() if m.coclosure(f) == f)
+
+
+def rank_violation_scan(m):
+    """First cyclic-flat family breaking the alternating rank inequality,
+    or None.
+
+    Families are scanned without repetition, by size then index order,
+    over cyclic flats sorted by (size, mask); repetitions never help and
+    family size d+1 always suffices.  Each family of size k costs 2^k
+    union ranks.
+    """
+    cf = list(m.cyclic_flats())
+    kmax = min(m.d + 1, len(cf))
+    for k in range(1, kmax + 1):
+        for fam in combinations(cf, k):
+            total = 0
+            for i in range(1, k + 1):
+                sign = -1 if i % 2 else 1
+                for sub in combinations(fam, i):
+                    u = 0
+                    for f in sub:
+                        u |= f
+                    total += sign * m.rank(u)
+            inter = m.full
+            for f in fam:
+                inter &= f
+            if total > -m.rank(inter):
+                return {"family": [list1(f) for f in fam],
+                        "value": total, "bound": -m.rank(inter)}
+    return None
 
 
 def corank_transform_mobius(m):

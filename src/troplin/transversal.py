@@ -1,9 +1,9 @@
 """Transversal matroids: matchings, recognition, set presentations.
 
 Recognition runs the Moebius/corank counting conditions on cyclic
-flats.  Only when they reject does it scan families of cyclic flats for
-a quantified rank inequality that fails, as the certificate; a
-rejection that no family confirms is a fault, never a bare "no".
+flats.  When they reject at a flat f, the certificate is read off that
+count: the minimal cyclic flats strictly above f form a family that
+breaks Mason's alternating rank inequality, with no family scan.
 """
 
 from copy import deepcopy
@@ -47,7 +47,7 @@ def transversal_matroid(sets, n):
 
 
 def _counting_violation(m):
-    """Nonnegativity of the corank transform, then the covering counts.
+    """The first flat failing tau >= 0, then the covering counts, or None.
 
     The covering count at a flat f is the tau-sum over the cyclic flats
     containing f, bounded by cork(f).  It is checked only at the meets
@@ -61,44 +61,16 @@ def _counting_violation(m):
     tau = cf.transform
     for f in cf:
         if tau[f] < 0:
-            return {"kind": "negative", "flat": list1(f)}
+            return f
     meets = set(cf)
     new = meets
     while new:
         new = {f & g for f in new for g in cf} - meets
         meets |= new
-    for f in meets:
+    for f in sorted(meets, key=lambda f: (f.bit_count(), f)):
         total = sum(t for g, t in tau.items() if f & g == f)
         if total > m.corank(f):
-            return {"kind": "covering", "flat": list1(f)}
-    return None
-
-
-def _rank_violation(m):
-    """First cyclic-flat family breaking the alternating rank inequality.
-
-    Families are scanned without repetition, by size then index order,
-    over cyclic flats sorted by (size, mask); repetitions never help and
-    family size d+1 always suffices.
-    """
-    cf = list(m.cyclic_flats())
-    kmax = min(m.d + 1, len(cf))
-    for k in range(1, kmax + 1):
-        for fam in combinations(cf, k):
-            total = 0
-            for i in range(1, k + 1):
-                sign = -1 if i % 2 else 1
-                for sub in combinations(fam, i):
-                    u = 0
-                    for f in sub:
-                        u |= f
-                    total += sign * m.rank(u)
-            inter = m.full
-            for f in fam:
-                inter &= f
-            if total > -m.rank(inter):
-                return {"family": [list1(f) for f in fam],
-                        "value": total, "bound": -m.rank(inter)}
+            return f
     return None
 
 
@@ -107,10 +79,10 @@ def is_transversal(m):
 
     The presentation is the maximal one: the complement of each cyclic
     flat, repeated by its corank-transform multiplicity.  The
-    certificate is a violating family of cyclic flats; the exponential
-    family scan runs only once the counting conditions have rejected,
-    and raises RuntimeError if it finds no family to back them.  The
-    verdict is kept on the matroid; each call gets its own copy.
+    certificate is a family of cyclic flats that violates Mason's
+    alternating rank inequality, read off the counting violation with
+    no family scan.  The verdict is kept on the matroid; each call gets
+    its own copy.
     """
     if m._transversal is None:
         m._transversal = _transversal_verdict(m)
@@ -119,15 +91,27 @@ def is_transversal(m):
 
 
 def _transversal_verdict(m):
-    count = _counting_violation(m)
-    if count is not None:
-        ranks = _rank_violation(m)
-        if ranks is None:
-            raise RuntimeError("transversality tests disagree: %r vs %r"
-                               % (count, ranks))
-        return False, ranks
+    """On rejection at the flat f, the family is the minimal cyclic flats
+    strictly above f (Mason 1971).  Joins of cyclic flats are cyclic and
+    cork(g) is the tau-sum over the cyclic flats above g, so by
+    inclusion-exclusion the sum of (-1)^|J| r(union of J) over nonempty
+    subfamilies J is the tau-sum above f minus d: that is value, with no
+    2^k loop.  The violation at f makes the tau-sum exceed
+    cork(f) >= cork(meet), so value > bound = -r(meet)."""
+    tau = m.cyclic_flats().transform
+    f = _counting_violation(m)
+    if f is not None:
+        above = [g for g in tau if g & f == f and g != f]
+        family = [g for g in above
+                  if not any(h & g == h and h != g for h in above)]
+        inter = m.full
+        for g in family:
+            inter &= g
+        return False, {"family": [list1(g) for g in family],
+                       "value": sum(tau[g] for g in above) - m.d,
+                       "bound": -m.rank(inter)}
     sets = []
-    for f, t in m.cyclic_flats().transform.items():
+    for f, t in tau.items():
         sets.extend([m.full ^ f] * t)
     assert len(sets) == m.d
     return True, tuple(sets)

@@ -209,11 +209,12 @@ def stiefel(a):
     Laplace expansion shared by all column sets, or one Hungarian run per
     column set.
     """
-    from .valuated import ValuatedMatroid
+    from .valuated import ValuatedMatroid, check_slots
 
     d, n = matrix_shape(a)
     if d > n:
         raise ValueError("more rows than columns")
+    check_slots(n, d)
     wit = stiefel_domain_witness(a)
     if wit is not None:
         rows, cols = wit

@@ -3,10 +3,11 @@
 Entries live on d-subsets of {0..n-1} (as bitmasks) and are normalized so
 the least finite entry is 0.  The induced regular subdivision of the basis
 polytope is computed exactly: maximal cells by a descent-plus-wall-flip
-walk, the full face complex by closing the maximal cells under flat faces.
-The walk compares on integers: _values puts pl(B) - x(B) for every
-support basis on one integer scale, and _first_break reads off how far
-x moves along a flat before another basis ties the current cell.
+walk, the full face complex by closing the maximal cells under facets
+(one facet test, _facets, serves both).  The walk compares on integers:
+_values puts pl(B) - x(B) for every support basis on one integer scale,
+and _first_break reads off how far x moves along a flat before other
+bases tie the current cell.
 """
 
 from fractions import Fraction
@@ -15,10 +16,26 @@ from math import lcm
 
 from .errors import (AllInfinite, EmptyIntersection, EmptySupport,
                      InconsistentCell, InfiniteBase, NotAMatroid,
-                     RankCollapse, TroplinError)
+                     RankCollapse, TooLarge, TroplinError)
 from .matroid import Matroid, circuit_blocks
 from .trop import INF, ONE, ZERO, check_point, integer_scaled
 from .util import bits, elems, ksubsets, list1, mask_of, submasks
+
+MAX_SLOTS = 1 << 16
+
+
+def check_slots(n, d):
+    """Refuse a table of C(n, d) > MAX_SLOTS slots before enumerating it;
+    the witness counts the slots below 2^1024 and is null beyond."""
+    slots = 1
+    for i in range(min(d, n - d)):
+        slots = slots * (n - i) // (i + 1)
+        if slots >> 1024:
+            slots = None
+            break
+    if slots is None or slots > MAX_SLOTS:
+        raise TooLarge("C(%d, %d) slots exceed %d" % (n, d, MAX_SLOTS),
+                       witness={"n": n, "rank": d, "slots": slots})
 
 
 class ValuatedMatroid:
@@ -37,6 +54,7 @@ class ValuatedMatroid:
     def __init__(self, n, d, entries):
         if not 0 <= d <= n:
             raise ValueError("rank out of range")
+        check_slots(n, d)
         slots = ksubsets(n, d)
         slotset = set(slots)
         for key in entries:
@@ -281,20 +299,25 @@ def _values(vm, x):
 
 
 def _first_break(common, vals, m, flat, r):
-    """Least (val(b) - val(m)) / (|b & flat| - r) over support bases b
-    with |b & flat| > r, or INF: how far x may move by t on `flat` before
-    another basis ties the cell m.  r is the rank of `flat` in m, so no
-    basis of m counts.  The counts are positive, so candidates compare
-    exactly by cross multiplication."""
+    """(tstar, ties): the least (val(b) - val(m)) / (|b & flat| - r) over
+    support bases b with |b & flat| > r, or INF, and the bases attaining
+    it: how far x may move by t on `flat` before another basis ties the
+    cell m, and which.  r is the rank of `flat` in m, so no basis of m
+    counts.  The counts are positive, so candidates compare exactly."""
     m0 = vals[m.bases[0]]
     num, den = None, 1
+    ties = []
     for b, v in vals.items():
         cnt = (b & flat).bit_count() - r
         if cnt <= 0:
             continue
-        if num is None or (v - m0) * den < num * cnt:
+        gap = (v - m0) * den
+        if num is None or gap < num * cnt:
             num, den = v - m0, cnt
-    return INF if num is None else Fraction(num, den * common)
+            ties = [b]
+        elif gap == num * cnt:
+            ties.append(b)
+    return (INF if num is None else Fraction(num, den * common)), ties
 
 
 def initial_matroid(vm, x):
@@ -343,27 +366,41 @@ def _descend_to_maximal(vm, uv, target):
         k = next(c for c in comps if c not in uv.connected_components())
         r = (m.bases[0] & k).bit_count()
         common, vals = _values(vm, x)
-        step = _first_break(common, vals, m, k, r)
+        step = _first_break(common, vals, m, k, r)[0]
         if step == INF:
-            step = -_first_break(common, vals, m, vm.full ^ k, vm.d - r)
+            step = -_first_break(common, vals, m, vm.full ^ k, vm.d - r)[0]
         if step == -INF:
             raise InconsistentCell("descent found no breakpoint")
         for e in bits(k):
             x[e] += step
 
 
+def _facets(m, flats):
+    """(f, r(f), face bases) for each proper flat f in `flats` whose face
+    has one more component than m.  A face basis b0 has |b0 & f| = r(f),
+    and the face's fundamental circuit of e is C(e, b0) cut down to the
+    side of f that holds e, so the components come from one basis."""
+    target = len(m.connected_components()) + 1
+    for f in flats:
+        if f == 0 or f == m.full:
+            continue
+        r = m.rank(f)
+        face = tuple(b for b in m.bases if (b & f).bit_count() == r)
+        side = m.full ^ f
+        circ = [c & (f if (f >> e) & 1 else side) for e, c in
+                zip(bits(m.full & ~face[0]), m._fundamental_circuits(face[0]))]
+        if len(circuit_blocks(m.full, circ)) == target:
+            yield f, r, face
+
+
 def maximal_cells(vm):
     """All maximal cells of the induced subdivision, with witness points.
 
-    Starts from one maximal cell and flips across every interior wall;
-    walls of a maximal cell are its faces at proper cyclic flats whose
-    component count exceeds the support's by one.  A face basis b0 of
-    the flat f has |b0 & f| = r(f), and the face's fundamental circuit
-    of e is C(e, b0) cut down to the side of f that holds e, so the
-    face's components come from one basis of the cell.  The cell across
-    the wall is read off the cell's integer values: moving the witness
-    by tstar on f, with tstar * common = p / q, sends vals[b] to
-    vals[b] * q - p * |b & f| on the common scale times q.
+    Starts from one maximal cell and flips across every interior wall,
+    a face at a proper cyclic flat with one more component (_facets).
+    At the first breakpoint tstar on the wall's flat f, bases meeting f
+    in fewer than r(f) elements are behind, so the cell across the wall
+    is the face bases (|b & f| = r(f)) and the bases tying at tstar.
     """
     if vm._maxcells is not None:
         return vm._maxcells
@@ -376,30 +413,12 @@ def maximal_cells(vm):
         cell = queue.pop()
         m = cell.matroid
         common, vals = _values(vm, cell.witness)
-        for f in m.cyclic_flats():
-            if f == 0 or f == m.full:
-                continue
-            r = m.rank(f)
-            b0 = next(b for b in m.bases if (b & f).bit_count() == r)
-            side = m.full ^ f
-            face = [c & (f if (f >> e) & 1 else side) for e, c in
-                    zip(bits(m.full & ~b0), m._fundamental_circuits(b0))]
-            if len(circuit_blocks(m.full, face)) != target + 1:
-                continue
-            tstar = _first_break(common, vals, m, f, r)
+        for f, r, face in _facets(m, m.cyclic_flats()):
+            tstar, ties = _first_break(common, vals, m, f, r)
             if tstar == INF:
                 continue  # wall sits on the boundary of the support
-            p, q = (tstar * common).as_integer_ratio()
-            best = None
-            keep = []
-            for b, v in vals.items():
-                v = v * q - p * (b & f).bit_count()
-                if best is None or v < best:
-                    best = v
-                    keep = [b]
-                elif v == best:
-                    keep.append(b)
-            if tuple(keep) in cells:
+            keep = tuple(sorted(face + tuple(ties)))
+            if keep in cells:
                 continue
             m2 = Matroid(vm.n, keep, check=False)
             if len(m2.connected_components()) != target:
@@ -409,7 +428,7 @@ def maximal_cells(vm):
             x2 = tuple(v + tstar if (f >> e) & 1 else v
                        for e, v in enumerate(cell.witness))
             nc = SubdivisionCell(m2, x2, True)
-            cells[m2.bases] = nc
+            cells[keep] = nc
             queue.append(nc)
     out = sorted(cells.values(), key=lambda c: c.matroid.bases)
     vm._maxcells = out
@@ -417,15 +436,14 @@ def maximal_cells(vm):
 
 
 def face_witness(vm, m, xm, flat):
-    """A point whose cell is exactly polytope_face(m, flat).
-
-    xm must be a witness for the cell m; pushing it along the flat
-    direction by half the first breakpoint (or by 1 if none) does it.
-    """
-    w = m.polytope_face(flat)
-    if w.bases == m.bases:
+    """A point whose cell is exactly polytope_face(m, flat), for a
+    witness xm of the cell m: xm itself if every basis of m meets the
+    flat in full rank, else xm pushed along the flat direction by half
+    the first breakpoint (or by 1 if none)."""
+    r = m.rank(flat)
+    if all((b & flat).bit_count() == r for b in m.bases):
         return tuple(xm)
-    t1 = _first_break(*_values(vm, xm), m, flat, m.rank(flat))
+    t1 = _first_break(*_values(vm, xm), m, flat, r)[0]
     tw = ONE if t1 == INF else t1 / 2
     return tuple(v + tw if (flat >> e) & 1 else v
                  for e, v in enumerate(xm))
@@ -434,12 +452,12 @@ def face_witness(vm, m, xm, flat):
 def cell_complex(vm):
     """Every loop-free cell of the subdivision (faces included).
 
-    Faces of matroid polytopes are matroid polytopes, cut out by flats
-    (Feichtner-Sturmfels 2005), and the face of a loop-free matroid at
-    a flat F is the loop-free direct sum of its restriction to F and
-    its contraction by F.  So closing the maximal cells under flat faces
-    reaches every loop-free cell, and no other cell, in one pass.  Each
-    face gets a witness point, checked against initial_matroid.
+    Every face of a polytope is a facet of a facet, and so on.  A facet
+    of a loop-free matroid polytope is its face at a flat F with one more
+    component, and the restriction to F is connected (Feichtner-Sturmfels
+    2005), so F is a cyclic flat or a one-element flat.  So closing the
+    maximal cells under those facets reaches every loop-free cell and no
+    other, with no flat lattice; each new face is built once.
     """
     if vm._complex is not None:
         return vm._complex
@@ -453,20 +471,13 @@ def cell_complex(vm):
     while queue:
         cell = queue.pop()
         m = cell.matroid
-        for f in m.flats():
-            if f == 0 or f == m.full:
+        points = [1 << e for e in range(vm.n) if m.is_flat(1 << e)]
+        for f, _, face in _facets(m, [*m.cyclic_flats(), *points]):
+            if face in found:
                 continue
-            w = m.polytope_face(f)
-            if w.bases == m.bases or w.bases in found:
-                continue
-            xw = face_witness(vm, m, cell.witness, f)
-            w2 = initial_matroid(vm, xw)
-            if w2.bases != w.bases:
-                raise InconsistentCell(
-                    "face witness lands in the wrong cell",
-                    witness={"flat": list1(f)})
-            nc = SubdivisionCell(w, xw, False)
-            found[w.bases] = nc
+            nc = SubdivisionCell(Matroid(vm.n, face, check=False),
+                                 face_witness(vm, m, cell.witness, f), False)
+            found[face] = nc
             queue.append(nc)
     cells = sorted(found.values(),
                    key=lambda c: (not c.is_maximal, c.matroid.bases))

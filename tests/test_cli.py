@@ -1,9 +1,11 @@
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 import troplin.cli
+from troplin import TooLarge, ValuatedMatroid, stiefel, trop, valuated
 from troplin.cli import COMMANDS, run
 from troplin.jsonio import parse_scalar
 from troplin.valuated import check_pluecker
@@ -89,6 +91,35 @@ def test_check_pluecker_failure_exit_code(tmp_path):
     code, out, _ = call(tmp_path, "check-pluecker", bad)
     assert code == 1
     assert out == {"ok": False, "witness": {"a": [1], "c": [2, 3, 4]}}
+
+
+def test_oversized_tables_are_refused_before_enumeration(tmp_path,
+                                                          monkeypatch):
+    """A table of more than MAX_SLOTS d-subsets is refused with TooLarge
+    before any subset is enumerated: by the constructor and stiefel at
+    n = 64, d = 32, and at the CLI, exit 2 with a JSON body, for a
+    90-byte check-pluecker payload at n = 30, d = 15."""
+    def no_enumeration(n, k):
+        raise AssertionError("enumerated the %d-subsets of %d" % (k, n))
+
+    monkeypatch.setattr(valuated, "ksubsets", no_enumeration)
+    monkeypatch.setattr(trop, "ksubsets", no_enumeration)
+    want = {"n": 64, "rank": 32, "slots": comb(64, 32)}
+    with pytest.raises(TooLarge) as err:
+        ValuatedMatroid(64, 32, {})
+    assert err.value.witness == want
+    with pytest.raises(TooLarge) as err:
+        stiefel([[Fraction(0)] * 64] * 32)
+    assert err.value.witness == want
+    payload = {"n": 30, "rank": 15,
+               "entries": {",".join(map(str, range(1, 16))): "0"}}
+    assert len(json.dumps(payload, separators=(",", ":"))) <= 90
+    code, out, _ = call(tmp_path, "check-pluecker", payload)
+    assert code == 2
+    assert out["error"] == "TooLarge"
+    assert out["witness"] == {"n": 30, "rank": 15, "slots": comb(30, 15)}
+    code, out, _ = call(tmp_path, "stiefel", [["0"] * 64] * 32)
+    assert code == 2 and out["witness"] == want
 
 
 def test_dual_restrict_contract_initial(tmp_path):

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -9,8 +10,8 @@ from troplin import (Matroid, NoBasis, NotTransversal, beta_solutions,
                      direct_sum, is_pseudopresentation, is_transversal,
                      max_presentation, transversal, transversal_matroid,
                      uniform_matroid, verify_set_presentation)
-from troplin.oracle import presentations_exhaustive
-from troplin.transversal import _counting_violation, _rank_violation
+from troplin.oracle import presentations_exhaustive, rank_violation_scan
+from troplin.transversal import _counting_violation
 from troplin.util import ksubsets, mask_of
 
 
@@ -91,15 +92,52 @@ def lattice_counting_verdict(m):
                for f in m.flats())
 
 
+def sparse_paving(n, hyperplanes):
+    """U(3, n) less the given 3-sets, any two of which share at most one
+    element: a sparse paving matroid with those circuit-hyperplanes."""
+    return Matroid(n, [b for b in ksubsets(n, 3) if b not in hyperplanes])
+
+
+def sparse_paving_pool(rng, count):
+    """Random rank-3 sparse paving matroids on 6 or 7 elements, with 2 to
+    5 circuit-hyperplanes."""
+    pool = []
+    while len(pool) < count:
+        n = rng.randint(6, 7)
+        want = rng.randint(2, 5)
+        triples = ksubsets(n, 3)
+        rng.shuffle(triples)
+        chosen = []
+        for t in triples:
+            if all((t & c).bit_count() <= 1 for c in chosen):
+                chosen.append(t)
+            if len(chosen) == want:
+                break
+        pool.append(sparse_paving(n, chosen))
+    return pool
+
+
 def test_counting_and_family_scan_agree():
     """The counting conditions, checked on meets of cyclic flats, reject
     exactly when they reject on some flat of the lattice, and exactly when
-    some cyclic-flat family violates the rank inequality; is_transversal
-    certifies with the first such family."""
+    the oracle's family scan finds a cyclic-flat family that violates the
+    rank inequality.  The certificate is a family of cyclic flats above
+    the violating flat, and its value and bound are the two sides of the
+    inequality by the direct alternating sum, which it violates.  The
+    pool reaches negative corank transforms and covering counts; three
+    circuit-hyperplanes through 7 in U(3, 7) break a covering count at
+    {7}, certified by the three of them."""
+    paving = sparse_paving(7, [mask_of([0, 1, 6]), mask_of([2, 3, 6]),
+                               mask_of([4, 5, 6])])
+    assert _counting_violation(paving) == mask_of([6])
+    assert is_transversal(paving) == (False, {
+        "family": [[1, 2, 7], [3, 4, 7], [5, 6, 7]],
+        "value": 0, "bound": -1})
     rng = random.Random(1618)
     pool = matroid_pool(rng, 630) + [k4_cycle_matroid(),
-                                     three_pair_matroid()]
-    while len(pool) < 670:
+                                     three_pair_matroid(), paving]
+    pool += sparse_paving_pool(rng, 60)
+    while len(pool) < 730:
         n = rng.randint(2, 7)
         sets = [mask_of(rng.sample(range(n), rng.randint(1, n)))
                 for _ in range(rng.randint(1, min(4, n)))]
@@ -107,22 +145,24 @@ def test_counting_and_family_scan_agree():
             pool.append(transversal_matroid(sets, n))
         except NoBasis:
             continue
-    rejected = 0
+    kinds = Counter()
     for m in pool:
-        family = _rank_violation(m)
-        assert (_counting_violation(m) is None) == (family is None)
+        family = rank_violation_scan(m)
+        f = _counting_violation(m)
+        assert (f is None) == (family is None)
         assert lattice_counting_verdict(
             Matroid(m.n, m.bases, check=False)) == (family is None)
         ok, payload = is_transversal(m)
         assert ok == (family is None)
-        if family is None:
+        if ok:
             continue
-        rejected += 1
-        assert payload == family
-        flats = [mask_of(e - 1 for e in f) for f in family["family"]]
-        assert all(f in m.cyclic_flats() for f in flats)
-        assert alternating_rank_gap(m, flats) > 0
-    assert rejected >= 10
+        kinds["negative" if f in m.cyclic_flats() else "covering"] += 1
+        flats = [mask_of(e - 1 for e in g) for g in payload["family"]]
+        assert all(g in m.cyclic_flats() and g & f == f and g != f
+                   for g in flats)
+        gap = alternating_rank_gap(m, flats)
+        assert gap == payload["value"] - payload["bound"] > 0
+    assert kinds["negative"] >= 10 and kinds["covering"] >= 2
 
 
 def test_max_presentation_golden():

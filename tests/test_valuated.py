@@ -296,13 +296,14 @@ def test_initial_matroid_needs_no_fraction_sums():
 
 def test_first_break_matches_the_fraction_reference():
     """_first_break on the integer values of _values equals the Fraction
-    loop, INF included: Stiefel images with d <= 4, n <= 8 and
+    loop, INF included, and so do the bases that tie at the breakpoint:
+    Stiefel images with d <= 4, n <= 8 and
     denominators up to 12, at every flat of every maximal cell, seen from
     its witness and from a random point, at every flat of the cells of
     random points, and along the complements of components with the
     complementary rank, as the descent asks."""
     rng = random.Random(1729)
-    seen = {"inf": 0, "finite": 0}
+    seen = {"inf": 0, "finite": 0, "ties": 0}
     for _ in range(40):
         d = rng.randint(1, 4)
         n = rng.randint(d, 8)
@@ -322,10 +323,13 @@ def test_first_break_matches_the_fraction_reference():
             asks += [(v.full ^ k, d - m.rank(k))
                      for k in m.connected_components()]
             for f, r in asks:
-                got = valuated._first_break(common, vals, m, f, r)
-                assert got == first_breakpoint_bruteforce(v, m, x, f, r)
+                got, ties = valuated._first_break(common, vals, m, f, r)
+                assert (got, ties) == first_breakpoint_bruteforce(
+                    v, m, x, f, r)
                 seen["inf" if got == INF else "finite"] += 1
+                seen["ties"] += len(ties) > 1
     assert seen["inf"] > 1000 and seen["finite"] > 1000
+    assert seen["ties"] > 500
 
 
 def test_wall_flips_build_no_face_and_run_no_initial_matroid(monkeypatch):
@@ -492,30 +496,53 @@ def test_cell_vertex_contradictory_on_non_cells():
 
 
 def test_cell_complex_matches_bruteforce(monkeypatch):
-    """Closing the maximal cells under flat faces reaches every loop-free
-    cell: the result equals the closure under all faces, with no LP."""
-    def no_lp(*args):
-        raise AssertionError("cell_complex ran the simplex")
+    """Closing the maximal cells under facets reaches every loop-free
+    cell: the result equals the closure under all faces, on Stiefel
+    images up to (d, n) = (4, 7), and every witness has its cell as its
+    initial matroid.  With the maximal cells known, the closure runs no
+    LP, no flat lattice, no polytope_face and no initial_matroid, and
+    builds one Matroid per face it adds."""
+    def refuse(name):
+        def fail(*args):
+            raise AssertionError("cell_complex ran " + name)
+        return fail
 
-    monkeypatch.setattr(linprog, "solve_lp", no_lp)
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(True)
+        return Matroid(*args, **kwargs)
+
     rng = random.Random(31415)
     pool = [rank2_four(), rank3_five()]
     shapes = set()
-    while len(pool) < 44:
-        d = rng.randint(1, 3)
-        n = rng.randint(d + 1, 6)
+    while len(pool) < 74:
+        d = rng.randint(1, 3) if len(pool) < 44 else rng.randint(2, 4)
+        n = rng.randint(d + 1, 6 if len(pool) < 44 else 7)
         v = random_valuation(rng, d, n, inf_prob=rng.uniform(0, 0.3))
         if not v.underlying().loops():
             pool.append(v)
             shapes.add((d, n))
-    assert {(2, 6), (3, 6)} <= shapes
+    assert {(2, 6), (3, 6), (4, 7)} <= shapes
+    faces = 0
     for v in pool:
-        cc = cell_complex(v)
+        maximal = maximal_cells(v)
+        built.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(linprog, "solve_lp", refuse("the simplex"))
+            mp.setattr(Matroid, "flats", refuse("Matroid.flats"))
+            mp.setattr(Matroid, "polytope_face", refuse("polytope_face"))
+            mp.setattr(valuated, "initial_matroid", refuse("initial_matroid"))
+            mp.setattr(valuated, "Matroid", counted)
+            cc = cell_complex(v)
+        assert len(built) == len(cc.cells) - len(maximal)
+        faces += len(built)
         got = {c.matroid.bases for c in cc.cells}
         assert got == cell_complex_bruteforce(v)
         for c in cc.cells:
             assert not c.matroid.loops()
             assert initial_matroid(v, c.witness) == c.matroid
+    assert faces > 1000
 
 
 def test_subdivision_sampler_agrees():
