@@ -81,7 +81,7 @@ class NotTransversalFacets(TroplinError):
 
 
 class TooLarge(TroplinError):
-    "C(n, d) beyond valuated.MAX_SLOTS; witness gives n, rank and slots."
+    "C(n, d) beyond valuated.MAX_SLOTS; witness gives n, rank and limit."
 
 
 class WrongArity(TroplinError):

@@ -25,17 +25,14 @@ MAX_SLOTS = 1 << 16
 
 
 def check_slots(n, d):
-    """Refuse a table of C(n, d) > MAX_SLOTS slots before enumerating it;
-    the witness counts the slots below 2^1024 and is null beyond."""
+    """Refuse C(n, d) > MAX_SLOTS slots before enumerating them.  C(n, i)
+    grows up to i = min(d, n - d), so the count stops past the limit."""
     slots = 1
     for i in range(min(d, n - d)):
         slots = slots * (n - i) // (i + 1)
-        if slots >> 1024:
-            slots = None
-            break
-    if slots is None or slots > MAX_SLOTS:
-        raise TooLarge("C(%d, %d) slots exceed %d" % (n, d, MAX_SLOTS),
-                       witness={"n": n, "rank": d, "slots": slots})
+        if slots > MAX_SLOTS:
+            raise TooLarge("C(%d, %d) slots exceed %d" % (n, d, MAX_SLOTS),
+                           witness={"n": n, "rank": d, "limit": MAX_SLOTS})
 
 
 class ValuatedMatroid:
@@ -445,8 +442,7 @@ def face_witness(vm, m, xm, flat):
         return tuple(xm)
     t1 = _first_break(*_values(vm, xm), m, flat, r)[0]
     tw = ONE if t1 == INF else t1 / 2
-    return tuple(v + tw if (flat >> e) & 1 else v
-                 for e, v in enumerate(xm))
+    return tuple(v + tw if (flat >> e) & 1 else v for e, v in enumerate(xm))
 
 
 def cell_complex(vm):
@@ -457,7 +453,9 @@ def cell_complex(vm):
     component, and the restriction to F is connected (Feichtner-Sturmfels
     2005), so F is a cyclic flat or a one-element flat.  So closing the
     maximal cells under those facets reaches every loop-free cell and no
-    other, with no flat lattice; each new face is built once.
+    other, with no flat lattice; each new face is built once.  A table
+    is a valuated matroid iff its maximal cells are matroids (Speyer
+    2008, Prop. 2.2), so their exchange is checked first (NotAMatroid).
     """
     if vm._complex is not None:
         return vm._complex
@@ -467,6 +465,8 @@ def cell_complex(vm):
         raise TroplinError("cell complex needs a loop-free support",
                            witness=list1(lp))
     found = {c.matroid.bases: c for c in maximal_cells(vm)}
+    for c in found.values():
+        c.matroid._check_exchange()  # faces of matroids are matroids
     queue = list(found.values())
     while queue:
         cell = queue.pop()

@@ -1,13 +1,15 @@
 import json
+import random
 from fractions import Fraction
-from math import comb
 
 import pytest
 
 import troplin.cli
-from troplin import TooLarge, ValuatedMatroid, stiefel, trop, valuated
+from common import random_valuation
+from troplin import INF, TooLarge, ValuatedMatroid, stiefel, trop, valuated
 from troplin.cli import COMMANDS, run
 from troplin.jsonio import parse_scalar
+from troplin.util import bits
 from troplin.valuated import check_pluecker
 
 
@@ -104,7 +106,7 @@ def test_oversized_tables_are_refused_before_enumeration(tmp_path,
 
     monkeypatch.setattr(valuated, "ksubsets", no_enumeration)
     monkeypatch.setattr(trop, "ksubsets", no_enumeration)
-    want = {"n": 64, "rank": 32, "slots": comb(64, 32)}
+    want = {"n": 64, "rank": 32, "limit": valuated.MAX_SLOTS}
     with pytest.raises(TooLarge) as err:
         ValuatedMatroid(64, 32, {})
     assert err.value.witness == want
@@ -117,7 +119,7 @@ def test_oversized_tables_are_refused_before_enumeration(tmp_path,
     code, out, _ = call(tmp_path, "check-pluecker", payload)
     assert code == 2
     assert out["error"] == "TooLarge"
-    assert out["witness"] == {"n": 30, "rank": 15, "slots": comb(30, 15)}
+    assert out["witness"] == {"n": 30, "rank": 15, "limit": valuated.MAX_SLOTS}
     code, out, _ = call(tmp_path, "stiefel", [["0"] * 64] * 32)
     assert code == 2 and out["witness"] == want
 
@@ -402,6 +404,37 @@ def test_non_pluecker_input_exits_two_with_a_body(tmp_path, command):
     assert out == {"error": "NotPluecker",
                    "message": "input is not a valuated matroid",
                    "witness": {"a": [1], "c": [2, 3, 4]}}
+
+
+def test_perturbed_stiefel_images_are_refused_by_cells_and_vertices(
+        tmp_path):
+    """Stiefel images with one entry moved are not valuated matroids,
+    and cells and vertices refuse each with NotPluecker and the failing
+    relation: the closure trusts its faces only once the maximal cells
+    are matroids."""
+    rng = random.Random(2718)
+    seen = 0
+    while seen < 40:
+        d = rng.randint(2, 4)
+        n = rng.randint(d + 2, 7)
+        vm = random_valuation(rng, d, n, inf_prob=rng.uniform(0, 0.3))
+        if vm.underlying().loops():
+            continue
+        table = dict(vm.table)
+        b = rng.choice(vm.support)
+        table[b] += rng.choice((-2, -1, Fraction(-1, 2), Fraction(1, 2), 1))
+        ok, witness = check_pluecker(ValuatedMatroid(n, d, table))
+        if ok:
+            continue
+        seen += 1
+        payload = {"n": n, "rank": d, "entries": {
+            ",".join(str(e + 1) for e in bits(s)): str(v)
+            for s, v in table.items() if v != INF}}
+        for command in ("cells", "vertices"):
+            code, out, _ = call(tmp_path, command, payload)
+            assert code == 2
+            assert out["error"] == "NotPluecker"
+            assert out["witness"] == witness
 
 
 def test_pluecker_check_runs_only_on_failure(tmp_path, monkeypatch):

@@ -526,7 +526,9 @@ def test_cell_complex_matches_bruteforce(monkeypatch):
     assert {(2, 6), (3, 6), (4, 7)} <= shapes
     faces = 0
     for v in pool:
-        maximal = maximal_cells(v)
+        with monkeypatch.context() as mp:
+            mp.setattr(linprog, "solve_lp", refuse("the simplex"))
+            maximal = maximal_cells(v)
         built.clear()
         with monkeypatch.context() as mp:
             mp.setattr(linprog, "solve_lp", refuse("the simplex"))
