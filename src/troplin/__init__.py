@@ -14,7 +14,8 @@ from .errors import (AllInfinite, CellNotFound, CountMismatch,
                      NoBasis, NotAFlat, NotAMatroid, NotCyclicFlat,
                      NotMinimalMatching, NotPluecker, NotTransversal,
                      NotTransversalFacets, OutOfDomain, PointOutsideL,
-                     RankCollapse, TooLarge, TroplinError, WrongArity)
+                     RankCollapse, TooLarge, TroplinError, UsageError,
+                     WrongArity)
 from .gammoid import (WeightedDigraph, digraph_from_presentation,
                       gammoid_valuation, linking_value,
                       stable_intersect_hyperplanes)

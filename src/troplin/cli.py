@@ -2,7 +2,8 @@
 
 Exit codes: 0 for a computed result (or a true predicate), 1 for a
 false predicate (a certificate is still printed), 2 for usage or input
-errors, reported as {"error": ..., "message": ..., "witness": ...};
+errors, reported as {"error": ..., "message": ..., "witness": ...}
+(a usage error on stdout, with argparse's text as its message);
 an unexpected fault of the program is reported the same way, as an
 "InternalError" with exit 2.
 Identical inputs always produce byte-identical outputs.
@@ -13,7 +14,7 @@ import json
 import sys
 
 from . import jsonio
-from .errors import NotPluecker, PointOutsideL, TroplinError
+from .errors import NotPluecker, PointOutsideL, TroplinError, UsageError
 from .gammoid import digraph_from_presentation, gammoid_valuation
 from .presentations import (distinguished, presentation_space_member,
                             sample_presentation, verify_presentation)
@@ -264,6 +265,14 @@ def _write(path, text):
             fh.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors (an unknown command, a bad flag or flag
+    value) as UsageError, with argparse's text, instead of exiting."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 _PARSER = None
 
 
@@ -271,7 +280,7 @@ def _parser():
     "The argument parser, built on first use and kept for the process."
     global _PARSER
     if _PARSER is None:
-        ap = argparse.ArgumentParser(
+        ap = _Parser(
             prog="troplin",
             description="Exact min-plus computations with valuated "
                         "matroids. All ground-set elements in the JSON "
@@ -293,8 +302,10 @@ def _parser():
 
 
 def run(argv=None):
-    args = _parser().parse_args(argv)
+    output, pretty = "-", False
     try:
+        args = _parser().parse_args(argv)
+        output, pretty = args.output, args.pretty
         payload = _read(args.input)
         code, out = COMMANDS[args.command](payload, args)
     except TroplinError as exc:
@@ -315,7 +326,7 @@ def run(argv=None):
         out = {"error": "InternalError", "message": str(exc),
                "witness": None}
         code = 2
-    _write(args.output, jsonio.dumps(out, args.pretty))
+    _write(output, jsonio.dumps(out, pretty))
     return code
 
 

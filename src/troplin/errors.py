@@ -81,7 +81,12 @@ class NotTransversalFacets(TroplinError):
 
 
 class TooLarge(TroplinError):
-    "C(n, d) beyond valuated.MAX_SLOTS; witness gives n, rank and limit."
+    """C(n, d), or at the JSON boundary n itself, beyond
+    valuated.MAX_SLOTS; witness gives n, rank (for C(n, d)) and limit."""
+
+
+class UsageError(TroplinError):
+    "Unknown command, bad flag or bad flag value; argparse's text."
 
 
 class WrongArity(TroplinError):

@@ -12,11 +12,12 @@ import re
 import sys
 from fractions import Fraction
 
+from .errors import TooLarge
 from .gammoid import WeightedDigraph
 from .matroid import Matroid
 from .trop import INF
 from .util import ksubsets, list1
-from .valuated import ValuatedMatroid
+from .valuated import MAX_SLOTS, ValuatedMatroid
 
 
 # A decimal exponent costs time and bits that grow with its size, so
@@ -115,11 +116,17 @@ def mask_to_key(mask):
 
 
 def _get_n(obj):
+    """The ground-set size, refused beyond MAX_SLOTS before anything is
+    built: C(n, 0) = C(n, n) = 1 passes the slot bound at any n, but
+    every ground set costs n-bit masks."""
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object")
     n = obj.get("n")
     if isinstance(n, bool) or not isinstance(n, int) or n <= 0:
         raise ValueError("need a positive integer n")
+    if n > MAX_SLOTS:
+        raise TooLarge("n = %d exceeds %d" % (n, MAX_SLOTS),
+                       witness={"n": n, "limit": MAX_SLOTS})
     return n
 
 

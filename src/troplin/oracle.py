@@ -12,6 +12,8 @@ from itertools import (combinations, combinations_with_replacement,
 
 from .errors import NoBasis, NotAMatroid, NotCyclicFlat, OutOfDomain
 from .matroid import Matroid
+from .transversal import (is_pseudopresentation, is_transversal,
+                          transversal_matroid)
 from .trop import INF, ZERO
 from .util import bits, elems, ksubsets, list1
 from .valuated import ValuatedMatroid, initial_matroid, maximal_cells
@@ -184,8 +186,6 @@ def presentations_exhaustive(m):
     independent), so candidates range over nonempty subsets of the
     non-loops.  Ground sets beyond 5 elements are refused.
     """
-    from .transversal import transversal_matroid
-
     if m.n > 5:
         raise ValueError("exhaustive search capped at 5 elements")
     nonloops = m.full ^ m.loops()
@@ -595,3 +595,31 @@ def corank_transform_mobius(m):
     return {f: sum(mobius(f, g) * m.corank(g)
                    for g in flats if f & g == f)
             for f in flats}
+
+
+def set_presentation_scan(m, sets):
+    """Set presentation by every subfamily: the complements form a
+    pseudopresentation, m is transversal, and every k of the complements
+    meet in a flat of corank at least k.  2^k intersections."""
+    comps = [m.full ^ a for a in sets]
+    if not is_pseudopresentation(m, comps) or not is_transversal(m)[0]:
+        return False
+    for k in range(1, len(comps) + 1):
+        for sub in combinations(comps, k):
+            inter = m.full
+            for f in sub:
+                inter &= f
+            if m.corank(inter) < k:
+                return False
+    return True
+
+
+def sigma0_lattice_scan(m, supports):
+    """(f, count) for each flat f of the whole lattice, in (size, mask)
+    order, covered by more than cork(f) of the relative supports."""
+    out = []
+    for f in m.flats():
+        count = sum(1 for rs in supports if rs & f == f)
+        if count > m.corank(f):
+            out.append((f, count))
+    return out

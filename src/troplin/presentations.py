@@ -7,6 +7,7 @@ vertices of connected maximal cells of the contractions at cyclic flats.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -14,7 +15,8 @@ from .errors import (AllInfinite, CellNotFound, CountMismatch,
                      NotCyclicFlat, NotTransversalFacets, PointOutsideL,
                      TroplinError, WrongArity)
 from .linprog import distinct_rows, solve_lp
-from .trop import INF, ONE, ZERO, check_point, integer_scaled, relsupp
+from .trop import (INF, ONE, ZERO, check_point, integer_scaled, relsupp,
+                   stiefel)
 from .util import bits, elems, list1, mask_of
 from .valuated import (_values, cell_complex, cell_vertex, face_witness,
                        maximal_cells, membership, v_contract)
@@ -129,7 +131,10 @@ def verify_presentation(vm, points):
 
     For every connected maximal cell, with vertex v: at most cork(F)
     points may have relative support from v covering the flat F, and for
-    cyclic F the escape-region count must equal cork(F) exactly.
+    cyclic F the escape-region count must equal cork(F) exactly.  A
+    support rs is a flat of the cell, as v + eps e_rs lies in the space
+    (tropical convexity), so the first count runs only at the meets of
+    the supports, in transversal.covering_violations.
     Returns {"ok": bool, "violations": [...]}.
     """
     if len(points) != vm.d:
@@ -151,14 +156,12 @@ def verify_presentation(vm, points):
         if len(m.connected_components()) != 1:
             continue
         v = cell_vertex(vm, m)
-        supports = [relsupp(v, p) for p in points]
-        for f in m.flats():
-            count = sum(1 for rs in supports if rs & f == f)
-            if count > m.corank(f):
-                violations.append(
-                    {"cell": [list1(b) for b in m.bases],
-                     "flat": list1(f), "kind": "sigma0",
-                     "count": count, "bound": m.corank(f)})
+        supports = Counter(relsupp(v, p) for p in points)
+        for f, count in transversal.covering_violations(m, supports):
+            violations.append(
+                {"cell": [list1(b) for b in m.bases],
+                 "flat": list1(f), "kind": "sigma0",
+                 "count": count, "bound": m.corank(f)})
         for f in m.cyclic_flats():
             count = sum(1 for p in points if rinf_member(vm, m, f, p))
             if count != m.corank(f):
@@ -171,7 +174,7 @@ def verify_presentation(vm, points):
 
 def is_transversal_valuated(vm):
     "A valuated matroid is transversal iff all its maximal cells are."
-    return all(transversal.is_transversal(cell.matroid)[0]
+    return all(transversal._verdict(cell.matroid)[0]
                for cell in maximal_cells(vm))
 
 
@@ -231,12 +234,12 @@ def distinguished(vm):
         raise TroplinError("support must be loop- and coloop-free",
                            witness=list1(bad))
     for cell in maximal_cells(vm):
-        ok, cert = transversal.is_transversal(cell.matroid)
-        if not ok:
+        if not transversal._verdict(cell.matroid)[0]:
             raise NotTransversalFacets(
                 "a maximal cell is not transversal",
                 witness={"cell": [list1(b) for b in cell.matroid.bases],
-                         "certificate": cert})
+                         "certificate": transversal.is_transversal(
+                             cell.matroid)[1]})
     entries = []
     for f in uv.cyclic_flats():
         if f == uv.full:
@@ -345,38 +348,36 @@ def presentation_space_member(vm, points):
 def _fits_distinguished(data, points):
     """The assignment search of presentation_space_member, on checked
     points of the right arity and the valuation's distinguished data."""
-    entries = data.entries
     infmask = [mask_of(j for j in range(data.n) if p[j] == INF)
                for p in points]
-    compat = []
-    for p, im in zip(points, infmask):
-        ok = [i for i, e in enumerate(entries) if e.flat & ~im == 0]
-        if not ok:
-            return False
-        compat.append(ok)
-
-    def localize(e, p):
-        return tuple(INF if p[g] == INF else p[g] - e.vertex[i]
-                     for i, g in enumerate(e.coords))
-
-    def assign(i, remaining):
-        if i == len(entries):
-            return True
-        e = entries[i]
-        cand = [j for j in remaining if i in compat[j]]
-        if len(cand) < e.multiplicity:
-            return False
-        for group in combinations(cand, e.multiplicity):
-            local = tuple(localize(e, points[j]) for j in group)
-            try:
-                ok = presentation_fan_member(e.matroid, local)
-            except (AllInfinite, ValueError):
-                ok = False
-            if ok and assign(i + 1, remaining - set(group)):
-                return True
+    if any(all(e.flat & ~im for e in data.entries) for im in infmask):
         return False
+    return _assign(data.entries, points, infmask, 0,
+                   frozenset(range(len(points))))
 
-    return assign(0, frozenset(range(len(points))))
+
+def _assign(entries, points, infmask, i, remaining):
+    """Can the points in `remaining` fill entries i, i+1, ... by their
+    multiplicities?  Not a closure: a recursive closure would hold the
+    request's entries in a reference cycle until the cyclic GC runs."""
+    if i == len(entries):
+        return True
+    e = entries[i]
+    cand = [j for j in remaining if e.flat & ~infmask[j] == 0]
+    if len(cand) < e.multiplicity:
+        return False
+    for group in combinations(cand, e.multiplicity):
+        local = [tuple(INF if points[j][g] == INF
+                       else points[j][g] - e.vertex[k]
+                       for k, g in enumerate(e.coords)) for j in group]
+        try:
+            ok = presentation_fan_member(e.matroid, local)
+        except (AllInfinite, ValueError):
+            ok = False
+        if ok and _assign(entries, points, infmask, i + 1,
+                          remaining - set(group)):
+            return True
+    return False
 
 
 def sample_presentation(vm, seed=0):
@@ -386,8 +387,6 @@ def sample_presentation(vm, seed=0):
     flat of its cell; candidates are rejection-tested, falling back to
     the apices, and the result is always re-verified against vm.
     """
-    from .trop import stiefel
-
     data = distinguished(vm)
     points = None
     if seed:
@@ -395,8 +394,7 @@ def sample_presentation(vm, seed=0):
         for _ in range(25):
             trial = []
             for e in data.entries:
-                lattice = e.matroid.flats()
-                indep = [f for f in lattice
+                indep = [f for f in e.matroid.flats()
                          if e.matroid.independent(f)]
                 for _ in range(e.multiplicity):
                     g = rng.choice(indep)

@@ -3,11 +3,12 @@
 Recognition runs the Moebius/corank counting conditions on cyclic
 flats.  When they reject at a flat f, the certificate is read off that
 count: the minimal cyclic flats strictly above f form a family that
-breaks Mason's alternating rank inequality, with no family scan.
+breaks Mason's alternating rank inequality, with no family scan.  Every
+covering count runs in covering_violations, at meets of flats only.
 """
 
+from collections import Counter
 from copy import deepcopy
-from itertools import combinations
 
 from .errors import NoBasis, NotTransversal
 from .matroid import Matroid
@@ -46,32 +47,35 @@ def transversal_matroid(sets, n):
     return Matroid(n, bases, check=False)
 
 
-def _counting_violation(m):
-    """The first flat failing tau >= 0, then the covering counts, or None.
-
-    The covering count at a flat f is the tau-sum over the cyclic flats
-    containing f, bounded by cork(f).  It is checked only at the meets
-    of nonempty families of cyclic flats, not on the flat lattice: if
-    no cyclic flat contains f the sum is 0, and otherwise the meet I of
-    those that do is a flat containing f, contained in exactly the same
-    cyclic flats, with cork(I) <= cork(f).  So any violating flat has a
-    violating meet.
-    """
-    cf = m.cyclic_flats()
-    tau = cf.transform
-    for f in cf:
-        if tau[f] < 0:
-            return f
-    meets = set(cf)
+def covering_violations(m, weights):
+    """[(g, count)] for each meet g of the flats weighted in `weights` (a
+    dict or Counter) whose covering count, the weight of the flats
+    containing g, exceeds cork(g); in (size, mask) order.  Meets
+    suffice: the meet I of the weighted flats above a flat f is a flat
+    above f, below the same weighted flats, with cork(I) <= cork(f)."""
+    flats = list(weights)
+    meets = set(flats)
     new = meets
     while new:
-        new = {f & g for f in new for g in cf} - meets
+        new = {f & g for f in new for g in flats} - meets
         meets |= new
-    for f in sorted(meets, key=lambda f: (f.bit_count(), f)):
-        total = sum(t for g, t in tau.items() if f & g == f)
-        if total > m.corank(f):
+    out = []
+    for g in meets:
+        count = sum(w for f, w in weights.items() if f & g == g)
+        if count > m.corank(g):
+            out.append((g, count))
+    out.sort(key=lambda v: (v[0].bit_count(), v[0]))
+    return out
+
+
+def _counting_violation(m):
+    "The first cyclic flat with tau < 0, else the first covering violation."
+    tau = m.cyclic_flats().transform
+    for f, t in tau.items():
+        if t < 0:
             return f
-    return None
+    bad = covering_violations(m, tau)
+    return bad[0][0] if bad else None
 
 
 def is_transversal(m):
@@ -84,37 +88,38 @@ def is_transversal(m):
     no family scan.  The verdict is kept on the matroid; each call gets
     its own copy.
     """
-    if m._transversal is None:
-        m._transversal = _transversal_verdict(m)
-    ok, payload = m._transversal
+    ok, payload = _verdict(m)
     return ok, (list(payload) if ok else deepcopy(payload))
 
 
-def _transversal_verdict(m):
-    """On rejection at the flat f, the family is the minimal cyclic flats
-    strictly above f (Mason 1971).  Joins of cyclic flats are cyclic and
-    cork(g) is the tau-sum over the cyclic flats above g, so by
-    inclusion-exclusion the sum of (-1)^|J| r(union of J) over nonempty
-    subfamilies J is the tau-sum above f minus d: that is value, with no
-    2^k loop.  The violation at f makes the tau-sum exceed
-    cork(f) >= cork(meet), so value > bound = -r(meet)."""
+def _verdict(m):
+    """is_transversal's verdict, kept on the matroid and shared: callers
+    must not change it.  On rejection at the flat f, the family is the
+    minimal cyclic flats strictly above f (Mason 1971).  Joins of cyclic
+    flats are cyclic and cork(g) is the tau-sum over the cyclic flats
+    above g, so by inclusion-exclusion the sum of (-1)^|J| r(union of J)
+    over nonempty subfamilies J is the tau-sum above f minus d: that is
+    value, with no 2^k loop.  The violation at f makes the tau-sum
+    exceed cork(f) >= cork(meet), so value > bound = -r(meet)."""
+    if m._transversal is not None:
+        return m._transversal
     tau = m.cyclic_flats().transform
     f = _counting_violation(m)
-    if f is not None:
-        above = [g for g in tau if g & f == f and g != f]
-        family = [g for g in above
-                  if not any(h & g == h and h != g for h in above)]
-        inter = m.full
-        for g in family:
-            inter &= g
-        return False, {"family": [list1(g) for g in family],
-                       "value": sum(tau[g] for g in above) - m.d,
-                       "bound": -m.rank(inter)}
-    sets = []
-    for f, t in tau.items():
-        sets.extend([m.full ^ f] * t)
-    assert len(sets) == m.d
-    return True, tuple(sets)
+    if f is None:
+        sets = tuple(m.full ^ g for g, t in tau.items() for _ in range(t))
+        assert len(sets) == m.d
+        m._transversal = (True, sets)
+        return m._transversal
+    above = [g for g in tau if g & f == f and g != f]
+    family = [g for g in above
+              if not any(h & g == h and h != g for h in above)]
+    inter = m.full
+    for g in family:
+        inter &= g
+    m._transversal = (False, {"family": [list1(g) for g in family],
+                              "value": sum(tau[g] for g in above) - m.d,
+                              "bound": -m.rank(inter)})
+    return m._transversal
 
 
 def max_presentation(m):
@@ -127,29 +132,21 @@ def max_presentation(m):
 def verify_set_presentation(m, sets):
     """Does the set system present m?  Decided without matchings.
 
-    m must be transversal, the complements must be a pseudopresentation
-    (flats whose coclosures realize the corank transform multiset), and
-    every subfamily intersection must keep corank at least the family
-    size.
+    The complements must be a pseudopresentation (flats whose
+    coclosures realize the corank-transform multiset) whose Counter has
+    no covering violation: at meets, that is every subfamily's count.
+    m is then transversal with no separate test: sum tau = d, so a
+    negative tau fails the arity, and each coclosure lies in its
+    complement, so tau passes the covering counts too.
     """
     comps = [m.full ^ a for a in sets]
-    if not is_pseudopresentation(m, comps) or not is_transversal(m)[0]:
-        return False
-    for k in range(1, len(comps) + 1):
-        for sub in combinations(comps, k):
-            inter = m.full
-            for f in sub:
-                inter &= f
-            if m.corank(inter) < k:
-                return False
-    return True
+    return (is_pseudopresentation(m, comps)
+            and not covering_violations(m, Counter(comps)))
 
 
 def is_pseudopresentation(m, flats):
     "Flats whose coclosures realize the corank-transform multiset."
-    if len(flats) != m.d:
-        return False
-    if any(not m.is_flat(f) for f in flats):
+    if len(flats) != m.d or any(not m.is_flat(f) for f in flats):
         return False
     return sorted(m.coclosure(f) for f in flats) == m.cyclic_flats().multiset()
 

@@ -6,7 +6,8 @@ import pytest
 
 import troplin.cli
 from common import random_valuation
-from troplin import INF, TooLarge, ValuatedMatroid, stiefel, trop, valuated
+from troplin import (INF, Matroid, TooLarge, ValuatedMatroid, WeightedDigraph,
+                     stiefel, trop, valuated)
 from troplin.cli import COMMANDS, run
 from troplin.jsonio import parse_scalar
 from troplin.util import bits
@@ -503,10 +504,52 @@ def test_unexpected_exception_is_an_internal_error(tmp_path, monkeypatch):
                    "witness": None}
 
 
-def test_unknown_command_exits_two():
+def test_unknown_command_exits_two(capsys):
+    """An unknown command, a bad flag value, an unknown flag or a
+    missing command exits 2 with a JSON body on stdout that carries
+    argparse's text, and nothing on stderr."""
+    for argv, text in (
+            (["frobnicate"], "invalid choice: 'frobnicate'"),
+            (["stiefel", "--seed", "abc"], "invalid int value: 'abc'"),
+            (["stiefel", "--bogus"], "unrecognized arguments: --bogus"),
+            ([], "the following arguments are required: command")):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert out["error"] == "UsageError" and out["witness"] is None
+        assert text in out["message"]
+        assert captured.err == ""
+
+
+def test_help_is_unchanged(capsys):
     with pytest.raises(SystemExit) as err:
-        run(["frobnicate"])
-    assert err.value.code == 2
+        run(["--help"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: troplin")
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("check-pluecker", {"n": 10 ** 10, "rank": 0, "entries": {"": "0"}}),
+    ("is-transversal-matroid", {"n": 10 ** 10, "bases": [[]]}),
+    ("gammoid", {"n": 10 ** 10, "sinks": [1]})])
+def test_ground_sets_beyond_the_slot_limit_are_refused(
+        tmp_path, capsys, monkeypatch, command, payload):
+    """n beyond MAX_SLOTS is refused at the JSON boundary, before any
+    valuation, matroid or digraph is built: rank 0 has one slot at any
+    n, but the ground-set masks alone would cost n bits."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an object on 10^10 elements")
+
+    monkeypatch.setattr(ValuatedMatroid, "__init__", refuse)
+    monkeypatch.setattr(Matroid, "__init__", refuse)
+    monkeypatch.setattr(WeightedDigraph, "__init__", refuse)
+    code, out, _ = call(tmp_path, command, payload)
+    assert code == 2
+    assert out == {"error": "TooLarge",
+                   "message": "n = %d exceeds %d" % (10 ** 10,
+                                                     valuated.MAX_SLOTS),
+                   "witness": {"n": 10 ** 10, "limit": valuated.MAX_SLOTS}}
+    assert capsys.readouterr().err == ""
 
 
 def test_threads_flag_is_accepted(tmp_path):

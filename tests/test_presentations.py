@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -8,18 +10,21 @@ from hypothesis import given, settings, strategies as st
 from common import (fr, matroid_pool, points_of, rank2_four, rank3_five,
                     rank3_five_rows, random_rows, random_valuation,
                     three_pair_dual_rows, three_pair_valuation)
-from troplin import (INF, CountMismatch, Matroid, NotAMatroid, NotCyclicFlat,
-                     NotTransversalFacets, PointOutsideL, TroplinError,
-                     ValuatedMatroid, WrongArity, contract_presentation,
-                     distinguished, is_transversal, is_transversal_valuated,
-                     maximal_cells, membership, presentation_fan_member,
+from troplin import (INF, CountMismatch, DistinguishedEntry, Matroid,
+                     NotAMatroid, NotCyclicFlat, NotTransversalFacets,
+                     PointOutsideL, TroplinError, ValuatedMatroid, WrongArity,
+                     cell_vertex, contract_presentation, distinguished,
+                     is_transversal, is_transversal_valuated, maximal_cells,
+                     membership, presentation_fan_member,
                      presentation_space_member, presentations, r0_member,
-                     rinf_member, sample_presentation, stiefel,
-                     uniform_matroid, v_contract, v_dual, verify_presentation)
+                     relsupp, rinf_member, sample_presentation, stiefel,
+                     transversal, uniform_matroid, v_contract, v_dual,
+                     verify_presentation, verify_set_presentation)
 from troplin.cli import run
 from troplin.jsonio import fmt_matrix
 from troplin.oracle import (membership_bruteforce, presentations_exhaustive,
-                            rinf_facet_oracle, rinf_member_lp)
+                            rinf_facet_oracle, rinf_member_lp,
+                            set_presentation_scan, sigma0_lattice_scan)
 from troplin.util import ksubsets, list1, mask_of
 
 
@@ -134,6 +139,133 @@ def test_verify_presentation_counts_failures():
         (cell_b, (1, 2), "sigma0", 2, 1),
         (cell_b, (1, 2), "sigmainf", 2, 1),
     }
+
+
+def row_span_point(rng, rows):
+    "min over the rows of c_i + row_i, with some c_i infinite."
+    while True:
+        shifts = [INF if rng.random() < 0.3
+                  else Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
+                  for _ in rows]
+        p = tuple(min((c + r[j] if c != INF and r[j] != INF else INF)
+                      for c, r in zip(shifts, rows))
+                  for j in range(len(rows[0])))
+        if any(x != INF for x in p):
+            return p
+
+
+def test_sigma0_checks_the_meets_of_the_relative_supports():
+    """Seen from the vertex of a connected maximal cell, the relative
+    supports of row-span points are flats of the cell.  sigma0 of
+    verify_presentation lists exactly the meets of the supports that
+    more supports cover than their corank, with the verdict of the
+    oracle's scan of the whole flat lattice, and every flat that scan
+    flags lies below a listed meet with the same count (the scan also
+    flags such flats that are no meets, so its list is often longer)."""
+    rng = random.Random(3141)
+    cells = flagged = wider = 0
+    for _ in range(80):
+        d = rng.randint(2, 3)
+        n = rng.randint(d + 2, 6)
+        rows = random_rows(rng, d, n, inf_prob=0.15)
+        vm = stiefel(rows)
+        uv = vm.underlying()
+        if uv.loops() | uv.coloops():
+            continue
+        span = [row_span_point(rng, rows) for _ in range(d)]
+        points = [rng.choice(span) for _ in range(d)]
+        listed = {}
+        for w in verify_presentation(vm, points)["violations"]:
+            if w["kind"] == "sigma0":
+                key = tuple(map(tuple, w["cell"]))
+                listed.setdefault(key, []).append(
+                    (mask_of(e - 1 for e in w["flat"]), w["count"]))
+        for cell in maximal_cells(vm):
+            m = cell.matroid
+            if len(m.connected_components()) != 1:
+                continue
+            cells += 1
+            v = cell_vertex(vm, m)
+            supports = [relsupp(v, p) for p in points]
+            assert all(m.is_flat(rs) for rs in supports)
+            meets = set()
+            for mask in range(1, 1 << len(supports)):
+                inter = m.full
+                for i, rs in enumerate(supports):
+                    if (mask >> i) & 1:
+                        inter &= rs
+                meets.add(inter)
+            want = []
+            for g in sorted(meets, key=lambda f: (f.bit_count(), f)):
+                count = sum(1 for rs in supports if rs & g == g)
+                if count > m.corank(g):
+                    want.append((g, count))
+            got = listed.pop(tuple(tuple(list1(b)) for b in m.bases), [])
+            assert got == want
+            lattice = sigma0_lattice_scan(m, supports)
+            assert bool(lattice) == bool(got)
+            assert all(any(f & g == f and c == k for g, k in got)
+                       for f, c in lattice)
+            flagged += bool(got)
+            wider += lattice != got
+        assert not listed
+    assert cells >= 150 and flagged >= 100 and cells - flagged >= 20
+    assert wider >= 20
+
+
+def test_covering_counts_need_no_lattice_and_no_transversality_test(
+        monkeypatch, tmp_path):
+    """verify_presentation, verify_set_presentation and the
+    in-presentation-space and verify-presentation commands answer as
+    before with Matroid.flats and transversal.is_transversal failing:
+    the covering counts run only at meets, in covering_violations."""
+    rows = random_rows(random.Random(804), 3, 7, inf_prob=0.15)
+    others = [rows[1]] + rows[1:]
+    src = tmp_path / "rows.json"
+    src.write_text(json.dumps(fmt_matrix(rows)))
+    assert run(["stiefel", "--input", str(src),
+                "--output", str(tmp_path / "table.json")]) == 0
+    table = json.loads((tmp_path / "table.json").read_text())
+    families = []
+    for m in matroid_pool(random.Random(5), 60):
+        ok, pres = is_transversal(m)
+        if ok:
+            families.append((m, pres))
+            families += [(m, [a & ~(1 << e) for a in pres])
+                         for e in range(m.n)]
+
+    def answers():
+        reports = [verify_presentation(stiefel(rows), pts)
+                   for pts in (rows, others)]
+        verdicts = [verify_set_presentation(
+            Matroid(m.n, m.bases, check=False), sets)
+            for m, sets in families]
+        replies = []
+        for command in ("in-presentation-space", "verify-presentation"):
+            for pts in (rows, others):
+                src.write_text(json.dumps({"valuation": table,
+                                           "points": fmt_matrix(pts)}))
+                dst = tmp_path / "out.json"
+                code = run([command, "--input", str(src),
+                            "--output", str(dst)])
+                replies.append((code, dst.read_text()))
+        return reports, verdicts, replies
+
+    expected = answers()
+    reports, verdicts, replies = expected
+    assert [r["ok"] for r in reports] == [True, False]
+    assert any(w["kind"] == "sigma0" for w in reports[1]["violations"])
+    assert True in verdicts and False in verdicts
+    assert verdicts == [set_presentation_scan(m, sets)
+                        for m, sets in families]
+    assert [code for code, _ in replies] == [0, 1, 0, 1]
+
+    def refuse(*args):
+        raise AssertionError("a lattice scan or a transversality test ran")
+
+    monkeypatch.setattr(Matroid, "flats", refuse)
+    monkeypatch.setattr(transversal, "is_transversal", refuse)
+    assert answers() == expected
 
 
 def test_verify_presentation_guards():
@@ -260,6 +392,29 @@ def test_presentation_space_member_rejects():
         v, [(fr(0), fr(0), fr(1), fr(1)), (fr(0), fr(0), fr(1), fr(1))])
     with pytest.raises(WrongArity):
         presentation_space_member(v, [(fr(0),) * 4])
+
+
+def test_presentation_space_member_frees_its_entries_on_return(
+        monkeypatch):
+    """With the cyclic garbage collector off, the distinguished entries
+    of a request are freed when presentation_space_member returns: the
+    assignment search holds them in no reference cycle."""
+    refs = []
+    init = DistinguishedEntry.__init__
+
+    def tracked(self, *args):
+        init(self, *args)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(DistinguishedEntry, "__init__", tracked)
+    gc.disable()
+    try:
+        assert presentation_space_member(rank3_five(),
+                                         points_of(rank3_five_rows()))
+        assert len(refs) == 3
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 def test_sample_presentation_seeds():

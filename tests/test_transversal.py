@@ -10,8 +10,9 @@ from troplin import (Matroid, NoBasis, NotTransversal, beta_solutions,
                      direct_sum, is_pseudopresentation, is_transversal,
                      max_presentation, transversal, transversal_matroid,
                      uniform_matroid, verify_set_presentation)
-from troplin.oracle import presentations_exhaustive, rank_violation_scan
-from troplin.transversal import _counting_violation
+from troplin.oracle import (presentations_exhaustive, rank_violation_scan,
+                            set_presentation_scan)
+from troplin.transversal import _counting_violation, covering_violations
 from troplin.util import ksubsets, mask_of
 
 
@@ -185,6 +186,76 @@ def test_verify_set_presentation_matches_reconstruction():
             except NoBasis:
                 same = False
             assert verify_set_presentation(m, list(sets)) == same
+
+
+def pseudopresentation_sets(rng, m):
+    """Complements of flats, one per unit of tau, each flat drawn among
+    those whose coclosure is its cyclic flat: a random pseudopresentation
+    when tau >= 0, whose covering counts are then what decides."""
+    by_coclosure = {}
+    for g in m.flats():
+        by_coclosure.setdefault(m.coclosure(g), []).append(g)
+    sets = []
+    for f, t in m.cyclic_flats().transform.items():
+        for _ in range(max(t, 0)):
+            sets.append(m.full ^ rng.choice(by_coclosure[f]))
+    return sets
+
+
+def test_verify_set_presentation_matches_the_subfamily_scan():
+    """The covering counts at meets of the complements, with no
+    transversality test, decide as the oracle's scan of every subfamily
+    (which also asks is_transversal): on every multiset of d subsets for
+    pool matroids with n <= 4, and on random pseudopresentations,
+    maximal presentations with elements dropped and random families for
+    the rest of the pool, M(K4) and the three-pair matroid."""
+    rng = random.Random(4242)
+    pool = matroid_pool(rng, 300) + [k4_cycle_matroid(),
+                                     three_pair_matroid(), series_pair()]
+    verdicts = Counter()
+    for m in pool:
+        if m.n <= 4:
+            families = combinations_with_replacement(range(m.full + 1), m.d)
+        else:
+            families = [pseudopresentation_sets(rng, m) for _ in range(12)]
+            ok, pres = is_transversal(m)
+            for _ in range(6 if ok else 0):
+                families.append([a & ~(1 << rng.randrange(m.n))
+                                 if rng.random() < 0.5 else a for a in pres])
+            families += [[rng.randrange(m.full + 1) for _ in range(m.d)]
+                         for _ in range(6)]
+        for sets in families:
+            got = verify_set_presentation(m, list(sets))
+            assert got == set_presentation_scan(m, list(sets))
+            verdicts[got, m.n <= 4] += 1
+    assert min(verdicts.values()) >= 200
+
+
+def test_covering_violations_are_the_violating_meets():
+    """covering_violations lists, in (size, mask) order, exactly the
+    meets of the weighted flats whose covering count passes the corank."""
+    rng = random.Random(77)
+    seen = 0
+    for m in matroid_pool(rng, 200) + [k4_cycle_matroid(),
+                                       three_pair_matroid()]:
+        lattice = m.flats()
+        weights = Counter(rng.choice(lattice)
+                          for _ in range(rng.randint(1, 4)))
+        meets = set()
+        for k in range(1, len(weights) + 1):
+            for sub in combinations(weights, k):
+                inter = m.full
+                for f in sub:
+                    inter &= f
+                meets.add(inter)
+        want = []
+        for g in sorted(meets, key=lambda f: (f.bit_count(), f)):
+            count = sum(w for f, w in weights.items() if f & g == g)
+            if count > m.corank(g):
+                want.append((g, count))
+        assert covering_violations(m, weights) == want
+        seen += bool(want)
+    assert seen >= 20
 
 
 def test_verify_set_presentation_arity():
