@@ -4,19 +4,22 @@ Scalars travel as strings: "inf", or a rational in lowest terms like
 "3", "-7/2".  Bare JSON numbers are accepted on input (floats go
 through their decimal representation, so 0.1 means 1/10).  Ground-set
 elements are 1-based everywhere; subsets are sorted element lists and
-d-subset table keys are comma-joined ("1,3,4").
+d-subset table keys are comma-joined ("1,3,4").  Valuation entries
+are read straight to integers over their lcm and written from the
+valuation's integer table, with no Fraction per entry.
 """
 
 import json
 import re
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import TooLarge
 from .gammoid import WeightedDigraph
 from .matroid import Matroid
 from .trop import INF
-from .util import ksubsets, list1
+from .util import list1
 from .valuated import MAX_SLOTS, ValuatedMatroid
 
 
@@ -27,6 +30,7 @@ from .valuated import MAX_SLOTS, ValuatedMatroid
 # So fmt_scalar refuses such output with its own message.
 MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\Z")
+_RATIO = re.compile(r"(-?[0-9]{1,4000})(?:/([0-9]{1,4000}))?\Z")
 
 
 def parse_scalar(v):
@@ -59,8 +63,36 @@ def fmt_scalar(v):
     if v == INF:
         return "inf"
     v = Fraction(v)
+    return _fmt_ratio(v.numerator, v.denominator)
+
+
+def _parse_ratio(v):
+    """parse_scalar(v) as INF or a (numerator, denominator) pair, not
+    necessarily in lowest terms.  Plain "-?digits" and "-?digits/digits"
+    strings are split here; every other form, and a zero denominator,
+    goes through parse_scalar."""
+    if isinstance(v, str):
+        m = _RATIO.match(v)
+        if m is not None:
+            num, den = m.groups()
+            if den is None:
+                return int(num), 1
+            if den.strip("0"):
+                return int(num), int(den)
+    v = parse_scalar(v)
+    return v if v == INF else (v.numerator, v.denominator)
+
+
+def _fmt_ratio(num, den):
+    """num / den in lowest terms, as fmt_scalar writes it, INF as "inf";
+    refused with a ValueError beyond Python's digit limit."""
+    if num == INF:
+        return "inf"
     try:
-        return str(v)
+        g = gcd(num, den)
+        if g == den:
+            return str(num // g)
+        return "%d/%d" % (num // g, den // g)
     except ValueError:
         raise ValueError("output scalar beyond the %d-digit limit"
                          % sys.get_int_max_str_digits()) from None
@@ -149,6 +181,8 @@ def fmt_matroid(m):
 
 
 def parse_valuated(obj):
+    """The valuation of a JSON object, its entries read straight to
+    integers over their lcm."""
     n = _get_n(obj)
     d = obj.get("rank")
     if isinstance(d, bool) or not isinstance(d, int):
@@ -161,14 +195,17 @@ def parse_valuated(obj):
         mask = key_to_mask(key, n)
         if mask.bit_count() != d:
             raise ValueError("entry key %r is not a %d-subset" % (key, d))
-        entries[mask] = parse_scalar(val)
+        entries[mask] = _parse_ratio(val)
+    den = lcm(*(v[1] for v in entries.values() if v is not INF))
+    ints = {b: v if v is INF else v[0] * (den // v[1])
+            for b, v in entries.items()}
     # missing keys mean inf, so sparse input needs no special casing
-    return ValuatedMatroid(n, d, entries)
+    return ValuatedMatroid(n, d, ints, den)
 
 
 def fmt_valuated(vm):
-    entries = {mask_to_key(b): fmt_scalar(vm.table[b])
-               for b in ksubsets(vm.n, vm.d)}
+    den = vm.den
+    entries = {mask_to_key(b): _fmt_ratio(v, den) for b, v in vm.ints.items()}
     return {"n": vm.n, "rank": vm.d, "entries": entries, "sparse": False}
 
 

@@ -10,37 +10,27 @@ covering count runs in covering_violations, at meets of flats only.
 from collections import Counter
 from copy import deepcopy
 
-from .errors import NoBasis, NotTransversal
+from .errors import NoBasis, NotTransversal, TooLarge
 from .matroid import Matroid
+from .trop import _augment
 from .util import bits, ksubsets, list1
+from .valuated import MAX_SLOTS
 
 BETA_MAX_FLATS = 24
 
 
-def _matchable(subset, sets):
-    "Can the elements of `subset` be matched injectively into `sets`?"
-    owner = [-1] * len(sets)
-
-    def augment(e, seen):
-        for i, a in enumerate(sets):
-            if seen[i] or not (a >> e) & 1:
-                continue
-            seen[i] = True
-            if owner[i] < 0 or augment(owner[i], seen):
-                owner[i] = e
-                return True
-        return False
-
-    for e in bits(subset):
-        if not augment(e, [False] * len(sets)):
-            return False
-    return True
+def _matchable(subset, adj, k):
+    """Can the elements of `subset` be matched injectively into k sets,
+    adj[e] listing the sets that hold e?"""
+    owner = [-1] * k
+    return all(_augment(adj, owner, e, [False] * k) for e in bits(subset))
 
 
 def transversal_matroid(sets, n):
     "Matroid of partial-transversal supports of the given set system."
     d = len(sets)
-    bases = [b for b in ksubsets(n, d) if _matchable(b, sets)]
+    adj = [[i for i, a in enumerate(sets) if (a >> e) & 1] for e in range(n)]
+    bases = [b for b in ksubsets(n, d) if _matchable(b, adj, d)]
     if not bases:
         raise NoBasis("no transversal of the full system",
                       witness={"sets": [list1(a) for a in sets]})
@@ -52,13 +42,24 @@ def covering_violations(m, weights):
     dict or Counter) whose covering count, the weight of the flats
     containing g, exceeds cork(g); in (size, mask) order.  Meets
     suffice: the meet I of the weighted flats above a flat f is a flat
-    above f, below the same weighted flats, with cork(I) <= cork(f)."""
+    above f, below the same weighted flats, with cork(I) <= cork(f).
+    The closure under meets can reach 2^k sets for k flats, so it is
+    refused with TooLarge once it passes MAX_SLOTS meets."""
     flats = list(weights)
     meets = set(flats)
-    new = meets
-    while new:
-        new = {f & g for f in new for g in flats} - meets
-        meets |= new
+    queue = list(meets)
+    while queue:
+        f = queue.pop()
+        for g in flats:
+            h = f & g
+            if h in meets:
+                continue
+            if len(meets) == MAX_SLOTS:
+                raise TooLarge("more than %d meets of flats" % MAX_SLOTS,
+                               witness={"meets": MAX_SLOTS + 1,
+                                        "limit": MAX_SLOTS})
+            meets.add(h)
+            queue.append(h)
     out = []
     for g in meets:
         count = sum(w for f, w in weights.items() if f & g == g)

@@ -151,21 +151,10 @@ def stiefel_domain_witness(a):
     d, n = matrix_shape(a)
     adj = [[j for j in range(n) if a[i][j] != INF] for i in range(d)]
     owner = [-1] * n
-
-    def augment(i, seen):
-        for j in adj[i]:
-            if seen[j]:
-                continue
-            seen[j] = True
-            if owner[j] < 0 or augment(owner[j], seen):
-                owner[j] = i
-                return True
-        return False
-
     matched = []
     free = None
     for i in range(d):
-        if augment(i, [False] * n):
+        if _augment(adj, owner, i, [False] * n):
             matched.append(i)
         else:
             free = i
@@ -191,14 +180,32 @@ def stiefel_domain_witness(a):
     return mask_of(rows), mask_of(badcols[: n + 1 - k])
 
 
+def _augment(adj, owner, i, seen):
+    """Augment the bipartite matching `owner` (right vertex -> left
+    vertex) from the left vertex i, along the edges adj[i].  Not a
+    closure: a recursive closure would leave a reference cycle per call
+    for the cyclic GC."""
+    for j in adj[i]:
+        if seen[j]:
+            continue
+        seen[j] = True
+        if owner[j] < 0 or _augment(adj, owner, owner[j], seen):
+            owner[j] = i
+            return True
+    return False
+
+
 def integer_scaled(values):
     """(den, ints): each finite int or Fraction times the least common
     denominator den of them all, inf left as inf.  Integer sums and
     compares cost several times less than Fraction ones in the hot
-    loops."""
-    values = list(values)
-    den = lcm(*(v.denominator for v in values if v != INF))
-    return den, [v if v == INF else v.numerator * (den // v.denominator)
+    loops.  Only a float can be inf, so the type is tested first: a
+    Fraction never meets a float in ==, and a finite float still
+    fails on .denominator."""
+    values = [INF if isinstance(v, float) and v == INF else v
+              for v in values]
+    den = lcm(*(v.denominator for v in values if v is not INF))
+    return den, [v if v is INF else v.numerator * (den // v.denominator)
                  for v in values]
 
 
@@ -222,10 +229,10 @@ def stiefel(a):
             "matrix carries an all-infinite blocking submatrix",
             witness={"rows": list1(rows), "cols": list1(cols)})
     if _laplace_pays(d, n):
-        entries = _laplace_minors(a)
+        den, entries = _laplace_minors(a)
     else:
-        entries = _assignment_minors(a)
-    return ValuatedMatroid(n, d, entries)
+        den, entries = None, _assignment_minors(a)
+    return ValuatedMatroid(n, d, entries, den)
 
 
 def _laplace_pays(d, n):
@@ -239,14 +246,14 @@ def _laplace_pays(d, n):
 
 
 def _laplace_minors(a):
-    """All maximal minors, raw, in one expansion along the rows:
-    after row k, cur[S] is the minor of rows 1..k on the k-set S, the
-    min over j in S of the minor on S - j plus a[k][j].  Absent keys
-    stand for inf."""
+    """(den, cur): all maximal minors, raw, in one expansion along the
+    rows, on integers over den: after row k, cur[S] / den is the minor
+    of rows 1..k on the k-set S, the min over j in S of the minor on
+    S - j plus a[k][j].  Absent keys stand for inf."""
     d, n = matrix_shape(a)
     den, flat = integer_scaled(v for row in a for v in row)
     finite = [[(1 << j, v) for j, v in enumerate(flat[i * n:(i + 1) * n])
-               if v != INF] for i in range(d)]
+               if v is not INF] for i in range(d)]
     cur = {0: 0}
     for row in finite:
         prev, cur = cur, {}
@@ -259,7 +266,7 @@ def _laplace_minors(a):
                 old = cur.get(key)
                 if old is None or t < old:
                     cur[key] = t
-    return {s: Fraction(t, den) for s, t in cur.items()}
+    return den, cur
 
 
 def _assignment_minors(a):

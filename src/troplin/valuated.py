@@ -12,7 +12,7 @@ bases tie the current cell.
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (AllInfinite, EmptyIntersection, EmptySupport,
                      InconsistentCell, InfiniteBase, NotAMatroid,
@@ -38,17 +38,19 @@ def check_slots(n, d):
 class ValuatedMatroid:
     """Dense table of min-plus Pluecker coordinates.
 
-    Entries are ints, Fractions or INF, and d-sets left out are INF.
-    The constructor is the one place that scales them: den is the lcm
-    of the input denominators, and ints[b] / den is pl(b), with the
-    least finite entry 0, so sums of entries compare on integers.
-    table is the Fraction view of ints, for the API, equality, hashing
-    and output; den depends on the input, so equality is on table.
-    underlying() checks that the support is a matroid; check_pluecker()
-    checks that and the tropical Pluecker relations.
+    entries[b] / den is pl(b), and d-sets left out are INF.  With den
+    given, entries are ints or INF; without, ints, Fractions or INF,
+    scaled by the lcm of their denominators.  The constructor is the
+    one place that normalizes: ints[b] / den is pl(b), with the least
+    finite entry 0 and den reduced by the gcd of the table, so sums of
+    entries compare on integers.  table is the Fraction view of ints,
+    built on first use, for pl, hashing and the library API; den
+    depends on the input, so equality cross-multiplies.  underlying()
+    checks that the support is a matroid; check_pluecker() checks that
+    and the tropical Pluecker relations.
     """
 
-    def __init__(self, n, d, entries):
+    def __init__(self, n, d, entries, den=None):
         if not 0 <= d <= n:
             raise ValueError("rank out of range")
         check_slots(n, d)
@@ -57,18 +59,24 @@ class ValuatedMatroid:
         for key in entries:
             if key not in slotset:
                 raise ValueError("entry key is not a %d-subset mask" % d)
-        den, raw = integer_scaled(entries.get(b, INF) for b in slots)
-        low = min(raw)
-        if low == INF:
+        if den is None:
+            den, raw = integer_scaled(entries.get(b, INF) for b in slots)
+        else:
+            raw = [entries.get(b, INF) for b in slots]
+        finite = [v for v in raw if v != INF]
+        if not finite:
             raise AllInfinite("no finite Pluecker entry")
-        ints = {b: (v if v == INF else v - low) for b, v in zip(slots, raw)}
+        low = min(finite)
+        g = gcd(den, *finite)
+        den //= g
+        ints = {b: (v if v == INF else (v - low) // g)
+                for b, v in zip(slots, raw)}
         self.n = n
         self.d = d
         self.full = (1 << n) - 1
         self.den = den
         self.ints = ints
-        self.table = {b: (v if v == INF else Fraction(v, den))
-                      for b, v in ints.items()}
+        self._table = None
         self.support = tuple(b for b in slots if ints[b] != INF)
         self._underlying = None
         self._rows = None
@@ -76,6 +84,14 @@ class ValuatedMatroid:
         self._complex = None
         self._vertexcache = {}
         self._rinfcache = {}
+
+    @property
+    def table(self):
+        if self._table is None:
+            den = self.den
+            self._table = {b: (v if v == INF else Fraction(v, den))
+                           for b, v in self.ints.items()}
+        return self._table
 
     def pl(self, b):
         return self.table[b]
@@ -86,9 +102,13 @@ class ValuatedMatroid:
         return self._underlying
 
     def __eq__(self, other):
-        return (isinstance(other, ValuatedMatroid)
-                and self.n == other.n and self.d == other.d
-                and self.table == other.table)
+        "Equal tables, compared on ints across the two denominators."
+        if not (isinstance(other, ValuatedMatroid) and self.n == other.n
+                and self.d == other.d and self.support == other.support):
+            return False
+        a, b = self.ints, other.ints
+        da, db = self.den, other.den
+        return all(a[s] * db == b[s] * da for s in self.support)
 
     def __hash__(self):
         return hash((self.n, self.d, tuple(sorted(self.table.items()))))
@@ -228,7 +248,7 @@ def membership(vm, y):
 def v_dual(vm):
     full = vm.full
     return ValuatedMatroid(vm.n, vm.n - vm.d,
-                           {full ^ b: v for b, v in vm.table.items()})
+                           {full ^ b: v for b, v in vm.ints.items()}, vm.den)
 
 
 def v_restrict(vm, subset):
@@ -252,18 +272,18 @@ def v_restrict(vm, subset):
     pos = {e: i for i, e in enumerate(kept)}
     entries = {}
     for s in submasks(subset, k):
-        v = vm.table[s | chosen]
+        v = vm.ints[s | chosen]
         if v == INF:
             continue
         entries[mask_of(pos[e] for e in bits(s))] = v
-    return ValuatedMatroid(len(kept), k, entries)
+    return ValuatedMatroid(len(kept), k, entries, vm.den)
 
 
 def v_contract(vm, subset):
     if subset == vm.full:
         raise RankCollapse("contraction of the full ground set")
     if subset == 0:
-        return ValuatedMatroid(vm.n, vm.d, dict(vm.table))
+        return ValuatedMatroid(vm.n, vm.d, vm.ints, vm.den)
     return v_dual(v_restrict(v_dual(vm), vm.full ^ subset))
 
 
@@ -541,26 +561,29 @@ def cell_vertex(vm, m):
 
 
 def stable_sum(v1, v2):
-    "Min-plus convolution of two valuations on the same ground set."
+    """Min-plus convolution of two valuations on the same ground set,
+    on integers over the lcm of their denominators."""
     if v1.n != v2.n:
         raise ValueError("ground sets differ")
     k = v1.d + v2.d
     if k > v1.n:
         raise EmptySupport("ranks add up beyond the ground set")
+    den = lcm(v1.den, v2.den)
+    s1, s2 = den // v1.den, den // v2.den
     entries = {}
     for j in ksubsets(v1.n, k):
         best = INF
         for s in submasks(j, v1.d):
-            a = v1.table[s]
-            b = v2.table[j ^ s]
+            a = v1.ints[s]
+            b = v2.ints[j ^ s]
             if a == INF or b == INF:
                 continue
-            t = a + b
+            t = a * s1 + b * s2
             if t < best:
                 best = t
         entries[j] = best
     try:
-        return ValuatedMatroid(v1.n, k, entries)
+        return ValuatedMatroid(v1.n, k, entries, den)
     except AllInfinite:
         raise EmptySupport("min-plus sum has empty support")
 

@@ -564,3 +564,38 @@ def test_stdout_default(tmp_path, capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["entries"]["3,4"] == "1"
+
+
+def test_table_io_never_builds_the_fraction_view(tmp_path, monkeypatch):
+    """stiefel (both minor methods), check-pluecker (true and false),
+    dual, membership (true and false) and sample-presentation, which
+    compares the Stiefel image of its answer with the input, carry the
+    table as integers from the payload to the response: with reading
+    the Fraction view made an error, each answers as before."""
+    wide = [[str((i * j) % 5 - 2) + ("/3" if j % 3 else "")
+             for j in range(8)] for i in range(3)]
+    square = [[str((i * j) % 7) if (i + j) % 4 else "inf"
+               for j in range(6)] for i in range(5)]
+    _, table, _ = call(tmp_path, "stiefel", RANK2_FOUR)
+    _, table3, _ = call(tmp_path, "stiefel", RANK3_FIVE)
+    bad = {"n": 4, "rank": 2,
+           "entries": {"1,2": "0", "1,3": "1", "1,4": "1",
+                       "2,3": "1", "2,4": "1", "3,4": "1/2"}}
+    requests = [("stiefel", wide), ("stiefel", square),
+                ("stiefel", RANK3_FIVE), ("check-pluecker", table),
+                ("check-pluecker", bad), ("dual", table), ("dual", SNOW),
+                ("membership", {"valuation": table,
+                                "point": ["9", "0", "0", "0"]}),
+                ("membership", {"valuation": table,
+                                "point": ["0", "1", "1/2", "inf"]}),
+                ("sample-presentation", table3)]
+    want = [call(tmp_path, command, payload)[::2]
+            for command, payload in requests]
+    assert {code for code, _ in want} == {0, 1}
+
+    def refuse(vm):
+        raise AssertionError("the Fraction table was built")
+
+    monkeypatch.setattr(ValuatedMatroid, "table", property(refuse))
+    assert [call(tmp_path, command, payload)[::2]
+            for command, payload in requests] == want

@@ -1,3 +1,5 @@
+import gc
+import json
 import random
 import time
 from collections import Counter
@@ -6,14 +8,17 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from common import matroid_pool, three_pair_matroid
-from troplin import (Matroid, NoBasis, NotTransversal, beta_solutions,
-                     direct_sum, is_pseudopresentation, is_transversal,
-                     max_presentation, transversal, transversal_matroid,
-                     uniform_matroid, verify_set_presentation)
+from troplin import (Matroid, NoBasis, NotTransversal, TooLarge,
+                     beta_solutions, direct_sum, is_pseudopresentation,
+                     is_transversal, max_presentation, transversal,
+                     transversal_matroid, uniform_matroid,
+                     verify_set_presentation)
+from troplin.cli import run
 from troplin.oracle import (presentations_exhaustive, rank_violation_scan,
                             set_presentation_scan)
 from troplin.transversal import _counting_violation, covering_violations
 from troplin.util import ksubsets, mask_of
+from troplin.valuated import MAX_SLOTS
 
 
 def series_pair():
@@ -364,3 +369,45 @@ def test_is_pseudopresentation():
     assert is_pseudopresentation(m, good)
     assert not is_pseudopresentation(m, bad)
     assert not is_pseudopresentation(m, good[:2])
+
+
+def test_transversal_matroid_leaves_no_reference_cycle():
+    """The matching behind transversal_matroid is a module-level
+    recursion: with the collector off, a call leaves nothing for it."""
+    sets = [mask_of([0, 1]), mask_of([1, 2]), mask_of([0, 2, 3])]
+    gc.collect()
+    gc.disable()
+    try:
+        m = transversal_matroid(sets, 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert m.d == 3 and m.bases
+
+
+def one_basis_request(d):
+    "A rank-d one-basis matroid presented by its d singletons."
+    return {"matroid": {"n": d, "bases": [list(range(1, d + 1))]},
+            "sets": [[e] for e in range(1, d + 1)]}
+
+
+def test_covering_violations_refuse_too_many_meets(tmp_path):
+    """The meets of the complements of d singletons are all 2^d subsets:
+    at d = 17 that passes MAX_SLOTS, so verify-set-presentation exits 2
+    with TooLarge within a second; at d = 10 it still answers."""
+    m = Matroid(17, [(1 << 17) - 1])
+    with pytest.raises(TooLarge) as err:
+        covering_violations(m, Counter(m.full ^ (1 << e) for e in range(17)))
+    assert err.value.witness == {"meets": MAX_SLOTS + 1, "limit": MAX_SLOTS}
+    for d, code, body in ((17, 2, {"error": "TooLarge",
+                                   "message": "more than %d meets of flats"
+                                   % MAX_SLOTS,
+                                   "witness": err.value.witness}),
+                          (10, 0, {"ok": True})):
+        src, dst = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(json.dumps(one_basis_request(d)))
+        start = time.perf_counter()
+        got = run(["verify-set-presentation", "--input", str(src),
+                   "--output", str(dst)])
+        assert time.perf_counter() - start < 1.0
+        assert (got, json.loads(dst.read_text())) == (code, body)

@@ -1,5 +1,7 @@
+import gc
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -10,7 +12,8 @@ from troplin import (INF, AllInfinite, InfiniteBase, OutOfDomain,
                      normalize_point, relsupp, stiefel, trop_cone_sample,
                      trop_minor, zoom)
 from troplin.oracle import stiefel_bruteforce, trop_minor_bruteforce
-from troplin.trop import _assignment_minors, _laplace_minors, _laplace_pays
+from troplin.trop import (_assignment_minors, _laplace_minors, _laplace_pays,
+                          integer_scaled, stiefel_domain_witness)
 from troplin.util import ksubsets, mask_of
 
 
@@ -181,8 +184,12 @@ def test_stiefel_methods_agree_on_both_sides_of_the_choice():
                else Fraction(rng.randint(-4, 8), rng.choice((1, 2, 3))))
               for _ in range(n)] for _ in range(d)]
         raw = _assignment_minors(a)
-        fast = _laplace_minors(a)
-        assert raw == {b: fast.get(b, INF) for b in raw}
+        den, fast = _laplace_minors(a)
+        assert set(fast) <= set(raw)
+        assert raw == {b: Fraction(fast[b], den) if b in fast else INF
+                       for b in raw}
+        v, w = ValuatedMatroid(n, d, fast, den), ValuatedMatroid(n, d, raw)
+        assert (v.den, v.ints) == (w.den, w.ints)
 
 
 def test_stiefel_picks_the_method_by_shape(monkeypatch):
@@ -200,3 +207,44 @@ def test_stiefel_picks_the_method_by_shape(monkeypatch):
     assert want == stiefel_bruteforce(wide)
     assert stiefel(square).table == ValuatedMatroid(
         16, 15, _assignment_minors(square)).table
+
+
+def test_integer_scaled_matches_the_old_definition():
+    """The type test for INF gives what comparing every value with INF
+    gave, on ints, Fractions and INF; a finite float still fails."""
+    def old(values):
+        values = list(values)
+        den = lcm(*(v.denominator for v in values if v != INF))
+        return den, [v if v == INF else v.numerator * (den // v.denominator)
+                     for v in values]
+
+    rng = random.Random(5150)
+    for _ in range(300):
+        values = [rng.choice((INF, float("inf"), rng.randint(-9, 9),
+                              Fraction(rng.randint(-40, 40),
+                                       rng.randint(1, 12))))
+                  for _ in range(rng.randint(0, 8))]
+        assert integer_scaled(values) == old(values)
+        assert integer_scaled(iter(values)) == old(values)
+    for bad in ([Fraction(1), 0.5], [-INF], [1, float("nan")]):
+        with pytest.raises(AttributeError):
+            old(bad)
+        with pytest.raises(AttributeError):
+            integer_scaled(bad)
+
+
+def test_stiefel_leaves_no_reference_cycle():
+    """The matching behind the domain test is a module-level recursion:
+    with the collector off, a stiefel call leaves nothing for it."""
+    rows = [[v if v == INF else Fraction(v) for v in row]
+            for row in ([0, 1, INF, 2, INF], [INF, 0, 1, INF, 3],
+                        [2, INF, 0, 1, INF])]
+    gc.collect()
+    gc.disable()
+    try:
+        v = stiefel(rows)
+        blocked = stiefel_domain_witness([[0, INF, INF], [1, INF, INF]])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert v.support and blocked is not None

@@ -470,16 +470,21 @@ def test_cell_vertices_pin_down_their_cells():
     assert (4, 8) in shapes and seen["disconnected"] > 1000
 
 
-def test_cell_complex_reads_only_the_integer_table():
-    """cell_complex, vertices included, never reads the Fraction table:
-    with table removed from a fresh valuation it gives the same cells,
-    witnesses and vertices."""
+def test_cell_complex_reads_only_the_integer_table(monkeypatch):
+    """cell_complex, vertices included, never builds the Fraction view:
+    with reading table made an error, a fresh valuation gives the same
+    cells, witnesses and vertices, and its view is still unbuilt."""
+    def refuse(vm):
+        raise AssertionError("the Fraction table was built")
+
     v = stiefel(random_rows(random.Random(4096), 4, 8))
     want = cell_complex(v)
     assert want.vertices
     fresh = ValuatedMatroid(v.n, v.d, v.table)
-    fresh.table = None
+    assert fresh._table is None
+    monkeypatch.setattr(ValuatedMatroid, "table", property(refuse))
     got = cell_complex(fresh)
+    assert fresh._table is None
     assert [(c.matroid, c.witness, c.is_maximal) for c in got] == \
         [(c.matroid, c.witness, c.is_maximal) for c in want]
     assert got.vertices == want.vertices
