@@ -67,8 +67,9 @@ def fmt_scalar(v):
 
 
 def _parse_ratio(v):
-    """parse_scalar(v) as INF or a (numerator, denominator) pair, not
-    necessarily in lowest terms.  Plain "-?digits" and "-?digits/digits"
+    """parse_scalar(v) as INF or a (numerator, denominator) pair in
+    lowest terms, so that the lcm over a table's entries is the lcm of
+    their reduced denominators.  Plain "-?digits" and "-?digits/digits"
     strings are split here; every other form, and a zero denominator,
     goes through parse_scalar."""
     if isinstance(v, str):
@@ -78,7 +79,9 @@ def _parse_ratio(v):
             if den is None:
                 return int(num), 1
             if den.strip("0"):
-                return int(num), int(den)
+                num, den = int(num), int(den)
+                g = gcd(num, den)
+                return num // g, den // g
     v = parse_scalar(v)
     return v if v == INF else (v.numerator, v.denominator)
 

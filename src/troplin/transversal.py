@@ -48,18 +48,16 @@ def covering_violations(m, weights):
     flats = list(weights)
     meets = set(flats)
     queue = list(meets)
-    while queue:
+    while queue and len(meets) <= MAX_SLOTS:
         f = queue.pop()
         for g in flats:
             h = f & g
-            if h in meets:
-                continue
-            if len(meets) == MAX_SLOTS:
-                raise TooLarge("more than %d meets of flats" % MAX_SLOTS,
-                               witness={"meets": MAX_SLOTS + 1,
-                                        "limit": MAX_SLOTS})
-            meets.add(h)
-            queue.append(h)
+            if h not in meets and len(meets) <= MAX_SLOTS:
+                meets.add(h)
+                queue.append(h)
+    if len(meets) > MAX_SLOTS:
+        raise TooLarge("%d meets of flats exceed %d" % (len(meets), MAX_SLOTS),
+                       witness={"meets": len(meets), "limit": MAX_SLOTS})
     out = []
     for g in meets:
         count = sum(w for f, w in weights.items() if f & g == g)

@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from common import random_valuation
-from troplin import INF, ValuatedMatroid
+from troplin import INF, ValuatedMatroid, jsonio
 from troplin.jsonio import (_fmt_ratio, _parse_ratio, fmt_scalar,
                             fmt_valuated, mask_to_key, parse_scalar,
                             parse_valuated)
+from troplin.util import ksubsets
 
 
 def outcome(parse, v):
@@ -54,6 +55,8 @@ def test_fast_entry_parser_equals_parse_scalar():
         v = random_scalar(rng)
         want = outcome(parse_scalar, v)
         assert outcome(_parse_ratio, v) == want, v
+        if want != INF and isinstance(want, Fraction):
+            assert _parse_ratio(v) == (want.numerator, want.denominator), v
         if isinstance(want, tuple):
             kinds["error"] += 1
         else:
@@ -61,6 +64,32 @@ def test_fast_entry_parser_equals_parse_scalar():
             kinds["fast"] += isinstance(v, str) and v.lstrip("-").replace(
                 "/", "", 1).isdigit()
     assert min(kinds.values()) > 500
+
+
+def test_entries_share_the_lcm_of_their_reduced_denominators(monkeypatch):
+    """Whole numbers written over many distinct denominators ("k/k",
+    "2q/q") reach the constructor over den 1, not over the lcm of the
+    written denominators; real fractions give the lcm of their reduced
+    ones."""
+    seen = []
+
+    class Spy(ValuatedMatroid):
+        def __init__(self, n, d, entries, den=None):
+            seen.append(den)
+            super().__init__(n, d, entries, den)
+
+    monkeypatch.setattr(jsonio, "ValuatedMatroid", Spy)
+    rng = random.Random(48620)
+    keys = [mask_to_key(b) for b in ksubsets(14, 7)]
+    qs = [rng.randint(10 ** 39, 10 ** 40) for _ in keys]
+    for entries, den in (
+            ({key: "%d/%d" % (k, k) for k, key in enumerate(keys, 1)}, 1),
+            ({key: "%d/%d" % (2 * q, q) for q, key in zip(qs, keys)}, 1),
+            ({key: "%d/%d" % (3 * q, 2 * q) if k % 2 else "-%d/%d" % (q, 3 * q)
+              for k, (q, key) in enumerate(zip(qs, keys))}, 6)):
+        seen.clear()
+        vm = jsonio.parse_valuated({"n": 14, "rank": 7, "entries": entries})
+        assert seen == [den] and vm.den in (1, den)
 
 
 def test_formatting_from_integers_equals_fmt_scalar():

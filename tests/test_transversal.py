@@ -400,8 +400,8 @@ def test_covering_violations_refuse_too_many_meets(tmp_path):
         covering_violations(m, Counter(m.full ^ (1 << e) for e in range(17)))
     assert err.value.witness == {"meets": MAX_SLOTS + 1, "limit": MAX_SLOTS}
     for d, code, body in ((17, 2, {"error": "TooLarge",
-                                   "message": "more than %d meets of flats"
-                                   % MAX_SLOTS,
+                                   "message": "%d meets of flats exceed %d"
+                                   % (MAX_SLOTS + 1, MAX_SLOTS),
                                    "witness": err.value.witness}),
                           (10, 0, {"ok": True})):
         src, dst = tmp_path / "in.json", tmp_path / "out.json"
@@ -411,3 +411,13 @@ def test_covering_violations_refuse_too_many_meets(tmp_path):
                    "--output", str(dst)])
         assert time.perf_counter() - start < 1.0
         assert (got, json.loads(dst.read_text())) == (code, body)
+
+
+def test_covering_violations_refuse_too_many_weighted_flats():
+    """Weights on more than MAX_SLOTS flats, closed under meets or not,
+    are refused with their own count before any meet is built."""
+    m = Matroid(17, [(1 << 17) - 1])
+    for flats in (range(MAX_SLOTS + 1), range(1 << 17)):
+        with pytest.raises(TooLarge) as err:
+            covering_violations(m, dict.fromkeys(flats, 1))
+        assert err.value.witness == {"meets": len(flats), "limit": MAX_SLOTS}
