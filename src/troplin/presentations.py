@@ -18,8 +18,8 @@ from .linprog import distinct_rows, solve_lp
 from .trop import (INF, ONE, ZERO, check_point, integer_scaled, relsupp,
                    stiefel)
 from .util import bits, elems, list1, mask_of
-from .valuated import (_values, cell_complex, cell_vertex, face_witness,
-                       maximal_cells, membership, v_contract)
+from .valuated import (_face, _values, cell_complex, cell_vertex,
+                       face_witness, maximal_cells, membership, v_contract)
 from . import transversal
 
 
@@ -42,29 +42,23 @@ def _locate_cell(vm, m):
     return hit
 
 
-def _rinf_context(vm, m, flat):
-    """Static data for the escape-region LP: the wall cell and its region,
-    the region already reduced to one row per distinct constraint."""
-    key = (m.bases, flat)
-    hit = vm._rinfcache.get(key)
-    if hit is not None:
-        return hit
-    cell = _locate_cell(vm, m)
-    w = m.polytope_face(flat)
-    xw = face_witness(vm, m, cell.witness, flat)
-    comps = w.connected_components()
+def _escape_region(vm, m, x, flat):
+    """The escape-region LP of `flat` on the cell m with witness x, with
+    no face matroid (valuated._face): the face point xw, each element's
+    face component, the component count c, the region rows (one per
+    distinct constraint) in the component shifts t_0..t_{c-2}, the last
+    one gauged to 0, and a margin s, and the objective s."""
+    _, face, comps = _face(m, flat)
+    xw = face_witness(vm, m, x, flat)
     c = len(comps)
-    where = {}
-    for i, k in enumerate(comps):
-        for e in bits(k):
-            where[e] = i
-    ranks = [w.rank(k) for k in comps]
+    where = {e: i for i, k in enumerate(comps) for e in bits(k)}
+    ranks = [(face[0] & k).bit_count() for k in comps]
     common, vals = _values(vm, xw)
-    w0 = vals[w.bases[0]]
-    # variables t_0..t_{c-2} (component shifts, last one gauged to 0), s
+    w0 = vals[face[0]]
+    onface = set(face)
     region = []
     for b, v in vals.items():
-        if b in w.baseset:
+        if b in onface:
             continue
         coeffs = [ZERO] * c
         for i in range(c - 1):
@@ -74,39 +68,21 @@ def _rinf_context(vm, m, flat):
     cap = [ZERO] * c
     cap[c - 1] = ONE
     region.append((cap, "<=", ONE))
-    hit = (xw, where, c, distinct_rows(region), cap)
-    vm._rinfcache[key] = hit
-    return hit
+    return xw, where, c, distinct_rows(region), cap
 
 
-def rinf_member(vm, m, flat, z):
-    """Is z inside the escape region of `flat` seen from everywhere on the
-    cell's stretch of the space?
-
-    z escapes iff some finite coordinate j of z on the flat can attain
-    the minimum of z - y for a y interior to the cell of
-    polytope_face(m, flat).  Each such j is one small exact LP in the
-    shifts of the face's components and a margin s, maximizing s:
-    the region rows (one per support basis off the face, plus s <= 1)
-    are built and deduplicated once per wall and cached, and the rows
-    saying that j attains the minimum collapse to one per pair of
-    components.  A finite z[k] in j's own component with
-    z[k] - z[j] < xw[k] - xw[j] rules j out with no LP at all.
-    """
-    cf = m.cyclic_flats()
-    if flat not in cf:
-        raise NotCyclicFlat(witness=list1(flat))
-    z = check_point(z)
-    if len(z) != vm.n:
-        raise ValueError("point length mismatch")
-    if all(z[j] == INF for j in bits(flat)):
-        return True
-    xw, where, c, region, cap = _rinf_context(vm, m, flat)
+def _in_region(region, flat, z):
+    """rinf_member for a checked z, on the rows of _escape_region: one
+    small exact LP maximizing s per finite coordinate j of z on the flat,
+    whose extra rows, saying that j attains the minimum, collapse to one
+    per pair of components.  A finite z[k] in j's own component with
+    z[k] - z[j] < xw[k] - xw[j] rules j out with no LP at all."""
+    xw, where, c, rows, cap = region
     for j in bits(flat):
         if z[j] == INF:
             continue
         cons = []
-        for k in range(vm.n):
+        for k in range(len(z)):
             if k == j or z[k] == INF:
                 continue
             coeffs = [ZERO] * c
@@ -120,10 +96,29 @@ def rinf_member(vm, m, flat, z):
         cons = distinct_rows(cons)
         if cons is None:
             continue
-        status, value, _ = solve_lp(c, cap, region + cons)
+        status, value, _ = solve_lp(c, cap, rows + cons)
         if status == "optimal" and value > 0:
             return False
     return True
+
+
+def rinf_member(vm, m, flat, z):
+    """Is z inside the escape region of `flat` seen from everywhere on the
+    cell's stretch of the space?
+
+    z escapes iff some finite coordinate j of z on the flat can attain
+    the minimum of z - y for a y interior to the cell of m's face at
+    the flat (_in_region).  The witness of m comes from _locate_cell.
+    """
+    if flat not in m.cyclic_flats():
+        raise NotCyclicFlat(witness=list1(flat))
+    z = check_point(z)
+    if len(z) != vm.n:
+        raise ValueError("point length mismatch")
+    if all(z[j] == INF for j in bits(flat)):
+        return True
+    x = _locate_cell(vm, m).witness
+    return _in_region(_escape_region(vm, m, x, flat), flat, z)
 
 
 def verify_presentation(vm, points):
@@ -163,7 +158,10 @@ def verify_presentation(vm, points):
                  "flat": list1(f), "kind": "sigma0",
                  "count": count, "bound": m.corank(f)})
         for f in m.cyclic_flats():
-            count = sum(1 for p in points if rinf_member(vm, m, f, p))
+            if f == 0:
+                continue  # all d points count there, and cork(0) = d
+            region = _escape_region(vm, m, cell.witness, f)
+            count = sum(1 for p in points if _in_region(region, f, p))
             if count != m.corank(f):
                 violations.append(
                     {"cell": [list1(b) for b in m.bases],
@@ -226,7 +224,9 @@ def distinguished(vm):
     Scans the cyclic flats F of the support; for each, the connected
     maximal cells M of the contraction at F with positive empty-flat
     multiplicity contribute, their apices being their vertices extended
-    by inf on F.  Multiplicities always sum to the rank.
+    by inf on F.  Multiplicities always sum to the rank, and the apices
+    present vm.  A table that breaks a Pluecker relation is no Stiefel
+    image, so that last check refuses it.
     """
     uv = vm.underlying()
     bad = uv.loops() | uv.coloops()
@@ -268,7 +268,10 @@ def distinguished(vm):
         raise TroplinError("apex multiplicities do not sum to the rank",
                            witness={"total": total, "rank": vm.d})
     entries.sort(key=lambda e: (e.flat, e.matroid.bases))
-    return DistinguishedData(vm.n, vm.d, entries)
+    data = DistinguishedData(vm.n, vm.d, entries)
+    if stiefel(data.apices()) != vm:
+        raise TroplinError("apices do not span the valuation")
+    return data
 
 
 def _in_bergman_fan(m, p):
@@ -384,11 +387,11 @@ def sample_presentation(vm, seed=0):
     """A presentation of vm: the apices for seed 0, a jittered one else.
 
     Jitter moves each point away from its apex along a random independent
-    flat of its cell; candidates are rejection-tested, falling back to
-    the apices, and the result is always re-verified against vm.
+    flat of its cell; candidates are rejection-tested and re-verified
+    against vm, falling back to the apices, which distinguished has
+    verified.
     """
     data = distinguished(vm)
-    points = None
     if seed:
         rng = random.Random(seed)
         for _ in range(25):
@@ -405,13 +408,11 @@ def sample_presentation(vm, seed=0):
                             p[gl] = e.apex[gl] + c
                     trial.append(tuple(p))
             if _fits_distinguished(data, trial):
-                points = trial
-                break
-    if points is None:
-        points = data.apices()
-    if stiefel(points) != vm:
-        raise TroplinError("sampled rows do not span the valuation")
-    return points
+                if stiefel(trial) != vm:
+                    raise TroplinError(
+                        "sampled rows do not span the valuation")
+                return trial
+    return data.apices()
 
 
 def contract_presentation(vm, points, flat):

@@ -47,7 +47,8 @@ class ValuatedMatroid:
     built on first use, for pl, hashing and the library API; den
     depends on the input, so equality cross-multiplies.  underlying()
     checks that the support is a matroid; check_pluecker() checks that
-    and the tropical Pluecker relations.
+    and the tropical Pluecker relations.  The other views kept are those
+    a request reuses: underlying(), _scaled's rows, maximal_cells().
     """
 
     def __init__(self, n, d, entries, den=None):
@@ -81,9 +82,6 @@ class ValuatedMatroid:
         self._underlying = None
         self._rows = None
         self._maxcells = None
-        self._complex = None
-        self._vertexcache = {}
-        self._rinfcache = {}
 
     @property
     def table(self):
@@ -392,21 +390,29 @@ def _descend_to_maximal(vm, uv, target):
             x[e] += step
 
 
+def _face(m, f):
+    """(r(f), face bases, face components) for a flat f of m, with no
+    face matroid built.  The face is the bases b with |b & f| = r(f).
+    For a face basis b0, the face's fundamental circuit of e is C(e, b0)
+    cut down to the side of f that holds e, so the components come from
+    one basis, sorted by value as connected_components() gives them."""
+    r = m.rank(f)
+    face = tuple(b for b in m.bases if (b & f).bit_count() == r)
+    side = m.full ^ f
+    circ = [c & (f if (f >> e) & 1 else side) for e, c in
+            zip(bits(m.full & ~face[0]), m._fundamental_circuits(face[0]))]
+    return r, face, circuit_blocks(m.full, circ)
+
+
 def _facets(m, flats):
     """(f, r(f), face bases) for each proper flat f in `flats` whose face
-    has one more component than m.  A face basis b0 has |b0 & f| = r(f),
-    and the face's fundamental circuit of e is C(e, b0) cut down to the
-    side of f that holds e, so the components come from one basis."""
+    has one more component than m (_face)."""
     target = len(m.connected_components()) + 1
     for f in flats:
         if f == 0 or f == m.full:
             continue
-        r = m.rank(f)
-        face = tuple(b for b in m.bases if (b & f).bit_count() == r)
-        side = m.full ^ f
-        circ = [c & (f if (f >> e) & 1 else side) for e, c in
-                zip(bits(m.full & ~face[0]), m._fundamental_circuits(face[0]))]
-        if len(circuit_blocks(m.full, circ)) == target:
+        r, face, comps = _face(m, f)
+        if len(comps) == target:
             yield f, r, face
 
 
@@ -453,7 +459,7 @@ def maximal_cells(vm):
 
 
 def face_witness(vm, m, xm, flat):
-    """A point whose cell is exactly polytope_face(m, flat), for a
+    """A point whose cell is exactly m's face at `flat`, for a
     witness xm of the cell m: xm itself if every basis of m meets the
     flat in full rank, else xm pushed along the flat direction by half
     the first breakpoint (or by 1 if none)."""
@@ -477,8 +483,6 @@ def cell_complex(vm):
     is a valuated matroid iff its maximal cells are matroids (Speyer
     2008, Prop. 2.2), so their exchange is checked first (NotAMatroid).
     """
-    if vm._complex is not None:
-        return vm._complex
     uv = vm.underlying()
     lp = uv.loops()
     if lp:
@@ -505,9 +509,7 @@ def cell_complex(vm):
     for c in cells:
         if len(c.matroid.connected_components()) == 1:
             vertices[c.matroid.bases] = cell_vertex(vm, c.matroid)
-    out = CellComplex(cells, vertices)
-    vm._complex = out
-    return out
+    return CellComplex(cells, vertices)
 
 
 def cell_vertex(vm, m):
@@ -522,10 +524,6 @@ def cell_vertex(vm, m):
     (m is not connected) or y misses a basis (m is not a cell).  Returns
     y / den shifted to minimum 0.
     """
-    key = m.bases
-    hit = vm._vertexcache.get(key)
-    if hit is not None:
-        return hit
     ints = vm.ints
     b0 = m.bases[0]
     adj = [[] for _ in range(vm.n)]
@@ -555,9 +553,7 @@ def cell_vertex(vm, m):
             raise InconsistentCell("vertex misses a basis",
                                    witness={"b": list1(b)})
     low = min(y)
-    out = tuple(Fraction(v - low, vm.den) for v in y)
-    vm._vertexcache[key] = out
-    return out
+    return tuple(Fraction(v - low, vm.den) for v in y)
 
 
 def stable_sum(v1, v2):

@@ -6,11 +6,11 @@ import pytest
 
 import troplin.cli
 from common import random_valuation
-from troplin import (INF, Matroid, TooLarge, ValuatedMatroid, WeightedDigraph,
-                     stiefel, trop, valuated)
+from troplin import (INF, AllInfinite, Matroid, TooLarge, ValuatedMatroid,
+                     WeightedDigraph, stiefel, trop, valuated)
 from troplin.cli import COMMANDS, run
-from troplin.jsonio import parse_scalar
-from troplin.util import bits
+from troplin.jsonio import parse_scalar, parse_valuated
+from troplin.util import bits, ksubsets
 from troplin.valuated import check_pluecker
 
 
@@ -436,6 +436,65 @@ def test_perturbed_stiefel_images_are_refused_by_cells_and_vertices(
             assert code == 2
             assert out["error"] == "NotPluecker"
             assert out["witness"] == witness
+
+
+# Two tables that distinguished and in-presentation-space used to
+# answer on, although each breaks a Pluecker relation.
+ANSWERED_NON_PLUECKER = [
+    ({"n": 4, "rank": 2,
+      "entries": {"1,2": "2", "1,4": "2", "2,3": "-2", "2,4": "2",
+                  "3,4": "1"}},
+     [["0", "0", "0", "0"], ["0", "0", "1", "1"]]),
+    ({"n": 5, "rank": 2,
+      "entries": {"1,2": "inf", "1,3": "1", "1,4": "1", "1,5": "3",
+                  "2,3": "-1", "2,4": "-1", "2,5": "2", "3,4": "inf",
+                  "3,5": "1", "4,5": "1"}},
+     [["inf", "inf", "0", "0", "3"], ["2", "0", "inf", "inf", "2"]]),
+]
+
+
+def random_non_pluecker(rng):
+    "A table with n <= 6, some entries inf, that fails check_pluecker."
+    while True:
+        n = rng.randint(3, 6)
+        d = rng.randint(1, n - 1)
+        gap = rng.uniform(0, 0.4)
+        entries = {",".join(str(e + 1) for e in bits(b)):
+                   rng.choice(("inf", str(rng.randint(-2, 3))))
+                   if rng.random() < gap else str(rng.randint(-2, 3))
+                   for b in ksubsets(n, d)}
+        table = {"n": n, "rank": d, "entries": entries}
+        try:
+            ok, witness = check_pluecker(parse_valuated(table))
+        except AllInfinite:
+            continue
+        if not ok:
+            points = [[rng.choice(("inf", "0", "1", "2"))
+                       for _ in range(n)] for _ in range(d)]
+            return table, points, witness
+
+
+def test_commands_assuming_a_valuated_matroid_refuse_non_pluecker_tables(
+        tmp_path):
+    """On 200 random tables that fail check_pluecker, and the two above,
+    each command that assumes a valuated matroid exits 2 with
+    NotPluecker and the failing relation, never with an answer."""
+    rng = random.Random(1414)
+    cases = [(t, p, check_pluecker(parse_valuated(t))[1])
+             for t, p in ANSWERED_NON_PLUECKER]
+    cases += [random_non_pluecker(rng) for _ in range(200)]
+    for table, points, witness in cases:
+        with_points = {"valuation": table, "points": points}
+        for command, payload in (
+                ("cells", table), ("vertices", table),
+                ("distinguished", table), ("sample-presentation", table),
+                ("in-presentation-space", with_points),
+                ("verify-presentation", with_points)):
+            code, out, _ = call(tmp_path, command, payload)
+            assert (code, out) == (2, {
+                "error": "NotPluecker",
+                "message": "input is not a valuated matroid",
+                "witness": witness}), (command, payload)
 
 
 def test_pluecker_check_runs_only_on_failure(tmp_path, monkeypatch):

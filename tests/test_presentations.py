@@ -566,3 +566,75 @@ def test_is_transversal_valuated_matches_exhaustive_presentations():
         want = all(presentations_exhaustive(c.matroid)
                    for c in maximal_cells(v))
         assert is_transversal_valuated(v) == want
+
+
+def escape_region_cases():
+    "Loop- and coloop-free Stiefel images, each with its rows and span points."
+    rng = random.Random(2026)
+    cases = []
+    while len(cases) < 24:
+        d = rng.randint(2, 3)
+        n = rng.randint(d + 2, 6)
+        rows = random_rows(rng, d, n, inf_prob=0.15)
+        uv = stiefel(rows).underlying()
+        if uv.loops() | uv.coloops():
+            continue
+        span = [row_span_point(rng, rows) for _ in range(2 * d)]
+        cases.append((rows, rows))
+        cases.append((rows, [rng.choice(span) for _ in range(d)]))
+    return cases
+
+
+def escape_region_answers(cases, tmp_path):
+    "A digest of verify_presentation and the command's code and bytes."
+    import hashlib
+
+    h = hashlib.sha256()
+    src, dst = tmp_path / "in.json", tmp_path / "out.json"
+    for rows, points in cases:
+        h.update(repr(verify_presentation(stiefel(rows), points)).encode())
+        src.write_text(json.dumps(fmt_matrix(rows)))
+        assert run(["stiefel", "--input", str(src), "--output", str(dst)]) == 0
+        src.write_text(json.dumps({"valuation": json.loads(dst.read_text()),
+                                   "points": fmt_matrix(points)}))
+        code = run(["verify-presentation", "--input", str(src),
+                    "--output", str(dst)])
+        h.update(repr((code, dst.read_text())).encode())
+    return h.hexdigest()
+
+
+def test_escape_regions_come_from_the_cell_in_hand(monkeypatch, tmp_path):
+    """verify_presentation builds one escape region per connected maximal
+    cell and non-empty cyclic flat, from the cell it walks: with
+    _locate_cell and polytope_face failing, it and the
+    verify-presentation command give the answers and bytes they gave
+    when every point looked its cell up again and built the face
+    matroid (frozen as a digest)."""
+    def refuse(name):
+        def fail(*args):
+            raise AssertionError("verify_presentation ran " + name)
+        return fail
+
+    built = []
+    region = presentations._escape_region
+
+    def counted(vm, m, x, flat):
+        built.append((m.bases, flat))
+        return region(vm, m, x, flat)
+
+    cases = escape_region_cases()
+    want = []
+    for rows, _ in cases:
+        for cell in maximal_cells(stiefel(rows)):
+            m = cell.matroid
+            if len(m.connected_components()) == 1:
+                want += [(m.bases, f) for f in m.cyclic_flats() if f]
+    monkeypatch.setattr(presentations, "_locate_cell", refuse("_locate_cell"))
+    monkeypatch.setattr(Matroid, "polytope_face", refuse("polytope_face"))
+    monkeypatch.setattr(presentations, "_escape_region", counted)
+    got = escape_region_answers(cases, tmp_path)
+    # each case runs once in the library and once through the command
+    assert sorted(built) == sorted(want + want)
+    assert len(want) > 100
+    assert got == ("d18462609d9b62e4984459ad1fc9906a"
+                   "1e33dd28d65f4c2ba5be4685f6c35211")
