@@ -41,23 +41,13 @@ def _rows(payload):
 
 
 def _require_pluecker(vm):
-    "Raise NotPluecker, with the failing relation, unless vm is valid."
+    """Raise NotPluecker, with the failing relation, unless vm is a
+    valuated matroid.  The commands that assume one call this once,
+    after parsing their payload and before computing."""
     ok, witness = check_pluecker(vm)
     if not ok:
         raise NotPluecker("input is not a valuated matroid",
-                          witness=witness) from None
-
-
-def _assuming_pluecker(compute, vm, *args):
-    """compute(vm, *args), for commands that assume vm is a valuated
-    matroid.  Only when that fails is the table checked, once: a
-    non-Pluecker input raises NotPluecker with the failing relation,
-    and any other failure is raised as it was."""
-    try:
-        return compute(vm, *args)
-    except Exception:
-        _require_pluecker(vm)
-        raise
+                          witness=witness)
 
 
 def cmd_stiefel(payload, args):
@@ -99,16 +89,18 @@ def cmd_initial(payload, args):
 
 def cmd_cells(payload, args):
     vm = jsonio.parse_valuated(payload)
+    _require_pluecker(vm)
     cells = [{"bases": [list1(b) for b in c.matroid.bases],
               "witness": jsonio.fmt_point(c.witness),
               "maximal": c.is_maximal}
-             for c in _assuming_pluecker(cell_complex, vm)]
+             for c in cell_complex(vm)]
     return 0, {"n": vm.n, "rank": vm.d, "cells": cells}
 
 
 def cmd_vertices(payload, args):
     vm = jsonio.parse_valuated(payload)
-    verts = _assuming_pluecker(cell_complex, vm).vertices
+    _require_pluecker(vm)
+    verts = cell_complex(vm).vertices
     out = [{"bases": [list1(b) for b in bases],
             "point": jsonio.fmt_point(p)}
            for bases, p in sorted(verts.items())]
@@ -140,20 +132,19 @@ def cmd_verify_set_presentation(payload, args):
 def cmd_verify_presentation(payload, args):
     vm = jsonio.parse_valuated(_need(payload, "valuation"))
     points = [jsonio.parse_point(p) for p in _need(payload, "points")]
+    _require_pluecker(vm)
     try:
-        report = _assuming_pluecker(verify_presentation, vm, points)
+        report = verify_presentation(vm, points)
     except PointOutsideL as exc:
         return 1, {"ok": False, "violations": [],
                    "outside": exc.witness}
-    if not report["ok"]:
-        # a false answer on a non-Pluecker table would be meaningless
-        _require_pluecker(vm)
     return (0 if report["ok"] else 1), report
 
 
 def cmd_distinguished(payload, args):
     vm = jsonio.parse_valuated(payload)
-    data = _assuming_pluecker(distinguished, vm)
+    _require_pluecker(vm)
+    data = distinguished(vm)
     entries = [{"flat": list1(e.flat),
                 "matroid": jsonio.fmt_matroid(e.matroid),
                 "coords": [g + 1 for g in e.coords],
@@ -169,13 +160,15 @@ def cmd_distinguished(payload, args):
 def cmd_in_presentation_space(payload, args):
     vm = jsonio.parse_valuated(_need(payload, "valuation"))
     points = [jsonio.parse_point(p) for p in _need(payload, "points")]
-    ok = _assuming_pluecker(presentation_space_member, vm, points)
+    _require_pluecker(vm)
+    ok = presentation_space_member(vm, points)
     return (0 if ok else 1), {"ok": ok}
 
 
 def cmd_sample_presentation(payload, args):
     vm = jsonio.parse_valuated(payload)
-    points = _assuming_pluecker(sample_presentation, vm, args.seed)
+    _require_pluecker(vm)
+    points = sample_presentation(vm, args.seed)
     return 0, {"n": vm.n, "points": jsonio.fmt_matrix(points)}
 
 

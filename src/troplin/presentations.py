@@ -15,8 +15,7 @@ from .errors import (AllInfinite, CellNotFound, CountMismatch,
                      NotCyclicFlat, NotTransversalFacets, PointOutsideL,
                      TroplinError, WrongArity)
 from .linprog import distinct_rows, solve_lp
-from .trop import (INF, ONE, ZERO, check_point, integer_scaled, relsupp,
-                   stiefel)
+from .trop import INF, ONE, ZERO, check_point, integer_scaled, relsupp
 from .util import bits, elems, list1, mask_of
 from .valuated import (_face, _values, cell_complex, cell_vertex,
                        face_witness, maximal_cells, membership, v_contract)
@@ -225,8 +224,7 @@ def distinguished(vm):
     maximal cells M of the contraction at F with positive empty-flat
     multiplicity contribute, their apices being their vertices extended
     by inf on F.  Multiplicities always sum to the rank, and the apices
-    present vm.  A table that breaks a Pluecker relation is no Stiefel
-    image, so that last check refuses it.
+    present vm.  Assumes vm is a valuated matroid (see check_pluecker).
     """
     uv = vm.underlying()
     bad = uv.loops() | uv.coloops()
@@ -268,10 +266,7 @@ def distinguished(vm):
         raise TroplinError("apex multiplicities do not sum to the rank",
                            witness={"total": total, "rank": vm.d})
     entries.sort(key=lambda e: (e.flat, e.matroid.bases))
-    data = DistinguishedData(vm.n, vm.d, entries)
-    if stiefel(data.apices()) != vm:
-        raise TroplinError("apices do not span the valuation")
-    return data
+    return DistinguishedData(vm.n, vm.d, entries)
 
 
 def _in_bergman_fan(m, p):
@@ -387,9 +382,9 @@ def sample_presentation(vm, seed=0):
     """A presentation of vm: the apices for seed 0, a jittered one else.
 
     Jitter moves each point away from its apex along a random independent
-    flat of its cell; candidates are rejection-tested and re-verified
-    against vm, falling back to the apices, which distinguished has
-    verified.
+    flat of its cell; candidates are rejection-tested by the assignment
+    search of presentation_space_member, falling back to the apices.
+    Assumes vm is a valuated matroid (see check_pluecker).
     """
     data = distinguished(vm)
     if seed:
@@ -408,9 +403,6 @@ def sample_presentation(vm, seed=0):
                             p[gl] = e.apex[gl] + c
                     trial.append(tuple(p))
             if _fits_distinguished(data, trial):
-                if stiefel(trial) != vm:
-                    raise TroplinError(
-                        "sampled rows do not span the valuation")
                 return trial
     return data.apices()
 

@@ -44,7 +44,7 @@ class ValuatedMatroid:
     one place that normalizes: ints[b] / den is pl(b), with the least
     finite entry 0 and den reduced by the gcd of the table, so sums of
     entries compare on integers.  table is the Fraction view of ints,
-    built on first use, for pl, hashing and the library API; den
+    built on first use, for hashing and the library API; den
     depends on the input, so equality cross-multiplies.  underlying()
     checks that the support is a matroid; check_pluecker() checks that
     and the tropical Pluecker relations.  The other views kept are those
@@ -90,9 +90,6 @@ class ValuatedMatroid:
             self._table = {b: (v if v == INF else Fraction(v, den))
                            for b, v in self.ints.items()}
         return self._table
-
-    def pl(self, b):
-        return self.table[b]
 
     def underlying(self):
         if self._underlying is None:
@@ -479,9 +476,8 @@ def cell_complex(vm):
     component, and the restriction to F is connected (Feichtner-Sturmfels
     2005), so F is a cyclic flat or a one-element flat.  So closing the
     maximal cells under those facets reaches every loop-free cell and no
-    other, with no flat lattice; each new face is built once.  A table
-    is a valuated matroid iff its maximal cells are matroids (Speyer
-    2008, Prop. 2.2), so their exchange is checked first (NotAMatroid).
+    other, with no flat lattice; each new face is built once.  Assumes
+    vm is a valuated matroid (see check_pluecker).
     """
     uv = vm.underlying()
     lp = uv.loops()
@@ -489,8 +485,6 @@ def cell_complex(vm):
         raise TroplinError("cell complex needs a loop-free support",
                            witness=list1(lp))
     found = {c.matroid.bases: c for c in maximal_cells(vm)}
-    for c in found.values():
-        c.matroid._check_exchange()  # faces of matroids are matroids
     queue = list(found.values())
     while queue:
         cell = queue.pop()

@@ -221,7 +221,12 @@ def test_criterion_08_distinguished_multiset_has_rank_many_entries(
         if v in seen:
             continue
         seen.add(v)
-        assert len(distinguished(v).apices()) == v.d
+        apices = distinguished(v).apices()
+        assert len(apices) == v.d
+        assert stiefel(apices) == v
+        if len(seen) <= 50:
+            for seed in (1, 2):
+                assert stiefel(sample_presentation(v, seed)) == v
     assert len(seen) >= 300
 
 

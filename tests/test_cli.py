@@ -497,7 +497,9 @@ def test_commands_assuming_a_valuated_matroid_refuse_non_pluecker_tables(
                 "witness": witness}), (command, payload)
 
 
-def test_pluecker_check_runs_only_on_failure(tmp_path, monkeypatch):
+def test_pluecker_check_runs_once_before_the_compute(tmp_path, monkeypatch):
+    """Each command that assumes a valuated matroid checks the table
+    once, after parsing and before computing, true answer or not."""
     calls = []
 
     def counting(vm):
@@ -513,26 +515,27 @@ def test_pluecker_check_runs_only_on_failure(tmp_path, monkeypatch):
              {"valuation": table, "points": RANK2_FOUR}),
             ("verify-presentation",
              {"valuation": table, "points": RANK2_FOUR})):
+        before = len(calls)
         code, _, _ = call(tmp_path, command, payload, "--seed", "2")
         assert code == 0
-    assert calls == []
+        assert len(calls) == before + 1, command
     # a valuated matroid that the command rejects keeps its own error
     code, out, _ = call(tmp_path, "distinguished", snow_full())
     assert code == 2 and out["error"] == "NotTransversalFacets"
-    assert len(calls) == 1
+    assert len(calls) == 7
     # and a false verify-presentation answer stands, checked once each
     code, out, _ = call(tmp_path, "verify-presentation",
                         {"valuation": table,
                          "points": [["0", "0", "0", "0"],
                                     ["0", "1", "1", "1"]]})
     assert code == 1 and out["outside"] == {"index": 2}
-    assert len(calls) == 2
+    assert len(calls) == 8
     code, out, _ = call(tmp_path, "verify-presentation",
                         {"valuation": table,
                          "points": [["0", "0", "0", "0"],
                                     ["0", "0", "0", "0"]]})
     assert code == 1 and out["violations"]
-    assert len(calls) == 3
+    assert len(calls) == 9
 
 
 def test_parser_is_reused_across_runs(tmp_path):
@@ -627,8 +630,7 @@ def test_stdout_default(tmp_path, capsys):
 
 def test_table_io_never_builds_the_fraction_view(tmp_path, monkeypatch):
     """stiefel (both minor methods), check-pluecker (true and false),
-    dual, membership (true and false) and sample-presentation, which
-    compares the Stiefel image of its answer with the input, carry the
+    dual, membership (true and false) and sample-presentation carry the
     table as integers from the payload to the response: with reading
     the Fraction view made an error, each answers as before."""
     wide = [[str((i * j) % 5 - 2) + ("/3" if j % 3 else "")

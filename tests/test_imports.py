@@ -6,13 +6,18 @@ same module (the root of `a.b.c` counts for `import a.b`).  The
 package's __init__.py re-exports on purpose and is skipped.
 
 Next to it, a dead-code check: the name of every function or method the
-package defines (dunders aside) must occur somewhere in the text of the
-package, the tests or the benchmark, outside its own definition.
+package defines (dunders aside) must occur as a name in the code of the
+package, the tests or the benchmark, outside its own definition.  A
+name counts where it is a Python name token or a string literal that
+is a whole identifier or dotted path (as the tracer names functions);
+prose in comments and docstrings does not.
 """
 
 import ast
+import io
 import re
-from collections import Counter
+import tokenize
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,29 +59,50 @@ def test_no_unused_imports():
     assert not found, "unused imports:\n" + "\n".join(found)
 
 
-def _words(text):
-    return Counter(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text))
+DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
+
+
+def _names(text):
+    """(line, name) for each name token of the text, and for each part
+    of a string literal that is a whole identifier or dotted path."""
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.NAME:
+            yield tok.start[0], tok.string
+        elif tok.type == tokenize.STRING:
+            try:
+                value = ast.literal_eval(tok.string)
+            except ValueError:  # an f-string
+                continue
+            if isinstance(value, str) and DOTTED.fullmatch(value):
+                for part in value.split("."):
+                    yield tok.start[0], part
 
 
 def unused_functions(defining, using):
     """(label, line, name) for each function or method that the modules
     in `defining` ({label: text}) define, dunders aside, and whose name
-    occurs nowhere in `defining` or `using` outside its own definition."""
+    occurs as a name (_names) nowhere in `defining` or `using` outside
+    its own definition."""
     total = Counter()
-    for text in [*defining.values(), *using]:
-        total.update(_words(text))
+    for text in using:
+        total.update(name for _, name in _names(text))
     found = []
     for label, text in defining.items():
+        lines = defaultdict(list)
+        for line, name in _names(text):
+            lines[name].append(line)
+            total[name] += 1
         for node in ast.walk(ast.parse(text)):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            own = _words(ast.get_source_segment(text, node))[name]
-            if total[name] == own:
-                found.append((label, node.lineno, name))
-    return sorted(found)
+            own = sum(node.lineno <= line <= node.end_lineno
+                      for line in lines[name])
+            found.append((label, node.lineno, name, own))
+    return sorted((label, line, name) for label, line, name, own in found
+                  if total[name] == own)
 
 
 def test_dead_code_checker_sees_uncalled_functions():
@@ -85,8 +111,12 @@ def test_dead_code_checker_sees_uncalled_functions():
                      "class C:\n    def meth(self):\n"
                      "        return used()\n"
                      "    def spare(self):\n        return 2\n"
-                     "    def __len__(self):\n        return 0\n"}
-    using = ["from m import C\nC().meth()\n"]
+                     "    def __len__(self):\n        return 0\n"
+                     "    def traced(self):\n        return 3\n"}
+    using = ["from m import C\nC().meth()\n",
+             '"""spare and loop are named only in prose."""\n'
+             '# as are spare() and C.spare\n'
+             'WRAPPED = ["m.C.traced"]\n']
     assert unused_functions(defining, using) == [("m", 1, "loop"),
                                                  ("m", 8, "spare")]
 

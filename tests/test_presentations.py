@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 from common import (fr, matroid_pool, points_of, rank2_four, rank3_five,
                     rank3_five_rows, random_rows, random_valuation,
                     three_pair_dual_rows, three_pair_valuation)
-from troplin import (INF, CountMismatch, DistinguishedEntry, Matroid,
-                     NotAMatroid, NotCyclicFlat, NotTransversalFacets,
-                     PointOutsideL, TroplinError, ValuatedMatroid, WrongArity,
+from troplin import (INF, CellNotFound, CountMismatch, DistinguishedEntry,
+                     Matroid, NotAMatroid, NotCyclicFlat,
+                     NotTransversalFacets, PointOutsideL, TroplinError,
+                     ValuatedMatroid, WrongArity,
                      cell_vertex, contract_presentation, distinguished,
                      is_transversal, is_transversal_valuated, maximal_cells,
                      membership, presentation_fan_member,
@@ -57,6 +58,20 @@ def test_rinf_regions_rank2_four():
     assert rinf_member(v, cell_without_12(), f12, (INF, INF, fr(0), fr(0)))
     with pytest.raises(NotCyclicFlat):
         rinf_member(v, cell_without_12(), mask_of([0]), (fr(0),) * 4)
+
+
+def test_rinf_member_refuses_a_matroid_that_is_no_cell():
+    """The square 13|24 splits the octahedron along the other diagonal
+    from rank2_four's 12|34 square, so it is no cell of the subdivision:
+    rinf_member raises CellNotFound with its bases as the witness."""
+    v = rank2_four()
+    m = Matroid(4, [mask_of(p) for p in ([0, 1], [0, 3], [1, 2], [2, 3])],
+                check=True)
+    flat = mask_of([0, 2])
+    assert flat in m.cyclic_flats()
+    with pytest.raises(CellNotFound) as info:
+        rinf_member(v, m, flat, (fr(0),) * 4)
+    assert info.value.witness == [list1(b) for b in m.bases]
 
 
 def test_rinf_agrees_with_interval_oracle():
