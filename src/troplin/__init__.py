@@ -8,14 +8,13 @@ fiber of the Stiefel map, and valuated strict gammoids via min-weight
 linkings in weighted digraphs.
 """
 
-from .errors import (AllInfinite, CellNotFound, CountMismatch,
-                     EmptyGroundSet, EmptyIntersection, EmptySupport,
-                     InconsistentCell, InfiniteBase, NegativeCycle,
-                     NoBasis, NotAFlat, NotAMatroid, NotCyclicFlat,
-                     NotMinimalMatching, NotPluecker, NotTransversal,
-                     NotTransversalFacets, OutOfDomain, PointOutsideL,
-                     RankCollapse, TooLarge, TroplinError, UsageError,
-                     WrongArity)
+from .errors import (AllInfinite, CountMismatch, EmptyGroundSet,
+                     EmptyIntersection, EmptySupport, InconsistentCell,
+                     InfiniteBase, NegativeCycle, NoBasis, NotAFlat,
+                     NotAMatroid, NotCyclicFlat, NotMinimalMatching,
+                     NotPluecker, NotTransversal, NotTransversalFacets,
+                     OutOfDomain, PointOutsideL, RankCollapse, TooLarge,
+                     TroplinError, UsageError, WrongArity)
 from .gammoid import (WeightedDigraph, digraph_from_presentation,
                       gammoid_valuation, linking_value,
                       stable_intersect_hyperplanes)

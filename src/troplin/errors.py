@@ -68,10 +68,6 @@ class NotCyclicFlat(TroplinError):
     pass
 
 
-class CellNotFound(TroplinError):
-    pass
-
-
 class PointOutsideL(TroplinError):
     "A putative presentation point fails tropical-linear-space membership."
 

@@ -38,7 +38,6 @@ class Matroid:
         self._flats = None
         self._cf = None
         self._circuits = None
-        self._transversal = None
         self._comps = None
         if check:
             self._check_exchange()

@@ -236,7 +236,7 @@ def linking_bruteforce(g, subset):
     return best[0]
 
 
-def rinf_facet_oracle(vm, m, flat, z):
+def rinf_facet_oracle(vm, cell, flat, z):
     """Escape-region membership by interval arithmetic, for wall cells only.
 
     When the face cell at `flat` has exactly two components its region
@@ -244,16 +244,15 @@ def rinf_facet_oracle(vm, m, flat, z):
     one rational interval; no simplex involved.  Returns None when the
     face has more components (oracle not applicable).
     """
-    from .presentations import _locate_cell
     from .valuated import face_witness
 
+    m = cell.matroid
     if all(z[j] == INF for j in bits(flat)):
         return True
     w = m.polytope_face(flat)
     comps = w.connected_components()
     if len(comps) != 2:
         return None
-    cell = _locate_cell(vm, m)
     xw = face_witness(vm, m, cell.witness, flat)
     k1 = comps[0]
     r1 = w.rank(k1)
@@ -335,7 +334,7 @@ def cell_complex_bruteforce(vm):
     return seen
 
 
-def rinf_member_lp(vm, m, flat, z):
+def rinf_member_lp(vm, cell, flat, z):
     """Escape-region membership by the full-row LP, with no cache.
 
     One LP per finite coordinate j of z on the flat, with one region row
@@ -344,17 +343,16 @@ def rinf_member_lp(vm, m, flat, z):
     every duplicate row collapsed.
     """
     from .linprog import solve_lp
-    from .presentations import _locate_cell
     from .trop import ONE, check_point
     from .valuated import face_witness
 
+    m = cell.matroid
     cf = m.cyclic_flats()
     if flat not in cf:
         raise NotCyclicFlat(witness=list1(flat))
     z = check_point(z)
     if all(z[j] == INF for j in bits(flat)):
         return True
-    cell = _locate_cell(vm, m)
     w = m.polytope_face(flat)
     xw = face_witness(vm, m, cell.witness, flat)
     comps = w.connected_components()

@@ -11,14 +11,14 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import (AllInfinite, CellNotFound, CountMismatch,
-                     NotCyclicFlat, NotTransversalFacets, PointOutsideL,
-                     TroplinError, WrongArity)
+from .errors import (AllInfinite, CountMismatch, NotCyclicFlat,
+                     NotTransversalFacets, PointOutsideL, TroplinError,
+                     WrongArity)
 from .linprog import distinct_rows, solve_lp
-from .trop import INF, ONE, ZERO, check_point, integer_scaled, relsupp
+from .trop import INF, ONE, ZERO, check_point, relsupp
 from .util import bits, elems, list1, mask_of
-from .valuated import (_face, _values, cell_complex, cell_vertex,
-                       face_witness, maximal_cells, membership, v_contract)
+from .valuated import (_face, _values, cell_vertex, face_witness,
+                       maximal_cells, membership, v_contract)
 from . import transversal
 
 
@@ -27,18 +27,6 @@ def r0_member(vm, flat, x, z):
     if not membership(vm, z):
         return False
     return relsupp(x, z) & flat == flat
-
-
-def _locate_cell(vm, m):
-    "Witness point for the subdivision cell m, trying maximal cells first."
-    for cell in maximal_cells(vm):
-        if cell.matroid.bases == m.bases:
-            return cell
-    hit = cell_complex(vm).find(m)
-    if hit is None:
-        raise CellNotFound("matroid is not a cell of the subdivision",
-                           witness=[list1(b) for b in m.bases])
-    return hit
 
 
 def _escape_region(vm, m, x, flat):
@@ -101,14 +89,16 @@ def _in_region(region, flat, z):
     return True
 
 
-def rinf_member(vm, m, flat, z):
+def rinf_member(vm, cell, flat, z):
     """Is z inside the escape region of `flat` seen from everywhere on the
     cell's stretch of the space?
 
-    z escapes iff some finite coordinate j of z on the flat can attain
-    the minimum of z - y for a y interior to the cell of m's face at
-    the flat (_in_region).  The witness of m comes from _locate_cell.
+    cell is a SubdivisionCell of vm (its matroid and witness point), for
+    instance one of maximal_cells(vm).  z escapes iff some finite
+    coordinate j of z on the flat can attain the minimum of z - y for a
+    y interior to the cell of the face at the flat (_in_region).
     """
+    m = cell.matroid
     if flat not in m.cyclic_flats():
         raise NotCyclicFlat(witness=list1(flat))
     z = check_point(z)
@@ -116,8 +106,7 @@ def rinf_member(vm, m, flat, z):
         raise ValueError("point length mismatch")
     if all(z[j] == INF for j in bits(flat)):
         return True
-    x = _locate_cell(vm, m).witness
-    return _in_region(_escape_region(vm, m, x, flat), flat, z)
+    return _in_region(_escape_region(vm, m, cell.witness, flat), flat, z)
 
 
 def verify_presentation(vm, points):
@@ -171,7 +160,7 @@ def verify_presentation(vm, points):
 
 def is_transversal_valuated(vm):
     "A valuated matroid is transversal iff all its maximal cells are."
-    return all(transversal._verdict(cell.matroid)[0]
+    return all(transversal._counting_violation(cell.matroid) is None
                for cell in maximal_cells(vm))
 
 
@@ -232,7 +221,7 @@ def distinguished(vm):
         raise TroplinError("support must be loop- and coloop-free",
                            witness=list1(bad))
     for cell in maximal_cells(vm):
-        if not transversal._verdict(cell.matroid)[0]:
+        if transversal._counting_violation(cell.matroid) is not None:
             raise NotTransversalFacets(
                 "a maximal cell is not transversal",
                 witness={"cell": [list1(b) for b in cell.matroid.bases],
@@ -269,38 +258,17 @@ def distinguished(vm):
     return DistinguishedData(vm.n, vm.d, entries)
 
 
-def _in_bergman_fan(m, p):
-    """Is p in the tropical linear space of m with every basis valued 0?
-
-    A (d+1)-set of rank d holds one circuit, the j with c - j a basis,
-    and a set of lower rank gives no term, so membership in the zero
-    valuation asks exactly that, on every circuit, the least finite
-    coordinate (if any) be attained twice.  Compared on integers.
-    """
-    _, ps = integer_scaled(p)
-    for c in m.circuits():
-        best = INF
-        cnt = 0
-        for j in bits(c):
-            v = ps[j]
-            if v < best:
-                best = v
-                cnt = 1
-            elif v == best:
-                cnt += 1
-        if best != INF and cnt < 2:
-            return False
-    return True
-
-
 def presentation_fan_member(m, points):
     """Do these points fill the free slots of a presentation of m?
 
-    There are tau(empty) slots; each point must lie in the tropical
-    linear space of m valued 0 (tested on the circuits of m), its
-    relative support from the origin must be an independent flat, and
-    the supports' complements together with the maximal presentation of
-    the other cyclic flats must satisfy the set-presentation conditions.
+    There are tau(empty) slots; each point's relative support from the
+    origin must be an independent flat, and the supports' complements
+    together with the maximal presentation of the other cyclic flats
+    must satisfy the set-presentation conditions.  That puts each point
+    in the tropical linear space of m valued 0 with no circuit scan: a
+    circuit C is not inside the support g, and meeting E - g in one
+    element e would put e in cl(C - e), inside g, so the least
+    coordinate on C is attained twice.
     """
     cf = m.cyclic_flats()
     t = cf.tau(0)
@@ -315,8 +283,6 @@ def presentation_fan_member(m, points):
             return False
         if len(p) != m.n:
             raise ValueError("point length mismatch")
-        if not _in_bergman_fan(m, p):
-            return False
         g = relsupp(zero, p)
         if not m.independent(g) or not m.is_flat(g):
             return False

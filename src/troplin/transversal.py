@@ -8,7 +8,6 @@ covering count runs in covering_violations, at meets of flats only.
 """
 
 from collections import Counter
-from copy import deepcopy
 
 from .errors import NoBasis, NotTransversal, TooLarge
 from .matroid import Matroid
@@ -78,47 +77,35 @@ def _counting_violation(m):
 
 
 def is_transversal(m):
-    """(True, presentation) or (False, certificate).
+    """(True, presentation) or (False, certificate), computed afresh on
+    every call.
 
     The presentation is the maximal one: the complement of each cyclic
-    flat, repeated by its corank-transform multiplicity.  The
-    certificate is a family of cyclic flats that violates Mason's
-    alternating rank inequality, read off the counting violation with
-    no family scan.  The verdict is kept on the matroid; each call gets
-    its own copy.
+    flat, repeated by its corank-transform multiplicity.  On rejection
+    at the flat f, the certificate is the family of minimal cyclic flats
+    strictly above f, which violates Mason's alternating rank inequality
+    (Mason 1971).  Joins of cyclic flats are cyclic and cork(g) is the
+    tau-sum over the cyclic flats above g, so by inclusion-exclusion the
+    sum of (-1)^|J| r(union of J) over nonempty subfamilies J is the
+    tau-sum above f minus d: that is value, with no 2^k loop.  The
+    violation at f makes the tau-sum exceed cork(f) >= cork(meet), so
+    value > bound = -r(meet).
     """
-    ok, payload = _verdict(m)
-    return ok, (list(payload) if ok else deepcopy(payload))
-
-
-def _verdict(m):
-    """is_transversal's verdict, kept on the matroid and shared: callers
-    must not change it.  On rejection at the flat f, the family is the
-    minimal cyclic flats strictly above f (Mason 1971).  Joins of cyclic
-    flats are cyclic and cork(g) is the tau-sum over the cyclic flats
-    above g, so by inclusion-exclusion the sum of (-1)^|J| r(union of J)
-    over nonempty subfamilies J is the tau-sum above f minus d: that is
-    value, with no 2^k loop.  The violation at f makes the tau-sum
-    exceed cork(f) >= cork(meet), so value > bound = -r(meet)."""
-    if m._transversal is not None:
-        return m._transversal
     tau = m.cyclic_flats().transform
     f = _counting_violation(m)
     if f is None:
-        sets = tuple(m.full ^ g for g, t in tau.items() for _ in range(t))
+        sets = [m.full ^ g for g, t in tau.items() for _ in range(t)]
         assert len(sets) == m.d
-        m._transversal = (True, sets)
-        return m._transversal
+        return True, sets
     above = [g for g in tau if g & f == f and g != f]
     family = [g for g in above
               if not any(h & g == h and h != g for h in above)]
     inter = m.full
     for g in family:
         inter &= g
-    m._transversal = (False, {"family": [list1(g) for g in family],
-                              "value": sum(tau[g] for g in above) - m.d,
-                              "bound": -m.rank(inter)})
-    return m._transversal
+    return False, {"family": [list1(g) for g in family],
+                   "value": sum(tau[g] for g in above) - m.d,
+                   "bound": -m.rank(inter)}
 
 
 def max_presentation(m):

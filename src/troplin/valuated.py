@@ -130,16 +130,12 @@ class CellComplex:
     def __init__(self, cells, vertices):
         self.cells = cells
         self.vertices = vertices
-        self._bykey = {c.matroid.bases: c for c in cells}
 
     def __iter__(self):
         return iter(self.cells)
 
     def __len__(self):
         return len(self.cells)
-
-    def find(self, matroid):
-        return self._bykey.get(matroid.bases)
 
 
 def check_pluecker(vm):
@@ -552,12 +548,14 @@ def cell_vertex(vm, m):
 
 def stable_sum(v1, v2):
     """Min-plus convolution of two valuations on the same ground set,
-    on integers over the lcm of their denominators."""
+    on integers over the lcm of their denominators.  A sum of more than
+    MAX_SLOTS slots is refused before any slot is filled."""
     if v1.n != v2.n:
         raise ValueError("ground sets differ")
     k = v1.d + v2.d
     if k > v1.n:
         raise EmptySupport("ranks add up beyond the ground set")
+    check_slots(v1.n, k)
     den = lcm(v1.den, v2.den)
     s1, s2 = den // v1.den, den // v2.den
     entries = {}

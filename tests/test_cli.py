@@ -1,16 +1,22 @@
+import contextlib
+import io
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import troplin.cli
 from common import random_valuation
-from troplin import (INF, AllInfinite, Matroid, TooLarge, ValuatedMatroid,
-                     WeightedDigraph, stiefel, trop, valuated)
+from troplin import (INF, AllInfinite, Matroid, TooLarge, TroplinError,
+                     ValuatedMatroid, WeightedDigraph, stiefel, trop,
+                     valuated)
 from troplin.cli import COMMANDS, run
-from troplin.jsonio import parse_scalar, parse_valuated
-from troplin.util import bits, ksubsets
+from troplin.jsonio import (dumps, fmt_valuated, parse_matrix, parse_scalar,
+                            parse_valuated)
+from troplin.util import bits, ksubsets, list1
 from troplin.valuated import check_pluecker
 
 
@@ -256,6 +262,33 @@ def test_stable_sum_and_intersect(tmp_path):
                         {"first": table, "second": hyp})
     assert code == 2
     assert err["error"] == "EmptySupport"
+
+
+def test_stable_sum_refuses_an_oversized_result_before_filling_it(
+        tmp_path, monkeypatch):
+    """stable-sum of two one-entry rank-2 tables at n = 60 would have
+    C(60, 4) slots: it is refused with TooLarge before any (d1 + d2)-set
+    is filled, and so is stable-intersect, which sums the duals of two
+    rank-58 tables, the complements of those."""
+    def no_fill(mask, k):
+        raise AssertionError("filled a slot of the sum")
+
+    monkeypatch.setattr(valuated, "submasks", no_fill)
+    n = 60
+    full = set(range(1, n + 1))
+
+    def one_entry(elements):
+        return {"n": n, "rank": len(elements),
+                "entries": {",".join(map(str, sorted(elements))): "0"}}
+
+    want = {"error": "TooLarge", "message": "C(60, 4) slots exceed 65536",
+            "witness": {"n": 60, "rank": 4, "limit": 65536}}
+    for command, first, second in (
+            ("stable-sum", {1, 2}, {3, 4}),
+            ("stable-intersect", full - {1, 2}, full - {3, 4})):
+        code, out, _ = call(tmp_path, command, {"first": one_entry(first),
+                                                "second": one_entry(second)})
+        assert (code, out) == (2, want)
 
 
 def test_gammoid_and_digraph_round_trip(tmp_path):
@@ -660,3 +693,148 @@ def test_table_io_never_builds_the_fraction_view(tmp_path, monkeypatch):
     monkeypatch.setattr(ValuatedMatroid, "table", property(refuse))
     assert [call(tmp_path, command, payload)[::2]
             for command, payload in requests] == want
+
+
+# ----------------------------------------------- every command, fuzzed
+
+FUZZ_SCALARS = ["0", "1", "-1", "2", "1/2", "-3/2", "inf"]
+FUZZ_JUNK = [None, True, 3, "x", [], {}, "1/0", [[]], {"n": 0}, [1, 2]]
+
+
+@st.composite
+def _fuzz_rows(draw, d, n):
+    "d rows of n scalars; in one draw of four, some may be infinite."
+    value = finite = st.sampled_from(FUZZ_SCALARS[:-1])
+    if draw(st.integers(0, 3)) == 3:
+        value = st.one_of(*[finite] * 5, st.just("inf"))
+    return [[draw(value) for _ in range(n)] for _ in range(d)]
+
+
+@st.composite
+def _fuzz_valuation(draw, n=None):
+    """(payload, n, d, rows): a Stiefel image with its rows, a random
+    table on the d-sets (often no valuated matroid), or a malformed one
+    (rows None).  The simplest draws are well formed."""
+    kind = draw(st.sampled_from(["stiefel", "stiefel", "table", "bad"]))
+    if n is None:
+        n = draw(st.integers(2 if kind == "stiefel" else 1, 5))
+    if kind == "stiefel" and n > 1:
+        d = draw(st.integers(1, n - 1))
+        rows = draw(_fuzz_rows(d, n))
+        try:
+            return fmt_valuated(stiefel(parse_matrix(rows))), n, d, rows
+        except TroplinError:
+            pass
+    d = draw(st.integers(0, n))
+    entries = {}
+    for b in ksubsets(n, d):
+        v = draw(st.sampled_from(FUZZ_SCALARS + [None, None]))
+        if v is not None:
+            entries[",".join(map(str, list1(b)))] = v
+    payload = {"n": n, "rank": d, "entries": entries}
+    if kind == "bad":
+        payload = draw(st.sampled_from([
+            {"n": n, "rank": d}, {"n": n, "rank": str(d), "entries": {}},
+            {"n": n, "rank": d, "entries": {str(n + 1): "0"}},
+            {"n": n, "rank": d + 1, "entries": entries},
+            {"n": -n, "rank": d, "entries": entries},
+            {"n": n, "rank": d, "entries": {"1": "zero"}}]))
+    return payload, n, d, None
+
+
+@st.composite
+def _fuzz_point(draw, n):
+    size = draw(st.sampled_from([n, n, n, n + 1]))
+    return draw(st.lists(st.sampled_from(FUZZ_SCALARS), min_size=size,
+                         max_size=size))
+
+
+@st.composite
+def _fuzz_subset(draw, n):
+    return draw(st.lists(st.integers(1, n + 1), max_size=n, unique=True))
+
+
+@st.composite
+def _fuzz_matroid(draw):
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(0, n))
+    bases = draw(st.lists(st.sampled_from(ksubsets(n, d)), min_size=1,
+                          max_size=6, unique=True))
+    return {"n": n, "bases": [list1(b) for b in bases]}
+
+
+@st.composite
+def _fuzz_payload(draw, command):
+    "A small payload for the command, well formed or not."
+    if draw(st.integers(0, 9)) == 9:
+        return draw(st.sampled_from(FUZZ_JUNK))
+    vm, n, d, rows = draw(_fuzz_valuation())
+    if command in ("check-pluecker", "underlying", "dual", "cells",
+                   "vertices", "distinguished", "sample-presentation"):
+        return vm
+    if command in ("restrict", "contract"):
+        return {"valuation": vm, "set": draw(_fuzz_subset(n))}
+    if command in ("initial", "membership"):
+        return {"valuation": vm, "point": draw(_fuzz_point(n))}
+    if command in ("verify-presentation", "in-presentation-space"):
+        if rows is not None and not draw(st.booleans()):
+            points = rows
+        else:
+            points = draw(st.lists(_fuzz_point(n), min_size=max(d, 1),
+                                   max_size=max(d, 1) + 1))
+        return {"valuation": vm, "points": points}
+    if command in ("stable-sum", "stable-intersect"):
+        other = draw(_fuzz_valuation(n))[0]
+        return {"first": vm, "second": other}
+    if command in ("is-transversal-matroid", "max-presentation"):
+        return draw(_fuzz_matroid())
+    if command == "verify-set-presentation":
+        m = draw(_fuzz_matroid())
+        sets = draw(st.lists(_fuzz_subset(m["n"]), max_size=4))
+        return {"matroid": m, "sets": sets}
+    if command == "stiefel":
+        return rows if rows is not None else draw(_fuzz_rows(
+            draw(st.integers(1, 3)), n))
+    if command == "gammoid":
+        edges = [{"from": i, "to": j, "w": draw(st.sampled_from(
+                     FUZZ_SCALARS[:-1]))}
+                 for i in range(1, n + 1) for j in range(1, n + 1)
+                 if i != j and draw(st.integers(0, 2)) == 0]
+        sinks = draw(st.lists(st.integers(1, n + 1), min_size=1,
+                              max_size=n, unique=True))
+        return {"n": n, "sinks": sinks, "edges": edges}
+    assert command == "digraph-from-presentation"
+    payload = {"points": rows or draw(_fuzz_rows(draw(st.integers(1, 3)),
+                                                 n))}
+    k = len(payload["points"])
+    if draw(st.booleans()):
+        payload["matching"] = draw(st.lists(st.integers(0, n + 1),
+                                            min_size=k, max_size=k))
+    if draw(st.booleans()):
+        payload["basis"] = draw(_fuzz_subset(n))
+    return payload
+
+
+def test_every_command_answers_small_payloads_with_a_json_body(tmp_path):
+    """Each of the 21 commands, on small drawn payloads (n <= 5, well
+    formed or not), exits 0, 1 or 2 with canonical JSON on stdout and
+    nothing on stderr: no input reaches the InternalError path."""
+    assert len(COMMANDS) == 21
+    start = time.monotonic()
+    src = tmp_path / "in.json"
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def check(command, data):
+        src.write_text(json.dumps(data.draw(_fuzz_payload(command))))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([command, "--input", str(src), "--seed",
+                        str(data.draw(st.sampled_from([0, 2])))])
+        assert code in (0, 1, 2)
+        assert out.getvalue() == dumps(json.loads(out.getvalue()))
+        assert err.getvalue() == ""
+
+    for command in sorted(COMMANDS):
+        check(command)
+    assert time.monotonic() - start < 20

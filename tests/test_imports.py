@@ -10,7 +10,8 @@ package defines (dunders aside) must occur as a name in the code of the
 package, the tests or the benchmark, outside its own definition.  A
 name counts where it is a Python name token or a string literal that
 is a whole identifier or dotted path (as the tracer names functions);
-prose in comments and docstrings does not.
+prose in comments and docstrings does not.  Likewise every error class
+of errors.py must be raised somewhere in the package outside oracle.py.
 """
 
 import ast
@@ -127,3 +128,39 @@ def test_no_uncalled_functions():
     using = [p.read_text(encoding="utf-8") for p in USERS]
     found = ["%s:%d %s" % hit for hit in unused_functions(defining, using)]
     assert not found, "functions nobody calls:\n" + "\n".join(found)
+
+
+def unraised_errors(errors, modules):
+    """Names of the classes defined in `errors` (a module's text) that no
+    text in `modules` raises: a name counts where it follows `raise`."""
+    raised = set()
+    for text in modules:
+        toks = [t for t in tokenize.generate_tokens(io.StringIO(text).readline)
+                if t.type == tokenize.NAME]
+        raised.update(b.string for a, b in zip(toks, toks[1:])
+                      if a.string == "raise")
+    return sorted(node.name for node in ast.parse(errors).body
+                  if isinstance(node, ast.ClassDef)
+                  and node.name not in raised)
+
+
+def test_error_checker_sees_unraised_classes():
+    errors = ("class Base(Exception):\n    pass\n"
+              "class Used(Base):\n    pass\n"
+              "class Caught(Base):\n    pass\n"
+              "class Named(Base):\n    pass\n")
+    modules = ["def f():\n    raise Used('x')\n",
+               "try:\n    f()\nexcept Caught:\n    raise\n"
+               "raise Base\n",
+               '"""raise Named in prose does not count."""\n'
+               "# nor raise Named in a comment\n"]
+    assert unraised_errors(errors, modules) == ["Caught", "Named"]
+
+
+def test_every_error_class_is_raised():
+    errors = ROOT / "src" / "troplin" / "errors.py"
+    modules = [p.read_text(encoding="utf-8") for p in PACKAGE
+               if p.name not in ("errors.py", "oracle.py")]
+    assert len(modules) > 8
+    missing = unraised_errors(errors.read_text(encoding="utf-8"), modules)
+    assert not missing, "error classes nothing raises: " + ", ".join(missing)

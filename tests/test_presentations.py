@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from common import (fr, matroid_pool, points_of, rank2_four, rank3_five,
                     rank3_five_rows, random_rows, random_valuation,
                     three_pair_dual_rows, three_pair_valuation)
-from troplin import (INF, CellNotFound, CountMismatch, DistinguishedEntry,
+from test_acceptance import fiber_harness  # noqa: F401  (a fixture)
+from troplin import (INF, CountMismatch, DistinguishedEntry,
                      Matroid, NotAMatroid, NotCyclicFlat,
                      NotTransversalFacets, PointOutsideL, TroplinError,
                      ValuatedMatroid, WrongArity,
@@ -49,29 +50,17 @@ def test_r0_membership():
 def test_rinf_regions_rank2_four():
     v = rank2_four()
     f12, f34 = mask_of([0, 1]), mask_of([2, 3])
-    assert rinf_member(v, cell_without_12(), f12, (fr(0), fr(0), fr(0), fr(0)))
-    assert not rinf_member(v, cell_without_12(), f12, (fr(0), fr(0), fr(1), fr(1)))
-    assert rinf_member(v, cell_without_12(), f12, (fr(5), fr(0), fr(0), fr(0)))
-    assert rinf_member(v, cell_without_34(), f34, (fr(0), fr(0), fr(1), fr(1)))
-    assert not rinf_member(v, cell_without_34(), f34, (fr(0), fr(0), fr(0), fr(0)))
+    cells = {c.matroid: c for c in maximal_cells(v)}
+    c12, c34 = cells[cell_without_12()], cells[cell_without_34()]
+    assert rinf_member(v, c12, f12, (fr(0), fr(0), fr(0), fr(0)))
+    assert not rinf_member(v, c12, f12, (fr(0), fr(0), fr(1), fr(1)))
+    assert rinf_member(v, c12, f12, (fr(5), fr(0), fr(0), fr(0)))
+    assert rinf_member(v, c34, f34, (fr(0), fr(0), fr(1), fr(1)))
+    assert not rinf_member(v, c34, f34, (fr(0), fr(0), fr(0), fr(0)))
     # all-infinite on the flat always counts
-    assert rinf_member(v, cell_without_12(), f12, (INF, INF, fr(0), fr(0)))
+    assert rinf_member(v, c12, f12, (INF, INF, fr(0), fr(0)))
     with pytest.raises(NotCyclicFlat):
-        rinf_member(v, cell_without_12(), mask_of([0]), (fr(0),) * 4)
-
-
-def test_rinf_member_refuses_a_matroid_that_is_no_cell():
-    """The square 13|24 splits the octahedron along the other diagonal
-    from rank2_four's 12|34 square, so it is no cell of the subdivision:
-    rinf_member raises CellNotFound with its bases as the witness."""
-    v = rank2_four()
-    m = Matroid(4, [mask_of(p) for p in ([0, 1], [0, 3], [1, 2], [2, 3])],
-                check=True)
-    flat = mask_of([0, 2])
-    assert flat in m.cyclic_flats()
-    with pytest.raises(CellNotFound) as info:
-        rinf_member(v, m, flat, (fr(0),) * 4)
-    assert info.value.witness == [list1(b) for b in m.bases]
+        rinf_member(v, c12, mask_of([0]), (fr(0),) * 4)
 
 
 def test_rinf_agrees_with_interval_oracle():
@@ -90,10 +79,10 @@ def test_rinf_agrees_with_interval_oracle():
                               for _ in range(v.n))
                     if all(c == INF for c in z):
                         continue
-                    want = rinf_facet_oracle(v, m, f, z)
+                    want = rinf_facet_oracle(v, cell, f, z)
                     if want is None:
                         break
-                    assert rinf_member(v, m, f, z) == want
+                    assert rinf_member(v, cell, f, z) == want
                     compared += 1
     assert compared >= 80
 
@@ -122,8 +111,8 @@ def test_rinf_agrees_with_the_full_row_lp():
                               for _ in range(v.n))
                     if all(x == INF for x in z):
                         continue
-                    got = rinf_member(v, m, f, z)
-                    assert got == rinf_member_lp(v, m, f, z)
+                    got = rinf_member(v, cell, f, z)
+                    assert got == rinf_member_lp(v, cell, f, z)
                     by_components.setdefault(c, set()).add(got)
     assert {1, 2, 3} <= set(by_components)
     assert by_components[2] == by_components[3] == {True, False}
@@ -350,23 +339,67 @@ def test_presentation_fan_member_uniform():
 FAN_POOL = matroid_pool(random.Random(2024), 180)
 
 
-@settings(max_examples=400)
-@given(st.data())
-def test_fan_test_matches_the_zero_valuation_scan(data):
-    """The circuit test of presentation_fan_member answers as membership
-    in the valuation with every basis of m valued 0, for pool matroids
-    and points with infinite and fractional coordinates."""
-    m = data.draw(st.sampled_from(FAN_POOL))
-    if m.n == 0:
-        return
-    value = st.one_of(st.just(INF), st.fractions(-3, 3, max_denominator=4),
-                      st.sampled_from([fr(0), fr(1)]))
-    p = tuple(data.draw(st.lists(value, min_size=m.n, max_size=m.n)))
-    if all(v == INF for v in p):
-        return
-    vm0 = ValuatedMatroid(m.n, m.d, {b: fr(0) for b in m.bases})
-    assert presentations._in_bergman_fan(m, p) == \
-        membership_bruteforce(vm0, p)
+def test_fan_test_matches_the_zero_valuation_scan():
+    """The independent-flat test of presentation_fan_member needs no
+    circuit scan: whenever a point's relative support from the origin is
+    an independent flat of m, the point lies in the valuation with every
+    basis of m valued 0, for pool matroids and points with infinite and
+    fractional coordinates."""
+    hits = []
+
+    @settings(max_examples=400)
+    @given(st.data())
+    def check(data):
+        m = data.draw(st.sampled_from(FAN_POOL))
+        if m.n == 0:
+            return
+        value = st.one_of(st.just(INF),
+                          st.fractions(-3, 3, max_denominator=4),
+                          st.sampled_from([fr(0), fr(1)]))
+        p = tuple(data.draw(st.lists(value, min_size=m.n, max_size=m.n)))
+        if all(v == INF for v in p):
+            return
+        g = relsupp((fr(0),) * m.n, p)
+        if m.independent(g) and m.is_flat(g):
+            vm0 = ValuatedMatroid(m.n, m.d, {b: fr(0) for b in m.bases})
+            assert membership_bruteforce(vm0, p)
+            hits.append(g)
+
+    check()
+    assert len(hits) >= 40 and len(set(hits)) >= 10
+
+
+def test_fan_answers_on_the_criterion_06_tuples(fiber_harness, monkeypatch):
+    """Every tuple that the criterion-06 decisions send to
+    presentation_fan_member gets the answer it got with the circuit scan
+    in place (frozen as a digest), and every point of an accepted tuple
+    lies in the zero valuation of its matroid."""
+    import hashlib
+
+    randoms, adversarial = fiber_harness
+    calls = []
+    fan = presentations.presentation_fan_member
+
+    def recorded(m, points):
+        ok = fan(m, points)
+        calls.append((m, points, ok))
+        return ok
+
+    monkeypatch.setattr(presentations, "presentation_fan_member", recorded)
+    for rows, v in randoms:
+        presentation_space_member(v, points_of(rows))
+    for v, pts, _ in adversarial:
+        presentation_space_member(v, pts)
+    h = hashlib.sha256()
+    for m, points, ok in calls:
+        h.update(repr((m.bases, points, ok)).encode())
+    accepted = [(m, points) for m, points, ok in calls if ok]
+    assert len(calls) == 848 and len(accepted) == 459
+    for m, points in accepted:
+        vm0 = ValuatedMatroid(m.n, m.d, {b: fr(0) for b in m.bases})
+        assert all(membership_bruteforce(vm0, p) for p in points)
+    assert h.hexdigest() == ("4dd612c48cd7d1776e299629659b2f20"
+                             "276092473032cec5e611599247ba1706")
 
 
 def test_presentation_fan_member_builds_no_valuation(monkeypatch):
@@ -621,7 +654,7 @@ def escape_region_answers(cases, tmp_path):
 def test_escape_regions_come_from_the_cell_in_hand(monkeypatch, tmp_path):
     """verify_presentation builds one escape region per connected maximal
     cell and non-empty cyclic flat, from the cell it walks: with
-    _locate_cell and polytope_face failing, it and the
+    polytope_face failing, it and the
     verify-presentation command give the answers and bytes they gave
     when every point looked its cell up again and built the face
     matroid (frozen as a digest)."""
@@ -644,7 +677,6 @@ def test_escape_regions_come_from_the_cell_in_hand(monkeypatch, tmp_path):
             m = cell.matroid
             if len(m.connected_components()) == 1:
                 want += [(m.bases, f) for f in m.cyclic_flats() if f]
-    monkeypatch.setattr(presentations, "_locate_cell", refuse("_locate_cell"))
     monkeypatch.setattr(Matroid, "polytope_face", refuse("polytope_face"))
     monkeypatch.setattr(presentations, "_escape_region", counted)
     got = escape_region_answers(cases, tmp_path)

@@ -340,26 +340,17 @@ def test_beta_solutions_refuse_large_flat_lattices():
     assert len(beta_solutions(uniform_matroid(4, 4))) == 1998
 
 
-def test_is_transversal_keeps_its_verdict():
-    """The verdict is computed once per matroid object, and every call
-    returns its own copy of the presentation or certificate."""
-    calls = []
-    counting = transversal._counting_violation
-
-    def counted(m):
-        calls.append(m)
-        return counting(m)
-
+def test_is_transversal_returns_a_fresh_verdict():
+    """Every call computes its own verdict: clearing the first call's
+    presentation or certificate leaves a second call's intact, equal to
+    a fresh matroid's, and the matroid keeps no verdict."""
     for m in (series_pair(), three_pair_matroid()):
-        calls.clear()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(transversal, "_counting_violation", counted)
-            ok, payload = is_transversal(m)
-            (payload if ok else payload["family"]).clear()
-            second = is_transversal(m)
-        assert len(calls) == 1
+        ok, payload = is_transversal(m)
+        (payload if ok else payload["family"]).clear()
+        second = is_transversal(m)
         assert second == is_transversal(Matroid(m.n, m.bases, check=False))
         assert second[1]
+        assert not hasattr(m, "_transversal")
 
 
 def test_is_pseudopresentation():
