@@ -3,10 +3,14 @@
 Scalars travel as strings: "inf", or a rational in lowest terms like
 "3", "-7/2".  Bare JSON numbers are accepted on input (floats go
 through their decimal representation, so 0.1 means 1/10).  Ground-set
-elements are 1-based everywhere; subsets are sorted element lists and
-d-subset table keys are comma-joined ("1,3,4").  Valuation entries
-are read straight to integers over their lcm and written from the
-valuation's integer table, with no Fraction per entry.
+elements are 1-based everywhere; subsets are sorted element lists.
+d-subset table keys are written in the canonical comma-joined spelling
+("1,3,4"); on input any order and spacing is accepted ("3, 1,4"), and
+a d-set named by two keys is refused.  Canonical keys are read through
+one table from util.slot_keys, built after the slot limit; other
+spellings go through key_to_mask.  Valuation entries are read straight
+to integers over their lcm and written from the valuation's integer
+table, with no Fraction per entry.
 """
 
 import json
@@ -19,8 +23,8 @@ from .errors import TooLarge
 from .gammoid import WeightedDigraph
 from .matroid import Matroid
 from .trop import INF
-from .util import list1
-from .valuated import MAX_SLOTS, ValuatedMatroid
+from .util import list1, slot_keys
+from .valuated import MAX_SLOTS, ValuatedMatroid, check_slots
 
 
 # A decimal exponent costs time and bits that grow with its size, so
@@ -146,10 +150,6 @@ def key_to_mask(key, n):
     return parse_elements([int(p) for p in parts], n)
 
 
-def mask_to_key(mask):
-    return ",".join(str(e) for e in list1(mask))
-
-
 def _get_n(obj):
     """The ground-set size, refused beyond MAX_SLOTS before anything is
     built: C(n, 0) = C(n, n) = 1 passes the slot bound at any n, but
@@ -183,9 +183,18 @@ def fmt_matroid(m):
     return {"n": m.n, "rank": m.d, "bases": [list1(b) for b in m.bases]}
 
 
+def _slot_of(key, n, d):
+    "The d-subset mask of an entry key in any spelling."
+    mask = key_to_mask(key, n)
+    if mask.bit_count() != d:
+        raise ValueError("entry key %r is not a %d-subset" % (key, d))
+    return mask
+
+
 def parse_valuated(obj):
     """The valuation of a JSON object, its entries read straight to
-    integers over their lcm."""
+    integers over their lcm.  The slot limit is checked before the key
+    table is built; a canonical key costs one lookup in it."""
     n = _get_n(obj)
     d = obj.get("rank")
     if isinstance(d, bool) or not isinstance(d, int):
@@ -193,12 +202,18 @@ def parse_valuated(obj):
     table = obj.get("entries")
     if not isinstance(table, dict):
         raise ValueError("valuation needs an entries table")
+    if not 0 <= d <= n:
+        raise ValueError("rank out of range")
+    check_slots(n, d)
+    masks = {key: mask for mask, key in slot_keys(n, d)}
     entries = {}
     for key, val in table.items():
-        mask = key_to_mask(key, n)
-        if mask.bit_count() != d:
-            raise ValueError("entry key %r is not a %d-subset" % (key, d))
+        mask = masks.get(key)
+        if mask is None:
+            mask = _slot_of(key, n, d)
         entries[mask] = _parse_ratio(val)
+    if len(entries) < len(table):
+        _refuse_repeated_sets(table, n, d)
     den = lcm(*(v[1] for v in entries.values() if v is not INF))
     ints = {b: v if v is INF else v[0] * (den // v[1])
             for b, v in entries.items()}
@@ -206,9 +221,21 @@ def parse_valuated(obj):
     return ValuatedMatroid(n, d, ints, den)
 
 
+def _refuse_repeated_sets(table, n, d):
+    "Name the first d-set that two keys of table spell."
+    first = {}
+    for key in table:
+        mask = _slot_of(key, n, d)
+        if mask in first:
+            raise ValueError("entry keys %r and %r name the same %d-subset"
+                             % (first[mask], key, d))
+        first[mask] = key
+
+
 def fmt_valuated(vm):
-    den = vm.den
-    entries = {mask_to_key(b): _fmt_ratio(v, den) for b, v in vm.ints.items()}
+    den, ints = vm.den, vm.ints
+    entries = {key: _fmt_ratio(ints[b], den)
+               for b, key in slot_keys(vm.n, vm.d)}
     return {"n": vm.n, "rank": vm.d, "entries": entries, "sparse": False}
 
 

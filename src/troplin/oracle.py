@@ -27,6 +27,11 @@ def xsum(x, mask):
     return s
 
 
+def mask_to_key(mask):
+    "The canonical JSON key of a subset mask: its 1-based elements, joined."
+    return ",".join(str(e) for e in list1(mask))
+
+
 def trop_minor_bruteforce(a, cols):
     "Min over explicit permutations; rows capped at 6."
     if isinstance(cols, int):

@@ -31,9 +31,16 @@ def ksubsets(n, k):
     "All k-subsets of {0..n-1} as bitmasks, ascending by integer value."
     if k < 0 or k > n:
         return []
-    return sorted(mask_of(c) for c in combinations(range(n), k))
+    return sorted(map(sum, combinations([1 << e for e in range(n)], k)))
 
 
 def submasks(mask, k):
     "All k-subsets of the set bits of mask, ascending by integer value."
-    return sorted(mask_of(c) for c in combinations(elems(mask), k))
+    return sorted(map(sum, combinations([1 << e for e in bits(mask)], k)))
+
+
+def slot_keys(n, k):
+    """(mask, JSON key) of every k-subset of {0..n-1}, one pass over the
+    combinations: keys are the canonical "1,3,4" spelling."""
+    return zip(map(sum, combinations([1 << e for e in range(n)], k)),
+               map(",".join, combinations([str(e + 1) for e in range(n)], k)))

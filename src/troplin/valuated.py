@@ -146,7 +146,8 @@ def check_pluecker(vm):
     (d-2)-set S and i < j < k < l outside S, the least of
     pl(Sij) + pl(Skl), pl(Sik) + pl(Sjl) and pl(Sil) + pl(Sjk) is
     attained twice when finite.  Over a matroid support these imply
-    every (d-1, d+1) relation (Dress-Wenzel 1992).
+    every (d-1, d+1) relation (Dress-Wenzel 1992).  That loop runs on
+    integers only (see _three_terms_hold).
 
     Returns (True, None), or (False, witness) where the witness names the
     first (d-1, d+1)-set pair (a, c), in ascending mask order, whose
@@ -163,15 +164,31 @@ def check_pluecker(vm):
 
 
 def _three_terms_hold(n, d, table):
+    """The three-term relations, on integers only.
+
+    table must be normalized (least entry 0, as ValuatedMatroid.ints
+    is).  INF is read as big = 2 * max(finite) + 1: a sum of two finite
+    entries is below big, and a sum with an INF is at or above it.  So
+    z = pl(Sil) + pl(Sjk) breaks the relation iff z < lo and z < big,
+    or z > lo, lo < hi and lo < big, where lo <= hi are the other two
+    sums.
+    """
+    big = 2 * max(v for v in table.values() if v != INF) + 1
+    t = {b: big if v == INF else v for b, v in table.items()}
     full = (1 << n) - 1
     for s in ksubsets(n, d - 2):
         rest = [1 << e for e in bits(full & ~s)]
         for i, j, k, l in combinations(rest, 4):
-            x = _pair_sum(table, s | i | j, s | k | l)
-            y = _pair_sum(table, s | i | k, s | j | l)
-            z = _pair_sum(table, s | i | l, s | j | k)
+            si = s | i
+            sj = s | j
+            x = t[si | j] + t[s | k | l]
+            y = t[si | k] + t[sj | l]
+            z = t[si | l] + t[sj | k]
             lo, hi = (x, y) if x <= y else (y, x)
-            if z < lo or (z > lo and lo < hi):
+            if z < lo:
+                if z < big:
+                    return False
+            elif z > lo and lo < hi and lo < big:
                 return False
     return True
 

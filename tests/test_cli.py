@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 import troplin.cli
 from common import random_valuation
 from troplin import (INF, AllInfinite, Matroid, TooLarge, TroplinError,
-                     ValuatedMatroid, WeightedDigraph, stiefel, trop,
-                     valuated)
+                     ValuatedMatroid, WeightedDigraph, jsonio, stiefel, trop,
+                     util, valuated)
 from troplin.cli import COMMANDS, run
 from troplin.jsonio import (dumps, fmt_valuated, parse_matrix, parse_scalar,
                             parse_valuated)
@@ -107,12 +107,15 @@ def test_oversized_tables_are_refused_before_enumeration(tmp_path,
     """A table of more than MAX_SLOTS d-subsets is refused with TooLarge
     before any subset is enumerated: by the constructor and stiefel at
     n = 64, d = 32, and at the CLI, exit 2 with a JSON body, for a
-    90-byte check-pluecker payload at n = 30, d = 15."""
+    90-byte check-pluecker payload at n = 30, d = 15, before the parser
+    builds its key table."""
     def no_enumeration(n, k):
         raise AssertionError("enumerated the %d-subsets of %d" % (k, n))
 
     monkeypatch.setattr(valuated, "ksubsets", no_enumeration)
     monkeypatch.setattr(trop, "ksubsets", no_enumeration)
+    monkeypatch.setattr(jsonio, "slot_keys", no_enumeration)
+    monkeypatch.setattr(util, "slot_keys", no_enumeration)
     want = {"n": 64, "rank": 32, "limit": valuated.MAX_SLOTS}
     with pytest.raises(TooLarge) as err:
         ValuatedMatroid(64, 32, {})
@@ -374,6 +377,25 @@ def test_small_exponents_still_parse(tmp_path):
     assert out["entries"] == {"1": "40001/40", "2": "0", "3": "1/40"}
     assert parse_scalar("1E+4300") == 10 ** 4300
     assert parse_scalar("-1e-0_4300") == Fraction(-1, 10 ** 4300)
+
+
+@pytest.mark.parametrize("first, second", [("1,2", "2,1"),
+                                           ("1,3", " 1, 3")])
+@pytest.mark.parametrize("command", ["dual", "check-pluecker"])
+def test_a_set_named_by_two_keys_is_refused(tmp_path, capsys, command,
+                                            first, second):
+    """Two spellings of one d-set are an input error naming both keys,
+    not a silent last-wins table."""
+    entries = {"1,2": "0", "1,3": "0", "2,3": "0"}
+    entries[second] = "5"
+    code, err, _ = call(tmp_path, command,
+                        {"n": 3, "rank": 2, "entries": entries})
+    assert code == 2
+    assert err == {"error": "ValueError",
+                   "message": "entry keys %r and %r name the same 2-subset"
+                   % (first, second),
+                   "witness": None}
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("rank", [True, "2", 2.0, None])

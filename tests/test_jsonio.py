@@ -1,15 +1,17 @@
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from common import random_valuation
 from troplin import INF, ValuatedMatroid, jsonio
 from troplin.jsonio import (_fmt_ratio, _parse_ratio, fmt_scalar,
-                            fmt_valuated, mask_to_key, parse_scalar,
+                            fmt_valuated, key_to_mask, parse_scalar,
                             parse_valuated)
-from troplin.util import ksubsets
+from troplin.oracle import mask_to_key
+from troplin.util import elems, ksubsets, mask_of, slot_keys, submasks
 
 
 def outcome(parse, v):
@@ -129,3 +131,70 @@ def test_valuations_round_trip_on_integers():
                                   for b, v in vm.table.items()}
         back = parse_valuated(out)
         assert back == vm and back.den == vm.den and back.ints == vm.ints
+
+
+def respell(rng, key):
+    "The same d-set in another spelling: shuffled, space-padded, zero-led."
+    parts = key.split(",") if key else []
+    rng.shuffle(parts)
+    parts = [rng.choice(("", " ", "0", "\t")) + p + rng.choice(("", " "))
+             for p in parts]
+    return ",".join(parts) + rng.choice(("", "", ",", " ,"))
+
+
+def key_outcome(parse, key, n, d):
+    "The error type and text of one key, or None when it is accepted."
+    try:
+        mask = parse(key, n)
+    except ValueError as exc:
+        return ValueError, str(exc)
+    if mask.bit_count() != d:
+        return ValueError, "entry key %r is not a %d-subset" % (key, d)
+    return None
+
+
+def test_key_table_equals_the_per_key_reference():
+    """slot_keys, ksubsets and submasks equal their per-combination
+    references for every n <= 10; parse_valuated reads canonical and
+    respelled keys to the same table and den, and refuses malformed
+    keys with key_to_mask's errors."""
+    rng = random.Random(1729)
+    for n in range(11):
+        for k in range(n + 1):
+            want = sorted(mask_of(c) for c in combinations(range(n), k))
+            assert ksubsets(n, k) == want
+            pairs = list(slot_keys(n, k))
+            assert len(pairs) == len(want)
+            assert set(pairs) == {(b, mask_to_key(b)) for b in want}
+            mask = rng.getrandbits(n)
+            assert submasks(mask, k) == sorted(
+                mask_of(c) for c in combinations(elems(mask), k))
+    respelled = errors = 0
+    for _ in range(150):
+        d = rng.randint(0, 4)
+        n = rng.randint(max(d, 1), 7)
+        vm = (random_valuation(rng, d, n, inf_prob=rng.uniform(0, 0.3))
+              if d else ValuatedMatroid(n, 0, {0: rng.randint(-5, 5)}))
+        out = fmt_valuated(vm)
+        kept = {key: val for key, val in out["entries"].items()
+                if val != "inf" or rng.random() < 0.5}
+        entries = {respell(rng, key) if rng.random() < 0.5 else key: val
+                   for key, val in kept.items()}
+        respelled += sum(key not in kept for key in entries)
+        want = parse_valuated(dict(out, entries=kept))
+        back = parse_valuated(dict(out, entries=entries))
+        assert want == vm
+        assert back.ints == want.ints and back.den == want.den
+        for key in ("%d" % (n + 1), "0", "1,1", "1,%d" % (n + 1),
+                    ",".join(map(str, range(1, d + 2))), "1 2", "x",
+                    rng.choice(list(entries)) + ",1", 7, None, (1, 2)):
+            want = key_outcome(key_to_mask, key, n, d)
+            if want is None:
+                continue
+            bad = dict(entries)
+            bad[key] = "0"
+            with pytest.raises(ValueError) as err:
+                parse_valuated(dict(out, entries=bad))
+            assert (ValueError, str(err.value)) == want, key
+            errors += 1
+    assert respelled > 500 and errors > 900

@@ -147,18 +147,32 @@ def test_check_pluecker_accepts_examples_and_images():
 
 def random_pluecker_case(rng):
     """A table with d <= 4 and n <= 8: a Stiefel image, one perturbed
-    entry, entries killed to inf, or random 0/inf/small-integer values."""
+    entry, entries killed to inf, random 0/inf/small-integer values, a
+    single finite entry, an image with every finite entry 0 (so the
+    three-term loop's INF stand-in is 1), or an image scaled by 10^400,
+    perturbed or not, where adding a float INF to an entry would raise
+    OverflowError."""
     d = rng.randint(0, 4)
     n = rng.randint(max(d, 1), 8)
     slots = ksubsets(n, d)
-    kind = rng.choice(("image", "perturbed", "killed", "random"))
+    kind = rng.choice(("image", "perturbed", "killed", "random", "single",
+                       "zeros", "huge"))
+    if kind == "single":
+        return ValuatedMatroid(n, d, {rng.choice(slots): 0})
     if kind == "random" or d == 0:
         table = {b: rng.choice((INF, 0, 0, 1, 2, 3)) for b in slots}
         table[rng.choice(slots)] = 0
         return ValuatedMatroid(n, d, table)
     table = dict(stiefel(random_rows(rng, d, n, rng.uniform(0, 0.4))).table)
     finite = [b for b in slots if table[b] != INF]
-    if kind == "perturbed":
+    if kind == "zeros":
+        table = {b: v if v == INF else 0 for b, v in table.items()}
+    elif kind == "huge":
+        table = {b: v if v == INF else v * 10 ** 400
+                 for b, v in table.items()}
+        if rng.random() < 0.5:
+            table[rng.choice(finite)] += rng.choice((-1, 1))
+    elif kind == "perturbed":
         b = rng.choice(finite)
         table[b] += rng.choice((-1, 1)) * Fraction(rng.randint(1, 4), 2)
     elif kind == "killed":
@@ -169,13 +183,21 @@ def random_pluecker_case(rng):
 
 
 def test_check_pluecker_matches_the_ordered_full_scan():
+    """Verdict and witness equal the reference's; on a matroid support
+    the three-term loop alone gives the verdict, so the ordered scan
+    that follows a False cannot hide a wrong one."""
     rng = random.Random(1992)
     verdicts = {True: 0, False: 0}
-    for _ in range(400):
+    for _ in range(600):
         v = random_pluecker_case(rng)
         got = check_pluecker(v)
         assert got == check_pluecker_bruteforce(v)
         verdicts[got[0]] += 1
+        try:
+            v.underlying()
+        except NotAMatroid:
+            continue
+        assert valuated._three_terms_hold(v.n, v.d, v.ints) == got[0]
     assert verdicts[True] > 200 and verdicts[False] > 50
 
 
