@@ -244,10 +244,14 @@ COMMANDS = {
 
 
 def _read(path):
-    if path == "-":
-        return json.loads(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    "The payload; JSON nested beyond the decoder's depth is an input error."
+    try:
+        if path == "-":
+            return json.loads(sys.stdin.read())
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError("input JSON is nested too deeply") from None
 
 
 def _write(path, text):

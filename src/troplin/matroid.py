@@ -12,7 +12,9 @@ class Matroid:
 
     check=True verifies the exchange axiom on construction: one AND for
     each pair of a basis and a distinct cover mask (see _check_exchange),
-    only worth skipping for bases that are valid by construction, e.g.
+    and on failure the NotAMatroid witness is a failing triple
+    (b1, b2, e) read off the mask that b2 misses.  The check is only
+    worth skipping for bases that are valid by construction, e.g.
     minors of an already checked matroid.
     """
 
@@ -45,40 +47,36 @@ class Matroid:
     def _check_exchange(self):
         """Basis exchange through cover masks.
 
-        cover[b1][e] is e together with every f such that b1 - e + f is
-        a basis; (b1, b2, e) exchanges iff b2 meets that mask.  So the
-        axiom holds iff every basis meets every distinct cover mask, one
-        AND per pair.  Only on failure are the ordered (b1, b2, e)
-        triples scanned, so the witness is the first failing triple.
+        The cover mask of (b1, e) is e together with every f such that
+        b1 - e + f is a basis, and (b1, b2, e) exchanges iff b2 meets
+        it.  So the axiom holds iff every basis meets every distinct
+        cover mask, one AND per pair.  Each distinct mask keeps the
+        first (b1, e) that produced it, so the first basis b2 that
+        misses a mask raises with the failing triple (b1, b2, e).
         When every d-set is a basis the axiom holds outright.
         """
         if len(self.bases) == comb(self.n, self.d):
             return
         bs = self.baseset
-        cover = {}
+        first = {}
         for b1 in self.bases:
             outside = self.full & ~b1
-            masks = {}
             for e in bits(b1):
                 removed = b1 ^ (1 << e)
                 c = 1 << e
                 for f in bits(outside):
                     if removed | (1 << f) in bs:
                         c |= 1 << f
-                masks[e] = c
-            cover[b1] = masks
-        distinct = {c for masks in cover.values() for c in masks.values()}
-        if all(b & c for c in distinct for b in self.bases):
-            return
-        for b1 in self.bases:
-            masks = cover[b1]
-            for b2 in self.bases:
-                for e in bits(b1 & ~b2):
-                    if not masks[e] & b2:
-                        raise NotAMatroid(
-                            "exchange fails",
-                            witness={"b1": list1(b1), "b2": list1(b2),
-                                     "e": e + 1})
+                if c not in first:
+                    first[c] = (b1, e)
+        for b2 in self.bases:
+            for c in first:
+                if not b2 & c:
+                    b1, e = first[c]
+                    raise NotAMatroid(
+                        "exchange fails",
+                        witness={"b1": list1(b1), "b2": list1(b2),
+                                 "e": e + 1})
 
     def __eq__(self, other):
         return (isinstance(other, Matroid)

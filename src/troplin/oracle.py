@@ -15,7 +15,7 @@ from .matroid import Matroid
 from .transversal import (is_pseudopresentation, is_transversal,
                           transversal_matroid)
 from .trop import INF, ZERO
-from .util import bits, elems, ksubsets, list1
+from .util import bits, elems, ksubsets, list1, mask_of
 from .valuated import ValuatedMatroid, initial_matroid, maximal_cells
 
 
@@ -71,44 +71,59 @@ def stiefel_bruteforce(a):
     return ValuatedMatroid(n, d, entries)
 
 
+def _mask1(elements):
+    "The mask of a 1-based element list, the JSON witness convention."
+    return mask_of(x - 1 for x in elements)
+
+
+def violated_relation(vm, a, c):
+    """Is the witness {"a": a, "c": c} (1-based lists) a violated
+    relation of vm by definition: |a| = d - 1, |c| = d + 1, and the
+    least of pl(a + j) + pl(c - j) over j in c - a, on the Fraction
+    table, is finite and attained only once?"""
+    a, c = _mask1(a), _mask1(c)
+    if (a | c) & ~vm.full or a.bit_count() != vm.d - 1 \
+            or c.bit_count() != vm.d + 1:
+        return False
+    terms = []
+    for j in bits(c & ~a):
+        left = vm.table[a | 1 << j]
+        right = vm.table[c ^ 1 << j]
+        if left != INF and right != INF:
+            terms.append(left + right)
+    return bool(terms) and terms.count(min(terms)) == 1
+
+
 def check_pluecker_bruteforce(vm):
-    """Every (d-1, d+1) relation in ascending mask order, on the Fraction
-    table: (True, None) or (False, {"a", "c"}) for the first pair whose
-    minimum is finite and attained only once."""
-    n, d = vm.n, vm.d
-    for a in ksubsets(n, d - 1):
-        for c in ksubsets(n, d + 1):
-            best = INF
-            cnt = 0
-            for j in bits(c & ~a):
-                jb = 1 << j
-                left = vm.table[a | jb]
-                right = vm.table[c ^ jb]
-                t = INF if left == INF or right == INF else left + right
-                if t < best:
-                    best = t
-                    cnt = 1
-                elif t == best and t != INF:
-                    cnt += 1
-            if best != INF and cnt < 2:
+    """Every (d-1, d+1) relation in ascending mask order:
+    (True, None) or (False, {"a", "c"}) for the first violated pair."""
+    for a in ksubsets(vm.n, vm.d - 1):
+        for c in ksubsets(vm.n, vm.d + 1):
+            if violated_relation(vm, list1(a), list1(c)):
                 return False, {"a": list1(a), "c": list1(c)}
     return True, None
+
+
+def exchange_fails(m, b1, b2, e):
+    """Is the witness {"b1", "b2", "e"} (1-based) a failing exchange of
+    m by definition: b1 and b2 are bases, e is in b1 - b2, and no
+    b1 - e + f with f in b2 - b1 is a basis?"""
+    b1, b2, e = _mask1(b1), _mask1(b2), e - 1
+    if b1 not in m.baseset or b2 not in m.baseset or not (b1 & ~b2) >> e & 1:
+        return False
+    removed = b1 ^ (1 << e)
+    return not any(removed | (1 << f) in m.baseset for f in bits(b2 & ~b1))
 
 
 def check_exchange_bruteforce(m):
     """Basis exchange over all ordered (b1, b2, e) triples, searching
     b2 - b1 for each; raises NotAMatroid at the first failing triple."""
-    bs = m.baseset
     for b1 in m.bases:
         for b2 in m.bases:
             for e in bits(b1 & ~b2):
-                removed = b1 ^ (1 << e)
-                if not any(removed | (1 << f) in bs
-                           for f in bits(b2 & ~b1)):
-                    raise NotAMatroid(
-                        "exchange fails",
-                        witness={"b1": list1(b1), "b2": list1(b2),
-                                 "e": e + 1})
+                witness = {"b1": list1(b1), "b2": list1(b2), "e": e + 1}
+                if exchange_fails(m, **witness):
+                    raise NotAMatroid("exchange fails", witness=witness)
 
 
 def subdivision_sample(vm, trials=2000, seed=0):

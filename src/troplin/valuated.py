@@ -42,10 +42,11 @@ class ValuatedMatroid:
     given, entries are ints or INF; without, ints, Fractions or INF,
     scaled by the lcm of their denominators.  The constructor is the
     one place that normalizes: ints[b] / den is pl(b), with the least
-    finite entry 0 and den reduced by the gcd of the table, so sums of
-    entries compare on integers.  table is the Fraction view of ints,
-    built on first use, for hashing and the library API; den
-    depends on the input, so equality cross-multiplies.  underlying()
+    finite entry 0 and den reduced by the gcd of den and the entries
+    less their minimum, so sums of entries compare on integers and
+    (den, ints) is the same for every spelling of one valuation:
+    equality and hashing read it directly.  table is the Fraction view
+    of ints, built on first use, for the library API.  underlying()
     checks that the support is a matroid; check_pluecker() checks that
     and the tropical Pluecker relations.  The other views kept are those
     a request reuses: underlying(), _scaled's rows, maximal_cells().
@@ -68,7 +69,7 @@ class ValuatedMatroid:
         if not finite:
             raise AllInfinite("no finite Pluecker entry")
         low = min(finite)
-        g = gcd(den, *finite)
+        g = gcd(den, *(v - low for v in finite))
         den //= g
         ints = {b: (v if v == INF else (v - low) // g)
                 for b, v in zip(slots, raw)}
@@ -97,16 +98,12 @@ class ValuatedMatroid:
         return self._underlying
 
     def __eq__(self, other):
-        "Equal tables, compared on ints across the two denominators."
-        if not (isinstance(other, ValuatedMatroid) and self.n == other.n
-                and self.d == other.d and self.support == other.support):
-            return False
-        a, b = self.ints, other.ints
-        da, db = self.den, other.den
-        return all(a[s] * db == b[s] * da for s in self.support)
+        return (isinstance(other, ValuatedMatroid) and self.n == other.n
+                and self.d == other.d and self.den == other.den
+                and self.ints == other.ints)
 
     def __hash__(self):
-        return hash((self.n, self.d, tuple(sorted(self.table.items()))))
+        return hash((self.n, self.d, self.den, tuple(self.ints.values())))
 
     def __repr__(self):
         return "ValuatedMatroid(n=%d, d=%d, %d finite entries)" % (
@@ -147,24 +144,30 @@ def check_pluecker(vm):
     pl(Sij) + pl(Skl), pl(Sik) + pl(Sjl) and pl(Sil) + pl(Sjk) is
     attained twice when finite.  Over a matroid support these imply
     every (d-1, d+1) relation (Dress-Wenzel 1992).  That loop runs on
-    integers only (see _three_terms_hold).
+    integers only (see _three_term_violation).
 
-    Returns (True, None), or (False, witness) where the witness names the
-    first (d-1, d+1)-set pair (a, c), in ascending mask order, whose
-    minimum over j in c - a of pl(a + j) + pl(c - j) is finite and
-    attained only once.  That ordered scan runs only on rejection.
+    Returns (True, None), or (False, witness) where the witness names a
+    (d-1, d+1)-set pair (a, c) whose minimum over j in c - a of
+    pl(a + j) + pl(c - j) is finite and attained only once: the first
+    violated relation the check meets, read off the failure in hand.
+    An exchange failure (b1, b2, e) gives a = b1 - e, c = b2 + e, whose
+    only finite term is j = e: no b1 - e + f with f in b2 - b1 is in
+    the support.
     """
     try:
         vm.underlying()
-    except NotAMatroid:
-        return _first_violated_pair(vm.n, vm.d, vm.ints)
-    if _three_terms_hold(vm.n, vm.d, vm.ints):
-        return True, None
-    return _first_violated_pair(vm.n, vm.d, vm.ints)
+    except NotAMatroid as exc:
+        w = exc.witness
+        return False, {"a": [x for x in w["b1"] if x != w["e"]],
+                       "c": sorted(w["b2"] + [w["e"]])}
+    witness = _three_term_violation(vm.n, vm.d, vm.ints)
+    return witness is None, witness
 
 
-def _three_terms_hold(n, d, table):
-    """The three-term relations, on integers only.
+def _three_term_violation(n, d, table):
+    """The first failing three-term relation, checked on integers only,
+    as the witness {"a", "c"} of the pair (S + i, S + jkl), whose three
+    terms are the relation's three sums; None if every relation holds.
 
     table must be normalized (least entry 0, as ValuatedMatroid.ints
     is).  INF is read as big = 2 * max(finite) + 1: a sum of two finite
@@ -185,37 +188,9 @@ def _three_terms_hold(n, d, table):
             y = t[si | k] + t[sj | l]
             z = t[si | l] + t[sj | k]
             lo, hi = (x, y) if x <= y else (y, x)
-            if z < lo:
-                if z < big:
-                    return False
-            elif z > lo and lo < hi and lo < big:
-                return False
-    return True
-
-
-def _pair_sum(table, b1, b2):
-    v1 = table[b1]
-    v2 = table[b2]
-    return INF if v1 == INF or v2 == INF else v1 + v2
-
-
-def _first_violated_pair(n, d, table):
-    "The ordered scan over all (d-1, d+1)-set pairs behind check_pluecker."
-    for a in ksubsets(n, d - 1):
-        for c in ksubsets(n, d + 1):
-            best = INF
-            cnt = 0
-            for j in bits(c & ~a):
-                jb = 1 << j
-                t = _pair_sum(table, a | jb, c ^ jb)
-                if t < best:
-                    best = t
-                    cnt = 1
-                elif t == best and t != INF:
-                    cnt += 1
-            if best != INF and cnt < 2:
-                return False, {"a": list1(a), "c": list1(c)}
-    return True, None
+            if (z < big) if z < lo else (z > lo and lo < hi and lo < big):
+                return {"a": list1(si), "c": list1(sj | k | l)}
+    return None
 
 
 def membership(vm, y):

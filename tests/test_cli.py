@@ -16,6 +16,7 @@ from troplin import (INF, AllInfinite, Matroid, TooLarge, TroplinError,
 from troplin.cli import COMMANDS, run
 from troplin.jsonio import (dumps, fmt_valuated, parse_matrix, parse_scalar,
                             parse_valuated)
+from troplin.oracle import check_pluecker_bruteforce, violated_relation
 from troplin.util import bits, ksubsets, list1
 from troplin.valuated import check_pluecker
 
@@ -621,6 +622,57 @@ def test_unexpected_exception_is_an_internal_error(tmp_path, monkeypatch):
                    "witness": None}
 
 
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys,
+                                              monkeypatch):
+    """100,000 nested brackets overflow the JSON decoder's recursion:
+    through --input and through stdin that is a ValueError, exit 2
+    with a JSON body, and nothing on stderr."""
+    text = "[" * 100000 + "]" * 100000
+    want = {"error": "ValueError", "message": "input JSON is nested too deeply",
+            "witness": None}
+    src = tmp_path / "deep.json"
+    src.write_text(text)
+    assert run(["check-pluecker", "--input", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == want and captured.err == ""
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(["stiefel"]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == want and captured.err == ""
+
+
+# Rank-2 tables at n = 60 that check-pluecker refuses: four entries on
+# the parallel classes {57, 58} and {59, 60}, one lowered, and two
+# entries whose support is not a matroid.
+REFUSED_AT_SIXTY = [
+    {"n": 60, "rank": 2, "entries": {"57,59": "-1", "57,60": "0",
+                                     "58,59": "0", "58,60": "0"}},
+    {"n": 60, "rank": 2, "entries": {"57,58": "0", "59,60": "0"}}]
+
+
+def test_refusals_read_the_witness_off_the_failure(tmp_path, monkeypatch):
+    """check-pluecker and cells refuse both tables with a relation that
+    is violated by definition, and enumerate no (d - 1)- or
+    (d + 1)-subsets on the way: no ordered scan runs after the check
+    fails."""
+    real = valuated.ksubsets
+
+    def no_pair_scan(n, k):
+        if k in (1, 3):
+            raise AssertionError("enumerated the %d-subsets of %d" % (k, n))
+        return real(n, k)
+
+    monkeypatch.setattr(valuated, "ksubsets", no_pair_scan)
+    for payload in REFUSED_AT_SIXTY:
+        vm = parse_valuated(payload)
+        code, out, _ = call(tmp_path, "check-pluecker", payload)
+        assert code == 1 and out["ok"] is False
+        assert violated_relation(vm, **out["witness"])
+        code, body, _ = call(tmp_path, "cells", payload)
+        assert (code, body["error"]) == (2, "NotPluecker")
+        assert body["witness"] == out["witness"]
+
+
 def test_unknown_command_exits_two(capsys):
     """An unknown command, a bad flag value, an unknown flag or a
     missing command exits 2 with a JSON body on stdout that carries
@@ -860,3 +912,43 @@ def test_every_command_answers_small_payloads_with_a_json_body(tmp_path):
     for command in sorted(COMMANDS):
         check(command)
     assert time.monotonic() - start < 20
+
+
+@st.composite
+def _fuzz_moved_entry(draw):
+    """A drawn valuation payload on 4 or 5 elements, where three-term
+    relations can exist, with one entry rewritten if it has one."""
+    payload = draw(_fuzz_valuation(draw(st.integers(4, 5))))[0]
+    entries = payload.get("entries")
+    if isinstance(entries, dict) and entries:
+        entries = dict(entries)
+        entries[draw(st.sampled_from(sorted(entries)))] = draw(
+            st.sampled_from(FUZZ_SCALARS))
+        payload = dict(payload, entries=entries)
+    return payload
+
+
+def test_check_pluecker_equals_the_oracle_on_drawn_payloads(tmp_path):
+    """On the fuzz suite's check-pluecker payloads, and on drawn
+    valuations with one entry moved: where one parses, the verdict is
+    the ordered reference's and a false witness is a violated relation
+    by definition; where none parses, exit 2."""
+    seen = {0: 0, 1: 0, 2: 0}
+
+    @settings(max_examples=500)
+    @given(payload=st.one_of(_fuzz_payload("check-pluecker"),
+                             _fuzz_moved_entry()))
+    def check(payload):
+        code, body, _ = call(tmp_path, "check-pluecker", payload)
+        seen[code] += 1
+        try:
+            vm = parse_valuated(payload)
+        except (TroplinError, ValueError, KeyError, TypeError):
+            assert code == 2
+            return
+        ok = check_pluecker_bruteforce(vm)[0]
+        assert code == (0 if ok else 1)
+        assert ok or violated_relation(vm, **body["witness"])
+
+    check()
+    assert min(seen.values()) >= 40, seen

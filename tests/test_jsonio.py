@@ -117,20 +117,27 @@ def test_formatting_from_integers_equals_fmt_scalar():
 
 def test_valuations_round_trip_on_integers():
     """fmt_valuated writes fmt_scalar of every Fraction entry, and
-    parse_valuated reads it back to the same valuation and den."""
+    parse_valuated reads it back to the same valuation with the same
+    den and ints: for Stiefel images as they are, and scaled and
+    shifted by fractions, so that the written entries (least one 0)
+    differ from the ones the valuation was built from."""
     rng = random.Random(99)
-    for _ in range(60):
+    for _ in range(200):
         d = rng.randint(1, 4)
-        vm = random_valuation(rng, d, rng.randint(d, 7),
-                              inf_prob=rng.uniform(0, 0.3))
+        image = random_valuation(rng, d, rng.randint(d, 7),
+                                 inf_prob=rng.uniform(0, 0.3))
         scale = Fraction(rng.randint(1, 9), rng.randint(1, 12))
-        vm = ValuatedMatroid(vm.n, vm.d, {b: v if v == INF else v * scale
-                                          for b, v in vm.table.items()})
-        out = fmt_valuated(vm)
-        assert out["entries"] == {mask_to_key(b): fmt_scalar(v)
-                                  for b, v in vm.table.items()}
-        back = parse_valuated(out)
-        assert back == vm and back.den == vm.den and back.ints == vm.ints
+        shift = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        moved = ValuatedMatroid(image.n, image.d, {
+            b: v if v == INF else v * scale + shift
+            for b, v in image.table.items()})
+        for vm in (image, moved):
+            out = fmt_valuated(vm)
+            assert out["entries"] == {mask_to_key(b): fmt_scalar(v)
+                                      for b, v in vm.table.items()}
+            back = parse_valuated(out)
+            assert back == vm
+            assert (back.den, back.ints) == (vm.den, vm.ints)
 
 
 def respell(rng, key):

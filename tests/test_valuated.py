@@ -16,7 +16,8 @@ from troplin.oracle import (cell_complex_bruteforce,
                             check_pluecker_bruteforce,
                             first_breakpoint_bruteforce,
                             initial_matroid_bruteforce,
-                            membership_bruteforce, subdivision_sample)
+                            membership_bruteforce, subdivision_sample,
+                            violated_relation)
 from troplin.util import bits, elems, ksubsets, mask_of, submasks
 
 
@@ -120,6 +121,21 @@ def test_equality_is_projective():
     assert a == b and hash(a) == hash(b)
 
 
+def test_one_valuation_has_one_integer_table():
+    """(den, ints) depends on the valuation, not on how its entries are
+    written: 1/2, 1/2, 3/2 (and 1, 1, 3 over den 2) give den 1 and ints
+    0, 0, 1, as 0, 0, 1 does, so equality and hashing read them."""
+    keys = [mask_of([0, 1]), mask_of([0, 2]), mask_of([1, 2])]
+    want = ValuatedMatroid(3, 2, dict(zip(keys, (0, 0, 1))))
+    for v in (ValuatedMatroid(3, 2, dict(zip(keys, (fr(1, 2), fr(1, 2),
+                                                    fr(3, 2))))),
+              ValuatedMatroid(3, 2, dict(zip(keys, (1, 1, 3))), 2),
+              want):
+        assert v.den == 1 and [v.ints[b] for b in keys] == [0, 0, 1]
+        assert v == want and hash(v) == hash(want)
+    assert ValuatedMatroid(3, 2, dict(zip(keys, (0, 0, 2)))) != want
+
+
 def test_underlying_requires_exchange():
     v = ValuatedMatroid(4, 2, {mask_of([0, 1]): 0, mask_of([2, 3]): 0})
     with pytest.raises(NotAMatroid):
@@ -183,22 +199,27 @@ def random_pluecker_case(rng):
 
 
 def test_check_pluecker_matches_the_ordered_full_scan():
-    """Verdict and witness equal the reference's; on a matroid support
-    the three-term loop alone gives the verdict, so the ordered scan
-    that follows a False cannot hide a wrong one."""
+    """Verdict equal to the ordered reference's, and every false
+    witness a violated relation by definition: the certificate is read
+    off the exchange failure or the three-term relation that the check
+    met, not rescanned in order."""
     rng = random.Random(1992)
     verdicts = {True: 0, False: 0}
     for _ in range(600):
         v = random_pluecker_case(rng)
-        got = check_pluecker(v)
-        assert got == check_pluecker_bruteforce(v)
-        verdicts[got[0]] += 1
-        try:
-            v.underlying()
-        except NotAMatroid:
-            continue
-        assert valuated._three_terms_hold(v.n, v.d, v.ints) == got[0]
+        ok, witness = check_pluecker(v)
+        assert ok == check_pluecker_bruteforce(v)[0]
+        assert ok == (witness is None)
+        assert ok or violated_relation(v, **witness)
+        verdicts[ok] += 1
     assert verdicts[True] > 200 and verdicts[False] > 50
+    # the witnesses of the two failure kinds, on fixed tables
+    non_matroid = ValuatedMatroid(5, 2, {mask_of([0, 1]): 0,
+                                         mask_of([2, 3]): 0})
+    assert check_pluecker(non_matroid) == (False, {"a": [4], "c": [1, 2, 3]})
+    assert violated_relation(non_matroid, [4], [1, 2, 3])
+    assert not violated_relation(non_matroid, [1], [3, 4, 5])  # no term
+    assert not violated_relation(non_matroid, [4], [1, 2])  # wrong size
 
 
 def test_check_pluecker_vacuous_ranks():
