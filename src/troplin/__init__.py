@@ -31,10 +31,9 @@ from .transversal import (beta_solutions, is_pseudopresentation,
 from .trop import (INF, min_assignment, normalize_point, relsupp, stiefel,
                    stiefel_domain_witness, trop_cone_sample, trop_minor,
                    zoom)
-from .valuated import (CellComplex, SubdivisionCell, ValuatedMatroid,
-                       cell_complex, cell_vertex, check_pluecker,
-                       hyperplane, initial_matroid, maximal_cells,
-                       membership, stable_intersection, stable_sum,
-                       v_contract, v_dual, v_restrict)
+from .valuated import (SubdivisionCell, ValuatedMatroid, cell_complex,
+                       check_pluecker, hyperplane, initial_matroid,
+                       maximal_cells, membership, stable_intersection,
+                       stable_sum, v_contract, v_dual, v_restrict)
 
 __version__ = "0.1.0"

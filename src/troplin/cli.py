@@ -20,7 +20,7 @@ from .presentations import (distinguished, presentation_space_member,
                             sample_presentation, verify_presentation)
 from .transversal import (is_transversal, max_presentation,
                           verify_set_presentation)
-from .trop import stiefel
+from .trop import normalize_point, stiefel
 from .util import list1, mask_of
 from .valuated import (cell_complex, check_pluecker, initial_matroid,
                        membership, stable_intersection, stable_sum,
@@ -100,10 +100,10 @@ def cmd_cells(payload, args):
 def cmd_vertices(payload, args):
     vm = jsonio.parse_valuated(payload)
     _require_pluecker(vm)
-    verts = cell_complex(vm).vertices
-    out = [{"bases": [list1(b) for b in bases],
-            "point": jsonio.fmt_point(p)}
-           for bases, p in sorted(verts.items())]
+    out = [{"bases": [list1(b) for b in c.matroid.bases],
+            "point": jsonio.fmt_point(normalize_point(c.witness))}
+           for c in cell_complex(vm)
+           if len(c.matroid.connected_components()) == 1]
     return 0, {"n": vm.n, "vertices": out}
 
 

@@ -15,10 +15,10 @@ from .errors import (AllInfinite, CountMismatch, NotCyclicFlat,
                      NotTransversalFacets, PointOutsideL, TroplinError,
                      WrongArity)
 from .linprog import distinct_rows, solve_lp
-from .trop import INF, ONE, ZERO, check_point, relsupp
+from .trop import INF, ONE, ZERO, check_point, normalize_point, relsupp
 from .util import bits, elems, list1, mask_of
-from .valuated import (_face, _values, cell_vertex, face_witness,
-                       maximal_cells, membership, v_contract)
+from .valuated import (_face, _values, face_witness, maximal_cells,
+                       membership, v_contract)
 from . import transversal
 
 
@@ -112,12 +112,13 @@ def rinf_member(vm, cell, flat, z):
 def verify_presentation(vm, points):
     """Check the point-counting conditions that characterize presentations.
 
-    For every connected maximal cell, with vertex v: at most cork(F)
-    points may have relative support from v covering the flat F, and for
-    cyclic F the escape-region count must equal cork(F) exactly.  A
-    support rs is a flat of the cell, as v + eps e_rs lies in the space
-    (tropical convexity), so the first count runs only at the meets of
-    the supports, in transversal.covering_violations.
+    For every connected maximal cell, with vertex v (its witness, up to
+    a constant that moves no relative support): at most cork(F) points
+    may have relative support from v covering the flat F, and for cyclic
+    F the escape-region count must equal cork(F) exactly.  A support rs
+    is a flat of the cell, as v + eps e_rs lies in the space (tropical
+    convexity), so the first count runs only at the meets of the
+    supports, in transversal.covering_violations.
     Returns {"ok": bool, "violations": [...]}.
     """
     if len(points) != vm.d:
@@ -129,17 +130,14 @@ def verify_presentation(vm, points):
                            witness=list1(bad))
     points = [check_point(p) for p in points]
     for i, p in enumerate(points):
-        if len(p) != vm.n:
-            raise ValueError("point length mismatch")
-        if not membership(vm, p):
+        if not membership(vm, p):  # also refuses a wrong length
             raise PointOutsideL(witness={"index": i + 1})
     violations = []
     for cell in maximal_cells(vm):
         m = cell.matroid
         if len(m.connected_components()) != 1:
             continue
-        v = cell_vertex(vm, m)
-        supports = Counter(relsupp(v, p) for p in points)
+        supports = Counter(relsupp(cell.witness, p) for p in points)
         for f, count in transversal.covering_violations(m, supports):
             violations.append(
                 {"cell": [list1(b) for b in m.bases],
@@ -170,7 +168,8 @@ class DistinguishedEntry:
     flat: cyclic flat of the support (global mask); matroid: connected
     maximal cell of the contraction, on the remaining elements; coords:
     global labels of those elements; multiplicity: how many presentation
-    points it accounts for; apex: its vertex, extended by inf on flat.
+    points it accounts for; vertex: the cell's witness less its minimum;
+    apex: the vertex, extended by inf on flat.
     """
 
     def __init__(self, flat, matroid, coords, multiplicity, vertex, apex):
@@ -211,9 +210,10 @@ def distinguished(vm):
 
     Scans the cyclic flats F of the support; for each, the connected
     maximal cells M of the contraction at F with positive empty-flat
-    multiplicity contribute, their apices being their vertices extended
-    by inf on F.  Multiplicities always sum to the rank, and the apices
-    present vm.  Assumes vm is a valuated matroid (see check_pluecker).
+    multiplicity contribute; the vertex is M's witness less its minimum
+    (M fixes its point up to a constant), the apex that extended by inf
+    on F.  Multiplicities always sum to the rank, and the apices present
+    vm.  Assumes vm is a valuated matroid (see check_pluecker).
     """
     uv = vm.underlying()
     bad = uv.loops() | uv.coloops()
@@ -231,12 +231,8 @@ def distinguished(vm):
     for f in uv.cyclic_flats():
         if f == uv.full:
             continue
-        if f == 0:
-            vf = vm
-            coords = tuple(range(vm.n))
-        else:
-            vf = v_contract(vm, f)
-            coords = tuple(elems(vm.full ^ f))
+        vf = vm if f == 0 else v_contract(vm, f)
+        coords = tuple(elems(vm.full ^ f))
         for cell in maximal_cells(vf):
             m = cell.matroid
             if len(m.connected_components()) != 1:
@@ -244,7 +240,7 @@ def distinguished(vm):
             t = m.cyclic_flats().tau(0)
             if t <= 0:
                 continue
-            v = cell_vertex(vf, m)
+            v = normalize_point(cell.witness)
             apex = [INF] * vm.n
             for i, g in enumerate(coords):
                 apex[g] = v[i]
@@ -385,6 +381,8 @@ def contract_presentation(vm, points, flat):
     if len(points) != vm.d:
         raise WrongArity(witness={"expected": vm.d, "got": len(points)})
     points = [check_point(p) for p in points]
+    if any(len(p) != vm.n for p in points):
+        raise ValueError("point length mismatch")
     keep = elems(vm.full ^ flat)
     chosen = [p for p in points
               if all(p[j] == INF for j in bits(flat))]

@@ -121,20 +121,6 @@ class SubdivisionCell:
             self.matroid, self.is_maximal)
 
 
-class CellComplex:
-    "All loop-free cells of the subdivision, with vertices where defined."
-
-    def __init__(self, cells, vertices):
-        self.cells = cells
-        self.vertices = vertices
-
-    def __iter__(self):
-        return iter(self.cells)
-
-    def __len__(self):
-        return len(self.cells)
-
-
 def check_pluecker(vm):
     """Tropical Pluecker relations of the table, in two phases.
 
@@ -464,7 +450,9 @@ def cell_complex(vm):
     component, and the restriction to F is connected (Feichtner-Sturmfels
     2005), so F is a cyclic flat or a one-element flat.  So closing the
     maximal cells under those facets reaches every loop-free cell and no
-    other, with no flat lattice; each new face is built once.  Assumes
+    other, with no flat lattice; each new face is built once.  Maximal
+    cells come first, each run sorted by bases.  A connected cell is
+    maximal; its vertex is its witness shifted to minimum 0.  Assumes
     vm is a valuated matroid (see check_pluecker).
     """
     uv = vm.underlying()
@@ -485,57 +473,8 @@ def cell_complex(vm):
                                  face_witness(vm, m, cell.witness, f), False)
             found[face] = nc
             queue.append(nc)
-    cells = sorted(found.values(),
-                   key=lambda c: (not c.is_maximal, c.matroid.bases))
-    vertices = {}
-    for c in cells:
-        if len(c.matroid.connected_components()) == 1:
-            vertices[c.matroid.bases] = cell_vertex(vm, c.matroid)
-    return CellComplex(cells, vertices)
-
-
-def cell_vertex(vm, m):
-    """The point of the tropical linear space pinned down by a connected cell.
-
-    Solves pl(B) - y(B) = const over the cell's bases on the integer
-    table.  For B0 = bases[0] and f outside B0, each e in the fundamental
-    circuit C(f, B0) gives y[f] - y[e] = ints[B0 - e + f] - ints[B0].
-    These circuits connect the ground set iff m is connected (Oxley,
-    fundamental circuits), so one search from the least element of B0
-    fixes y.  Raises InconsistentCell if the system is underdetermined
-    (m is not connected) or y misses a basis (m is not a cell).  Returns
-    y / den shifted to minimum 0.
-    """
-    ints = vm.ints
-    b0 = m.bases[0]
-    adj = [[] for _ in range(vm.n)]
-    for f, c in zip(bits(m.full & ~b0), m._fundamental_circuits(b0)):
-        for e in bits(c & b0):
-            off = ints[(b0 ^ (1 << e)) | (1 << f)] - ints[b0]
-            adj[e].append((f, off))
-            adj[f].append((e, -off))
-    y = [None] * vm.n
-    start = next(bits(b0))
-    y[start] = 0
-    queue = [start]
-    while queue:
-        e = queue.pop()
-        for f, off in adj[e]:
-            if y[f] is None:
-                y[f] = y[e] + off
-                queue.append(f)
-    if None in y:
-        raise InconsistentCell(
-            "vertex system is underdetermined",
-            witness=list1(mask_of(j for j, v in enumerate(y) if v is None)))
-    c0 = ints[b0] - sum(y[e] for e in bits(b0))
-    for b in m.bases:
-        t = ints[b]
-        if t == INF or t - sum(y[e] for e in bits(b)) != c0:
-            raise InconsistentCell("vertex misses a basis",
-                                   witness={"b": list1(b)})
-    low = min(y)
-    return tuple(Fraction(v - low, vm.den) for v in y)
+    return sorted(found.values(),
+                  key=lambda c: (not c.is_maximal, c.matroid.bases))
 
 
 def stable_sum(v1, v2):

@@ -14,9 +14,12 @@ from troplin import (INF, AllInfinite, Matroid, TooLarge, TroplinError,
                      ValuatedMatroid, WeightedDigraph, jsonio, stiefel, trop,
                      util, valuated)
 from troplin.cli import COMMANDS, run
-from troplin.jsonio import (dumps, fmt_valuated, parse_matrix, parse_scalar,
+from troplin.jsonio import (dumps, fmt_matroid, fmt_point, fmt_valuated,
+                            parse_matrix, parse_point, parse_scalar,
                             parse_valuated)
-from troplin.oracle import check_pluecker_bruteforce, violated_relation
+from troplin.oracle import (check_pluecker_bruteforce,
+                            initial_matroid_bruteforce, membership_bruteforce,
+                            violated_relation)
 from troplin.util import bits, ksubsets, list1
 from troplin.valuated import check_pluecker
 
@@ -952,3 +955,65 @@ def test_check_pluecker_equals_the_oracle_on_drawn_payloads(tmp_path):
 
     check()
     assert min(seen.values()) >= 40, seen
+
+
+@st.composite
+def _fuzz_span_point(draw):
+    """A Stiefel image on 2 to 5 elements with a point of its rows'
+    min-plus span, as drawn or with one coordinate moved off it."""
+    n = draw(st.integers(2, 5))
+    rows = parse_matrix(draw(_fuzz_rows(draw(st.integers(1, n - 1)), n)))
+    try:
+        vm = fmt_valuated(stiefel(rows))
+    except TroplinError:
+        return draw(_fuzz_payload("membership"))
+    shifts = [parse_scalar(draw(st.sampled_from(FUZZ_SCALARS)))
+              for _ in rows]
+    point = [min(c + r[j] for c, r in zip(shifts, rows)) for j in range(n)]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        point[j] = parse_scalar(draw(st.sampled_from(FUZZ_SCALARS)))
+    return {"valuation": vm, "point": fmt_point(point)}
+
+
+def test_membership_and_initial_equal_the_oracle_on_drawn_payloads(
+        tmp_path):
+    """On the fuzz suite's membership payloads, and on Stiefel images
+    with a point of the rows' span, as drawn or moved: where payload
+    and point parse and the point fits, membership gives the Fraction
+    sum reference's verdict and initial its initial matroid; a point of
+    the wrong length, all infinite, or for initial infinite anywhere,
+    exits 2, and so does every payload that does not parse."""
+    seen = {True: 0, False: 0}
+    initial = {0: 0, 2: 0}
+
+    @settings(max_examples=400)
+    @given(payload=st.one_of(_fuzz_payload("membership"),
+                             _fuzz_span_point()))
+    def check(payload):
+        codes = [call(tmp_path, c, payload)[:2]
+                 for c in ("membership", "initial")]
+        try:
+            vm = parse_valuated(payload["valuation"])
+            y = parse_point(payload["point"])
+        except (TroplinError, ValueError, KeyError, TypeError):
+            assert [code for code, _ in codes] == [2, 2]
+            return
+        (code, body), (icode, ibody) = codes
+        fits = len(y) == vm.n
+        if fits and any(v != INF for v in y):
+            ok = membership_bruteforce(vm, y)
+            assert (code, body) == ((0 if ok else 1), {"ok": ok})
+            seen[ok] += 1
+        else:
+            assert code == 2
+        if fits and INF not in y:
+            assert (icode, ibody) == (
+                0, fmt_matroid(initial_matroid_bruteforce(vm, y)))
+        else:
+            assert icode == 2
+        initial[icode] += 1
+
+    check()
+    assert min(seen.values()) >= 40, seen
+    assert min(initial.values()) >= 40, initial

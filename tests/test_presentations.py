@@ -15,9 +15,9 @@ from troplin import (INF, CountMismatch, DistinguishedEntry,
                      Matroid, NotAMatroid, NotCyclicFlat,
                      NotTransversalFacets, PointOutsideL, TroplinError,
                      ValuatedMatroid, WrongArity,
-                     cell_vertex, contract_presentation, distinguished,
+                     contract_presentation, distinguished,
                      is_transversal, is_transversal_valuated, maximal_cells,
-                     membership, presentation_fan_member,
+                     membership, normalize_point, presentation_fan_member,
                      presentation_space_member, presentations, r0_member,
                      relsupp, rinf_member, sample_presentation, stiefel,
                      transversal, uniform_matroid, v_contract, v_dual,
@@ -189,7 +189,7 @@ def test_sigma0_checks_the_meets_of_the_relative_supports():
             if len(m.connected_components()) != 1:
                 continue
             cells += 1
-            v = cell_vertex(vm, m)
+            v = normalize_point(cell.witness)
             supports = [relsupp(v, p) for p in points]
             assert all(m.is_flat(rs) for rs in supports)
             meets = set()
@@ -279,6 +279,9 @@ def test_verify_presentation_guards():
     with pytest.raises(PointOutsideL) as err:
         verify_presentation(v, [(fr(0),) * 4, (fr(0), fr(1), fr(1), fr(1))])
     assert err.value.witness == {"index": 2}
+    for p in ((fr(0),) * 3, (fr(0),) * 5):
+        with pytest.raises(ValueError, match="point length mismatch"):
+            verify_presentation(v, [(fr(0),) * 4, p])
     lollipop = ValuatedMatroid(3, 2, {mask_of([0, 1]): 0, mask_of([0, 2]): 0})
     with pytest.raises(TroplinError):
         verify_presentation(lollipop, [(fr(0),) * 3, (fr(0),) * 3])
@@ -554,6 +557,14 @@ def test_contract_presentation_guards():
         contract_presentation(v, rows, mask_of([1, 2]))
     with pytest.raises(WrongArity):
         contract_presentation(v, rows[:2], mask_of([0, 3, 4]))
+    # a short point once raised IndexError, a long one was cut down
+    rows = [[fr(0), fr(0), INF, fr(0)], [INF, INF, fr(0), fr(1)]]
+    v, flat = stiefel(rows), mask_of([0, 1])
+    assert flat in v.underlying().cyclic_flats()
+    assert contract_presentation(v, rows, flat) == [(fr(0), fr(1))]
+    for p in (rows[1][:3], rows[1] + [fr(5)]):
+        with pytest.raises(ValueError, match="point length mismatch"):
+            contract_presentation(v, [rows[0], p], flat)
 
 
 def test_contraction_round_trip_random():
@@ -685,3 +696,60 @@ def test_escape_regions_come_from_the_cell_in_hand(monkeypatch, tmp_path):
     assert len(want) > 100
     assert got == ("d18462609d9b62e4984459ad1fc9906a"
                    "1e33dd28d65f4c2ba5be4685f6c35211")
+
+
+def vertex_answer_cases():
+    """Loop- and coloop-free Stiefel images with d <= 4 and n <= 8, each
+    with its rows and d points of their row span."""
+    rng = random.Random(1917)
+    cases = []
+    while len(cases) < 32:
+        d = rng.randint(2, 4)
+        n = rng.randint(d + 2, 8)
+        rows = random_rows(rng, d, n, inf_prob=0.15)
+        uv = stiefel(rows).underlying()
+        if uv.loops() | uv.coloops():
+            continue
+        span = [row_span_point(rng, rows) for _ in range(2 * d)]
+        cases.append((rows, [rng.choice(span) for _ in range(d)]))
+    return cases
+
+
+def test_vertex_commands_keep_their_bytes(tmp_path):
+    """cells, vertices, distinguished, verify-presentation and
+    in-presentation-space (on the rows and on row-span points) and
+    sample-presentation at seeds 0 and 3 give, on 32 Stiefel images up
+    to (d, n) = (4, 8), the codes and bytes they gave when each
+    connected cell's vertex was solved along fundamental circuits
+    (frozen as a digest)."""
+    import hashlib
+
+    h = hashlib.sha256()
+    src, dst = tmp_path / "in.json", tmp_path / "out.json"
+    verdicts = {0: 0, 1: 0}
+    shapes = set()
+    vertices = 0
+    for rows, span in vertex_answer_cases():
+        shapes.add((len(rows), len(rows[0])))
+        src.write_text(json.dumps(fmt_matrix(rows)))
+        assert run(["stiefel", "--input", str(src), "--output", str(dst)]) == 0
+        vm = json.loads(dst.read_text())
+        calls = [(c, [], vm) for c in ("cells", "vertices", "distinguished")]
+        calls += [("sample-presentation", ["--seed", s], vm) for s in "03"]
+        calls += [(c, [], {"valuation": vm, "points": fmt_matrix(p)})
+                  for c in ("verify-presentation", "in-presentation-space")
+                  for p in (rows, span)]
+        for command, extra, payload in calls:
+            src.write_text(json.dumps(payload))
+            code = run([command, "--input", str(src), "--output", str(dst),
+                        *extra])
+            out = dst.read_text()
+            h.update(repr((command, extra, code, out)).encode())
+            if command == "verify-presentation":
+                verdicts[code] += 1
+            if command == "vertices":
+                vertices += len(json.loads(out)["vertices"])
+    assert (4, 8) in shapes and vertices > 100
+    assert min(verdicts.values()) > 5, verdicts
+    assert h.hexdigest() == ("9b0f1995f58763c77160c3d3242b52df"
+                             "c847ca1ea87898f494ca28bc432e464c")

@@ -6,12 +6,12 @@ import pytest
 from common import (fr, random_point, random_rows, rank2_four, rank3_five,
                     random_valuation, three_pair_valuation)
 from troplin import (INF, AllInfinite, EmptyIntersection, EmptySupport,
-                     InconsistentCell, InfiniteBase, Matroid, NotAMatroid,
-                     ValuatedMatroid, cell_complex, cell_vertex,
-                     check_pluecker, hyperplane, initial_matroid, linprog,
-                     maximal_cells, membership, stable_intersection,
-                     stable_sum, stiefel, trop, uniform_matroid,
-                     v_contract, v_dual, v_restrict, valuated)
+                     InfiniteBase, Matroid, NotAMatroid, ValuatedMatroid,
+                     cell_complex, check_pluecker, hyperplane,
+                     initial_matroid, linprog, maximal_cells, membership,
+                     normalize_point, stable_intersection, stable_sum,
+                     stiefel, trop, uniform_matroid, v_contract, v_dual,
+                     v_restrict, valuated)
 from troplin.oracle import (cell_complex_bruteforce,
                             check_pluecker_bruteforce,
                             first_breakpoint_bruteforce,
@@ -29,6 +29,12 @@ def cell_without_34():
 def cell_without_12():
     return Matroid(4, [b for b in ksubsets(4, 2) if b != mask_of([0, 1])],
                    check=False)
+
+
+def vertices(cells):
+    "The vertex of each connected cell: its witness less its minimum."
+    return {c.matroid.bases: normalize_point(c.witness) for c in cells
+            if len(c.matroid.connected_components()) == 1}
 
 
 def test_constructor_coerces_and_normalizes():
@@ -306,7 +312,7 @@ def test_initial_matroid_matches_the_fraction_reference():
         points += [c.witness for c in maximal_cells(v)]
         if n <= 6 and not v.underlying().loops():
             cc = cell_complex(v)
-            points += [c.witness for c in cc] + list(cc.vertices.values())
+            points += [c.witness for c in cc] + list(vertices(cc).values())
         for x in points:
             m = initial_matroid(v, x)
             assert m == initial_matroid_bruteforce(v, x)
@@ -444,14 +450,14 @@ def test_maximal_cells_rank3_five():
 def test_cell_complex_rank2_four():
     v = rank2_four()
     cc = cell_complex(v)
-    assert len(cc.cells) == 7
-    maximal = [c for c in cc.cells if c.is_maximal]
+    assert len(cc) == 7
+    maximal = [c for c in cc if c.is_maximal]
     assert {c.matroid for c in maximal} == {cell_without_34(), cell_without_12()}
     square = Matroid(4, [mask_of([0, 2]), mask_of([1, 2]),
                          mask_of([0, 3]), mask_of([1, 3])], check=False)
     bases = {c.matroid.bases for c in cc}
     assert square.bases in bases
-    triangles = [c for c in cc.cells
+    triangles = [c for c in cc
                  if not c.is_maximal and len(c.matroid.bases) == 3]
     assert len(triangles) == 4
     assert uniform_matroid(2, 4).bases not in bases
@@ -459,29 +465,19 @@ def test_cell_complex_rank2_four():
 
 def test_cell_vertices_rank2_four():
     v = rank2_four()
-    cc = cell_complex(v)
-    assert cc.vertices == {
+    assert vertices(cell_complex(v)) == {
         tuple(sorted(cell_without_34().bases)): (fr(0), fr(0), fr(0), fr(0)),
         tuple(sorted(cell_without_12().bases)): (fr(0), fr(0), fr(1), fr(1)),
     }
-    assert cell_vertex(v, cell_without_12()) == (fr(0), fr(0), fr(1), fr(1))
-
-
-def test_cell_vertex_underdetermined_on_disconnected_cells():
-    v = rank2_four()
-    square = Matroid(4, [mask_of([0, 2]), mask_of([1, 2]),
-                         mask_of([0, 3]), mask_of([1, 3])], check=False)
-    with pytest.raises(InconsistentCell) as err:
-        cell_vertex(v, square)
-    assert err.value.witness == [3, 4]
 
 
 def test_cell_vertices_pin_down_their_cells():
     """On Stiefel images with d <= 4, n <= 8 and denominators up to 12,
-    the vertex of every connected cell has that cell as its initial
-    matroid, by Fraction sums, and minimum 0; every disconnected cell is
-    underdetermined, with the elements outside the component of the
-    least element of its first basis as the witness."""
+    the vertex of every connected cell of cell_complex, its witness less
+    its minimum, has that cell as its initial matroid, by Fraction sums,
+    and minimum 0.  Every connected cell is maximal, and the maximal
+    cells come first in bases order, so the vertices come in that order
+    too."""
     rng = random.Random(2718)
     seen = {"connected": 0, "disconnected": 0}
     shapes = set()
@@ -495,22 +491,17 @@ def test_cell_vertices_pin_down_their_cells():
         if v.underlying().loops():
             continue
         shapes.add((d, n))
-        for c in cell_complex(v):
-            m = c.matroid
-            comps = m.connected_components()
-            if len(comps) == 1:
-                y = cell_vertex(v, m)
-                assert initial_matroid_bruteforce(v, y) == m
-                assert min(y) == 0
-                seen["connected"] += 1
-                continue
-            start = next(bits(m.bases[0]))
-            k = next(k for k in comps if (k >> start) & 1)
-            with pytest.raises(InconsistentCell) as err:
-                cell_vertex(v, m)
-            assert str(err.value) == "vertex system is underdetermined"
-            assert err.value.witness == [e + 1 for e in bits(m.full ^ k)]
-            seen["disconnected"] += 1
+        cc = cell_complex(v)
+        maximal = [c.matroid.bases for c in cc if c.is_maximal]
+        assert maximal == [c.matroid.bases for c in cc[:len(maximal)]]
+        assert maximal == sorted(maximal)
+        verts = vertices(cc)
+        assert set(verts) <= set(maximal)
+        for bases, y in verts.items():
+            assert initial_matroid_bruteforce(v, y).bases == bases
+            assert min(y) == 0
+        seen["connected"] += len(verts)
+        seen["disconnected"] += len(cc) - len(verts)
     assert (4, 8) in shapes and seen["disconnected"] > 1000
 
 
@@ -523,7 +514,7 @@ def test_cell_complex_reads_only_the_integer_table(monkeypatch):
 
     v = stiefel(random_rows(random.Random(4096), 4, 8))
     want = cell_complex(v)
-    assert want.vertices
+    assert vertices(want)
     fresh = ValuatedMatroid(v.n, v.d, v.table)
     assert fresh._table is None
     monkeypatch.setattr(ValuatedMatroid, "table", property(refuse))
@@ -531,17 +522,7 @@ def test_cell_complex_reads_only_the_integer_table(monkeypatch):
     assert fresh._table is None
     assert [(c.matroid, c.witness, c.is_maximal) for c in got] == \
         [(c.matroid, c.witness, c.is_maximal) for c in want]
-    assert got.vertices == want.vertices
-
-
-def test_cell_vertex_contradictory_on_non_cells():
-    with pytest.raises(InconsistentCell):
-        cell_vertex(rank2_four(), uniform_matroid(2, 4))
-    # a basis off the support, here the first one, misses the vertex
-    off_support = ValuatedMatroid(3, 1, {0b010: fr(0), 0b100: fr(1)})
-    with pytest.raises(InconsistentCell) as err:
-        cell_vertex(off_support, uniform_matroid(1, 3))
-    assert err.value.witness == {"b": [1]}
+    assert vertices(got) == vertices(want)
 
 
 def test_cell_complex_matches_bruteforce(monkeypatch):
@@ -586,11 +567,11 @@ def test_cell_complex_matches_bruteforce(monkeypatch):
             mp.setattr(valuated, "initial_matroid", refuse("initial_matroid"))
             mp.setattr(valuated, "Matroid", counted)
             cc = cell_complex(v)
-        assert len(built) == len(cc.cells) - len(maximal)
+        assert len(built) == len(cc) - len(maximal)
         faces += len(built)
-        got = {c.matroid.bases for c in cc.cells}
+        got = {c.matroid.bases for c in cc}
         assert got == cell_complex_bruteforce(v)
-        for c in cc.cells:
+        for c in cc:
             assert not c.matroid.loops()
             assert initial_matroid(v, c.witness) == c.matroid
     assert faces > 1000
