@@ -23,8 +23,9 @@ from .transversal import (is_transversal, max_presentation,
 from .trop import normalize_point, stiefel
 from .util import list1, mask_of
 from .valuated import (cell_complex, check_pluecker, initial_matroid,
-                       membership, stable_intersection, stable_sum,
-                       v_contract, v_dual, v_restrict)
+                       maximal_cells, membership, require_loop_free,
+                       stable_intersection, stable_sum, v_contract, v_dual,
+                       v_restrict)
 
 
 def _need(payload, key):
@@ -98,11 +99,13 @@ def cmd_cells(payload, args):
 
 
 def cmd_vertices(payload, args):
+    "One vertex per connected cell, read off the maximal cells."
     vm = jsonio.parse_valuated(payload)
     _require_pluecker(vm)
+    require_loop_free(vm)
     out = [{"bases": [list1(b) for b in c.matroid.bases],
             "point": jsonio.fmt_point(normalize_point(c.witness))}
-           for c in cell_complex(vm)
+           for c in maximal_cells(vm)
            if len(c.matroid.connected_components()) == 1]
     return 0, {"n": vm.n, "vertices": out}
 

@@ -1,4 +1,4 @@
-"""Tiny exact two-phase simplex over Fractions, for the escape regions.
+"""Tiny exact two-phase simplex on an integer tableau, for the escape regions.
 
 Problems here have a handful of free rational variables, so each one is
 split into a difference of nonnegatives and everything runs under
@@ -11,25 +11,43 @@ when they cannot hold, decide infeasibility outright.  A "<=" row with
 a nonnegative right-hand side starts basic on its own slack; only
 equalities and rows with a negative right-hand side get an artificial
 variable, and phase 1 runs only when there is one.
+
+The tableau holds integers (integer-preserving pivoting, after Edmonds
+1967 and Bareiss 1968): a row starts as its constraint times the lcm of
+its denominators (1 for a row of ints) and stays a positive multiple of
+the row of a Fraction tableau, reduced by its gcd, with that multiple
+as its basic entry; the objective row ends in one positive denominator.
+Signs and ratios compare as on Fractions, so the pivots, status, value
+and x are the same.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
+
+from .trop import integer_scaled
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
+
+
+def _eliminate(row, prow, c):
+    """p*row - f*prow over its gcd, for p = prow[c] > 0 and f = row[c];
+    entries past the end of prow (a denominator) are multiplied by p."""
+    p, f = prow[c], row[c]
+    out = [p * v - f * w for v, w in zip(row, prow)]
+    out += [p * v for v in row[len(prow):]]
+    g = gcd(*out)
+    return [v // g for v in out] if g > 1 else out
 
 
 def _pivot(tab, obj, basis, r, c):
-    piv = tab[r][c]
-    tab[r] = [v / piv for v in tab[r]]
+    if tab[r][c] < 0:
+        tab[r] = [-v for v in tab[r]]
+    prow = tab[r]
     for i, row in enumerate(tab):
         if i != r and row[c] != 0:
-            f = row[c]
-            tab[i] = [v - f * w for v, w in zip(row, tab[r])]
+            tab[i] = _eliminate(row, prow, c)
     if obj[c] != 0:
-        f = obj[c]
-        for j, w in enumerate(tab[r]):
-            obj[j] -= f * w
+        obj[:] = _eliminate(obj, prow, c)
     basis[r] = c
 
 
@@ -42,15 +60,15 @@ def _run(tab, obj, basis, ncols):
                 break
         if enter < 0:
             return "optimal"
-        leave = -1
-        best = None
+        # least row[-1] / row[enter] over row[enter] > 0, as num / den
+        leave, num, den = -1, 0, 1
         for i, row in enumerate(tab):
-            if row[enter] > 0:
-                ratio = row[-1] / row[enter]
-                if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+            a = row[enter]
+            if a > 0:
+                cmp = row[-1] * den - num * a
+                if leave < 0 or cmp < 0 or (
+                        cmp == 0 and basis[i] < basis[leave]):
+                    leave, num, den = i, row[-1], a
         if leave < 0:
             return "unbounded"
         _pivot(tab, obj, basis, leave, enter)
@@ -65,11 +83,12 @@ def distinct_rows(constraints):
     All-zero rows that always hold are dropped.  Returns None when the
     rows cannot all hold: an all-zero row with a negative rhs (or a
     nonzero one for "="), or one left side equated to two values.
+    Entries that are ints stay ints; others become Fractions.
     """
     seen = {}
     for coeffs, rel, rhs in constraints:
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        rhs = Fraction(rhs)
+        coeffs = tuple(c if type(c) is int else Fraction(c) for c in coeffs)
+        rhs = rhs if type(rhs) is int else Fraction(rhs)
         if rel == ">=":
             coeffs = tuple(-c for c in coeffs)
             rhs = -rhs
@@ -93,7 +112,8 @@ def solve_lp(num_vars, objective, constraints):
 
     constraints: iterable of (coeffs, rel, rhs) with rel in "<=", ">=",
     "=".  Returns (status, value, x) where status is "optimal",
-    "infeasible" or "unbounded"; value and x are None unless optimal.
+    "infeasible" or "unbounded"; value and x are Fractions, or None
+    unless optimal.
     """
     rows = distinct_rows(constraints)
     if rows is None:
@@ -107,35 +127,37 @@ def solve_lp(num_vars, objective, constraints):
     si = 0
     ai = nreal
     for coeffs, rel, rhs in rows:
-        row = [ZERO] * (ncols + 1)
-        for j, c in enumerate(coeffs):
+        k, ints = integer_scaled([*coeffs, rhs])
+        row = [0] * (ncols + 1)
+        for j, c in enumerate(ints[:-1]):
             row[2 * j] = c
             row[2 * j + 1] = -c
         if rel == "<=":
-            row[2 * num_vars + si] = ONE
+            row[2 * num_vars + si] = k
             si += 1
-        row[-1] = rhs
+        row[-1] = ints[-1]
         if rhs < 0:
             row = [-v for v in row]
         if rel == "<=" and rhs >= 0:
             basis.append(2 * num_vars + si - 1)
         else:
-            row[ai] = ONE
+            row[ai] = k
             basis.append(ai)
             ai += 1
         tab.append(row)
 
     if nart:
-        # phase 1: maximize minus the artificial sum
-        obj = [ZERO] * (ncols + 1)
+        # phase 1: maximize minus the artificial sum (rows over their k)
+        den = lcm(*(tab[i][b] for i, b in enumerate(basis) if b >= nreal))
+        obj = [0] * (ncols + 1) + [den]
         for i, b in enumerate(basis):
             if b >= nreal:
+                f = den // tab[i][b]
                 for j in range(ncols + 1):
-                    obj[j] -= tab[i][j]
-        for j in range(nreal, ncols):
-            obj[j] = ZERO
+                    obj[j] -= f * tab[i][j]
+        obj[nreal:ncols] = [0] * nart
         _run(tab, obj, basis, ncols)
-        if obj[-1] < 0:
+        if obj[-2] < 0:
             return "infeasible", None, None
 
         # drive leftover artificials out of the basis, drop redundant rows
@@ -152,20 +174,19 @@ def solve_lp(num_vars, objective, constraints):
         basis = [basis[i] for i in keep]
 
     # phase 2
-    obj = [ZERO] * (nreal + 1)
-    for j, c in enumerate(objective):
-        obj[2 * j] = -Fraction(c)
-        obj[2 * j + 1] = Fraction(c)
+    den, ints = integer_scaled([Fraction(c) for c in objective])
+    obj = [0] * (nreal + 1) + [den]
+    for j, c in enumerate(ints):
+        obj[2 * j] = -c
+        obj[2 * j + 1] = c
     for i, b in enumerate(basis):
         if obj[b] != 0:
-            f = obj[b]
-            for j, w in enumerate(tab[i]):
-                obj[j] -= f * w
+            obj[:] = _eliminate(obj, tab[i], b)
     status = _run(tab, obj, basis, nreal)
     if status != "optimal":
         return status, None, None
     vals = [ZERO] * nreal
     for i, b in enumerate(basis):
-        vals[b] = tab[i][-1]
+        vals[b] = Fraction(tab[i][-1], tab[i][b])
     x = [vals[2 * j] - vals[2 * j + 1] for j in range(num_vars)]
-    return "optimal", obj[-1], x
+    return "optimal", Fraction(obj[-2], obj[-1]), x

@@ -10,12 +10,13 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .errors import (AllInfinite, CountMismatch, NotCyclicFlat,
                      NotTransversalFacets, PointOutsideL, TroplinError,
                      WrongArity)
 from .linprog import distinct_rows, solve_lp
-from .trop import INF, ONE, ZERO, check_point, normalize_point, relsupp
+from .trop import INF, ZERO, check_point, normalize_point, relsupp
 from .util import bits, elems, list1, mask_of
 from .valuated import (_face, _values, face_witness, maximal_cells,
                        membership, v_contract)
@@ -31,31 +32,34 @@ def r0_member(vm, flat, x, z):
 
 def _escape_region(vm, m, x, flat):
     """The escape-region LP of `flat` on the cell m with witness x, with
-    no face matroid (valuated._face): the face point xw, each element's
-    face component, the component count c, the region rows (one per
-    distinct constraint) in the component shifts t_0..t_{c-2}, the last
-    one gauged to 0, and a margin s, and the objective s."""
+    no face matroid (valuated._face), on integers: the scale D of _values
+    at the face point xw, xw times D, each element's face component, the
+    component count c, the region rows (one per distinct constraint) in
+    the component shifts t_0..t_{c-2}, the last one gauged to 0, and a
+    margin s, all times D (moving no pivot and no sign of the optimum),
+    and the objective s."""
     _, face, comps = _face(m, flat)
     xw = face_witness(vm, m, x, flat)
     c = len(comps)
     where = {e: i for i, k in enumerate(comps) for e in bits(k)}
     ranks = [(face[0] & k).bit_count() for k in comps]
-    common, vals = _values(vm, xw)
+    scale, vals = _values(vm, xw)
     w0 = vals[face[0]]
     onface = set(face)
     region = []
     for b, v in vals.items():
         if b in onface:
             continue
-        coeffs = [ZERO] * c
+        coeffs = [0] * c
         for i in range(c - 1):
             coeffs[i] = (b & comps[i]).bit_count() - ranks[i]
-        coeffs[c - 1] = ONE
-        region.append((coeffs, "<=", Fraction(v - w0, common)))
-    cap = [ZERO] * c
-    cap[c - 1] = ONE
-    region.append((cap, "<=", ONE))
-    return xw, where, c, distinct_rows(region), cap
+        coeffs[c - 1] = 1
+        region.append((coeffs, "<=", v - w0))
+    cap = [0] * c
+    cap[c - 1] = 1
+    region.append((cap, "<=", scale))
+    xs = [v.numerator * (scale // v.denominator) for v in xw]
+    return scale, xs, where, c, distinct_rows(region), cap
 
 
 def _in_region(region, flat, z):
@@ -63,22 +67,30 @@ def _in_region(region, flat, z):
     small exact LP maximizing s per finite coordinate j of z on the flat,
     whose extra rows, saying that j attains the minimum, collapse to one
     per pair of components.  A finite z[k] in j's own component with
-    z[k] - z[j] < xw[k] - xw[j] rules j out with no LP at all."""
-    xw, where, c, rows, cap = region
+    z[k] - z[j] < xw[k] - xw[j] rules j out with no LP at all.  Rows go
+    to a larger scale only if z's denominators do not divide D."""
+    scale, xs, where, c, rows, cap = region
+    up = lcm(scale, *(v.denominator for v in z if v != INF)) // scale
+    if up > 1:
+        scale *= up
+        xs = [v * up for v in xs]
+        rows = [(coeffs, rel, rhs * up) for coeffs, rel, rhs in rows]
+    zs = [v if v == INF else v.numerator * (scale // v.denominator)
+          for v in z]
     for j in bits(flat):
-        if z[j] == INF:
+        if zs[j] == INF:
             continue
         cons = []
-        for k in range(len(z)):
-            if k == j or z[k] == INF:
+        for k in range(len(zs)):
+            if k == j or zs[k] == INF:
                 continue
-            coeffs = [ZERO] * c
+            coeffs = [0] * c
             ck, cj = where[k], where[j]
             if ck < c - 1:
                 coeffs[ck] += 1
             if cj < c - 1:
                 coeffs[cj] -= 1
-            cons.append((coeffs, "<=", (z[k] - z[j]) - (xw[k] - xw[j])))
+            cons.append((coeffs, "<=", (zs[k] - zs[j]) - (xs[k] - xs[j])))
         # these rows leave s free, so none repeats a region row
         cons = distinct_rows(cons)
         if cons is None:

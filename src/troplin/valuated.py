@@ -442,6 +442,14 @@ def face_witness(vm, m, xm, flat):
     return tuple(v + tw if (flat >> e) & 1 else v for e, v in enumerate(xm))
 
 
+def require_loop_free(vm):
+    "Refuse a support with loops, which have no cell complex."
+    lp = vm.underlying().loops()
+    if lp:
+        raise TroplinError("cell complex needs a loop-free support",
+                           witness=list1(lp))
+
+
 def cell_complex(vm):
     """Every loop-free cell of the subdivision (faces included).
 
@@ -455,11 +463,7 @@ def cell_complex(vm):
     maximal; its vertex is its witness shifted to minimum 0.  Assumes
     vm is a valuated matroid (see check_pluecker).
     """
-    uv = vm.underlying()
-    lp = uv.loops()
-    if lp:
-        raise TroplinError("cell complex needs a loop-free support",
-                           witness=list1(lp))
+    require_loop_free(vm)
     found = {c.matroid.bases: c for c in maximal_cells(vm)}
     queue = list(found.values())
     while queue:

@@ -167,6 +167,26 @@ def test_cells_and_vertices(tmp_path):
         ["0", "0", "0", "0"], ["0", "0", "1", "1"]]
 
 
+def test_vertices_read_the_maximal_cells(tmp_path, monkeypatch):
+    """vertices builds no face closure, and refuses a support with loops
+    with the bytes and exit code of cells."""
+    loops = {"n": 3, "rank": 1, "entries": {"1": "0", "2": "1"}}
+    refusals = [call(tmp_path, command, loops)[::2]
+                for command in ("cells", "vertices")]
+    assert refusals[0] == refusals[1]
+    assert refusals[0][0] == 2 and json.loads(refusals[0][1]) == {
+        "error": "TroplinError",
+        "message": "cell complex needs a loop-free support", "witness": [3]}
+
+    def no_closure(vm):
+        raise AssertionError("face closure built")
+
+    monkeypatch.setattr(troplin.cli, "cell_complex", no_closure)
+    _, table, _ = call(tmp_path, "stiefel", RANK3_FIVE)
+    code, verts, _ = call(tmp_path, "vertices", table)
+    assert code == 0 and verts["vertices"]
+
+
 def test_is_transversal_matroid_certificate(tmp_path):
     bases = [[i, j] for i in range(1, 7) for j in range(i + 1, 7)
              if [i, j] not in ([1, 2], [3, 4], [5, 6])]

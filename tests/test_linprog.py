@@ -166,3 +166,105 @@ def test_solve_lp_matches_vertex_enumeration():
                 assert {"<=": lhs <= rhs, ">=": lhs >= rhs,
                         "=": lhs == rhs}[rel]
     assert seen["optimal"] > 100 and seen["infeasible"] > 30
+
+
+def fraction_lp(rng, boxed):
+    """At most 3 variables and 8 random rows whose coefficients and
+    right-hand sides have denominators 1-6, so rows are scaled by
+    different lcms; inside the box -10 <= x <= 10 when boxed."""
+    nv = rng.randint(1, 3)
+    cons = []
+    for _ in range(rng.randint(0, 8)):
+        if cons and rng.random() < 0.2:
+            coeffs = list(rng.choice(cons)[0])
+        else:
+            coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+                      for _ in range(nv)]
+        rel = rng.choice(("<=", "<=", ">=", "="))
+        cons.append((coeffs, rel, Fraction(rng.randint(-12, 12),
+                                           rng.randint(1, 6))))
+    if boxed:
+        for j in range(nv):
+            unit = [0] * nv
+            unit[j] = 1
+            cons.append((unit, "<=", 10))
+            cons.append((unit, ">=", -10))
+    objective = [Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+                 for _ in range(nv)]
+    return nv, objective, cons
+
+
+def unboxed_reference(nv, objective, cons):
+    """(status, value) by vertex enumeration, for fraction_lp's rows
+    with no box.
+
+    Vertices of these rows have coordinates far below 10**12 (Cramer's
+    rule on rows scaled to integers below 10**3), so inside that box the
+    region is empty iff it is, and otherwise holds an optimum if there
+    is one.  The objective is unbounded iff some direction d with
+    |d| <= 1 that every row allows (A d <= 0, and = 0 on equalities)
+    has objective . d > 0.
+    """
+    big = 10 ** 12
+    box = []
+    for j in range(nv):
+        unit = [0] * nv
+        unit[j] = 1
+        box += [(unit, "<=", big), (unit, ">=", -big)]
+    status, value = lp_bruteforce(nv, objective, cons + box)
+    if status == "infeasible":
+        return status, None
+    ray = [(coeffs, rel, 0) for coeffs, rel, _ in cons]
+    _, rise = lp_bruteforce(nv, objective, ray + [
+        (u, rel, rhs // big) for u, rel, rhs in box])
+    return ("unbounded", None) if rise > 0 else (status, value)
+
+
+def test_fraction_rows_match_the_reference():
+    """Rows of Fractions with denominators 1-6 are each scaled by their
+    own lcm; the verdict and the optimum are those of vertex
+    enumeration, and x is feasible and attains the optimum."""
+    rng = random.Random(8128)
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for _ in range(400):
+        boxed = rng.random() < 0.75
+        nv, objective, cons = fraction_lp(rng, boxed)
+        rng.shuffle(cons)
+        status, value, x = solve_lp(nv, objective, cons)
+        reference = lp_bruteforce if boxed else unboxed_reference
+        assert (status, value) == reference(nv, objective, cons)
+        seen[status] += 1
+        if status == "optimal":
+            assert isinstance(value, Fraction)
+            assert sum(c * v for c, v in zip(objective, x)) == value
+            for coeffs, rel, rhs in cons:
+                lhs = sum(c * v for c, v in zip(coeffs, x))
+                assert {"<=": lhs <= rhs, ">=": lhs >= rhs,
+                        "=": lhs == rhs}[rel]
+        else:
+            assert value is None and x is None
+    assert seen["optimal"] >= 100 and seen["infeasible"] >= 30
+    assert seen["unbounded"] >= 10
+
+
+def test_integer_rows_give_an_integer_tableau(monkeypatch):
+    """Rows of ints are taken at scale 1: every tableau and objective
+    entry the simplex loop sees is an int, and value and x still come
+    back as Fractions."""
+    seen = []
+    real = linprog._run
+
+    def checked(tab, obj, basis, ncols):
+        seen.append(len(tab))
+        assert all(type(v) is int for row in tab for v in row)
+        assert all(type(v) is int for v in obj) and obj[-1] > 0
+        return real(tab, obj, basis, ncols)
+
+    monkeypatch.setattr(linprog, "_run", checked)
+    status, value, x = solve_lp(
+        2, [1, 0], [([1, 1], "=", 4), ([1, 0], ">=", 1), ([0, 1], "<=", 5),
+                    ([0, 3], ">=", 1), ([2, -3], "<=", 7)])
+    assert (status, value) == ("optimal", Fraction(11, 3))
+    assert x == [Fraction(11, 3), Fraction(1, 3)]
+    assert all(isinstance(v, Fraction) for v in [value, *x])
+    assert len(seen) == 2

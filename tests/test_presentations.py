@@ -3,6 +3,7 @@ import json
 import random
 import weakref
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from troplin import (INF, CountMismatch, DistinguishedEntry,
                      relsupp, rinf_member, sample_presentation, stiefel,
                      transversal, uniform_matroid, v_contract, v_dual,
                      verify_presentation, verify_set_presentation)
+from troplin import linprog
 from troplin.cli import run
 from troplin.jsonio import fmt_matrix
 from troplin.oracle import (membership_bruteforce, presentations_exhaustive,
@@ -116,6 +118,82 @@ def test_rinf_agrees_with_the_full_row_lp():
                     by_components.setdefault(c, set()).add(got)
     assert {1, 2, 3} <= set(by_components)
     assert by_components[2] == by_components[3] == {True, False}
+
+
+def test_rinf_agrees_with_the_full_row_lp_off_the_region_scale():
+    """Valuations with den > 1 and points with thirds and fifths, whose
+    denominators mostly do not divide the scale of the integer rows of
+    _escape_region, so _in_region takes the rows to a larger one: the
+    verdict is still that of the full-row LP, both ways on walls with 2
+    and 3 components."""
+    rng = random.Random(2357)
+    pool = []
+    while len(pool) < 8:
+        rows = [[v if v == INF else v / rng.choice((2, 4)) for v in row]
+                for row in random_rows(rng, 3, 6, 0.1, 0, 12)]
+        v = stiefel(rows)
+        if v.den > 1 and not v.underlying().loops():
+            pool.append(v)
+    rescaled = 0
+    by_components = {}
+    for v in pool:
+        for cell in maximal_cells(v):
+            m = cell.matroid
+            for f in m.cyclic_flats():
+                if f == 0:
+                    continue
+                c = len(m.polytope_face(f).connected_components())
+                scale = presentations._escape_region(
+                    v, m, cell.witness, f)[0]
+                for _ in range(4):
+                    z = tuple(INF if rng.random() < 0.15
+                              else Fraction(rng.randint(-12, 24),
+                                            rng.choice((1, 3, 5, 15)))
+                              for _ in range(v.n))
+                    if all(x == INF for x in z):
+                        continue
+                    got = rinf_member(v, cell, f, z)
+                    assert got == rinf_member_lp(v, cell, f, z)
+                    by_components.setdefault(c, set()).add(got)
+                    rescaled += scale % lcm(*(x.denominator for x in z
+                                              if x != INF)) != 0
+    assert rescaled >= 50
+    assert {1, 2, 3} <= set(by_components)
+    assert by_components[2] == by_components[3] == {True, False}
+
+
+def test_escape_regions_run_on_integers(monkeypatch):
+    """On a 3x6 Stiefel image, every coefficient and right-hand side of
+    _escape_region's rows is an int, and so is every tableau entry of
+    the LPs that verify_presentation sends."""
+    rng = random.Random(6007)
+    rows = random_rows(rng, 3, 6)
+    v = stiefel(rows)
+    regions = 0
+    for cell in maximal_cells(v):
+        m = cell.matroid
+        for f in m.cyclic_flats():
+            if f == 0:
+                continue
+            scale, xs, _, _, region, cap = presentations._escape_region(
+                v, m, cell.witness, f)
+            assert all(type(x) is int for x in [scale, *xs, *cap])
+            assert all(type(x) is int
+                       for coeffs, _, rhs in region for x in [*coeffs, rhs])
+            regions += 1
+    assert regions > 10
+    tableaux = []
+    real = linprog._run
+
+    def checked(tab, obj, basis, ncols):
+        assert all(type(x) is int for row in tab for x in row)
+        assert all(type(x) is int for x in obj)
+        tableaux.append(len(tab))
+        return real(tab, obj, basis, ncols)
+
+    monkeypatch.setattr(linprog, "_run", checked)
+    assert verify_presentation(v, points_of(rows))["ok"]
+    assert tableaux
 
 
 def test_verify_presentation_golden():
