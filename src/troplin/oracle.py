@@ -5,6 +5,7 @@ of augmenting paths, point sampling instead of wall flips, full multiset
 scans instead of Moebius counting.  Sizes are capped accordingly.
 """
 
+import functools
 import random
 from fractions import Fraction
 from itertools import (combinations, combinations_with_replacement,
@@ -204,21 +205,30 @@ def presentations_exhaustive(m):
 
     Presentation sets never contain loops (a matched element is
     independent), so candidates range over nonempty subsets of the
-    non-loops.  Ground sets beyond 5 elements are refused.
+    non-loops.  The families depend only on (n, d, non-loops), so they
+    are grouped by the bases they present once per such triple
+    (_presentation_index).  Ground sets beyond 5 elements are refused.
     """
     if m.n > 5:
         raise ValueError("exhaustive search capped at 5 elements")
-    nonloops = m.full ^ m.loops()
-    subsets = [s for s in range(1, m.full + 1) if s & ~nonloops == 0]
-    out = []
-    for fam in combinations_with_replacement(subsets, m.d):
+    index = _presentation_index(m.n, m.d, m.full ^ m.loops())
+    return list(index.get(m.bases, ()))
+
+
+@functools.cache
+def _presentation_index(n, d, nonloops):
+    """{bases: families}: every d-multiset of nonempty subsets of the
+    mask nonloops, in enumeration order, under the bases of the
+    transversal matroid it presents on n elements."""
+    subsets = [s for s in range(1, 1 << n) if s & ~nonloops == 0]
+    index = {}
+    for fam in combinations_with_replacement(subsets, d):
         try:
-            t = transversal_matroid(list(fam), m.n)
+            t = transversal_matroid(list(fam), n)
         except NoBasis:
             continue
-        if t.bases == m.bases:
-            out.append(tuple(fam))
-    return out
+        index.setdefault(t.bases, []).append(fam)
+    return index
 
 
 def linking_bruteforce(g, subset):

@@ -10,13 +10,13 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from .errors import (AllInfinite, CountMismatch, NotCyclicFlat,
                      NotTransversalFacets, PointOutsideL, TroplinError,
                      WrongArity)
 from .linprog import distinct_rows, solve_lp
-from .trop import INF, ZERO, check_point, normalize_point, relsupp
+from .trop import (INF, ZERO, check_point, integer_scaled, normalize_point,
+                   relsupp)
 from .util import bits, elems, list1, mask_of
 from .valuated import (_face, _values, face_witness, maximal_cells,
                        membership, v_contract)
@@ -58,7 +58,7 @@ def _escape_region(vm, m, x, flat):
     cap = [0] * c
     cap[c - 1] = 1
     region.append((cap, "<=", scale))
-    xs = [v.numerator * (scale // v.denominator) for v in xw]
+    _, xs = integer_scaled(xw, scale)
     return scale, xs, where, c, distinct_rows(region), cap
 
 
@@ -70,13 +70,11 @@ def _in_region(region, flat, z):
     z[k] - z[j] < xw[k] - xw[j] rules j out with no LP at all.  Rows go
     to a larger scale only if z's denominators do not divide D."""
     scale, xs, where, c, rows, cap = region
-    up = lcm(scale, *(v.denominator for v in z if v != INF)) // scale
+    common, zs = integer_scaled(z, scale)
+    up = common // scale
     if up > 1:
-        scale *= up
         xs = [v * up for v in xs]
         rows = [(coeffs, rel, rhs * up) for coeffs, rel, rhs in rows]
-    zs = [v if v == INF else v.numerator * (scale // v.denominator)
-          for v in z]
     for j in bits(flat):
         if zs[j] == INF:
             continue
@@ -113,12 +111,20 @@ def rinf_member(vm, cell, flat, z):
     m = cell.matroid
     if flat not in m.cyclic_flats():
         raise NotCyclicFlat(witness=list1(flat))
-    z = check_point(z)
-    if len(z) != vm.n:
-        raise ValueError("point length mismatch")
+    z = check_point(z, vm.n)
     if all(z[j] == INF for j in bits(flat)):
         return True
     return _in_region(_escape_region(vm, m, cell.witness, flat), flat, z)
+
+
+def _loop_and_coloop_free(vm):
+    "The support of vm, refused if it has a loop or a coloop."
+    uv = vm.underlying()
+    bad = uv.loops() | uv.coloops()
+    if bad:
+        raise TroplinError("support must be loop- and coloop-free",
+                           witness=list1(bad))
+    return uv
 
 
 def verify_presentation(vm, points):
@@ -135,11 +141,7 @@ def verify_presentation(vm, points):
     """
     if len(points) != vm.d:
         raise WrongArity(witness={"expected": vm.d, "got": len(points)})
-    uv = vm.underlying()
-    bad = uv.loops() | uv.coloops()
-    if bad:
-        raise TroplinError("support must be loop- and coloop-free",
-                           witness=list1(bad))
+    _loop_and_coloop_free(vm)
     points = [check_point(p) for p in points]
     for i, p in enumerate(points):
         if not membership(vm, p):  # also refuses a wrong length
@@ -227,11 +229,7 @@ def distinguished(vm):
     on F.  Multiplicities always sum to the rank, and the apices present
     vm.  Assumes vm is a valuated matroid (see check_pluecker).
     """
-    uv = vm.underlying()
-    bad = uv.loops() | uv.coloops()
-    if bad:
-        raise TroplinError("support must be loop- and coloop-free",
-                           witness=list1(bad))
+    uv = _loop_and_coloop_free(vm)
     for cell in maximal_cells(vm):
         if transversal._counting_violation(cell.matroid) is not None:
             raise NotTransversalFacets(
@@ -286,11 +284,9 @@ def presentation_fan_member(m, points):
     sets = []
     for p in points:
         try:
-            p = check_point(p)
+            p = check_point(p, m.n)
         except AllInfinite:
             return False
-        if len(p) != m.n:
-            raise ValueError("point length mismatch")
         g = relsupp(zero, p)
         if not m.independent(g) or not m.is_flat(g):
             return False
@@ -310,10 +306,7 @@ def presentation_space_member(vm, points):
     """
     if len(points) != vm.d:
         raise WrongArity(witness={"expected": vm.d, "got": len(points)})
-    points = [check_point(p) for p in points]
-    for p in points:
-        if len(p) != vm.n:
-            raise ValueError("point length mismatch")
+    points = [check_point(p, vm.n) for p in points]
     return _fits_distinguished(distinguished(vm), points)
 
 
@@ -363,11 +356,11 @@ def sample_presentation(vm, seed=0):
     data = distinguished(vm)
     if seed:
         rng = random.Random(seed)
+        indeps = [[f for f in e.matroid.flats() if e.matroid.independent(f)]
+                  for e in data.entries]
         for _ in range(25):
             trial = []
-            for e in data.entries:
-                indep = [f for f in e.matroid.flats()
-                         if e.matroid.independent(f)]
+            for e, indep in zip(data.entries, indeps):
                 for _ in range(e.multiplicity):
                     g = rng.choice(indep)
                     c = Fraction(rng.randint(1, 6), rng.randint(1, 4))
@@ -392,9 +385,7 @@ def contract_presentation(vm, points, flat):
         raise NotCyclicFlat(witness=list1(flat))
     if len(points) != vm.d:
         raise WrongArity(witness={"expected": vm.d, "got": len(points)})
-    points = [check_point(p) for p in points]
-    if any(len(p) != vm.n for p in points):
-        raise ValueError("point length mismatch")
+    points = [check_point(p, vm.n) for p in points]
     keep = elems(vm.full ^ flat)
     chosen = [p for p in points
               if all(p[j] == INF for j in bits(flat))]

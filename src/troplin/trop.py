@@ -16,10 +16,18 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def check_point(y):
+def check_point(y, n=None):
+    """y as a tuple, refused if it has no finite coordinate
+    (AllInfinite), if n is given and y has another length, or if a
+    coordinate is a finite float (ValueError naming it, 1-based)."""
     y = tuple(y)
     if all(v == INF for v in y):
         raise AllInfinite("point has no finite coordinate")
+    if n is not None and len(y) != n:
+        raise ValueError("point length mismatch")
+    for j, v in enumerate(y):
+        if isinstance(v, float) and v != INF:
+            raise ValueError("coordinate %d is a finite float" % (j + 1))
     return y
 
 
@@ -195,16 +203,16 @@ def _augment(adj, owner, i, seen):
     return False
 
 
-def integer_scaled(values):
-    """(den, ints): each finite int or Fraction times the least common
-    denominator den of them all, inf left as inf.  Integer sums and
+def integer_scaled(values, base=1):
+    """(den, ints): each finite int or Fraction times den, the lcm of
+    base and their denominators, inf left as inf.  Integer sums and
     compares cost several times less than Fraction ones in the hot
     loops.  Only a float can be inf, so the type is tested first: a
     Fraction never meets a float in ==, and a finite float still
     fails on .denominator."""
     values = [INF if isinstance(v, float) and v == INF else v
               for v in values]
-    den = lcm(*(v.denominator for v in values if v is not INF))
+    den = lcm(base, *(v.denominator for v in values if v is not INF))
     return den, [v if v is INF else v.numerator * (den // v.denominator)
                  for v in values]
 

@@ -49,7 +49,7 @@ class ValuatedMatroid:
     of ints, built on first use, for the library API.  underlying()
     checks that the support is a matroid; check_pluecker() checks that
     and the tropical Pluecker relations.  The other views kept are those
-    a request reuses: underlying(), _scaled's rows, maximal_cells().
+    a request reuses: underlying(), the rows of _values, maximal_cells().
     """
 
     def __init__(self, n, d, entries, den=None):
@@ -183,18 +183,14 @@ def membership(vm, y):
     """Does y lie in the tropical linear space cut out by vm?
 
     For every (d+1)-set c, the least finite y[j] + pl(c - j) over j in c
-    must be attained twice.  Compared on integers, as in _scaled: the
+    must be attained twice.  Compared on integers, as in _values: the
     finite coordinates of y and the table times the lcm of den and
     their denominators; infinite coordinates take no part.
     """
-    y = check_point(y)
-    if len(y) != vm.n:
-        raise ValueError("point length mismatch")
+    y = check_point(y, vm.n)
     finite = mask_of(j for j, v in enumerate(y) if v != INF)
-    common = lcm(vm.den, *(y[j].denominator for j in bits(finite)))
+    common, ys = integer_scaled(y, vm.den)
     scale = common // vm.den
-    ys = [None if v == INF else v.numerator * (common // v.denominator)
-          for v in y]
     ints = vm.ints
     for c in ksubsets(vm.n, vm.d + 1):
         best = INF
@@ -256,27 +252,17 @@ def v_contract(vm, subset):
     return v_dual(v_restrict(v_dual(vm), vm.full ^ subset))
 
 
-def _scaled(vm, x):
-    """(common, scale, xs, rows): the support and x on one integer scale.
-
-    rows, built on first use and kept on the valuation, holds
-    (b, ints[b], elements of b) per support basis b.  common is the lcm
-    of den and the denominators of x, xs = x * common and
-    scale = common / den.
-    """
-    if vm._rows is None:
-        vm._rows = [(b, vm.ints[b], elems(b)) for b in vm.support]
-    common = lcm(vm.den, *(v.denominator for v in x))
-    xs = [v.numerator * (common // v.denominator) for v in x]
-    return common, common // vm.den, xs, vm._rows
-
-
 def _values(vm, x):
     """(common, vals): vals[b] / common is pl(b) - x(b) for every support
-    basis b, on integers.  x must be finite."""
-    common, scale, xs, rows = _scaled(vm, x)
+    basis b, on integers, common the lcm of den and the denominators of
+    x.  x must be finite.  The rows (b, ints[b], elements of b) it runs
+    over are built on first use and kept on the valuation."""
+    if vm._rows is None:
+        vm._rows = [(b, vm.ints[b], elems(b)) for b in vm.support]
+    common, xs = integer_scaled(x, vm.den)
+    scale = common // vm.den
     vals = {}
-    for b, t, es in rows:
+    for b, t, es in vm._rows:
         v = t * scale
         for e in es:
             v -= xs[e]
@@ -306,13 +292,14 @@ def _first_break(common, vals, m, flat, r):
     return (INF if num is None else Fraction(num, den * common)), ties
 
 
-def initial_matroid(vm, x):
-    """Bases minimizing pl(B) - x(B); x must be finite.
+def _lowest(n, vals):
+    "The matroid of the bases of least value in vals (from _values)."
+    best = min(vals.values())
+    return Matroid(n, [b for b, v in vals.items() if v == best], check=False)
 
-    Compared on integers, on the scale of _values, in one pass that
-    keeps the running minimum: each basis costs one product and at most
-    d integer subtractions.
-    """
+
+def initial_matroid(vm, x):
+    "Bases minimizing pl(B) - x(B), compared on _values; x must be finite."
     x = tuple(x)
     if len(x) != vm.n:
         raise ValueError("point length mismatch")
@@ -320,19 +307,7 @@ def initial_matroid(vm, x):
         raise InfiniteBase("initial matroid needs a finite point",
                            witness=list1(mask_of(
                                j for j, v in enumerate(x) if v == INF)))
-    _, scale, xs, rows = _scaled(vm, x)
-    best = None
-    keep = []
-    for b, t, es in rows:
-        v = t * scale
-        for e in es:
-            v -= xs[e]
-        if best is None or v < best:
-            best = v
-            keep = [b]
-        elif v == best:
-            keep.append(b)
-    return Matroid(vm.n, keep, check=False)
+    return _lowest(vm.n, _values(vm, x)[1])
 
 
 def _descend_to_maximal(vm, uv, target):
@@ -341,7 +316,8 @@ def _descend_to_maximal(vm, uv, target):
     x = [ZERO] * n
     guard = 0
     while True:
-        m = initial_matroid(vm, x)
+        common, vals = _values(vm, x)
+        m = _lowest(n, vals)
         comps = m.connected_components()
         if len(comps) == target:
             return m, tuple(x)
@@ -351,7 +327,6 @@ def _descend_to_maximal(vm, uv, target):
         # cell components refine support components, so some k is not one
         k = next(c for c in comps if c not in uv.connected_components())
         r = (m.bases[0] & k).bit_count()
-        common, vals = _values(vm, x)
         step = _first_break(common, vals, m, k, r)[0]
         if step == INF:
             step = -_first_break(common, vals, m, vm.full ^ k, vm.d - r)[0]

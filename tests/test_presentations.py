@@ -12,7 +12,7 @@ from common import (fr, matroid_pool, points_of, rank2_four, rank3_five,
                     rank3_five_rows, random_rows, random_valuation,
                     three_pair_dual_rows, three_pair_valuation)
 from test_acceptance import fiber_harness  # noqa: F401  (a fixture)
-from troplin import (INF, CountMismatch, DistinguishedEntry,
+from troplin import (INF, AllInfinite, CountMismatch, DistinguishedEntry,
                      Matroid, NotAMatroid, NotCyclicFlat,
                      NotTransversalFacets, PointOutsideL, TroplinError,
                      ValuatedMatroid, WrongArity,
@@ -348,6 +348,30 @@ def test_covering_counts_need_no_lattice_and_no_transversality_test(
     monkeypatch.setattr(Matroid, "flats", refuse)
     monkeypatch.setattr(transversal, "is_transversal", refuse)
     assert answers() == expected
+
+
+def test_finite_float_coordinates_are_refused_by_name():
+    """A finite float coordinate is refused where the point is checked,
+    naming it, rather than failing later on its denominator; an all-inf
+    point and a wrong length are still refused first."""
+    from troplin.trop import check_point
+
+    v = stiefel([[fr(0)] * 4, [fr(0), fr(0), fr(1), fr(1)]])
+    cell = maximal_cells(v)[0]
+    flat = mask_of([2, 3])
+    assert flat in cell.matroid.cyclic_flats()
+    bad = (0.5, fr(0), fr(0), fr(0))
+    calls = (lambda: membership(v, bad),
+             lambda: rinf_member(v, cell, flat, bad),
+             lambda: presentation_space_member(v, [(fr(0),) * 4, bad]),
+             lambda: check_point((fr(0), INF, 2.0), 3))
+    for call, j in zip(calls, (1, 1, 1, 3)):
+        with pytest.raises(ValueError, match="coordinate %d is" % j):
+            call()
+    with pytest.raises(AllInfinite):
+        check_point((INF, INF), 3)
+    with pytest.raises(ValueError, match="point length mismatch"):
+        check_point((0.5, fr(0)), 3)
 
 
 def test_verify_presentation_guards():

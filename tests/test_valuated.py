@@ -92,10 +92,15 @@ def test_constructor_matches_the_fraction_reference():
 
 def test_valuation_is_scaled_once(monkeypatch):
     """After construction, the Pluecker check, initial matroids and the
-    cell walk read the valuation's own integer table."""
-    def no_scaling(values):
-        raise AssertionError("integer_scaled called after construction")
+    cell walk read the valuation's own integer table: they put points
+    on its scale, never the table again."""
+    def no_scaling(values, base=1):
+        values = list(values)
+        if len(values) > v.n:
+            raise AssertionError("integer_scaled called after construction")
+        return scaled(values, base)
 
+    scaled = trop.integer_scaled
     rng = random.Random(6174)
     rows = [[v if v == INF else v / rng.randint(1, 12) for v in row]
             for row in random_rows(rng, 4, 8, 0.2)]
@@ -385,13 +390,14 @@ def test_wall_flips_build_no_face_and_run_no_initial_matroid(monkeypatch):
     """On 4x8 Stiefel images the walk finds the cells and witnesses it
     found when every wall built its face matroid and every flip ran
     initial_matroid (frozen as a digest), with polytope_face failing,
-    and initial_matroid called only inside the descent."""
+    and a cell read off values (as initial_matroid does) only inside
+    the descent."""
     import hashlib
 
     inside = []
     calls = []
     descend = valuated._descend_to_maximal
-    initial = valuated.initial_matroid
+    lowest = valuated._lowest
 
     def counted_descend(*args):
         inside.append(True)
@@ -400,15 +406,15 @@ def test_wall_flips_build_no_face_and_run_no_initial_matroid(monkeypatch):
         finally:
             inside.pop()
 
-    def counted_initial(vm, x):
+    def counted_lowest(n, vals):
         calls.append(bool(inside))
-        return initial(vm, x)
+        return lowest(n, vals)
 
     def no_face(self, flat):
         raise AssertionError("the walk built a face matroid")
 
     monkeypatch.setattr(valuated, "_descend_to_maximal", counted_descend)
-    monkeypatch.setattr(valuated, "initial_matroid", counted_initial)
+    monkeypatch.setattr(valuated, "_lowest", counted_lowest)
     monkeypatch.setattr(Matroid, "polytope_face", no_face)
     h = hashlib.sha256()
     count = 0
