@@ -209,10 +209,14 @@ class Matroid:
         """
         if self._circuits is None:
             circ = {}
+            full = self.full
             for b in self.bases:
-                for e in bits(self.full & ~b):
-                    s = b | (1 << e)
-                    circ[s] = circ.get(s, 0) | (1 << e)
+                out = full & ~b
+                while out:
+                    low = out & -out
+                    s = b | low
+                    circ[s] = circ.get(s, 0) | low
+                    out ^= low
             self._circuits = tuple(sorted(set(circ.values()),
                                           key=lambda c: (c.bit_count(), c)))
         return self._circuits
@@ -220,13 +224,22 @@ class Matroid:
     def _fundamental_circuits(self, b):
         """C(e, b) for each e outside the basis b, in increasing e: e
         together with every f in b such that b - f + e is a basis."""
-        inside = [1 << f for f in bits(b)]
+        bs = self.baseset
+        inside = []
+        rest = b
+        while rest:
+            low = rest & -rest
+            inside.append(low)
+            rest ^= low
         out = []
-        for e in bits(self.full & ~b):
-            with_e = b | (1 << e)
-            c = 1 << e
+        rest = self.full & ~b
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            with_e = b | low
+            c = low
             for f in inside:
-                if with_e ^ f in self.baseset:
+                if with_e ^ f in bs:
                     c |= f
             out.append(c)
         return out

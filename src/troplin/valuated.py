@@ -6,8 +6,11 @@ polytope is computed exactly: maximal cells by a descent-plus-wall-flip
 walk, the full face complex by closing the maximal cells under facets
 (one facet test, _facets, serves both).  The walk compares on integers:
 _values puts pl(B) - x(B) for every support basis on one integer scale,
-and _first_break reads off how far x moves along a flat before other
-bases tie the current cell.
+once per walk, and each descent step and wall flip moves that table
+with the point (_moved).  _first_break reads off, as an integer ratio,
+how far x moves along a flat before other bases tie the current cell;
+a Fraction is built only where a witness moves.  Each wall is crossed
+once: a cell reached across a wall skips the wall back.
 """
 
 from fractions import Fraction
@@ -256,7 +259,9 @@ def _values(vm, x):
     """(common, vals): vals[b] / common is pl(b) - x(b) for every support
     basis b, on integers, common the lcm of den and the denominators of
     x.  x must be finite.  The rows (b, ints[b], elements of b) it runs
-    over are built on first use and kept on the valuation."""
+    over are built on first use and kept on the valuation.  The walk
+    (maximal_cells) runs it once, at x = 0, and carries the table on
+    from there (_moved)."""
     if vm._rows is None:
         vm._rows = [(b, vm.ints[b], elems(b)) for b in vm.support]
     common, xs = integer_scaled(x, vm.den)
@@ -270,26 +275,43 @@ def _values(vm, x):
     return common, vals
 
 
-def _first_break(common, vals, m, flat, r):
-    """(tstar, ties): the least (val(b) - val(m)) / (|b & flat| - r) over
-    support bases b with |b & flat| > r, or INF, and the bases attaining
-    it: how far x may move by t on `flat` before another basis ties the
-    cell m, and which.  r is the rank of `flat` in m, so no basis of m
-    counts.  The counts are positive, so candidates compare exactly."""
+def _first_break(vals, m, flat, r):
+    """(num, cnt), ties: the least (val(b) - val(m)) / (|b & flat| - r)
+    over support bases b with |b & flat| > r, as the integer ratio
+    num / cnt, or None, and the bases attaining it.  On the table
+    (common, vals) of a point x, x may move by t = num / (cnt * common)
+    on `flat` before another basis ties the cell m, and the ties are
+    those bases.  r is the rank of `flat` in m, so no basis of m counts.
+    The counts are positive, so candidates compare exactly."""
     m0 = vals[m.bases[0]]
-    num, den = None, 1
+    num, cnt = None, 1
     ties = []
     for b, v in vals.items():
-        cnt = (b & flat).bit_count() - r
-        if cnt <= 0:
+        k = (b & flat).bit_count() - r
+        if k <= 0:
             continue
-        gap = (v - m0) * den
-        if num is None or gap < num * cnt:
-            num, den = v - m0, cnt
+        gap = (v - m0) * cnt
+        if num is None or gap < num * k:
+            num, cnt = v - m0, k
             ties = [b]
-        elif gap == num * cnt:
+        elif gap == num * k:
             ties.append(b)
-    return (INF if num is None else Fraction(num, den * common)), ties
+    return (None if num is None else (num, cnt)), ties
+
+
+def _moved(vm, x, common, vals, flat, num, cnt):
+    """(x', common', vals'): x moved by t = num / (cnt * common) on
+    `flat`, and its table from the table (common, vals) of x, on
+    integers.  On the scale common * cnt the entry of b is
+    v * cnt - num * |b & flat|; common' is the lcm of den and the
+    denominators of x', which divides common * cnt, so the table equals
+    _values(vm, x') and its integers do not grow along a walk."""
+    t = Fraction(num, cnt * common)
+    x = tuple(v + t if (flat >> e) & 1 else v for e, v in enumerate(x))
+    new = lcm(vm.den, *(v.denominator for v in x))
+    q = cnt * common // new
+    return x, new, {b: (v * cnt - num * (b & flat).bit_count()) // q
+                    for b, v in vals.items()}
 
 
 def _lowest(n, vals):
@@ -299,7 +321,9 @@ def _lowest(n, vals):
 
 
 def initial_matroid(vm, x):
-    "Bases minimizing pl(B) - x(B), compared on _values; x must be finite."
+    """Bases minimizing pl(B) - x(B), compared on _values.  x must be
+    finite: a wrong length, then an infinite coordinate (InfiniteBase),
+    then a finite float (check_point) is refused."""
     x = tuple(x)
     if len(x) != vm.n:
         raise ValueError("point length mismatch")
@@ -307,47 +331,59 @@ def initial_matroid(vm, x):
         raise InfiniteBase("initial matroid needs a finite point",
                            witness=list1(mask_of(
                                j for j, v in enumerate(x) if v == INF)))
-    return _lowest(vm.n, _values(vm, x)[1])
+    return _lowest(vm.n, _values(vm, check_point(x))[1])
 
 
 def _descend_to_maximal(vm, uv, target):
-    "Walk from the all-zero point to a point whose cell is maximal."
+    """Walk from the all-zero point to a point whose cell is maximal:
+    (cell, witness, common, vals), the last two the witness's table,
+    evaluated once at 0 and moved per step (_moved)."""
     n = vm.n
-    x = [ZERO] * n
+    x = (ZERO,) * n
+    common, vals = _values(vm, x)
     guard = 0
     while True:
-        common, vals = _values(vm, x)
         m = _lowest(n, vals)
         comps = m.connected_components()
         if len(comps) == target:
-            return m, tuple(x)
+            return m, x, common, vals
         guard += 1
         if guard > len(vm.support) + n:
             raise InconsistentCell("descent failed to converge")
         # cell components refine support components, so some k is not one
         k = next(c for c in comps if c not in uv.connected_components())
         r = (m.bases[0] & k).bit_count()
-        step = _first_break(common, vals, m, k, r)[0]
-        if step == INF:
-            step = -_first_break(common, vals, m, vm.full ^ k, vm.d - r)[0]
-        if step == -INF:
-            raise InconsistentCell("descent found no breakpoint")
-        for e in bits(k):
-            x[e] += step
+        brk = _first_break(vals, m, k, r)[0]
+        if brk is None:
+            # no break forward on k: step back, forward on its complement
+            brk = _first_break(vals, m, vm.full ^ k, vm.d - r)[0]
+            if brk is None:
+                raise InconsistentCell("descent found no breakpoint")
+            brk = (-brk[0], brk[1])
+        x, common, vals = _moved(vm, x, common, vals, k, *brk)
 
 
 def _face(m, f):
     """(r(f), face bases, face components) for a flat f of m, with no
-    face matroid built.  The face is the bases b with |b & f| = r(f).
-    For a face basis b0, the face's fundamental circuit of e is C(e, b0)
-    cut down to the side of f that holds e, so the components come from
+    face matroid built.  The face is the bases b with |b & f| = r(f),
+    found with r(f) in one scan.  For a face basis b0, the face's
+    fundamental circuit of e is C(e, b0) cut down to the side of f that
+    holds e, its one element outside b0, so the components come from
     one basis, sorted by value as connected_components() gives them."""
-    r = m.rank(f)
-    face = tuple(b for b in m.bases if (b & f).bit_count() == r)
+    r = -1
+    face = []
+    for b in m.bases:
+        k = (b & f).bit_count()
+        if k > r:
+            r = k
+            face = [b]
+        elif k == r:
+            face.append(b)
+    b0 = face[0]
     side = m.full ^ f
-    circ = [c & (f if (f >> e) & 1 else side) for e, c in
-            zip(bits(m.full & ~face[0]), m._fundamental_circuits(face[0]))]
-    return r, face, circuit_blocks(m.full, circ)
+    circ = [c & (f if c & f & ~b0 else side)
+            for c in m._fundamental_circuits(b0)]
+    return r, tuple(face), circuit_blocks(m.full, circ)
 
 
 def _facets(m, flats):
@@ -367,38 +403,46 @@ def maximal_cells(vm):
 
     Starts from one maximal cell and flips across every interior wall,
     a face at a proper cyclic flat with one more component (_facets).
-    At the first breakpoint tstar on the wall's flat f, bases meeting f
-    in fewer than r(f) elements are behind, so the cell across the wall
-    is the face bases (|b & f| = r(f)) and the bases tying at tstar.
+    At the first breakpoint on the wall's flat f, bases meeting f in
+    fewer than r(f) elements are behind, so the cell across the wall is
+    the face bases (|b & f| = r(f)) and the bases tying there.  _values
+    runs once per walk, at 0; each descent step and each flip moves
+    that integer table with the witness (_moved).  Each wall is crossed
+    once: a cell reached across f skips its wall back, the flat
+    (K - f) + loops, K the support component that f splits.  That wall
+    leads back to the cell the walk came from only if vm is a valuated
+    matroid (see check_pluecker), which the walk assumes.
     """
     if vm._maxcells is not None:
         return vm._maxcells
     uv = vm.underlying()
-    target = len(uv.connected_components())
-    first, x0 = _descend_to_maximal(vm, uv, target)
+    comps = uv.connected_components()
+    loops = uv.loops()
+    first, x0, common, vals = _descend_to_maximal(vm, uv, len(comps))
     cells = {first.bases: SubdivisionCell(first, x0, True)}
-    queue = [cells[first.bases]]
+    queue = [(cells[first.bases], common, vals, None)]
     while queue:
-        cell = queue.pop()
+        cell, common, vals, back = queue.pop()
         m = cell.matroid
-        common, vals = _values(vm, cell.witness)
-        for f, r, face in _facets(m, m.cyclic_flats()):
-            tstar, ties = _first_break(common, vals, m, f, r)
-            if tstar == INF:
+        walls = [f for f in m.cyclic_flats() if f != back]
+        for f, r, face in _facets(m, walls):
+            brk, ties = _first_break(vals, m, f, r)
+            if brk is None:
                 continue  # wall sits on the boundary of the support
             keep = tuple(sorted(face + tuple(ties)))
             if keep in cells:
                 continue
             m2 = Matroid(vm.n, keep, check=False)
-            if len(m2.connected_components()) != target:
+            if len(m2.connected_components()) != len(comps):
                 raise InconsistentCell(
                     "wall flip did not land on a maximal cell",
                     witness={"flat": list1(f)})
-            x2 = tuple(v + tstar if (f >> e) & 1 else v
-                       for e, v in enumerate(cell.witness))
+            x2, common2, vals2 = _moved(vm, cell.witness, common, vals,
+                                        f, *brk)
+            k = next(c for c in comps if c & f and c & ~f)
             nc = SubdivisionCell(m2, x2, True)
             cells[keep] = nc
-            queue.append(nc)
+            queue.append((nc, common2, vals2, (k & ~f) | loops))
     out = sorted(cells.values(), key=lambda c: c.matroid.bases)
     vm._maxcells = out
     return out
@@ -412,8 +456,9 @@ def face_witness(vm, m, xm, flat):
     r = m.rank(flat)
     if all((b & flat).bit_count() == r for b in m.bases):
         return tuple(xm)
-    t1 = _first_break(*_values(vm, xm), m, flat, r)[0]
-    tw = ONE if t1 == INF else t1 / 2
+    common, vals = _values(vm, xm)
+    brk = _first_break(vals, m, flat, r)[0]
+    tw = ONE if brk is None else Fraction(brk[0], 2 * brk[1] * common)
     return tuple(v + tw if (flat >> e) & 1 else v for e, v in enumerate(xm))
 
 

@@ -374,6 +374,26 @@ def test_finite_float_coordinates_are_refused_by_name():
         check_point((0.5, fr(0)), 3)
 
 
+def test_initial_matroid_refuses_a_finite_float_by_name():
+    """initial_matroid refuses a finite float coordinate through
+    check_point, naming it, as membership does, after its own refusals:
+    a wrong length first, then InfiniteBase for any infinite coordinate,
+    an all-inf point included."""
+    from troplin import InfiniteBase, initial_matroid
+
+    v = stiefel([[fr(0)] * 4, [fr(0), fr(0), fr(1), fr(1)]])
+    with pytest.raises(ValueError, match="coordinate 1 is"):
+        initial_matroid(v, (0.5, fr(0), fr(0), fr(0)))
+    with pytest.raises(ValueError, match="coordinate 3 is"):
+        initial_matroid(v, (fr(0), fr(1), 2.0, fr(0)))
+    with pytest.raises(ValueError, match="point length mismatch"):
+        initial_matroid(v, (0.5, INF, fr(0)))
+    for x in ((0.5, INF, fr(0), fr(0)), (INF,) * 4):
+        with pytest.raises(InfiniteBase):
+            initial_matroid(v, x)
+    assert initial_matroid(v, (fr(0),) * 4) == initial_matroid(v, (0,) * 4)
+
+
 def test_verify_presentation_guards():
     v = rank2_four()
     with pytest.raises(WrongArity):

@@ -6,8 +6,8 @@ import pytest
 from common import (fr, random_point, random_rows, rank2_four, rank3_five,
                     random_valuation, three_pair_valuation)
 from troplin import (INF, AllInfinite, EmptyIntersection, EmptySupport,
-                     InfiniteBase, Matroid, NotAMatroid, ValuatedMatroid,
-                     cell_complex, check_pluecker, hyperplane,
+                     InfiniteBase, Matroid, NotAMatroid, OutOfDomain,
+                     ValuatedMatroid, cell_complex, check_pluecker, hyperplane,
                      initial_matroid, linprog, maximal_cells, membership,
                      normalize_point, stable_intersection, stable_sum,
                      stiefel, trop, uniform_matroid, v_contract, v_dual,
@@ -349,13 +349,13 @@ def test_initial_matroid_needs_no_fraction_sums():
 
 
 def test_first_break_matches_the_fraction_reference():
-    """_first_break on the integer values of _values equals the Fraction
-    loop, INF included, and so do the bases that tie at the breakpoint:
-    Stiefel images with d <= 4, n <= 8 and
-    denominators up to 12, at every flat of every maximal cell, seen from
-    its witness and from a random point, at every flat of the cells of
-    random points, and along the complements of components with the
-    complementary rank, as the descent asks."""
+    """_first_break on the integer values of _values, read as
+    num / (cnt * common), equals the Fraction loop, INF included, and so
+    do the bases that tie at the breakpoint: Stiefel images with d <= 4,
+    n <= 8 and denominators up to 12, at every flat of every maximal
+    cell, seen from its witness and from a random point, at every flat
+    of the cells of random points, and along the complements of
+    components with the complementary rank, as the descent asks."""
     rng = random.Random(1729)
     seen = {"inf": 0, "finite": 0, "ties": 0}
     for _ in range(40):
@@ -377,7 +377,9 @@ def test_first_break_matches_the_fraction_reference():
             asks += [(v.full ^ k, d - m.rank(k))
                      for k in m.connected_components()]
             for f, r in asks:
-                got, ties = valuated._first_break(common, vals, m, f, r)
+                brk, ties = valuated._first_break(vals, m, f, r)
+                got = INF if brk is None else Fraction(brk[0],
+                                                       brk[1] * common)
                 assert (got, ties) == first_breakpoint_bruteforce(
                     v, m, x, f, r)
                 seen["inf" if got == INF else "finite"] += 1
@@ -428,6 +430,124 @@ def test_wall_flips_build_no_face_and_run_no_initial_matroid(monkeypatch):
     assert h.hexdigest() == ("4496171d92f1e502b8c1e69ad03185e5"
                              "9246bef0c95c7ade039aedf791be2055")
     assert calls and all(calls)
+
+
+def walk_images(rng, count):
+    """Seeded Stiefel images with d <= 4, n <= 8 and denominators up to
+    12, each with its support's loops and components that are not
+    loops: every third a block-diagonal matrix (a direct sum), and an
+    all-inf column now and then (a loop)."""
+    out = []
+    while len(out) < count:
+        block = len(out) % 3 == 2
+        d = rng.randint(3, 4) if block else rng.randint(1, 4)
+        n = rng.randint(d + 3, 8) if block else rng.randint(d, 8)
+        if block:
+            d1 = rng.randint(1, d - 1)
+            n1 = rng.randint(d1 + 1, n - (d - d1) - 1)
+            top = random_rows(rng, d1, n1, rng.uniform(0, 0.2))
+            low = random_rows(rng, d - d1, n - n1, rng.uniform(0, 0.2))
+            rows = ([r + [INF] * (n - n1) for r in top]
+                    + [[INF] * n1 + r for r in low])
+        else:
+            rows = random_rows(rng, d, n, rng.uniform(0, 0.4))
+        if n > d and rng.random() < 0.3:
+            j = rng.randrange(n)
+            for r in rows:
+                r[j] = INF
+        rows = [[v if v == INF else v / rng.randint(1, 12) for v in r]
+                for r in rows]
+        try:
+            v = stiefel(rows)
+        except OutOfDomain:
+            continue
+        uv = v.underlying()
+        loops = uv.loops()
+        out.append((v, loops, [k for k in uv.connected_components()
+                               if not k & loops]))
+    return out
+
+
+def test_walk_carries_the_table_of_its_witness(monkeypatch):
+    """The integer table the walk carries is _values at its point,
+    exactly: at the end of the descent and at every step and flip, on
+    images with loops and with several components among them."""
+    inside = []
+    flips = []
+    descend = valuated._descend_to_maximal
+    moved = valuated._moved
+
+    def checked_descend(vm, uv, target):
+        inside.append(True)
+        try:
+            m, x, common, vals = descend(vm, uv, target)
+        finally:
+            inside.pop()
+        assert (common, vals) == valuated._values(vm, x)
+        return m, x, common, vals
+
+    def checked_moved(vm, *args):
+        x, common, vals = moved(vm, *args)
+        assert (common, vals) == valuated._values(vm, x)
+        flips.append(not inside)
+        return x, common, vals
+
+    monkeypatch.setattr(valuated, "_descend_to_maximal", checked_descend)
+    monkeypatch.setattr(valuated, "_moved", checked_moved)
+    seen = {"loops": 0, "components": 0, "both": 0}
+    for v, loops, comps in walk_images(random.Random(2718), 240):
+        if len(maximal_cells(v)) > 1:
+            seen["loops"] += bool(loops)
+            seen["components"] += len(comps) > 1
+            seen["both"] += bool(loops) and len(comps) > 1
+    assert flips.count(True) > 300 and flips.count(False) > 300
+    assert min(seen.values()) > 10
+
+
+def test_each_wall_is_crossed_once(monkeypatch):
+    """Outside the descent, the walk runs _first_break once per wall of
+    each cell (_facets at its cyclic flats) but the one it came in by,
+    and _values once per computed walk, on images with loops and with
+    several components among them."""
+    inside = []
+    breaks = []
+    evaluations = []
+    descend = valuated._descend_to_maximal
+    first_break = valuated._first_break
+    values = valuated._values
+
+    def counted_descend(*args):
+        inside.append(True)
+        try:
+            return descend(*args)
+        finally:
+            inside.pop()
+
+    def counted_break(*args):
+        breaks.append(not inside)
+        return first_break(*args)
+
+    def counted_values(*args):
+        evaluations.append(True)
+        return values(*args)
+
+    monkeypatch.setattr(valuated, "_descend_to_maximal", counted_descend)
+    monkeypatch.setattr(valuated, "_first_break", counted_break)
+    monkeypatch.setattr(valuated, "_values", counted_values)
+    skipped = 0
+    for v, loops, comps in walk_images(random.Random(1618), 400):
+        breaks.clear()
+        evaluations.clear()
+        cells = maximal_cells(v)
+        walls = sum(len(list(valuated._facets(c.matroid,
+                                              c.matroid.cyclic_flats())))
+                    for c in cells)
+        assert sum(breaks) == walls - (len(cells) - 1)
+        assert len(evaluations) == 1
+        assert maximal_cells(v) is cells and len(evaluations) == 1
+        if loops or len(comps) > 1:
+            skipped += len(cells) - 1
+    assert skipped > 150
 
 
 def test_maximal_cells_rank2_four():
