@@ -20,7 +20,7 @@ from .presentations import (distinguished, presentation_space_member,
                             sample_presentation, verify_presentation)
 from .transversal import (is_transversal, max_presentation,
                           verify_set_presentation)
-from .trop import normalize_point, stiefel
+from .trop import lowered, stiefel
 from .util import list1, mask_of
 from .valuated import (cell_complex, check_pluecker, initial_matroid,
                        maximal_cells, membership, require_loop_free,
@@ -104,7 +104,7 @@ def cmd_vertices(payload, args):
     _require_pluecker(vm)
     require_loop_free(vm)
     out = [{"bases": [list1(b) for b in c.matroid.bases],
-            "point": jsonio.fmt_point(normalize_point(c.witness))}
+            "point": jsonio.fmt_point(lowered(*c.scaled))}
            for c in maximal_cells(vm)
            if len(c.matroid.connected_components()) == 1]
     return 0, {"n": vm.n, "vertices": out}

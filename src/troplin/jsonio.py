@@ -10,7 +10,8 @@ a d-set named by two keys is refused.  Canonical keys are read through
 one table from util.slot_keys, built after the slot limit; other
 spellings go through key_to_mask.  Valuation entries are read straight
 to integers over their lcm and written from the valuation's integer
-table, with no Fraction per entry.
+table, with no Fraction per entry; point coordinates are read through
+the same split, one Fraction each, with no string parse.
 """
 
 import json
@@ -64,9 +65,13 @@ def parse_scalar(v):
 
 
 def fmt_scalar(v):
-    if v == INF:
-        return "inf"
-    v = Fraction(v)
+    """An int, Fraction or float as parse_scalar reads it back: inf is
+    the one float the library hands out, told by type; a finite float
+    is written exactly."""
+    if isinstance(v, float):
+        if v == INF:
+            return "inf"
+        v = Fraction(v)
     return _fmt_ratio(v.numerator, v.denominator)
 
 
@@ -87,7 +92,7 @@ def _parse_ratio(v):
                 g = gcd(num, den)
                 return num // g, den // g
     v = parse_scalar(v)
-    return v if v == INF else (v.numerator, v.denominator)
+    return v if v is INF else (v.numerator, v.denominator)
 
 
 def _fmt_ratio(num, den):
@@ -106,9 +111,12 @@ def _fmt_ratio(num, den):
 
 
 def parse_point(obj):
+    """A tuple of parse_scalar values, read through _parse_ratio: a
+    plain ratio string costs no Fraction parse."""
     if not isinstance(obj, (list, tuple)) or not obj:
         raise ValueError("point must be a nonempty list")
-    return tuple(parse_scalar(v) for v in obj)
+    return tuple(v if v is INF else Fraction(*v)
+                 for v in map(_parse_ratio, obj))
 
 
 def fmt_point(p):

@@ -11,11 +11,12 @@ from fractions import Fraction
 from itertools import (combinations, combinations_with_replacement,
                        permutations)
 
-from .errors import NoBasis, NotAMatroid, NotCyclicFlat, OutOfDomain
+from .errors import (AllInfinite, InfiniteBase, NoBasis, NotAMatroid,
+                     NotCyclicFlat, OutOfDomain)
 from .matroid import Matroid
 from .transversal import (is_pseudopresentation, is_transversal,
                           transversal_matroid)
-from .trop import INF, ZERO
+from .trop import INF, ZERO, check_point
 from .util import bits, elems, ksubsets, list1, mask_of
 from .valuated import ValuatedMatroid, initial_matroid, maximal_cells
 
@@ -26,6 +27,29 @@ def xsum(x, mask):
     for e in bits(mask):
         s += x[e]
     return s
+
+
+def normalize_point_fraction(y):
+    "trop.normalize_point on Fractions: shift the least finite coordinate to 0."
+    y = check_point(y)
+    m = min(v for v in y if v != INF)
+    return tuple(INF if v == INF else v - m for v in y)
+
+
+def relsupp_fraction(x, y):
+    """trop.relsupp on Fractions: the mask where y - x does not attain its
+    minimum, refusing an infinite x, then unequal lengths, then an
+    all-infinite y."""
+    if any(v == INF for v in x):
+        raise InfiniteBase("basepoint must be finite", witness=list1(
+            mask_of(j for j, v in enumerate(x) if v == INF)))
+    if len(x) != len(y):
+        raise ValueError("length mismatch")
+    diffs = [INF if v == INF else v - x[j] for j, v in enumerate(y)]
+    m = min(diffs)
+    if m == INF:
+        raise AllInfinite("point has no finite coordinate")
+    return mask_of(j for j, dv in enumerate(diffs) if dv > m)
 
 
 def mask_to_key(mask):

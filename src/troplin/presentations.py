@@ -15,8 +15,7 @@ from .errors import (AllInfinite, CountMismatch, NotCyclicFlat,
                      NotTransversalFacets, PointOutsideL, TroplinError,
                      WrongArity)
 from .linprog import distinct_rows, solve_lp
-from .trop import (INF, ZERO, check_point, integer_scaled, normalize_point,
-                   relsupp)
+from .trop import INF, ZERO, check_point, integer_scaled, lowered, relsupp
 from .util import bits, elems, list1, mask_of
 from .valuated import (_face, _values, face_witness, maximal_cells,
                        membership, v_contract)
@@ -250,7 +249,7 @@ def distinguished(vm):
             t = m.cyclic_flats().tau(0)
             if t <= 0:
                 continue
-            v = normalize_point(cell.witness)
+            v = lowered(*cell.scaled)
             apex = [INF] * vm.n
             for i, g in enumerate(coords):
                 apex[g] = v[i]
@@ -312,19 +311,22 @@ def presentation_space_member(vm, points):
 
 def _fits_distinguished(data, points):
     """The assignment search of presentation_space_member, on checked
-    points of the right arity and the valuation's distinguished data."""
-    infmask = [mask_of(j for j in range(data.n) if p[j] == INF)
+    points of the right arity (only inf is a float) and the valuation's
+    distinguished data."""
+    infmask = [mask_of(j for j, v in enumerate(p) if isinstance(v, float))
                for p in points]
     if any(all(e.flat & ~im for e in data.entries) for im in infmask):
         return False
-    return _assign(data.entries, points, infmask, 0,
+    return _assign(data.entries, points, infmask, {}, 0,
                    frozenset(range(len(points))))
 
 
-def _assign(entries, points, infmask, i, remaining):
+def _assign(entries, points, infmask, local, i, remaining):
     """Can the points in `remaining` fill entries i, i+1, ... by their
-    multiplicities?  Not a closure: a recursive closure would hold the
-    request's entries in a reference cycle until the cyclic GC runs."""
+    multiplicities?  local[i, j] is point j translated to entry i
+    (_translated), made once per (entry, point) in one search.  Not a
+    closure: a recursive closure would hold the request's entries in a
+    reference cycle until the cyclic GC runs."""
     if i == len(entries):
         return True
     e = entries[i]
@@ -332,17 +334,28 @@ def _assign(entries, points, infmask, i, remaining):
     if len(cand) < e.multiplicity:
         return False
     for group in combinations(cand, e.multiplicity):
-        local = [tuple(INF if points[j][g] == INF
-                       else points[j][g] - e.vertex[k]
-                       for k, g in enumerate(e.coords)) for j in group]
+        for j in group:
+            if (i, j) not in local:
+                local[i, j] = _translated(e, points[j])
         try:
-            ok = presentation_fan_member(e.matroid, local)
+            ok = presentation_fan_member(e.matroid,
+                                         [local[i, j] for j in group])
         except (AllInfinite, ValueError):
             ok = False
-        if ok and _assign(entries, points, infmask, i + 1,
+        if ok and _assign(entries, points, infmask, local, i + 1,
                           remaining - set(group)):
             return True
     return False
+
+
+def _translated(e, p):
+    """The checked point p on the entry's coordinates less its vertex,
+    subtracted on one integer scale: a Fraction per finite coordinate
+    out, inf where p is inf."""
+    k = len(e.coords)
+    common, vs = integer_scaled([*e.vertex, *(p[g] for g in e.coords)])
+    return tuple(v if v is INF else Fraction(v - vs[i], common)
+                 for i, v in enumerate(vs[k:]))
 
 
 def sample_presentation(vm, seed=0):

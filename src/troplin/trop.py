@@ -1,8 +1,10 @@
 """Exact min-plus scalars, points and matrices over Q + {inf}.
 
-Scalars are fractions.Fraction or float("inf").  Only addition and
-comparison ever touch a scalar, and Fraction degrades to inf exactly
-under both, so no rounding can occur anywhere.
+Scalars are fractions.Fraction or float("inf").  Points compute on
+integer scales: integer_scaled puts their finite coordinates over the
+lcm of their denominators, and sums, differences and comparisons run on
+those integers, with inf tested by type.  Fractions appear at the API,
+where a point is returned, so no rounding can occur anywhere.
 """
 
 from fractions import Fraction
@@ -21,7 +23,7 @@ def check_point(y, n=None):
     (AllInfinite), if n is given and y has another length, or if a
     coordinate is a finite float (ValueError naming it, 1-based)."""
     y = tuple(y)
-    if all(v == INF for v in y):
+    if all(isinstance(v, float) and v == INF for v in y):
         raise AllInfinite("point has no finite coordinate")
     if n is not None and len(y) != n:
         raise ValueError("point length mismatch")
@@ -32,27 +34,38 @@ def check_point(y, n=None):
 
 
 def normalize_point(y):
-    "Shift so the least finite coordinate is 0."
-    y = check_point(y)
-    m = min(v for v in y if v != INF)
-    return tuple(INF if v == INF else v - m for v in y)
+    "Shift so the least finite coordinate is 0, on integers (lowered)."
+    return lowered(*integer_scaled(check_point(y)))
+
+
+def lowered(den, ys):
+    """The point ys / den, as integer_scaled gives it, shifted so its
+    least finite coordinate is 0: one Fraction per finite coordinate."""
+    m = min(v for v in ys if v is not INF)
+    return tuple(INF if v is INF else Fraction(v - m, den) for v in ys)
 
 
 def relsupp(x, y):
     """Relative support of y seen from the finite basepoint x.
 
     Bitmask of the coordinates where y - x does not attain its minimum
-    (infinite coordinates of y always belong).
+    (infinite coordinates of y always belong).  Refused in this order:
+    an infinite coordinate of x (InfiniteBase), lengths that differ,
+    then y as check_point refuses it, then a finite float in x.  The
+    differences compare on one integer scale for x and y.
     """
-    if any(v == INF for v in x):
-        raise InfiniteBase("basepoint must be finite", witness=list1(
-            mask_of(j for j, v in enumerate(x) if v == INF)))
+    inf = mask_of(j for j, v in enumerate(x)
+                  if isinstance(v, float) and v == INF)
+    if inf:
+        raise InfiniteBase("basepoint must be finite", witness=list1(inf))
     if len(x) != len(y):
         raise ValueError("length mismatch")
-    diffs = [INF if v == INF else v - x[j] for j, v in enumerate(y)]
+    check_point(y)
+    check_point(x)
+    n = len(x)
+    _, vs = integer_scaled((*x, *y))
+    diffs = [v if v is INF else v - vs[j] for j, v in enumerate(vs[n:])]
     m = min(diffs)
-    if m == INF:
-        raise AllInfinite("point has no finite coordinate")
     return mask_of(j for j, dv in enumerate(diffs) if dv > m)
 
 

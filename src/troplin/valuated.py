@@ -5,12 +5,13 @@ the least finite entry is 0.  The induced regular subdivision of the basis
 polytope is computed exactly: maximal cells by a descent-plus-wall-flip
 walk, the full face complex by closing the maximal cells under facets
 (one facet test, _facets, serves both).  The walk compares on integers:
-_values puts pl(B) - x(B) for every support basis on one integer scale,
-once per walk, and each descent step and wall flip moves that table
-with the point (_moved).  _first_break reads off, as an integer ratio,
-how far x moves along a flat before other bases tie the current cell;
-a Fraction is built only where a witness moves.  Each wall is crossed
-once: a cell reached across a wall skips the wall back.
+the table pl(B) - x(B) of every support basis is kept on one integer
+scale, starting from the valuation's own integers at x = 0, and each
+descent step and wall flip moves that table and the witness x, itself
+integers on the table's scale (_moved).  _first_break reads off, as an
+integer ratio, how far x moves along a flat before other bases tie the
+current cell; the walk builds no Fraction.  Each wall is crossed once:
+a cell reached across a wall skips the wall back.
 """
 
 from fractions import Fraction
@@ -21,7 +22,7 @@ from .errors import (AllInfinite, EmptyIntersection, EmptySupport,
                      InconsistentCell, InfiniteBase, NotAMatroid,
                      RankCollapse, TooLarge, TroplinError)
 from .matroid import Matroid, circuit_blocks
-from .trop import INF, ONE, ZERO, check_point, integer_scaled
+from .trop import INF, ONE, check_point, integer_scaled
 from .util import bits, elems, ksubsets, list1, mask_of, submasks
 
 MAX_SLOTS = 1 << 16
@@ -114,10 +115,24 @@ class ValuatedMatroid:
 
 
 class SubdivisionCell:
-    def __init__(self, matroid, witness, is_maximal):
+    """A cell of the subdivision: its matroid, whether it is maximal,
+    and a witness point x whose initial matroid it is.  scaled is
+    (common, xs) with x = xs / common, on integers; the Fraction tuple
+    witness is built on first read, since most witnesses of a walk are
+    never read."""
+
+    def __init__(self, matroid, scaled, is_maximal):
         self.matroid = matroid
-        self.witness = witness
+        self.scaled = scaled
         self.is_maximal = is_maximal
+        self._witness = None
+
+    @property
+    def witness(self):
+        if self._witness is None:
+            common, xs = self.scaled
+            self._witness = tuple(Fraction(v, common) for v in xs)
+        return self._witness
 
     def __repr__(self):
         return "SubdivisionCell(%r, maximal=%r)" % (
@@ -260,8 +275,8 @@ def _values(vm, x):
     basis b, on integers, common the lcm of den and the denominators of
     x.  x must be finite.  The rows (b, ints[b], elements of b) it runs
     over are built on first use and kept on the valuation.  The walk
-    (maximal_cells) runs it once, at x = 0, and carries the table on
-    from there (_moved)."""
+    (maximal_cells) does not run it: at x = 0 the table is ints itself,
+    which the walk carries on from there (_moved)."""
     if vm._rows is None:
         vm._rows = [(b, vm.ints[b], elems(b)) for b in vm.support]
     common, xs = integer_scaled(x, vm.den)
@@ -299,19 +314,23 @@ def _first_break(vals, m, flat, r):
     return (None if num is None else (num, cnt)), ties
 
 
-def _moved(vm, x, common, vals, flat, num, cnt):
-    """(x', common', vals'): x moved by t = num / (cnt * common) on
-    `flat`, and its table from the table (common, vals) of x, on
-    integers.  On the scale common * cnt the entry of b is
-    v * cnt - num * |b & flat|; common' is the lcm of den and the
-    denominators of x', which divides common * cnt, so the table equals
-    _values(vm, x') and its integers do not grow along a walk."""
-    t = Fraction(num, cnt * common)
-    x = tuple(v + t if (flat >> e) & 1 else v for e, v in enumerate(x))
-    new = lcm(vm.den, *(v.denominator for v in x))
-    q = cnt * common // new
-    return x, new, {b: (v * cnt - num * (b & flat).bit_count()) // q
-                    for b, v in vals.items()}
+def _moved(vm, xs, common, vals, flat, num, cnt):
+    """(xs', common', vals'): the point x = xs / common moved by
+    t = num / (cnt * common) on `flat`, and its table from the table
+    (common, vals) of x, all on integers.  On the scale common * cnt,
+    x' is xs * cnt + num on the flat and the entry of b is
+    v * cnt - num * |b & flat|.  Both are divided by q, the gcd of
+    common * cnt / den and the coordinates of x' on that scale, so
+    common' = common * cnt / q is the lcm of den and the denominators
+    of x': the table equals _values(vm, x') and its integers do not
+    grow along a walk."""
+    scale = common * cnt
+    xs = [v * cnt + num if (flat >> e) & 1 else v * cnt
+          for e, v in enumerate(xs)]
+    q = gcd(scale // vm.den, *xs)
+    return (tuple(v // q for v in xs), scale // q,
+            {b: (v * cnt - num * (b & flat).bit_count()) // q
+             for b, v in vals.items()})
 
 
 def _lowest(n, vals):
@@ -327,20 +346,23 @@ def initial_matroid(vm, x):
     x = tuple(x)
     if len(x) != vm.n:
         raise ValueError("point length mismatch")
-    if any(v == INF for v in x):
+    inf = mask_of(j for j, v in enumerate(x)
+                  if isinstance(v, float) and v == INF)
+    if inf:
         raise InfiniteBase("initial matroid needs a finite point",
-                           witness=list1(mask_of(
-                               j for j, v in enumerate(x) if v == INF)))
+                           witness=list1(inf))
     return _lowest(vm.n, _values(vm, check_point(x))[1])
 
 
 def _descend_to_maximal(vm, uv, target):
     """Walk from the all-zero point to a point whose cell is maximal:
-    (cell, witness, common, vals), the last two the witness's table,
-    evaluated once at 0 and moved per step (_moved)."""
+    (cell, xs, common, vals), the witness xs / common and its table,
+    which at 0 is ints on the support over den, moved per step
+    (_moved)."""
     n = vm.n
-    x = (ZERO,) * n
-    common, vals = _values(vm, x)
+    x = (0,) * n
+    common = vm.den
+    vals = {b: vm.ints[b] for b in vm.support}
     guard = 0
     while True:
         m = _lowest(n, vals)
@@ -405,9 +427,10 @@ def maximal_cells(vm):
     a face at a proper cyclic flat with one more component (_facets).
     At the first breakpoint on the wall's flat f, bases meeting f in
     fewer than r(f) elements are behind, so the cell across the wall is
-    the face bases (|b & f| = r(f)) and the bases tying there.  _values
-    runs once per walk, at 0; each descent step and each flip moves
-    that integer table with the witness (_moved).  Each wall is crossed
+    the face bases (|b & f| = r(f)) and the bases tying there.  The walk
+    starts from the integer table at 0, ints itself, and each descent
+    step and each flip moves that table with the witness, both on
+    integers (_moved).  Each wall is crossed
     once: a cell reached across f skips its wall back, the flat
     (K - f) + loops, K the support component that f splits.  That wall
     leads back to the cell the walk came from only if vm is a valuated
@@ -419,11 +442,12 @@ def maximal_cells(vm):
     comps = uv.connected_components()
     loops = uv.loops()
     first, x0, common, vals = _descend_to_maximal(vm, uv, len(comps))
-    cells = {first.bases: SubdivisionCell(first, x0, True)}
-    queue = [(cells[first.bases], common, vals, None)]
+    cells = {first.bases: SubdivisionCell(first, (common, x0), True)}
+    queue = [(cells[first.bases], vals, None)]
     while queue:
-        cell, common, vals, back = queue.pop()
+        cell, vals, back = queue.pop()
         m = cell.matroid
+        common, xs = cell.scaled
         walls = [f for f in m.cyclic_flats() if f != back]
         for f, r, face in _facets(m, walls):
             brk, ties = _first_break(vals, m, f, r)
@@ -437,12 +461,11 @@ def maximal_cells(vm):
                 raise InconsistentCell(
                     "wall flip did not land on a maximal cell",
                     witness={"flat": list1(f)})
-            x2, common2, vals2 = _moved(vm, cell.witness, common, vals,
-                                        f, *brk)
+            x2, common2, vals2 = _moved(vm, xs, common, vals, f, *brk)
             k = next(c for c in comps if c & f and c & ~f)
-            nc = SubdivisionCell(m2, x2, True)
+            nc = SubdivisionCell(m2, (common2, x2), True)
             cells[keep] = nc
-            queue.append((nc, common2, vals2, (k & ~f) | loops))
+            queue.append((nc, vals2, (k & ~f) | loops))
     out = sorted(cells.values(), key=lambda c: c.matroid.bases)
     vm._maxcells = out
     return out
@@ -494,7 +517,8 @@ def cell_complex(vm):
             if face in found:
                 continue
             nc = SubdivisionCell(Matroid(vm.n, face, check=False),
-                                 face_witness(vm, m, cell.witness, f), False)
+                                 integer_scaled(face_witness(
+                                     vm, m, cell.witness, f)), False)
             found[face] = nc
             queue.append(nc)
     return sorted(found.values(),

@@ -7,9 +7,9 @@ import pytest
 
 from common import random_valuation
 from troplin import INF, ValuatedMatroid, jsonio
-from troplin.jsonio import (_fmt_ratio, _parse_ratio, fmt_scalar,
-                            fmt_valuated, key_to_mask, parse_scalar,
-                            parse_valuated)
+from troplin.jsonio import (_fmt_ratio, _parse_ratio, fmt_point,
+                            fmt_scalar, fmt_valuated, key_to_mask,
+                            parse_point, parse_scalar, parse_valuated)
 from troplin.oracle import mask_to_key
 from troplin.util import elems, ksubsets, mask_of, slot_keys, submasks
 
@@ -66,6 +66,47 @@ def test_fast_entry_parser_equals_parse_scalar():
             kinds["fast"] += isinstance(v, str) and v.lstrip("-").replace(
                 "/", "", 1).isdigit()
     assert min(kinds.values()) > 500
+
+
+def test_points_read_and_write_as_through_parse_scalar():
+    """parse_point gives parse_scalar's values (or its error type and
+    message), and fmt_point writes them as the Fraction reference
+    writes them, for every spelling parse_scalar accepts: spaces,
+    exponents, signs, floats and bare numbers.  A zero denominator is
+    still an error."""
+    def reference(obj):
+        try:
+            p = tuple(parse_scalar(v) for v in obj)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return p, ["inf" if v == INF else _fmt_ratio(
+            Fraction(v).numerator, Fraction(v).denominator) for v in p]
+
+    def fast(obj):
+        try:
+            p = parse_point(obj)
+        except Exception as exc:
+            return type(exc), str(exc)
+        assert all(v is INF or type(v) is Fraction for v in p)
+        return p, fmt_point(p)
+
+    rng = random.Random(1729)
+    values = errors = 0
+    for _ in range(3000):
+        obj = [random_scalar(rng) for _ in range(rng.randint(1, 4))]
+        want = reference(obj)
+        assert fast(obj) == want, obj
+        errors += isinstance(want[0], type)
+        values += not isinstance(want[0], type)
+    assert values > 500 and errors > 500
+    for zero in ("1/0", "-3/00", " 2/0 ", "0/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_point(["1", zero])
+    assert fmt_point(parse_point([" 3 ", "+3", "1e3", "-1.5E-2", 0.1, 7,
+                                  "6/4", " inf", 1e400])) == \
+        ["3", "3", "1000", "-3/200", "1/10", "7", "3/2", "inf", "inf"]
+    assert [fmt_scalar(v) for v in (INF, 0.5, -2, Fraction(-6, 4))] == \
+        ["inf", "1/2", "-2", "-3/2"]
 
 
 def test_entries_share_the_lcm_of_their_reduced_denominators(monkeypatch):

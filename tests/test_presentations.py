@@ -875,3 +875,72 @@ def test_vertex_commands_keep_their_bytes(tmp_path):
     assert min(verdicts.values()) > 5, verdicts
     assert h.hexdigest() == ("9b0f1995f58763c77160c3d3242b52df"
                              "c847ca1ea87898f494ca28bc432e464c")
+
+
+def fraction_guard_images(rng, count):
+    """Loop- and coloop-free 4 x 8 Stiefel images with inf entries and
+    denominators up to 12, each with its rows."""
+    out = []
+    while len(out) < count:
+        rows = [[INF if rng.random() < 0.2
+                 else Fraction(rng.randint(-12, 24), rng.randint(1, 12))
+                 for _ in range(8)] for _ in range(4)]
+        try:
+            v = stiefel(rows)
+        except TroplinError:
+            continue
+        uv = v.underlying()
+        if not uv.loops() | uv.coloops():
+            out.append((rows, v))
+    return out
+
+
+def fiber_answers(v, tuples):
+    "maximal_cells, distinguished and presentation_space_member on v."
+    cells = [(c.matroid.bases, c.witness) for c in maximal_cells(v)]
+    entries = [(e.flat, e.matroid.bases, e.multiplicity, e.vertex, e.apex)
+               for e in distinguished(v)]
+    return cells, entries, [presentation_space_member(v, t) for t in tuples]
+
+
+def test_fiber_path_runs_no_fraction_arithmetic(monkeypatch):
+    """With Fraction addition and subtraction raising, and Fraction ==
+    raising on a float, the walk, the distinguished apices and the
+    presentation-space decision give the answers they give unpatched,
+    which are those of the Fraction-arithmetic implementation (frozen as
+    a digest), on true and false tuples."""
+    import hashlib
+
+    rng = random.Random(1213)
+    cases = []
+    for rows, v in fraction_guard_images(rng, 6):
+        true = [points_of(rows), sample_presentation(v, seed=5)]
+        moved = [list(p) for p in points_of(rows)]
+        j = next(j for j, c in enumerate(moved[0]) if c != INF)
+        moved[0][j] += Fraction(1, 7)
+        false = [[points_of(rows)[0]] * 4, [tuple(p) for p in moved]]
+        cases.append((v, true + false))
+    want = [fiber_answers(v, tuples) for v, tuples in cases]
+    h = hashlib.sha256(repr(want).encode())
+    verdicts = [ok for _, _, oks in want for ok in oks]
+    assert verdicts.count(True) >= 12 and verdicts.count(False) >= 6
+
+    def refuse(self, other):
+        raise AssertionError("Fraction arithmetic on the fiber path")
+
+    eq = Fraction.__eq__
+
+    def eq_no_float(self, other):
+        if isinstance(other, float):
+            raise AssertionError("Fraction compared with a float")
+        return eq(self, other)
+
+    for name in ("__add__", "__sub__", "__radd__", "__rsub__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    monkeypatch.setattr(Fraction, "__eq__", eq_no_float)
+    got = [fiber_answers(ValuatedMatroid(v.n, v.d, v.ints, v.den), tuples)
+           for v, tuples in cases]
+    monkeypatch.undo()
+    assert got == want
+    assert h.hexdigest() == ("989f156a26749ddfbfced7d7642703c5"
+                             "1da9e9cbf19d9094a67cc1942a87e13c")

@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from common import (fr, rank2_four, rank2_four_rows, rank3_five_rows,
                     random_rows)
@@ -11,7 +12,8 @@ from troplin import (INF, AllInfinite, InfiniteBase, OutOfDomain,
                      ValuatedMatroid, membership, min_assignment,
                      normalize_point, relsupp, stiefel, trop_cone_sample,
                      trop_minor, zoom)
-from troplin.oracle import stiefel_bruteforce, trop_minor_bruteforce
+from troplin.oracle import (normalize_point_fraction, relsupp_fraction,
+                            stiefel_bruteforce, trop_minor_bruteforce)
 from troplin.trop import (_assignment_minors, _laplace_minors, _laplace_pays,
                           integer_scaled, stiefel_domain_witness)
 from troplin.util import ksubsets, mask_of
@@ -131,6 +133,42 @@ def test_normalize_point():
     assert normalize_point((fr(3), fr(4), INF)) == (fr(0), fr(1), INF)
     with pytest.raises(AllInfinite):
         normalize_point((INF, INF))
+
+
+def _coords(dens, size):
+    finite = st.builds(Fraction, st.integers(-40, 40), st.sampled_from(dens))
+    return st.lists(st.one_of(st.just(INF), finite, st.integers(-9, 9)),
+                    min_size=size[0], max_size=size[1]).map(tuple)
+
+
+def _outcome(f, *args):
+    "f's value, or the type and message of what it raised."
+    try:
+        return f(*args)
+    except (ValueError, AllInfinite, InfiniteBase) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_integer_points_match_the_fraction_references(data):
+    """relsupp and normalize_point on integer scales give what the
+    Fraction bodies give (troplin.oracle), refusals included and in the
+    same order: an infinite basepoint, then unequal lengths, then an
+    all-infinite point.  Coordinates hold inf, negatives and
+    denominators 1-12; basepoints are drawn on other denominators too."""
+    y = data.draw(_coords(range(1, 13), (1, 7)))
+    same = data.draw(st.booleans())
+    x = data.draw(_coords((1, 5, 7, 11, 13, 16, 30),
+                          (len(y), len(y)) if same else (1, 7)))
+    if data.draw(st.booleans()):
+        x = tuple(v if v != INF else Fraction(-3, 13) for v in x)
+    got = _outcome(relsupp, x, y)
+    assert got == _outcome(relsupp_fraction, x, y)
+    got = _outcome(normalize_point, y)
+    assert got == _outcome(normalize_point_fraction, y)
+    if not isinstance(got[0], type):
+        assert all(v is INF or type(v) is Fraction for v in got)
 
 
 def test_cone_sample_golden():

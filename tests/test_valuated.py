@@ -483,12 +483,14 @@ def test_walk_carries_the_table_of_its_witness(monkeypatch):
             m, x, common, vals = descend(vm, uv, target)
         finally:
             inside.pop()
-        assert (common, vals) == valuated._values(vm, x)
+        assert (common, vals) == valuated._values(
+            vm, tuple(Fraction(v, common) for v in x))
         return m, x, common, vals
 
     def checked_moved(vm, *args):
         x, common, vals = moved(vm, *args)
-        assert (common, vals) == valuated._values(vm, x)
+        assert (common, vals) == valuated._values(
+            vm, tuple(Fraction(v, common) for v in x))
         flips.append(not inside)
         return x, common, vals
 
@@ -507,8 +509,8 @@ def test_walk_carries_the_table_of_its_witness(monkeypatch):
 def test_each_wall_is_crossed_once(monkeypatch):
     """Outside the descent, the walk runs _first_break once per wall of
     each cell (_facets at its cyclic flats) but the one it came in by,
-    and _values once per computed walk, on images with loops and with
-    several components among them."""
+    and _values never (the table at 0 is the valuation's own), on
+    images with loops and with several components among them."""
     inside = []
     breaks = []
     evaluations = []
@@ -543,8 +545,8 @@ def test_each_wall_is_crossed_once(monkeypatch):
                                               c.matroid.cyclic_flats())))
                     for c in cells)
         assert sum(breaks) == walls - (len(cells) - 1)
-        assert len(evaluations) == 1
-        assert maximal_cells(v) is cells and len(evaluations) == 1
+        assert not evaluations
+        assert maximal_cells(v) is cells and not evaluations
         if loops or len(comps) > 1:
             skipped += len(cells) - 1
     assert skipped > 150
