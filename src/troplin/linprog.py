@@ -4,13 +4,13 @@ Problems here have a handful of free rational variables, so each one is
 split into a difference of nonnegatives and everything runs under
 Bland's rule (no cycling, no floats, no tolerance knobs).
 
-Rows are first brought to "<=" or "=" form and reduced to one row per
-distinct constraint (distinct_rows): of several "<=" rows with the same
-left side only the tightest is kept, and all-zero rows are dropped or,
-when they cannot hold, decide infeasibility outright.  A "<=" row with
-a nonnegative right-hand side starts basic on its own slack; only
-equalities and rows with a negative right-hand side get an artificial
-variable, and phase 1 runs only when there is one.
+Every row (coeffs, rhs) means coeffs . x <= rhs.  Rows are reduced to
+one per distinct left side (distinct_rows): only the tightest is kept,
+and all-zero rows are dropped or, when they cannot hold, decide
+infeasibility outright.  A row with a nonnegative right-hand side
+starts basic on its own slack; only rows with a negative right-hand
+side get an artificial variable, and phase 1 runs only when there is
+one.
 
 The tableau holds integers (integer-preserving pivoting, after Edmonds
 1967 and Bareiss 1968): a row starts as its constraint times the lcm of
@@ -75,75 +75,58 @@ def _run(tab, obj, basis, ncols):
 
 
 def distinct_rows(constraints):
-    """The constraints as (coeffs, rel, rhs) rows, rel "<=" or "=", one
-    per distinct constraint, in order of first appearance.
-
-    ">=" rows are negated.  Of "<=" rows with equal coefficient tuples
-    only the least rhs is kept; repeated equalities are kept once.
-    All-zero rows that always hold are dropped.  Returns None when the
-    rows cannot all hold: an all-zero row with a negative rhs (or a
-    nonzero one for "="), or one left side equated to two values.
-    Entries that are ints stay ints; others become Fractions.
+    """The (coeffs, rhs) rows, one per distinct left side, in order of
+    first appearance: of rows with equal coefficient tuples only the
+    least rhs is kept, and all-zero rows that always hold are dropped.
+    Returns None when an all-zero row has a negative rhs, so the rows
+    cannot all hold.  Entries that are ints stay ints; others become
+    Fractions.
     """
     seen = {}
-    for coeffs, rel, rhs in constraints:
+    for coeffs, rhs in constraints:
         coeffs = tuple(c if type(c) is int else Fraction(c) for c in coeffs)
         rhs = rhs if type(rhs) is int else Fraction(rhs)
-        if rel == ">=":
-            coeffs = tuple(-c for c in coeffs)
-            rhs = -rhs
-            rel = "<="
-        elif rel not in ("<=", "="):
-            raise ValueError("bad relation %r" % (rel,))
         if not any(coeffs):
-            if rhs < 0 or (rel == "=" and rhs != 0):
+            if rhs < 0:
                 return None
             continue
-        old = seen.setdefault((rel, coeffs), rhs)
-        if rel == "=" and old != rhs:
-            return None
-        if rhs < old:
-            seen[rel, coeffs] = rhs
-    return [(list(c), rel, rhs) for (rel, c), rhs in seen.items()]
+        if rhs < seen.setdefault(coeffs, rhs):
+            seen[coeffs] = rhs
+    return [(list(c), rhs) for c, rhs in seen.items()]
 
 
 def solve_lp(num_vars, objective, constraints):
     """Maximize objective . x over free rational x subject to constraints.
 
-    constraints: iterable of (coeffs, rel, rhs) with rel in "<=", ">=",
-    "=".  Returns (status, value, x) where status is "optimal",
-    "infeasible" or "unbounded"; value and x are Fractions, or None
-    unless optimal.
+    constraints: iterable of (coeffs, rhs) rows, each meaning
+    coeffs . x <= rhs.  Returns (status, value, x) where status is
+    "optimal", "infeasible" or "unbounded"; value and x are Fractions,
+    or None unless optimal.
     """
     rows = distinct_rows(constraints)
     if rows is None:
         return "infeasible", None, None
-    nslack = sum(1 for _, rel, _ in rows if rel == "<=")
-    nreal = 2 * num_vars + nslack
-    nart = sum(1 for _, rel, rhs in rows if rel == "=" or rhs < 0)
+    nreal = 2 * num_vars + len(rows)
+    nart = sum(1 for _, rhs in rows if rhs < 0)
     ncols = nreal + nart
     tab = []
     basis = []
-    si = 0
     ai = nreal
-    for coeffs, rel, rhs in rows:
+    for i, (coeffs, rhs) in enumerate(rows):
         k, ints = integer_scaled([*coeffs, rhs])
         row = [0] * (ncols + 1)
         for j, c in enumerate(ints[:-1]):
             row[2 * j] = c
             row[2 * j + 1] = -c
-        if rel == "<=":
-            row[2 * num_vars + si] = k
-            si += 1
+        row[2 * num_vars + i] = k
         row[-1] = ints[-1]
         if rhs < 0:
             row = [-v for v in row]
-        if rel == "<=" and rhs >= 0:
-            basis.append(2 * num_vars + si - 1)
-        else:
             row[ai] = k
             basis.append(ai)
             ai += 1
+        else:
+            basis.append(2 * num_vars + i)
         tab.append(row)
 
     if nart:
@@ -160,18 +143,13 @@ def solve_lp(num_vars, objective, constraints):
         if obj[-2] < 0:
             return "infeasible", None, None
 
-        # drive leftover artificials out of the basis, drop redundant rows
-        keep = []
-        for i in range(len(tab)):
-            if basis[i] < nreal:
-                keep.append(i)
-                continue
-            piv = next((j for j in range(nreal) if tab[i][j] != 0), None)
-            if piv is not None:
-                _pivot(tab, obj, basis, i, piv)
-                keep.append(i)
-        tab = [tab[i][:nreal] + [tab[i][-1]] for i in keep]
-        basis = [basis[i] for i in keep]
+        # drive leftover artificials out of the basis: the slacks make
+        # the rows independent, so each has a nonzero real entry
+        for i, b in enumerate(basis):
+            if b >= nreal:
+                _pivot(tab, obj, basis, i,
+                       next(j for j in range(nreal) if tab[i][j] != 0))
+        tab = [row[:nreal] + [row[-1]] for row in tab]
 
     # phase 2
     den, ints = integer_scaled([Fraction(c) for c in objective])

@@ -298,8 +298,6 @@ def rinf_facet_oracle(vm, cell, flat, z):
     one rational interval; no simplex involved.  Returns None when the
     face has more components (oracle not applicable).
     """
-    from .valuated import face_witness
-
     m = cell.matroid
     if all(z[j] == INF for j in bits(flat)):
         return True
@@ -307,7 +305,7 @@ def rinf_facet_oracle(vm, cell, flat, z):
     comps = w.connected_components()
     if len(comps) != 2:
         return None
-    xw = face_witness(vm, m, cell.witness, flat)
+    xw = face_point_fraction(vm, m, cell.witness, flat)
     k1 = comps[0]
     r1 = w.rank(k1)
     m0 = vm.table[w.bases[0]] - xsum(xw, w.bases[0])
@@ -398,7 +396,6 @@ def rinf_member_lp(vm, cell, flat, z):
     """
     from .linprog import solve_lp
     from .trop import ONE, check_point
-    from .valuated import face_witness
 
     m = cell.matroid
     cf = m.cyclic_flats()
@@ -408,7 +405,7 @@ def rinf_member_lp(vm, cell, flat, z):
     if all(z[j] == INF for j in bits(flat)):
         return True
     w = m.polytope_face(flat)
-    xw = face_witness(vm, m, cell.witness, flat)
+    xw = face_point_fraction(vm, m, cell.witness, flat)
     comps = w.connected_components()
     c = len(comps)
     where = {}
@@ -427,10 +424,10 @@ def rinf_member_lp(vm, cell, flat, z):
             coeffs[i] = Fraction((b & comps[i]).bit_count() - ranks[i])
         coeffs[c - 1] = ONE
         gap = vm.table[b] - xsum(xw, b) - m0
-        region.append((coeffs, "<=", gap))
+        region.append((coeffs, gap))
     cap = [ZERO] * c
     cap[c - 1] = ONE
-    region.append((cap, "<=", ONE))
+    region.append((cap, ONE))
     for j in bits(flat):
         if z[j] == INF:
             continue
@@ -449,7 +446,7 @@ def rinf_member_lp(vm, cell, flat, z):
             if ck == cj and rhs < 0:
                 bad = True
                 break
-            cons.append((coeffs, "<=", rhs))
+            cons.append((coeffs, rhs))
         if bad:
             continue
         status, value, _ = solve_lp(c, cap, cons)
@@ -535,6 +532,19 @@ def initial_matroid_bruteforce(vm, x):
         elif v == best:
             keep.append(b)
     return Matroid(vm.n, keep, check=False)
+
+
+def face_point_fraction(vm, m, x, flat):
+    """valuated.face_witness's point on Fractions, from the witness x of
+    the cell m: x itself if every basis of m meets the flat in full rank,
+    else x moved on the flat by half the first breakpoint
+    (first_breakpoint_bruteforce), or by 1 if there is none."""
+    r = m.rank(flat)
+    if all((b & flat).bit_count() == r for b in m.bases):
+        return tuple(x)
+    t = first_breakpoint_bruteforce(vm, m, x, flat, r)[0]
+    t = Fraction(1) if t == INF else t / 2
+    return tuple(v + t if (flat >> e) & 1 else v for e, v in enumerate(x))
 
 
 def first_breakpoint_bruteforce(vm, m, x, flat, r):

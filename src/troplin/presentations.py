@@ -15,10 +15,10 @@ from .errors import (AllInfinite, CountMismatch, NotCyclicFlat,
                      NotTransversalFacets, PointOutsideL, TroplinError,
                      WrongArity)
 from .linprog import distinct_rows, solve_lp
-from .trop import INF, ZERO, check_point, integer_scaled, lowered, relsupp
+from .trop import INF, check_point, integer_scaled, lowered, relsupp
 from .util import bits, elems, list1, mask_of
-from .valuated import (_face, _values, face_witness, maximal_cells,
-                       membership, v_contract)
+from .valuated import (_face, face_witness, maximal_cells, membership,
+                       v_contract)
 from . import transversal
 
 
@@ -29,20 +29,19 @@ def r0_member(vm, flat, x, z):
     return relsupp(x, z) & flat == flat
 
 
-def _escape_region(vm, m, x, flat):
-    """The escape-region LP of `flat` on the cell m with witness x, with
-    no face matroid (valuated._face), on integers: the scale D of _values
-    at the face point xw, xw times D, each element's face component, the
-    component count c, the region rows (one per distinct constraint) in
-    the component shifts t_0..t_{c-2}, the last one gauged to 0, and a
-    margin s, all times D (moving no pivot and no sign of the optimum),
-    and the objective s."""
-    _, face, comps = _face(m, flat)
-    xw = face_witness(vm, m, x, flat)
+def _escape_region(vm, cell, flat):
+    """The escape-region LP of `flat` on the cell, with no face matroid
+    (valuated._face), on integers: the scale D of the face point xw and
+    its table (face_witness), xw times D, each element's face component,
+    the component count c, the region rows (one per distinct constraint)
+    in the component shifts t_0..t_{c-2}, the last one gauged to 0, and
+    a margin s, all times D (moving no pivot and no sign of the
+    optimum), and the objective s."""
+    _, face, comps = _face(cell.matroid, flat)
+    (scale, xs), vals = face_witness(vm, cell, flat)
     c = len(comps)
     where = {e: i for i, k in enumerate(comps) for e in bits(k)}
     ranks = [(face[0] & k).bit_count() for k in comps]
-    scale, vals = _values(vm, xw)
     w0 = vals[face[0]]
     onface = set(face)
     region = []
@@ -53,11 +52,10 @@ def _escape_region(vm, m, x, flat):
         for i in range(c - 1):
             coeffs[i] = (b & comps[i]).bit_count() - ranks[i]
         coeffs[c - 1] = 1
-        region.append((coeffs, "<=", v - w0))
+        region.append((coeffs, v - w0))
     cap = [0] * c
     cap[c - 1] = 1
-    region.append((cap, "<=", scale))
-    _, xs = integer_scaled(xw, scale)
+    region.append((cap, scale))
     return scale, xs, where, c, distinct_rows(region), cap
 
 
@@ -73,7 +71,7 @@ def _in_region(region, flat, z):
     up = common // scale
     if up > 1:
         xs = [v * up for v in xs]
-        rows = [(coeffs, rel, rhs * up) for coeffs, rel, rhs in rows]
+        rows = [(coeffs, rhs * up) for coeffs, rhs in rows]
     for j in bits(flat):
         if zs[j] == INF:
             continue
@@ -87,7 +85,7 @@ def _in_region(region, flat, z):
                 coeffs[ck] += 1
             if cj < c - 1:
                 coeffs[cj] -= 1
-            cons.append((coeffs, "<=", (zs[k] - zs[j]) - (xs[k] - xs[j])))
+            cons.append((coeffs, (zs[k] - zs[j]) - (xs[k] - xs[j])))
         # these rows leave s free, so none repeats a region row
         cons = distinct_rows(cons)
         if cons is None:
@@ -102,8 +100,8 @@ def rinf_member(vm, cell, flat, z):
     """Is z inside the escape region of `flat` seen from everywhere on the
     cell's stretch of the space?
 
-    cell is a SubdivisionCell of vm (its matroid and witness point), for
-    instance one of maximal_cells(vm).  z escapes iff some finite
+    cell is a SubdivisionCell of vm (its matroid, point and table),
+    for instance one of maximal_cells(vm).  z escapes iff some finite
     coordinate j of z on the flat can attain the minimum of z - y for a
     y interior to the cell of the face at the flat (_in_region).
     """
@@ -113,7 +111,7 @@ def rinf_member(vm, cell, flat, z):
     z = check_point(z, vm.n)
     if all(z[j] == INF for j in bits(flat)):
         return True
-    return _in_region(_escape_region(vm, m, cell.witness, flat), flat, z)
+    return _in_region(_escape_region(vm, cell, flat), flat, z)
 
 
 def _loop_and_coloop_free(vm):
@@ -159,7 +157,7 @@ def verify_presentation(vm, points):
         for f in m.cyclic_flats():
             if f == 0:
                 continue  # all d points count there, and cork(0) = d
-            region = _escape_region(vm, m, cell.witness, f)
+            region = _escape_region(vm, cell, f)
             count = sum(1 for p in points if _in_region(region, f, p))
             if count != m.corank(f):
                 violations.append(
@@ -279,14 +277,16 @@ def presentation_fan_member(m, points):
     t = cf.tau(0)
     if len(points) != t:
         raise WrongArity(witness={"expected": t, "got": len(points)})
-    zero = (ZERO,) * m.n
     sets = []
     for p in points:
         try:
             p = check_point(p, m.n)
         except AllInfinite:
             return False
-        g = relsupp(zero, p)
+        # the relative support from the origin: coordinates above the least
+        _, vs = integer_scaled(p)
+        low = min(vs)
+        g = mask_of(j for j, v in enumerate(vs) if v > low)
         if not m.independent(g) or not m.is_flat(g):
             return False
         sets.append(m.full ^ g)

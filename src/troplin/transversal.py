@@ -155,30 +155,28 @@ def beta_solutions(m):
     if len(lattice) > BETA_MAX_FLATS:
         raise ValueError("enumeration capped at %d flats" % BETA_MAX_FLATS)
     order = sorted(lattice, key=lambda f: (-f.bit_count(), f))
-    cfset = set(m.cyclic_flats())
     sols = []
-    beta = {}
-
-    def rec(i):
-        if i == len(order):
-            sols.append(dict(beta))
-            return
-        f = order[i]
-        above = sum(b for g, b in beta.items() if g & f == f and g != f)
-        slack = m.corank(f) - above
-        if slack < 0:
-            return
-        if f in cfset:
-            beta[f] = slack
-            rec(i + 1)
-            del beta[f]
-        else:
-            for b in range(slack + 1):
-                beta[f] = b
-                rec(i + 1)
-            del beta[f]
-
-    rec(0)
+    _weightings(m, order, set(m.cyclic_flats()), {}, 0, sols)
     if not sols:
         raise NotTransversal("no admissible weighting")
     return [{f: b for f, b in sol.items() if b} for sol in sols]
+
+
+def _weightings(m, order, cyclic, beta, i, sols):
+    """Append to sols every extension of beta, the weights of order[:i],
+    to all of order: a cyclic flat takes its slack, any other flat each
+    weight up to it, in increasing order.  Not a closure: a recursive
+    closure would hold sols in a reference cycle until the cyclic GC
+    runs."""
+    if i == len(order):
+        sols.append(dict(beta))
+        return
+    f = order[i]
+    above = sum(b for g, b in beta.items() if g & f == f and g != f)
+    slack = m.corank(f) - above
+    if slack < 0:
+        return
+    for b in ((slack,) if f in cyclic else range(slack + 1)):
+        beta[f] = b
+        _weightings(m, order, cyclic, beta, i + 1, sols)
+    del beta[f]

@@ -7,11 +7,12 @@ walk, the full face complex by closing the maximal cells under facets
 (one facet test, _facets, serves both).  The walk compares on integers:
 the table pl(B) - x(B) of every support basis is kept on one integer
 scale, starting from the valuation's own integers at x = 0, and each
-descent step and wall flip moves that table and the witness x, itself
-integers on the table's scale (_moved).  _first_break reads off, as an
-integer ratio, how far x moves along a flat before other bases tie the
-current cell; the walk builds no Fraction.  Each wall is crossed once:
-a cell reached across a wall skips the wall back.
+descent step, wall flip and face point moves that table and the
+witness x, itself integers on the table's scale (_moved).  Each cell
+keeps its point and table.  _first_break reads off, as an integer
+ratio, how far x moves along a flat before other bases tie the current
+cell; neither the walk nor the faces build a Fraction.  Each wall is
+crossed once: a cell reached across a wall skips the wall back.
 """
 
 from fractions import Fraction
@@ -22,7 +23,7 @@ from .errors import (AllInfinite, EmptyIntersection, EmptySupport,
                      InconsistentCell, InfiniteBase, NotAMatroid,
                      RankCollapse, TooLarge, TroplinError)
 from .matroid import Matroid, circuit_blocks
-from .trop import INF, ONE, check_point, integer_scaled
+from .trop import INF, check_point, integer_scaled
 from .util import bits, elems, ksubsets, list1, mask_of, submasks
 
 MAX_SLOTS = 1 << 16
@@ -53,7 +54,7 @@ class ValuatedMatroid:
     of ints, built on first use, for the library API.  underlying()
     checks that the support is a matroid; check_pluecker() checks that
     and the tropical Pluecker relations.  The other views kept are those
-    a request reuses: underlying(), the rows of _values, maximal_cells().
+    a request reuses: underlying() and maximal_cells().
     """
 
     def __init__(self, n, d, entries, den=None):
@@ -85,7 +86,6 @@ class ValuatedMatroid:
         self._table = None
         self.support = tuple(b for b in slots if ints[b] != INF)
         self._underlying = None
-        self._rows = None
         self._maxcells = None
 
     @property
@@ -116,14 +116,17 @@ class ValuatedMatroid:
 
 class SubdivisionCell:
     """A cell of the subdivision: its matroid, whether it is maximal,
-    and a witness point x whose initial matroid it is.  scaled is
-    (common, xs) with x = xs / common, on integers; the Fraction tuple
+    and a witness point x whose initial matroid it is, with its table.
+    scaled is (common, xs) with x = xs / common, and vals[b] / common is
+    pl(b) - x(b) for each support basis b, on integers (_moved).  Tables
+    are never mutated, so cells may share one.  The Fraction tuple
     witness is built on first read, since most witnesses of a walk are
     never read."""
 
-    def __init__(self, matroid, scaled, is_maximal):
+    def __init__(self, matroid, scaled, vals, is_maximal):
         self.matroid = matroid
         self.scaled = scaled
+        self.vals = vals
         self.is_maximal = is_maximal
         self._witness = None
 
@@ -273,18 +276,15 @@ def v_contract(vm, subset):
 def _values(vm, x):
     """(common, vals): vals[b] / common is pl(b) - x(b) for every support
     basis b, on integers, common the lcm of den and the denominators of
-    x.  x must be finite.  The rows (b, ints[b], elements of b) it runs
-    over are built on first use and kept on the valuation.  The walk
-    (maximal_cells) does not run it: at x = 0 the table is ints itself,
-    which the walk carries on from there (_moved)."""
-    if vm._rows is None:
-        vm._rows = [(b, vm.ints[b], elems(b)) for b in vm.support]
+    x.  x must be finite.  Only initial_matroid runs it: the walk starts
+    from the table at x = 0, ints itself, and moves it (_moved), and
+    each cell keeps the table of its point."""
     common, xs = integer_scaled(x, vm.den)
     scale = common // vm.den
     vals = {}
-    for b, t, es in vm._rows:
-        v = t * scale
-        for e in es:
+    for b in vm.support:
+        v = vm.ints[b] * scale
+        for e in bits(b):
             v -= xs[e]
         vals[b] = v
     return common, vals
@@ -334,7 +334,7 @@ def _moved(vm, xs, common, vals, flat, num, cnt):
 
 
 def _lowest(n, vals):
-    "The matroid of the bases of least value in vals (from _values)."
+    "The matroid of the bases of least value in a table vals."
     best = min(vals.values())
     return Matroid(n, [b for b, v in vals.items() if v == best], check=False)
 
@@ -442,15 +442,15 @@ def maximal_cells(vm):
     comps = uv.connected_components()
     loops = uv.loops()
     first, x0, common, vals = _descend_to_maximal(vm, uv, len(comps))
-    cells = {first.bases: SubdivisionCell(first, (common, x0), True)}
-    queue = [(cells[first.bases], vals, None)]
+    cells = {first.bases: SubdivisionCell(first, (common, x0), vals, True)}
+    queue = [(cells[first.bases], None)]
     while queue:
-        cell, vals, back = queue.pop()
+        cell, back = queue.pop()
         m = cell.matroid
         common, xs = cell.scaled
         walls = [f for f in m.cyclic_flats() if f != back]
         for f, r, face in _facets(m, walls):
-            brk, ties = _first_break(vals, m, f, r)
+            brk, ties = _first_break(cell.vals, m, f, r)
             if brk is None:
                 continue  # wall sits on the boundary of the support
             keep = tuple(sorted(face + tuple(ties)))
@@ -461,28 +461,30 @@ def maximal_cells(vm):
                 raise InconsistentCell(
                     "wall flip did not land on a maximal cell",
                     witness={"flat": list1(f)})
-            x2, common2, vals2 = _moved(vm, xs, common, vals, f, *brk)
+            x2, common2, vals2 = _moved(vm, xs, common, cell.vals, f, *brk)
             k = next(c for c in comps if c & f and c & ~f)
-            nc = SubdivisionCell(m2, (common2, x2), True)
+            nc = SubdivisionCell(m2, (common2, x2), vals2, True)
             cells[keep] = nc
-            queue.append((nc, vals2, (k & ~f) | loops))
+            queue.append((nc, (k & ~f) | loops))
     out = sorted(cells.values(), key=lambda c: c.matroid.bases)
     vm._maxcells = out
     return out
 
 
-def face_witness(vm, m, xm, flat):
-    """A point whose cell is exactly m's face at `flat`, for a
-    witness xm of the cell m: xm itself if every basis of m meets the
-    flat in full rank, else xm pushed along the flat direction by half
-    the first breakpoint (or by 1 if none)."""
+def face_witness(vm, cell, flat):
+    """(scaled, vals) of a point whose cell is exactly the face of `cell`
+    at `flat`, as SubdivisionCell keeps them: the cell's own if every
+    basis meets the flat in full rank, else its point moved on the flat
+    by half the first breakpoint, or by 1 if none (_moved)."""
+    m = cell.matroid
     r = m.rank(flat)
     if all((b & flat).bit_count() == r for b in m.bases):
-        return tuple(xm)
-    common, vals = _values(vm, xm)
-    brk = _first_break(vals, m, flat, r)[0]
-    tw = ONE if brk is None else Fraction(brk[0], 2 * brk[1] * common)
-    return tuple(v + tw if (flat >> e) & 1 else v for e, v in enumerate(xm))
+        return cell.scaled, cell.vals
+    common, xs = cell.scaled
+    brk = _first_break(cell.vals, m, flat, r)[0]
+    num, cnt = (common, 1) if brk is None else (brk[0], 2 * brk[1])
+    xs, common, vals = _moved(vm, xs, common, cell.vals, flat, num, cnt)
+    return (common, xs), vals
 
 
 def require_loop_free(vm):
@@ -517,8 +519,7 @@ def cell_complex(vm):
             if face in found:
                 continue
             nc = SubdivisionCell(Matroid(vm.n, face, check=False),
-                                 integer_scaled(face_witness(
-                                     vm, m, cell.witness, f)), False)
+                                 *face_witness(vm, cell, f), False)
             found[face] = nc
             queue.append(nc)
     return sorted(found.values(),

@@ -1,15 +1,13 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from troplin import linprog
 from troplin.linprog import distinct_rows, solve_lp
 from troplin.oracle import lp_bruteforce
 
 
 def test_single_variable_cap():
-    status, value, x = solve_lp(1, [1], [([1], "<=", 5)])
+    status, value, x = solve_lp(1, [1], [([1], 5)])
     assert (status, value) == ("optimal", 5)
     assert x == [5]
 
@@ -17,20 +15,20 @@ def test_single_variable_cap():
 def test_two_variables_on_a_face():
     status, value, x = solve_lp(
         2, [1, 1],
-        [([1, 0], "<=", 3), ([0, 1], "<=", 4), ([1, 1], "<=", 5)])
+        [([1, 0], 3), ([0, 1], 4), ([1, 1], 5)])
     assert (status, value) == ("optimal", 5)
     assert x[0] <= 3 and x[1] <= 4 and x[0] + x[1] == 5
 
 
 def test_fractional_optimum_is_exact():
-    status, value, x = solve_lp(1, [1], [([2], "<=", 1)])
+    status, value, x = solve_lp(1, [1], [([2], 1)])
     assert status == "optimal"
     assert value == Fraction(1, 2)
     assert isinstance(value, Fraction)
 
 
 def test_equality_with_negative_rhs():
-    status, value, x = solve_lp(1, [1], [([1], "=", -2)])
+    status, value, x = solve_lp(1, [1], [([1], -2), ([-1], 2)])
     assert (status, value) == ("optimal", -2)
     assert x == [-2]
 
@@ -38,7 +36,7 @@ def test_equality_with_negative_rhs():
 def test_free_variables_go_negative():
     status, value, x = solve_lp(
         2, [-1, 0],
-        [([1, 1], "=", 0), ([0, 1], ">=", 3), ([0, 1], "<=", 7)])
+        [([1, 1], 0), ([-1, -1], 0), ([0, -1], -3), ([0, 1], 7)])
     # maximize -x with x + y = 0 and 3 <= y <= 7, so -x = y = 7
     assert (status, value) == ("optimal", 7)
     assert x == [-7, 7]
@@ -46,7 +44,7 @@ def test_free_variables_go_negative():
 
 def test_infeasible():
     status, value, x = solve_lp(
-        1, [1], [([1], "<=", -1), ([1], ">=", 1)])
+        1, [1], [([1], -1), ([-1], -1)])
     assert status == "infeasible"
     assert value is None and x is None
 
@@ -55,19 +53,14 @@ def test_unbounded():
     status, value, x = solve_lp(1, [1], [])
     assert status == "unbounded"
     assert value is None and x is None
-    status, _, _ = solve_lp(2, [1, 0], [([0, 1], "<=", 4)])
+    status, _, _ = solve_lp(2, [1, 0], [([0, 1], 4)])
     assert status == "unbounded"
 
 
 def test_redundant_and_trivial_rows():
-    cons = [([1], "<=", 2), ([1], "<=", 2), ([0], "<=", 1)]
+    cons = [([1], 2), ([1], 2), ([0], 1)]
     status, value, _ = solve_lp(1, [1], cons)
     assert (status, value) == ("optimal", 2)
-
-
-def test_bad_relation_rejected():
-    with pytest.raises(ValueError):
-        solve_lp(1, [1], [([1], "<", 1)])
 
 
 def counting_runs(monkeypatch):
@@ -86,7 +79,7 @@ def counting_runs(monkeypatch):
 def test_slack_rows_skip_phase_one(monkeypatch):
     runs = counting_runs(monkeypatch)
     status, value, x = solve_lp(
-        2, [1, 2], [([1, 1], "<=", 4), ([0, 1], "<=", 3), ([-1, 0], "<=", 0)])
+        2, [1, 2], [([1, 1], 4), ([0, 1], 3), ([-1, 0], 0)])
     assert (status, value) == ("optimal", 7)
     assert x == [1, 3]
     assert len(runs) == 1
@@ -94,41 +87,53 @@ def test_slack_rows_skip_phase_one(monkeypatch):
 
 def test_mixed_rows_run_both_phases(monkeypatch):
     runs = counting_runs(monkeypatch)
-    # x + y = 4, x >= 1 (negative rhs once negated), y <= 5: max x
+    # x + y = 4 (two rows), x >= 1 (negative rhs), 0 <= y <= 5: max x
     status, value, x = solve_lp(
-        2, [1, 0], [([1, 1], "=", 4), ([1, 0], ">=", 1), ([0, 1], "<=", 5),
-                    ([0, 1], ">=", 0)])
+        2, [1, 0], [([1, 1], 4), ([-1, -1], -4), ([-1, 0], -1), ([0, 1], 5),
+                    ([0, -1], 0)])
     assert (status, value) == ("optimal", 4)
     assert x == [4, 0]
     assert len(runs) == 2
 
 
 def test_duplicate_rows_keep_the_tightest():
-    cons = [([1, 0], "<=", 5), ([1, 0], "<=", 3), ([2, 0], "<=", 9),
-            ([1, 0], "<=", 7), ([-1, 0], ">=", -4), ([0, 1], "=", 1),
-            ([0, 1], "=", 1)]
-    assert distinct_rows(cons) == [([1, 0], "<=", 3), ([2, 0], "<=", 9),
-                                   ([0, 1], "=", 1)]
+    cons = [([1, 0], 5), ([1, 0], 3), ([2, 0], 9), ([1, 0], 7), ([1, 0], 4),
+            ([0, 1], 1), ([0, -1], -1), ([0, 1], 1), ([0, -1], -1)]
+    assert distinct_rows(cons) == [([1, 0], 3), ([2, 0], 9), ([0, 1], 1),
+                                   ([0, -1], -1)]
     status, value, x = solve_lp(2, [1, 1], cons)
     assert (status, value) == ("optimal", 4)
     assert x == [3, 1]
 
 
 def test_all_zero_rows():
-    assert distinct_rows([([0, 0], "<=", 0), ([0, 0], ">=", -2),
-                          ([0, 0], "=", 0)]) == []
-    for row in (([0, 0], "<=", -1), ([0, 0], ">=", 1), ([0, 0], "=", 2)):
-        assert distinct_rows([([1, 0], "<=", 1), row]) is None
-        assert solve_lp(2, [1, 0], [([1, 0], "<=", 1), row]) == (
+    assert distinct_rows([([0, 0], 0), ([0, 0], 2), ([0, 0], 0),
+                          ([0, 0], 0)]) == []
+    for rows in ([([0, 0], -1)], [([0, 0], -1)], [([0, 0], 2), ([0, 0], -2)]):
+        assert distinct_rows([([1, 0], 1), *rows]) is None
+        assert solve_lp(2, [1, 0], [([1, 0], 1), *rows]) == (
             "infeasible", None, None)
     # one left side equated to two values
-    assert solve_lp(1, [1], [([1], "=", 1), ([1], "=", 2)]) == (
+    assert solve_lp(1, [1], [([1], 1), ([-1], -1), ([1], 2), ([-1], -2)]) == (
         "infeasible", None, None)
+
+
+def le_rows(cons):
+    """The (coeffs, rhs) rows of solve_lp for (coeffs, rel, rhs) rows: a
+    ">=" row negated, an "=" row as two "<=" rows."""
+    out = []
+    for coeffs, rel, rhs in cons:
+        if rel != ">=":
+            out.append((coeffs, rhs))
+        if rel != "<=":
+            out.append(([-c for c in coeffs], -rhs))
+    return out
 
 
 def random_lp(rng):
     """At most 3 variables and 8 random rows (repeats and all-zero rows
-    included), inside the box -10 <= x <= 10."""
+    included), inside the box -10 <= x <= 10, as (coeffs, rel, rhs) for
+    lp_bruteforce (le_rows for solve_lp)."""
     nv = rng.randint(1, 3)
     cons = []
     for _ in range(rng.randint(0, 8)):
@@ -156,7 +161,7 @@ def test_solve_lp_matches_vertex_enumeration():
     for _ in range(300):
         nv, objective, cons = random_lp(rng)
         rng.shuffle(cons)
-        status, value, x = solve_lp(nv, objective, cons)
+        status, value, x = solve_lp(nv, objective, le_rows(cons))
         assert (status, value) == lp_bruteforce(nv, objective, cons)
         seen[status] += 1
         if status == "optimal":
@@ -171,7 +176,8 @@ def test_solve_lp_matches_vertex_enumeration():
 def fraction_lp(rng, boxed):
     """At most 3 variables and 8 random rows whose coefficients and
     right-hand sides have denominators 1-6, so rows are scaled by
-    different lcms; inside the box -10 <= x <= 10 when boxed."""
+    different lcms; inside the box -10 <= x <= 10 when boxed.  As
+    random_lp, rows are (coeffs, rel, rhs)."""
     nv = rng.randint(1, 3)
     cons = []
     for _ in range(rng.randint(0, 8)):
@@ -230,7 +236,7 @@ def test_fraction_rows_match_the_reference():
         boxed = rng.random() < 0.75
         nv, objective, cons = fraction_lp(rng, boxed)
         rng.shuffle(cons)
-        status, value, x = solve_lp(nv, objective, cons)
+        status, value, x = solve_lp(nv, objective, le_rows(cons))
         reference = lp_bruteforce if boxed else unboxed_reference
         assert (status, value) == reference(nv, objective, cons)
         seen[status] += 1
@@ -262,8 +268,8 @@ def test_integer_rows_give_an_integer_tableau(monkeypatch):
 
     monkeypatch.setattr(linprog, "_run", checked)
     status, value, x = solve_lp(
-        2, [1, 0], [([1, 1], "=", 4), ([1, 0], ">=", 1), ([0, 1], "<=", 5),
-                    ([0, 3], ">=", 1), ([2, -3], "<=", 7)])
+        2, [1, 0], [([1, 1], 4), ([-1, -1], -4), ([-1, 0], -1), ([0, 1], 5),
+                    ([0, -3], -1), ([2, -3], 7)])
     assert (status, value) == ("optimal", Fraction(11, 3))
     assert x == [Fraction(11, 3), Fraction(1, 3)]
     assert all(isinstance(v, Fraction) for v in [value, *x])

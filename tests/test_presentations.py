@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import sys
 import weakref
 from fractions import Fraction
 from math import lcm
@@ -22,7 +23,7 @@ from troplin import (INF, AllInfinite, CountMismatch, DistinguishedEntry,
                      presentation_space_member, presentations, r0_member,
                      relsupp, rinf_member, sample_presentation, stiefel,
                      transversal, uniform_matroid, v_contract, v_dual,
-                     verify_presentation, verify_set_presentation)
+                     valuated, verify_presentation, verify_set_presentation)
 from troplin import linprog
 from troplin.cli import run
 from troplin.jsonio import fmt_matrix
@@ -143,8 +144,7 @@ def test_rinf_agrees_with_the_full_row_lp_off_the_region_scale():
                 if f == 0:
                     continue
                 c = len(m.polytope_face(f).connected_components())
-                scale = presentations._escape_region(
-                    v, m, cell.witness, f)[0]
+                scale = presentations._escape_region(v, cell, f)[0]
                 for _ in range(4):
                     z = tuple(INF if rng.random() < 0.15
                               else Fraction(rng.randint(-12, 24),
@@ -176,10 +176,10 @@ def test_escape_regions_run_on_integers(monkeypatch):
             if f == 0:
                 continue
             scale, xs, _, _, region, cap = presentations._escape_region(
-                v, m, cell.witness, f)
+                v, cell, f)
             assert all(type(x) is int for x in [scale, *xs, *cap])
             assert all(type(x) is int
-                       for coeffs, _, rhs in region for x in [*coeffs, rhs])
+                       for coeffs, rhs in region for x in [*coeffs, rhs])
             regions += 1
     assert regions > 10
     tableaux = []
@@ -784,6 +784,10 @@ def escape_region_answers(cases, tmp_path):
     return h.hexdigest()
 
 
+ESCAPE_REGION_DIGEST = ("d18462609d9b62e4984459ad1fc9906a"
+                        "1e33dd28d65f4c2ba5be4685f6c35211")
+
+
 def test_escape_regions_come_from_the_cell_in_hand(monkeypatch, tmp_path):
     """verify_presentation builds one escape region per connected maximal
     cell and non-empty cyclic flat, from the cell it walks: with
@@ -799,9 +803,9 @@ def test_escape_regions_come_from_the_cell_in_hand(monkeypatch, tmp_path):
     built = []
     region = presentations._escape_region
 
-    def counted(vm, m, x, flat):
-        built.append((m.bases, flat))
-        return region(vm, m, x, flat)
+    def counted(vm, cell, flat):
+        built.append((cell.matroid.bases, flat))
+        return region(vm, cell, flat)
 
     cases = escape_region_cases()
     want = []
@@ -816,8 +820,7 @@ def test_escape_regions_come_from_the_cell_in_hand(monkeypatch, tmp_path):
     # each case runs once in the library and once through the command
     assert sorted(built) == sorted(want + want)
     assert len(want) > 100
-    assert got == ("d18462609d9b62e4984459ad1fc9906a"
-                   "1e33dd28d65f4c2ba5be4685f6c35211")
+    assert got == ESCAPE_REGION_DIGEST
 
 
 def vertex_answer_cases():
@@ -837,13 +840,12 @@ def vertex_answer_cases():
     return cases
 
 
-def test_vertex_commands_keep_their_bytes(tmp_path):
-    """cells, vertices, distinguished, verify-presentation and
+def vertex_command_answers(tmp_path):
+    """(digest, shapes, vertices, verdicts): a digest of the codes and
+    bytes of cells, vertices, distinguished, verify-presentation and
     in-presentation-space (on the rows and on row-span points) and
-    sample-presentation at seeds 0 and 3 give, on 32 Stiefel images up
-    to (d, n) = (4, 8), the codes and bytes they gave when each
-    connected cell's vertex was solved along fundamental circuits
-    (frozen as a digest)."""
+    sample-presentation at seeds 0 and 3 on vertex_answer_cases, the
+    shapes seen, the vertex count and the verify-presentation codes."""
     import hashlib
 
     h = hashlib.sha256()
@@ -871,10 +873,41 @@ def test_vertex_commands_keep_their_bytes(tmp_path):
                 verdicts[code] += 1
             if command == "vertices":
                 vertices += len(json.loads(out)["vertices"])
+    return h.hexdigest(), shapes, vertices, verdicts
+
+
+VERTEX_COMMAND_DIGEST = ("9b0f1995f58763c77160c3d3242b52df"
+                         "c847ca1ea87898f494ca28bc432e464c")
+
+
+def test_vertex_commands_keep_their_bytes(tmp_path):
+    """The commands of vertex_command_answers give, on 32 Stiefel images
+    up to (d, n) = (4, 8), the codes and bytes they gave when each
+    connected cell's vertex was solved along fundamental circuits
+    (frozen as a digest)."""
+    got, shapes, vertices, verdicts = vertex_command_answers(tmp_path)
     assert (4, 8) in shapes and vertices > 100
     assert min(verdicts.values()) > 5, verdicts
-    assert h.hexdigest() == ("9b0f1995f58763c77160c3d3242b52df"
-                             "c847ca1ea87898f494ca28bc432e464c")
+    assert got == VERTEX_COMMAND_DIGEST
+
+
+def test_cell_commands_evaluate_no_table(monkeypatch, tmp_path):
+    """With valuated._values raising wherever it is bound, cells,
+    vertices, distinguished, verify-presentation and
+    in-presentation-space give the bytes frozen above: cells and face
+    points carry their tables, and only initial_matroid evaluates one
+    afresh."""
+    def refuse(*args):
+        raise AssertionError("a table was evaluated afresh")
+
+    values = valuated._values
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("troplin") and getattr(
+                mod, "_values", None) is values:
+            monkeypatch.setattr(mod, "_values", refuse)
+    assert escape_region_answers(escape_region_cases(),
+                                 tmp_path) == ESCAPE_REGION_DIGEST
+    assert vertex_command_answers(tmp_path)[0] == VERTEX_COMMAND_DIGEST
 
 
 def fraction_guard_images(rng, count):

@@ -376,6 +376,21 @@ def test_transversal_matroid_leaves_no_reference_cycle():
     assert m.d == 3 and m.bases
 
 
+def test_beta_solutions_leave_no_reference_cycle():
+    """The enumeration behind beta_solutions is a module-level
+    recursion: with the collector off, a call on U(2,4) leaves nothing
+    for it, and the weightings still pass check_beta_solutions."""
+    m = uniform_matroid(2, 4)
+    gc.collect()
+    gc.disable()
+    try:
+        sols = beta_solutions(m)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    check_beta_solutions(m, sols)
+
+
 def one_basis_request(d):
     "A rank-d one-basis matroid presented by its d singletons."
     return {"matroid": {"n": d, "bases": [list(range(1, d + 1))]},

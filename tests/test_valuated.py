@@ -13,7 +13,7 @@ from troplin import (INF, AllInfinite, EmptyIntersection, EmptySupport,
                      stiefel, trop, uniform_matroid, v_contract, v_dual,
                      v_restrict, valuated)
 from troplin.oracle import (cell_complex_bruteforce,
-                            check_pluecker_bruteforce,
+                            check_pluecker_bruteforce, face_point_fraction,
                             first_breakpoint_bruteforce,
                             initial_matroid_bruteforce,
                             membership_bruteforce, subdivision_sample,
@@ -327,8 +327,7 @@ def test_initial_matroid_matches_the_fraction_reference():
 
 def test_initial_matroid_needs_no_fraction_sums():
     def faces(vm):
-        return [(c.matroid, f, valuated.face_witness(vm, c.matroid,
-                                                     c.witness, f))
+        return [(c.matroid, f, valuated.face_witness(vm, c, f))
                 for c in maximal_cells(vm) for f in c.matroid.flats()]
 
     rng = random.Random(496)
@@ -504,6 +503,31 @@ def test_walk_carries_the_table_of_its_witness(monkeypatch):
             seen["both"] += bool(loops) and len(comps) > 1
     assert flips.count(True) > 300 and flips.count(False) > 300
     assert min(seen.values()) > 10
+
+
+def test_face_points_match_the_fraction_reference():
+    """face_witness at every flat of every maximal cell gives, read as
+    Fractions, the point of the Fraction reference (the cell's witness
+    or that moved by half the first breakpoint, or by 1 if none), and
+    its table is _values at that point, on images with loops and with
+    several components among them."""
+    seen = {"own": 0, "half": 0, "one": 0}
+    for v, _, _ in walk_images(random.Random(5040), 90):
+        for cell in maximal_cells(v):
+            m = cell.matroid
+            for f in m.flats():
+                (common, xs), vals = valuated.face_witness(v, cell, f)
+                x = tuple(Fraction(e, common) for e in xs)
+                assert x == face_point_fraction(v, m, cell.witness, f)
+                assert (common, vals) == valuated._values(v, x)
+                if vals is cell.vals:
+                    seen["own"] += 1
+                elif first_breakpoint_bruteforce(v, m, cell.witness, f,
+                                                 m.rank(f))[0] == INF:
+                    seen["one"] += 1
+                else:
+                    seen["half"] += 1
+    assert min(seen.values()) > 500, seen
 
 
 def test_each_wall_is_crossed_once(monkeypatch):
