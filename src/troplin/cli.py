@@ -201,10 +201,12 @@ def cmd_digraph_from_presentation(payload, args):
         cols = payload["matching"]
         if not isinstance(cols, list) or len(cols) != len(points):
             raise ValueError("matching needs one column per row")
-        for c in cols:
+        for k, c in enumerate(cols):
             if isinstance(c, bool) or not isinstance(c, int) \
                     or not 1 <= c <= n:
                 raise ValueError("matching column out of range")
+            if c in cols[:k]:
+                raise ValueError("matching column %d repeats" % c)
         sigma = [c - 1 for c in cols]
     if isinstance(payload, dict) and payload.get("basis") is not None:
         basis = jsonio.parse_elements(payload["basis"], n)

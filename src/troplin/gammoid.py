@@ -7,9 +7,10 @@ reduction matrix, whose rows are indexed by the non-sink vertices.
 """
 
 from .errors import NegativeCycle, NoBasis, NotMinimalMatching
-from .trop import INF, ZERO, min_assignment, stiefel, trop_minor
-from .util import bits, elems, list1
-from .valuated import ValuatedMatroid, v_dual
+from .trop import (INF, ZERO, _augment, matrix_shape, min_assignment,
+                   stiefel, trop_minor)
+from .util import elems, list1
+from .valuated import ValuatedMatroid, check_slots, v_dual
 
 
 def _fmt(v):
@@ -17,7 +18,16 @@ def _fmt(v):
 
 
 class WeightedDigraph:
-    def __init__(self, n, sinks, weights):
+    """Digraph on {0..n-1} with its sink set, edges (i, j) -> weight.
+
+    INF weights are dropped and self-loops must weigh 0.  check=True
+    refuses a negative cycle on construction (NegativeCycle, its
+    vertices as the witness).  The check is only worth skipping for
+    digraphs free of negative cycles by construction, as the one
+    digraph_from_presentation builds.
+    """
+
+    def __init__(self, n, sinks, weights, check=True):
         if n <= 0:
             raise ValueError("need at least one vertex")
         full = (1 << n) - 1
@@ -37,7 +47,8 @@ class WeightedDigraph:
         self.n = n
         self.sinks = sinks
         self.edges = edges
-        self._check_cycles()
+        if check:
+            self._check_cycles()
 
     def _check_cycles(self):
         "Bellman-Ford from a virtual source; a relaxing nth pass is a cycle."
@@ -109,17 +120,40 @@ def digraph_from_presentation(points, basis=None, matching=None):
     column becomes a non-sink vertex whose outgoing weights are its row,
     rescaled so the matched entry is 0.  Defaults: the lexicographically
     least basis, and the matching the assignment solver reports first.
+
+    The bases of the span are the column sets that the rows match onto
+    through finite entries (the support of stiefel(points)), so no
+    minor is computed beyond the basis's own: the least basis is
+    greedy over the columns, and a given one is a basis iff its
+    assignment is finite.  Refusals come in the order the Stiefel image
+    gives them (matrix shape, the slot limit, then OutOfDomain, which
+    stiefel raises when the rows match onto no d columns), then NoBasis
+    and the matching's.  A cycle of the digraph weighs the cost change
+    of reassigning its rows along it, which is >= 0 since the matching
+    is minimal: the digraph is built without the negative-cycle check.
     """
     a = [tuple(row) for row in points]
-    w = stiefel(a)
-    uw = w.underlying()
-    d, n = len(a), w.n
+    d, n = matrix_shape(a)
+    check_slots(n, d)
+    full = (1 << n) - 1
+    adj = [[r for r in range(d) if a[r][j] != INF] for j in range(n)]
+    owner = [-1] * d
+    least = 0
+    for j in range(n):
+        if _augment(adj, owner, j, [False] * d):
+            least |= 1 << j
+            if least.bit_count() == d:
+                break
+    else:
+        stiefel(a)  # raises: more rows than columns, or OutOfDomain
     if basis is None:
-        basis = min(uw.bases, key=lambda b: tuple(bits(b)))
-    elif basis not in uw.baseset:
+        basis = least
+    elif basis & ~full or basis.bit_count() != d:
         raise NoBasis("not a basis of the row span", witness=list1(basis))
     cols = elems(basis)
     value, match = min_assignment([[row[c] for c in cols] for row in a])
+    if value == INF:
+        raise NoBasis("not a basis of the row span", witness=list1(basis))
     best = value
     if matching is None:
         sigma = [cols[match[r]] for r in range(d)]
@@ -145,7 +179,7 @@ def digraph_from_presentation(points, basis=None, matching=None):
             if j == i or a[r][j] == INF:
                 continue
             weights[(i, j)] = a[r][j] - base
-    return WeightedDigraph(n, ((1 << n) - 1) ^ basis, weights)
+    return WeightedDigraph(n, full ^ basis, weights, check=False)
 
 
 def stable_intersect_hyperplanes(apices, target):

@@ -10,12 +10,13 @@ from .util import bits, elems, ksubsets, list1
 class Matroid:
     """Matroid given by its list of bases.
 
-    check=True verifies the exchange axiom on construction: one AND for
-    each pair of a basis and a distinct cover mask (see _check_exchange),
-    and on failure the NotAMatroid witness is a failing triple
-    (b1, b2, e) read off the mask that b2 misses.  The check is only
-    worth skipping for bases that are valid by construction, e.g.
-    minors of an already checked matroid.
+    check=True verifies the exchange axiom on construction: every basis
+    must meet every distinct cover mask, the masks read off the unions
+    of the bases through each (d-1)-set (see _check_exchange), and on
+    failure the NotAMatroid witness is a failing triple (b1, b2, e)
+    read off the mask that b2 misses.  The check is only worth skipping
+    for bases that are valid by construction, e.g. minors of an already
+    checked matroid.
     """
 
     def __init__(self, n, bases, check=True):
@@ -50,33 +51,49 @@ class Matroid:
         The cover mask of (b1, e) is e together with every f such that
         b1 - e + f is a basis, and (b1, b2, e) exchanges iff b2 meets
         it.  So the axiom holds iff every basis meets every distinct
-        cover mask, one AND per pair.  Each distinct mask keeps the
-        first (b1, e) that produced it, so the first basis b2 that
-        misses a mask raises with the failing triple (b1, b2, e).
-        When every d-set is a basis the axiom holds outright.
+        cover mask.  The mask depends only on r = b1 - e: it is
+        spans[r] - r, where spans[r] is the union of the bases holding
+        r, so one pass over the (b1, e) builds spans and a second reads
+        the masks off, each distinct mask keeping its first (b1, e).
+        The bases meeting a mask are the union of the bitsets, over
+        basis indices, of its elements.  The first basis b2 by index
+        that misses a mask raises with the failing triple (b1, b2, e)
+        of the first mask it misses.  When every d-set is a basis the
+        axiom holds outright.
         """
         if len(self.bases) == comb(self.n, self.d):
             return
-        bs = self.baseset
+        spans = {}
+        hits = [0] * self.n
+        for k, b1 in enumerate(self.bases):
+            for e in bits(b1):
+                r = b1 ^ (1 << e)
+                spans[r] = spans.get(r, 0) | b1
+                hits[e] |= 1 << k
         first = {}
         for b1 in self.bases:
-            outside = self.full & ~b1
             for e in bits(b1):
-                removed = b1 ^ (1 << e)
-                c = 1 << e
-                for f in bits(outside):
-                    if removed | (1 << f) in bs:
-                        c |= 1 << f
+                r = b1 ^ (1 << e)
+                c = spans[r] & ~r
                 if c not in first:
                     first[c] = (b1, e)
-        for b2 in self.bases:
-            for c in first:
-                if not b2 & c:
-                    b1, e = first[c]
-                    raise NotAMatroid(
-                        "exchange fails",
-                        witness={"b1": list1(b1), "b2": list1(b2),
-                                 "e": e + 1})
+        every = (1 << len(self.bases)) - 1
+        missed = 0
+        for c in first:
+            met = 0
+            for f in bits(c):
+                met |= hits[f]
+            missed |= every & ~met
+        if not missed:
+            return
+        b2 = self.bases[(missed & -missed).bit_length() - 1]
+        for c in first:
+            if not b2 & c:
+                b1, e = first[c]
+                raise NotAMatroid(
+                    "exchange fails",
+                    witness={"b1": list1(b1), "b2": list1(b2),
+                             "e": e + 1})
 
     def __eq__(self, other):
         return (isinstance(other, Matroid)

@@ -10,13 +10,15 @@ import random
 from fractions import Fraction
 from itertools import (combinations, combinations_with_replacement,
                        permutations)
+from math import comb
 
 from .errors import (AllInfinite, InfiniteBase, NoBasis, NotAMatroid,
-                     NotCyclicFlat, OutOfDomain)
+                     NotCyclicFlat, NotMinimalMatching, OutOfDomain)
+from .gammoid import WeightedDigraph, _fmt
 from .matroid import Matroid
 from .transversal import (is_pseudopresentation, is_transversal,
                           transversal_matroid)
-from .trop import INF, ZERO, check_point
+from .trop import INF, ZERO, check_point, min_assignment, stiefel
 from .util import bits, elems, ksubsets, list1, mask_of
 from .valuated import ValuatedMatroid, initial_matroid, maximal_cells
 
@@ -149,6 +151,102 @@ def check_exchange_bruteforce(m):
                 witness = {"b1": list1(b1), "b2": list1(b2), "e": e + 1}
                 if exchange_fails(m, **witness):
                     raise NotAMatroid("exchange fails", witness=witness)
+
+
+def three_term_violation_scan(n, d, table):
+    """valuated._three_term_violation as a plain scan: every (d-2)-set S
+    and every i < j < k < l outside it, read off the table one key at a
+    time.  The same first witness is expected, since the fast path
+    keeps this order and the CLI prints the witness."""
+    big = 2 * max(v for v in table.values() if v != INF) + 1
+    t = {b: big if v == INF else v for b, v in table.items()}
+    full = (1 << n) - 1
+    for s in ksubsets(n, d - 2):
+        rest = [1 << e for e in bits(full & ~s)]
+        for i, j, k, l in combinations(rest, 4):
+            si = s | i
+            sj = s | j
+            x = t[si | j] + t[s | k | l]
+            y = t[si | k] + t[sj | l]
+            z = t[si | l] + t[sj | k]
+            lo, hi = (x, y) if x <= y else (y, x)
+            if (z < big) if z < lo else (z > lo and lo < hi and lo < big):
+                return {"a": list1(si), "c": list1(sj | k | l)}
+    return None
+
+
+def cover_mask_exchange(m):
+    """Matroid._check_exchange by explicit cover masks: the mask of
+    (b1, e) is e plus every f outside b1 with b1 - e + f a basis, each
+    distinct mask keeps its first (b1, e), and every basis is ANDed
+    with every mask.  Raises NotAMatroid with the same witness as the
+    fast check: the first basis b2 that misses a mask, the first such
+    mask."""
+    if len(m.bases) == comb(m.n, m.d):
+        return
+    bs = m.baseset
+    first = {}
+    for b1 in m.bases:
+        outside = m.full & ~b1
+        for e in bits(b1):
+            removed = b1 ^ (1 << e)
+            c = 1 << e
+            for f in bits(outside):
+                if removed | (1 << f) in bs:
+                    c |= 1 << f
+            if c not in first:
+                first[c] = (b1, e)
+    for b2 in m.bases:
+        for c in first:
+            if not b2 & c:
+                b1, e = first[c]
+                raise NotAMatroid(
+                    "exchange fails",
+                    witness={"b1": list1(b1), "b2": list1(b2),
+                             "e": e + 1})
+
+
+def digraph_from_presentation_stiefel(points, basis=None, matching=None):
+    """gammoid.digraph_from_presentation read off the whole Stiefel
+    image: its support gives the lex-least basis and decides whether a
+    given basis is one, and the digraph is checked for negative cycles
+    as it is built."""
+    a = [tuple(row) for row in points]
+    w = stiefel(a)
+    uw = w.underlying()
+    d, n = len(a), w.n
+    if basis is None:
+        basis = min(uw.bases, key=lambda b: tuple(bits(b)))
+    elif basis not in uw.baseset:
+        raise NoBasis("not a basis of the row span", witness=list1(basis))
+    cols = elems(basis)
+    value, match = min_assignment([[row[c] for c in cols] for row in a])
+    best = value
+    if matching is None:
+        sigma = [cols[match[r]] for r in range(d)]
+    else:
+        sigma = list(matching)
+        if sorted(sigma) != cols:
+            raise ValueError("matching is not a bijection onto the basis")
+        total = ZERO
+        for r in range(d):
+            if a[r][sigma[r]] == INF:
+                total = INF
+                break
+            total += a[r][sigma[r]]
+        if total != best:
+            raise NotMinimalMatching(
+                "matching does not attain the tropical minor",
+                witness={"weight": _fmt(total), "minimum": _fmt(best)})
+    weights = {}
+    for r in range(d):
+        i = sigma[r]
+        base = a[r][i]
+        for j in range(n):
+            if j == i or a[r][j] == INF:
+                continue
+            weights[(i, j)] = a[r][j] - base
+    return WeightedDigraph(n, ((1 << n) - 1) ^ basis, weights)
 
 
 def subdivision_sample(vm, trials=2000, seed=0):

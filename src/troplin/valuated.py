@@ -151,7 +151,9 @@ def check_pluecker(vm):
     pl(Sij) + pl(Skl), pl(Sik) + pl(Sjl) and pl(Sil) + pl(Sjk) is
     attained twice when finite.  Over a matroid support these imply
     every (d-1, d+1) relation (Dress-Wenzel 1992).  That loop runs on
-    integers only (see _three_term_violation).
+    integers only, on one pair table per (d-2)-set and over the elements
+    of its finite pairs, so its cost follows the support (see
+    _three_term_violation).
 
     Returns (True, None), or (False, witness) where the witness names a
     (d-1, d+1)-set pair (a, c) whose minimum over j in c - a of
@@ -182,22 +184,62 @@ def _three_term_violation(n, d, table):
     z = pl(Sil) + pl(Sjk) breaks the relation iff z < lo and z < big,
     or z > lo, lo < hi and lo < big, where lo <= hi are the other two
     sums.
+
+    Each (d-2)-set S reads its pair table p, the values at S + ij, once,
+    and the quadruples run on indices into p (_quadruples).  Only the
+    elements of finite pairs at S can break a relation at S, since each
+    sum covers all four of i, j, k, l: when p holds a big, the scan runs
+    on those elements alone, in the same order, and skips S when there
+    are fewer than four.  So the first failure met is the same as over
+    every quadruple, and a sparse table costs about its support.
     """
     big = 2 * max(v for v in table.values() if v != INF) + 1
     t = {b: big if v == INF else v for b, v in table.items()}
     full = (1 << n) - 1
     for s in ksubsets(n, d - 2):
         rest = [1 << e for e in bits(full & ~s)]
-        for i, j, k, l in combinations(rest, 4):
-            si = s | i
-            sj = s | j
-            x = t[si | j] + t[s | k | l]
-            y = t[si | k] + t[sj | l]
-            z = t[si | l] + t[sj | k]
+        p = [t[s | a | b] for a, b in combinations(rest, 2)]
+        if big in p:
+            live = 0
+            for ab, v in zip(map(sum, combinations(rest, 2)), p):
+                if v < big:
+                    live |= ab
+            if live.bit_count() < 4:
+                continue
+            rest = [1 << e for e in bits(live)]
+            p = [t[s | a | b] for a, b in combinations(rest, 2)]
+        for ij, kl, ik, jl, il, jk in _quadruples(len(rest)):
+            x = p[ij] + p[kl]
+            y = p[ik] + p[jl]
+            z = p[il] + p[jk]
             lo, hi = (x, y) if x <= y else (y, x)
             if (z < big) if z < lo else (z > lo and lo < hi and lo < big):
-                return {"a": list1(si), "c": list1(sj | k | l)}
+                pairs = list(combinations(rest, 2))
+                (i, j), (k, l) = pairs[ij], pairs[kl]
+                return {"a": list1(s | i), "c": list1(s | j | k | l)}
     return None
+
+
+QUADRUPLE_CACHE_MAX = 16
+_QUADRUPLES = {}
+
+
+def _quadruples(m):
+    """(ij, kl, ik, jl, il, jk) for each i < j < k < l below m, in
+    combinations order: the indices of its six pairs in the
+    combinations order of the pairs below m.  Kept as a tuple for
+    m <= QUADRUPLE_CACHE_MAX (1,820 quadruples at 16); larger m get a
+    generator of the same tuples, since C(m, 4) outgrows memory within
+    the slot limit."""
+    quads = _QUADRUPLES.get(m)
+    if quads is None:
+        index = {ab: x for x, ab in enumerate(combinations(range(m), 2))}
+        quads = ((index[i, j], index[k, l], index[i, k], index[j, l],
+                  index[i, l], index[j, k])
+                 for i, j, k, l in combinations(range(m), 4))
+        if m <= QUADRUPLE_CACHE_MAX:
+            quads = _QUADRUPLES[m] = tuple(quads)
+    return quads
 
 
 def membership(vm, y):

@@ -337,6 +337,20 @@ def test_gammoid_and_digraph_round_trip(tmp_path):
     assert err["witness"] == {"weight": "1", "minimum": "0"}
 
 
+@pytest.mark.parametrize("extra", [{}, {"basis": [1, 2]}])
+def test_digraph_matching_may_not_repeat_a_column(tmp_path, capsys, extra):
+    """A repeated column would shrink the basis read off the matching
+    into a misleading NoBasis; it is refused by name, before any basis
+    is derived or checked."""
+    code, err, _ = call(tmp_path, "digraph-from-presentation",
+                        {"points": [["0", "1"], ["0", "0"]],
+                         "matching": [1, 1], **extra})
+    assert code == 2
+    assert err == {"error": "ValueError",
+                   "message": "matching column 1 repeats", "witness": None}
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("points, message", [
     ([], "matrix must be a nonempty list of rows"),
     ([["0", "1"], ["0"]], "ragged matrix")])

@@ -7,10 +7,11 @@ from common import (THREE_PAIR_DUAL_BASIS, THREE_PAIR_DUAL_MATCHING, fr,
                     random_rows, three_pair_dual_rows, three_pair_valuation)
 from troplin import (INF, NegativeCycle, NoBasis, NotMinimalMatching,
                      ValuatedMatroid, WeightedDigraph,
-                     digraph_from_presentation, gammoid_valuation,
-                     linking_value, stable_intersect_hyperplanes, stiefel,
-                     v_dual)
-from troplin.oracle import linking_bruteforce
+                     digraph_from_presentation, gammoid, gammoid_valuation,
+                     jsonio, linking_value, stable_intersect_hyperplanes,
+                     stiefel, v_dual)
+from troplin.oracle import (digraph_from_presentation_stiefel,
+                            linking_bruteforce)
 from troplin.util import ksubsets, mask_of
 
 
@@ -44,6 +45,11 @@ def test_negative_cycle_witness():
     assert sorted(err.value.witness) == [1, 2]
     # a negative edge without a negative cycle is fine
     WeightedDigraph(2, mask_of([1]), {(0, 1): fr(-5)})
+    # and check=False builds without looking
+    g = WeightedDigraph(2, mask_of([1]), {(0, 1): fr(-1), (1, 0): fr(0)},
+                        check=False)
+    with pytest.raises(NegativeCycle):
+        g._check_cycles()
 
 
 def test_matched_digraph_shape():
@@ -142,6 +148,80 @@ def test_digraph_from_presentation_guards():
         digraph_from_presentation(three_pair_dual_rows(),
                                   basis=THREE_PAIR_DUAL_BASIS,
                                   matching=[0, 1, 2, 3])
+
+
+def digraph_outcome(build, *args):
+    """fmt_digraph bytes of the answer, after its negative-cycle check,
+    or the refusal's type, message and witness."""
+    try:
+        g = build(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+    g._check_cycles()
+    return jsonio.dumps(jsonio.fmt_digraph(g))
+
+
+def digraph_calls(rng):
+    """Argument tuples for 400 seeded matrices with d <= 5, n <= 9 and up
+    to half their entries inf, in or out of the Stiefel domain: the
+    defaults, every basis mask when n <= 6, and matchings onto random
+    column sets, given with their basis or alone, minimal or not."""
+    for _ in range(400):
+        d = rng.randint(1, 5)
+        n = rng.randint(d, 9)
+        share = rng.uniform(0, 0.5)
+        rows = [[INF if rng.random() < share
+                 else Fraction(rng.randint(-3, 8), rng.choice((1, 2, 3)))
+                 for _ in range(n)] for _ in range(d)]
+        yield (rows,)
+        if n <= 6:
+            for basis in range(1 << n):
+                yield rows, basis
+        for _ in range(3):
+            sigma = rng.sample(range(n), d)
+            yield rows, mask_of(sigma), sigma
+            yield rows, None, sigma
+
+
+def test_digraph_matches_the_stiefel_reference():
+    """Same bytes or the same refusal as the reference that reads the
+    whole Stiefel image, and every digraph free of negative cycles,
+    though it is built without the check."""
+    seen = {}
+    for args in digraph_calls(random.Random(9091)):
+        got = digraph_outcome(digraph_from_presentation, *args)
+        assert got == digraph_outcome(digraph_from_presentation_stiefel,
+                                      *args)
+        kind = "ok" if isinstance(got, str) else got[0]
+        seen[kind] = seen.get(kind, 0) + 1
+    assert set(seen) == {"ok", "OutOfDomain", "NoBasis", "ValueError",
+                         "NotMinimalMatching"}
+    assert min(seen.values()) > 50
+
+
+@pytest.mark.parametrize("points, error", [
+    ([], "ValueError"), ([[fr(0), fr(1)], [fr(0)]], "ValueError"),
+    ([[fr(0)], [fr(1)]], "ValueError"),
+    ([[fr(0), fr(0), fr(0)]] + [[fr(0), INF, INF]] * 2, "OutOfDomain"),
+    ([[fr(0)] * 20] * 10, "TooLarge")])
+def test_digraph_refusals_match_the_reference(points, error):
+    "Empty, ragged, more rows than columns, OutOfDomain and TooLarge."
+    got = digraph_outcome(digraph_from_presentation, points)
+    assert got[0] == error
+    assert got == digraph_outcome(digraph_from_presentation_stiefel, points)
+
+
+def test_full_rank_digraph_needs_no_stiefel_image(monkeypatch):
+    def refuse(a):
+        raise AssertionError("computed the Stiefel image")
+
+    monkeypatch.setattr(gammoid, "stiefel", refuse)
+    g = digraph_from_presentation(three_pair_dual_rows())
+    assert g.sinks == mask_of([4, 5])
+    g = digraph_from_presentation(three_pair_dual_rows(),
+                                  basis=THREE_PAIR_DUAL_BASIS,
+                                  matching=THREE_PAIR_DUAL_MATCHING)
+    assert g.sinks == mask_of([3, 5])
 
 
 def test_stable_intersect_hyperplanes():

@@ -9,8 +9,8 @@ from troplin import (Matroid, NoBasis, NotAFlat, NotAMatroid, NotCyclicFlat,
                      uniform_matroid)
 from troplin.oracle import (check_exchange_bruteforce, circuits_bruteforce,
                             connected_components_bruteforce,
-                            corank_transform_mobius, cyclic_flats_bruteforce,
-                            exchange_fails)
+                            corank_transform_mobius, cover_mask_exchange,
+                            cyclic_flats_bruteforce, exchange_fails)
 from troplin.util import ksubsets, mask_of
 
 
@@ -69,6 +69,35 @@ def test_exchange_matches_the_quadratic_loop():
             assert exchange_fails(unchecked, **fast)
             failures += 1
     assert 60 < failures < 400
+
+
+def near_matroid(rng):
+    "A Stiefel support on n <= 8 with one basis dropped or one d-set added."
+    d = rng.randint(1, 4)
+    n = rng.randint(d + 1, 8)
+    fam = list(stiefel(random_rows(rng, d, n, rng.uniform(0, 0.5))).support)
+    others = [b for b in ksubsets(n, d) if b not in fam]
+    if len(fam) > 1 and (not others or rng.random() < 0.5):
+        fam.remove(rng.choice(fam))
+    elif others:
+        fam.append(rng.choice(others))
+    return n, fam
+
+
+def test_exchange_witness_matches_the_cover_mask_loop():
+    """The witness is the one the explicit cover-mask loop raises: the
+    first basis by index that misses a mask, then the first mask in
+    insertion order that it misses."""
+    rng = random.Random(2718)
+    families = [random_family(rng) for _ in range(500)]
+    families += [near_matroid(rng) for _ in range(300)]
+    failures = 0
+    for n, fam in families:
+        fast = exchange_witness(lambda: Matroid(n, fam))
+        unchecked = Matroid(n, fam, check=False)
+        assert fast == exchange_witness(lambda: cover_mask_exchange(unchecked))
+        failures += fast is not None
+    assert 80 < failures < 500
 
 
 def test_uniform_exchange_needs_no_cover_masks(monkeypatch):

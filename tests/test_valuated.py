@@ -17,7 +17,7 @@ from troplin.oracle import (cell_complex_bruteforce,
                             first_breakpoint_bruteforce,
                             initial_matroid_bruteforce,
                             membership_bruteforce, subdivision_sample,
-                            violated_relation)
+                            three_term_violation_scan, violated_relation)
 from troplin.util import bits, elems, ksubsets, mask_of, submasks
 
 
@@ -231,6 +231,66 @@ def test_check_pluecker_matches_the_ordered_full_scan():
     assert violated_relation(non_matroid, [4], [1, 2, 3])
     assert not violated_relation(non_matroid, [1], [3, 4, 5])  # no term
     assert not violated_relation(non_matroid, [4], [1, 2])  # wrong size
+
+
+def three_term_case(rng):
+    """A table with d <= 5 and n <= 9: a Stiefel image, the image with
+    up to 95% of its entries killed to inf, or the image with one entry
+    moved, so dense, sparse and broken tables all occur."""
+    d = rng.randint(2, 5)
+    n = rng.randint(d, 9)
+    table = dict(stiefel(random_rows(rng, d, n, rng.uniform(0, 0.3))).table)
+    finite = [b for b, v in table.items() if v != INF]
+    kind = rng.choice(("dense", "sparse", "broken"))
+    if kind == "sparse":
+        share = rng.uniform(0, 0.95)
+        for b in finite:
+            if rng.random() < share:
+                table[b] = INF
+        table[rng.choice(finite)] = 0
+    elif kind == "broken":
+        table[rng.choice(finite)] += rng.choice((-1, 1))
+    return ValuatedMatroid(n, d, table)
+
+
+@pytest.mark.parametrize("cache_max", [valuated.QUADRUPLE_CACHE_MAX, 3])
+def test_three_term_violation_matches_the_plain_scan(monkeypatch, cache_max):
+    """The pair-table loop returns exactly the plain scan's result, the
+    witness included, since the CLI prints it; with the cache bound
+    patched low, the generator path gives the same."""
+    monkeypatch.setattr(valuated, "QUADRUPLE_CACHE_MAX", cache_max)
+    monkeypatch.setattr(valuated, "_QUADRUPLES", {})
+    rng = random.Random(4711)
+    failures = 0
+    for _ in range(400):
+        v = three_term_case(rng)
+        got = valuated._three_term_violation(v.n, v.d, v.ints)
+        assert got == three_term_violation_scan(v.n, v.d, v.ints)
+        failures += got is not None
+    assert 60 < failures < 340
+    assert set(valuated._QUADRUPLES) <= set(range(cache_max + 1))
+
+
+def test_three_term_scan_is_sized_by_the_support(monkeypatch):
+    """Only the elements of finite pairs at S enter the scan at S, so a
+    sparse table never runs the quadruples of its ground set."""
+    quadruples = valuated._quadruples
+
+    def small_only(m):
+        if m > 4:
+            raise AssertionError("scanned %d elements" % m)
+        return quadruples(m)
+
+    monkeypatch.setattr(valuated, "_quadruples", small_only)
+    assert check_pluecker(ValuatedMatroid(200, 2, {mask_of([0, 1]): 0})) \
+        == (True, None)
+    # bases 13, 14, 23, 24, and on 1234 the sums inf, 1 and 0: least once
+    broken = {mask_of([0, 2]): 0, mask_of([0, 3]): 0, mask_of([1, 2]): 0,
+              mask_of([1, 3]): 1}
+    small = ValuatedMatroid(8, 2, broken)
+    witness = three_term_violation_scan(8, 2, small.ints)
+    assert witness is not None
+    assert check_pluecker(ValuatedMatroid(200, 2, broken)) == (False, witness)
 
 
 def test_check_pluecker_vacuous_ranks():
