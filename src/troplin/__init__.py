@@ -8,29 +8,26 @@ fiber of the Stiefel map, and valuated strict gammoids via min-weight
 linkings in weighted digraphs.
 """
 
-from .errors import (AllInfinite, CountMismatch, EmptyGroundSet,
-                     EmptyIntersection, EmptySupport, InconsistentCell,
-                     InfiniteBase, NegativeCycle, NoBasis, NotAFlat,
-                     NotAMatroid, NotCyclicFlat, NotMinimalMatching,
-                     NotPluecker, NotTransversal, NotTransversalFacets,
-                     OutOfDomain, PointOutsideL, RankCollapse, TooLarge,
-                     TroplinError, UsageError, WrongArity)
+from .errors import (AllInfinite, EmptyGroundSet, EmptyIntersection,
+                     EmptySupport, InconsistentCell, InfiniteBase,
+                     NegativeCycle, NoBasis, NotAFlat, NotAMatroid,
+                     NotCyclicFlat, NotMinimalMatching, NotPluecker,
+                     NotTransversal, NotTransversalFacets, OutOfDomain,
+                     PointOutsideL, RankCollapse, TooLarge, TroplinError,
+                     UsageError, WrongArity)
 from .gammoid import (WeightedDigraph, digraph_from_presentation,
-                      gammoid_valuation, linking_value,
-                      stable_intersect_hyperplanes)
+                      gammoid_valuation, stable_intersect_hyperplanes)
 from .matroid import CyclicFlatData, Matroid, direct_sum, uniform_matroid
 from .presentations import (DistinguishedData, DistinguishedEntry,
-                            contract_presentation, distinguished,
-                            is_transversal_valuated, presentation_fan_member,
-                            presentation_space_member, r0_member,
-                            rinf_member, sample_presentation,
+                            distinguished, is_transversal_valuated,
+                            presentation_fan_member,
+                            presentation_space_member, sample_presentation,
                             verify_presentation)
 from .transversal import (beta_solutions, is_pseudopresentation,
                           is_transversal, max_presentation,
                           transversal_matroid, verify_set_presentation)
 from .trop import (INF, min_assignment, normalize_point, relsupp, stiefel,
-                   stiefel_domain_witness, trop_cone_sample, trop_minor,
-                   zoom)
+                   stiefel_domain_witness, trop_minor)
 from .valuated import (SubdivisionCell, ValuatedMatroid, cell_complex,
                        check_pluecker, hyperplane, initial_matroid,
                        maximal_cells, membership, stable_intersection,

@@ -248,13 +248,21 @@ COMMANDS = {
 }
 
 
+def _refuse_constant(token):
+    raise ValueError("input JSON holds the non-JSON number %s" % token)
+
+
 def _read(path):
-    "The payload; JSON nested beyond the decoder's depth is an input error."
+    """The payload.  A bare number with a fraction or an exponent is kept
+    as its text, so that jsonio reads it exactly, under its exponent
+    bound, as the same text in a string; NaN, Infinity and -Infinity,
+    and JSON nested beyond the decoder's depth, are input errors."""
+    numbers = {"parse_float": str, "parse_constant": _refuse_constant}
     try:
         if path == "-":
-            return json.loads(sys.stdin.read())
+            return json.loads(sys.stdin.read(), **numbers)
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, **numbers)
     except RecursionError:
         raise ValueError("input JSON is nested too deeply") from None
 

@@ -89,10 +89,6 @@ class WrongArity(TroplinError):
     pass
 
 
-class CountMismatch(TroplinError):
-    pass
-
-
 class NegativeCycle(TroplinError):
     "Digraph has a negative-weight cycle; witness lists its vertices (1-based)."
 

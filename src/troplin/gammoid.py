@@ -7,8 +7,7 @@ reduction matrix, whose rows are indexed by the non-sink vertices.
 """
 
 from .errors import NegativeCycle, NoBasis, NotMinimalMatching
-from .trop import (INF, ZERO, _augment, matrix_shape, min_assignment,
-                   stiefel, trop_minor)
+from .trop import INF, ZERO, _augment, matrix_shape, min_assignment, stiefel
 from .util import elems, list1
 from .valuated import ValuatedMatroid, check_slots, v_dual
 
@@ -89,19 +88,6 @@ class WeightedDigraph:
         "One row per non-sink vertex, entries the outgoing edge weights."
         rows = elems(self.n_full() ^ self.sinks)
         return [[self.weight(i, j) for j in range(self.n)] for i in rows]
-
-
-def linking_value(g, subset):
-    """Min total weight of a vertex-disjoint path system from `subset`
-    onto the sinks, as the raw (unnormalized) tropical minor of the
-    reduction matrix at the complementary columns.
-    """
-    d = g.sinks.bit_count()
-    if subset.bit_count() != d:
-        raise ValueError("need a subset the size of the sink set")
-    if g.sinks == g.n_full():
-        return ZERO
-    return trop_minor(g.reduction_matrix(), g.n_full() ^ subset)
 
 
 def gammoid_valuation(g):

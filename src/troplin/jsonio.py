@@ -1,8 +1,10 @@
 """JSON (de)serialization for the CLI formats.
 
 Scalars travel as strings: "inf", or a rational in lowest terms like
-"3", "-7/2".  Bare JSON numbers are accepted on input (floats go
-through their decimal representation, so 0.1 means 1/10).  Ground-set
+"3", "-7/2".  Bare JSON numbers are accepted on input: the CLI hands
+over a bare number with a fraction or an exponent as its text, read
+here as a string scalar, and a Python float goes through its decimal
+representation, so 0.1 means 1/10 either way.  Ground-set
 elements are 1-based everywhere; subsets are sorted element lists.
 d-subset table keys are written in the canonical comma-joined spelling
 ("1,3,4"); on input any order and spacing is accepted ("3, 1,4"), and

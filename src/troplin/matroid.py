@@ -300,9 +300,6 @@ class Matroid:
                 if (b & subset).bit_count() == r}
         return self._relabel(newb, subset)
 
-    def delete(self, subset):
-        return self.restrict(self.full ^ subset)
-
     def contract(self, subset):
         rest = self.full ^ subset
         if rest == 0:

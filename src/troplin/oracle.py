@@ -1,62 +1,19 @@
-"""Brute-force reference implementations used to cross-check the fast paths.
+"""Brute-force references that bench/checker.py compares answers with.
 
-Everything here trades time for obviousness: permutation enumeration instead
-of augmenting paths, point sampling instead of wall flips, full multiset
-scans instead of Moebius counting.  Sizes are capped accordingly.
+Everything here trades time for obviousness: permutation enumeration
+instead of augmenting paths, and cells closed under every subset
+direction instead of flats.  Only what the checker runs lives here, since
+every benchmark process imports this module; the test suite's other
+references are in tests/reference.py.
 """
 
-import functools
-import random
-from fractions import Fraction
-from itertools import (combinations, combinations_with_replacement,
-                       permutations)
-from math import comb
+from itertools import permutations
 
-from .errors import (AllInfinite, InfiniteBase, NoBasis, NotAMatroid,
-                     NotCyclicFlat, NotMinimalMatching, OutOfDomain)
-from .gammoid import WeightedDigraph, _fmt
+from .errors import OutOfDomain
 from .matroid import Matroid
-from .transversal import (is_pseudopresentation, is_transversal,
-                          transversal_matroid)
-from .trop import INF, ZERO, check_point, min_assignment, stiefel
-from .util import bits, elems, ksubsets, list1, mask_of
-from .valuated import ValuatedMatroid, initial_matroid, maximal_cells
-
-
-def xsum(x, mask):
-    "x(mask), the Fraction sum of the coordinates of x on mask."
-    s = ZERO
-    for e in bits(mask):
-        s += x[e]
-    return s
-
-
-def normalize_point_fraction(y):
-    "trop.normalize_point on Fractions: shift the least finite coordinate to 0."
-    y = check_point(y)
-    m = min(v for v in y if v != INF)
-    return tuple(INF if v == INF else v - m for v in y)
-
-
-def relsupp_fraction(x, y):
-    """trop.relsupp on Fractions: the mask where y - x does not attain its
-    minimum, refusing an infinite x, then unequal lengths, then an
-    all-infinite y."""
-    if any(v == INF for v in x):
-        raise InfiniteBase("basepoint must be finite", witness=list1(
-            mask_of(j for j, v in enumerate(x) if v == INF)))
-    if len(x) != len(y):
-        raise ValueError("length mismatch")
-    diffs = [INF if v == INF else v - x[j] for j, v in enumerate(y)]
-    m = min(diffs)
-    if m == INF:
-        raise AllInfinite("point has no finite coordinate")
-    return mask_of(j for j, dv in enumerate(diffs) if dv > m)
-
-
-def mask_to_key(mask):
-    "The canonical JSON key of a subset mask: its 1-based elements, joined."
-    return ",".join(str(e) for e in list1(mask))
+from .trop import INF, ZERO
+from .util import elems, ksubsets
+from .valuated import ValuatedMatroid, maximal_cells
 
 
 def trop_minor_bruteforce(a, cols):
@@ -98,370 +55,6 @@ def stiefel_bruteforce(a):
     return ValuatedMatroid(n, d, entries)
 
 
-def _mask1(elements):
-    "The mask of a 1-based element list, the JSON witness convention."
-    return mask_of(x - 1 for x in elements)
-
-
-def violated_relation(vm, a, c):
-    """Is the witness {"a": a, "c": c} (1-based lists) a violated
-    relation of vm by definition: |a| = d - 1, |c| = d + 1, and the
-    least of pl(a + j) + pl(c - j) over j in c - a, on the Fraction
-    table, is finite and attained only once?"""
-    a, c = _mask1(a), _mask1(c)
-    if (a | c) & ~vm.full or a.bit_count() != vm.d - 1 \
-            or c.bit_count() != vm.d + 1:
-        return False
-    terms = []
-    for j in bits(c & ~a):
-        left = vm.table[a | 1 << j]
-        right = vm.table[c ^ 1 << j]
-        if left != INF and right != INF:
-            terms.append(left + right)
-    return bool(terms) and terms.count(min(terms)) == 1
-
-
-def check_pluecker_bruteforce(vm):
-    """Every (d-1, d+1) relation in ascending mask order:
-    (True, None) or (False, {"a", "c"}) for the first violated pair."""
-    for a in ksubsets(vm.n, vm.d - 1):
-        for c in ksubsets(vm.n, vm.d + 1):
-            if violated_relation(vm, list1(a), list1(c)):
-                return False, {"a": list1(a), "c": list1(c)}
-    return True, None
-
-
-def exchange_fails(m, b1, b2, e):
-    """Is the witness {"b1", "b2", "e"} (1-based) a failing exchange of
-    m by definition: b1 and b2 are bases, e is in b1 - b2, and no
-    b1 - e + f with f in b2 - b1 is a basis?"""
-    b1, b2, e = _mask1(b1), _mask1(b2), e - 1
-    if b1 not in m.baseset or b2 not in m.baseset or not (b1 & ~b2) >> e & 1:
-        return False
-    removed = b1 ^ (1 << e)
-    return not any(removed | (1 << f) in m.baseset for f in bits(b2 & ~b1))
-
-
-def check_exchange_bruteforce(m):
-    """Basis exchange over all ordered (b1, b2, e) triples, searching
-    b2 - b1 for each; raises NotAMatroid at the first failing triple."""
-    for b1 in m.bases:
-        for b2 in m.bases:
-            for e in bits(b1 & ~b2):
-                witness = {"b1": list1(b1), "b2": list1(b2), "e": e + 1}
-                if exchange_fails(m, **witness):
-                    raise NotAMatroid("exchange fails", witness=witness)
-
-
-def three_term_violation_scan(n, d, table):
-    """valuated._three_term_violation as a plain scan: every (d-2)-set S
-    and every i < j < k < l outside it, read off the table one key at a
-    time.  The same first witness is expected, since the fast path
-    keeps this order and the CLI prints the witness."""
-    big = 2 * max(v for v in table.values() if v != INF) + 1
-    t = {b: big if v == INF else v for b, v in table.items()}
-    full = (1 << n) - 1
-    for s in ksubsets(n, d - 2):
-        rest = [1 << e for e in bits(full & ~s)]
-        for i, j, k, l in combinations(rest, 4):
-            si = s | i
-            sj = s | j
-            x = t[si | j] + t[s | k | l]
-            y = t[si | k] + t[sj | l]
-            z = t[si | l] + t[sj | k]
-            lo, hi = (x, y) if x <= y else (y, x)
-            if (z < big) if z < lo else (z > lo and lo < hi and lo < big):
-                return {"a": list1(si), "c": list1(sj | k | l)}
-    return None
-
-
-def cover_mask_exchange(m):
-    """Matroid._check_exchange by explicit cover masks: the mask of
-    (b1, e) is e plus every f outside b1 with b1 - e + f a basis, each
-    distinct mask keeps its first (b1, e), and every basis is ANDed
-    with every mask.  Raises NotAMatroid with the same witness as the
-    fast check: the first basis b2 that misses a mask, the first such
-    mask."""
-    if len(m.bases) == comb(m.n, m.d):
-        return
-    bs = m.baseset
-    first = {}
-    for b1 in m.bases:
-        outside = m.full & ~b1
-        for e in bits(b1):
-            removed = b1 ^ (1 << e)
-            c = 1 << e
-            for f in bits(outside):
-                if removed | (1 << f) in bs:
-                    c |= 1 << f
-            if c not in first:
-                first[c] = (b1, e)
-    for b2 in m.bases:
-        for c in first:
-            if not b2 & c:
-                b1, e = first[c]
-                raise NotAMatroid(
-                    "exchange fails",
-                    witness={"b1": list1(b1), "b2": list1(b2),
-                             "e": e + 1})
-
-
-def digraph_from_presentation_stiefel(points, basis=None, matching=None):
-    """gammoid.digraph_from_presentation read off the whole Stiefel
-    image: its support gives the lex-least basis and decides whether a
-    given basis is one, and the digraph is checked for negative cycles
-    as it is built."""
-    a = [tuple(row) for row in points]
-    w = stiefel(a)
-    uw = w.underlying()
-    d, n = len(a), w.n
-    if basis is None:
-        basis = min(uw.bases, key=lambda b: tuple(bits(b)))
-    elif basis not in uw.baseset:
-        raise NoBasis("not a basis of the row span", witness=list1(basis))
-    cols = elems(basis)
-    value, match = min_assignment([[row[c] for c in cols] for row in a])
-    best = value
-    if matching is None:
-        sigma = [cols[match[r]] for r in range(d)]
-    else:
-        sigma = list(matching)
-        if sorted(sigma) != cols:
-            raise ValueError("matching is not a bijection onto the basis")
-        total = ZERO
-        for r in range(d):
-            if a[r][sigma[r]] == INF:
-                total = INF
-                break
-            total += a[r][sigma[r]]
-        if total != best:
-            raise NotMinimalMatching(
-                "matching does not attain the tropical minor",
-                witness={"weight": _fmt(total), "minimum": _fmt(best)})
-    weights = {}
-    for r in range(d):
-        i = sigma[r]
-        base = a[r][i]
-        for j in range(n):
-            if j == i or a[r][j] == INF:
-                continue
-            weights[(i, j)] = a[r][j] - base
-    return WeightedDigraph(n, ((1 << n) - 1) ^ basis, weights)
-
-
-def subdivision_sample(vm, trials=2000, seed=0):
-    """Audit maximal_cells by exact point sampling.
-
-    Checks that each claimed cell is genuinely the cell of its witness
-    and has the right component count, that claimed cells only overlap
-    in proper faces, and that cell barycenters plus `trials` random
-    convex combinations of support vertices are all covered by some
-    claimed cell (polymatroid membership, checked subset by subset).
-    Raises AssertionError on any failure; returns the set of claimed
-    matroids hit by samples (always all of them, via the barycenters).
-    """
-    uv = vm.underlying()
-    target = len(uv.connected_components())
-    claimed = maximal_cells(vm)
-    n = vm.n
-    for cell in claimed:
-        again = initial_matroid(vm, cell.witness)
-        assert again.bases == cell.matroid.bases, "witness mismatch"
-        assert len(cell.matroid.connected_components()) == target, \
-            "claimed cell is not maximal"
-    for i in range(len(claimed)):
-        for j in range(i + 1, len(claimed)):
-            inter = claimed[i].matroid.baseset & claimed[j].matroid.baseset
-            if inter:
-                km = Matroid(n, sorted(inter), check=False)
-                assert len(km.connected_components()) > target, \
-                    "claimed cells overlap beyond a proper face"
-    tables = []
-    for cell in claimed:
-        m = cell.matroid
-        tables.append([m.rank(s) for s in range(1 << n)])
-    pts = []
-    for cell in claimed:
-        bs = cell.matroid.bases
-        cnt = [0] * n
-        for b in bs:
-            for e in bits(b):
-                cnt[e] += 1
-        pts.append([Fraction(c, len(bs)) for c in cnt])
-    rng = random.Random(seed)
-    support = list(vm.support)
-    for _ in range(trials):
-        k = rng.randint(1, min(6, len(support)))
-        chosen = rng.sample(support, k)
-        wts = [rng.randint(1, 9) for _ in chosen]
-        tot = sum(wts)
-        x = [ZERO] * n
-        for b, wt in zip(chosen, wts):
-            f = Fraction(wt, tot)
-            for e in bits(b):
-                x[e] += f
-        pts.append(x)
-    hits = set()
-    for x in pts:
-        sums = [ZERO] * (1 << n)
-        for s in range(1, 1 << n):
-            low = s & -s
-            sums[s] = sums[s ^ low] + x[low.bit_length() - 1]
-        covered = False
-        for idx, table in enumerate(tables):
-            ok = True
-            for s in range(1, 1 << n):
-                if sums[s] > table[s]:
-                    ok = False
-                    break
-            if ok:
-                hits.add(idx)
-                covered = True
-        if not covered:
-            raise AssertionError("sample point not covered: %r" % (x,))
-    return {claimed[i].matroid for i in hits}
-
-
-def presentations_exhaustive(m):
-    """All set system presentations of m, by trying every multiset.
-
-    Presentation sets never contain loops (a matched element is
-    independent), so candidates range over nonempty subsets of the
-    non-loops.  The families depend only on (n, d, non-loops), so they
-    are grouped by the bases they present once per such triple
-    (_presentation_index).  Ground sets beyond 5 elements are refused.
-    """
-    if m.n > 5:
-        raise ValueError("exhaustive search capped at 5 elements")
-    index = _presentation_index(m.n, m.d, m.full ^ m.loops())
-    return list(index.get(m.bases, ()))
-
-
-@functools.cache
-def _presentation_index(n, d, nonloops):
-    """{bases: families}: every d-multiset of nonempty subsets of the
-    mask nonloops, in enumeration order, under the bases of the
-    transversal matroid it presents on n elements."""
-    subsets = [s for s in range(1, 1 << n) if s & ~nonloops == 0]
-    index = {}
-    for fam in combinations_with_replacement(subsets, d):
-        try:
-            t = transversal_matroid(list(fam), n)
-        except NoBasis:
-            continue
-        index.setdefault(t.bases, []).append(fam)
-    return index
-
-
-def linking_bruteforce(g, subset):
-    "Min-weight vertex-disjoint path system by explicit search; n <= 7."
-    if g.n > 7:
-        raise ValueError("enumeration capped at 7 vertices")
-    if subset.bit_count() != g.sinks.bit_count():
-        raise ValueError("need a subset the size of the sink set")
-    srcs = elems(subset)
-    adj = {v: [] for v in range(g.n)}
-    for (i, j), w in g.edges.items():
-        adj[i].append((j, w))
-    best = [INF]
-
-    def rec(i, used, total):
-        if i == len(srcs):
-            if total < best[0]:
-                best[0] = total
-            return
-        s = srcs[i]
-        if (used >> s) & 1:
-            return
-
-        def walk(v, pathmask, acc):
-            if (g.sinks >> v) & 1:
-                rec(i + 1, used | pathmask, total + acc)
-            for u, w in adj[v]:
-                if ((used | pathmask) >> u) & 1:
-                    continue
-                walk(u, pathmask | (1 << u), acc + w)
-
-        walk(s, 1 << s, ZERO)
-
-    rec(0, 0, ZERO)
-    return best[0]
-
-
-def rinf_facet_oracle(vm, cell, flat, z):
-    """Escape-region membership by interval arithmetic, for wall cells only.
-
-    When the face cell at `flat` has exactly two components its region
-    is a line, so each potential escape coordinate reduces to comparing
-    one rational interval; no simplex involved.  Returns None when the
-    face has more components (oracle not applicable).
-    """
-    m = cell.matroid
-    if all(z[j] == INF for j in bits(flat)):
-        return True
-    w = m.polytope_face(flat)
-    comps = w.connected_components()
-    if len(comps) != 2:
-        return None
-    xw = face_point_fraction(vm, m, cell.witness, flat)
-    k1 = comps[0]
-    r1 = w.rank(k1)
-    m0 = vm.table[w.bases[0]] - xsum(xw, w.bases[0])
-    lo, hi = None, None  # open interval of the region parameter
-    for b in vm.support:
-        if b in w.baseset:
-            continue
-        aa = (b & k1).bit_count() - r1
-        gap = vm.table[b] - xsum(xw, b) - m0
-        if aa > 0:
-            t = gap / aa
-            if hi is None or t < hi:
-                hi = t
-        elif aa < 0:
-            t = gap / aa
-            if lo is None or t > lo:
-                lo = t
-    assert lo is None or lo < 0
-    assert hi is None or hi > 0
-    for j in bits(flat):
-        if z[j] == INF:
-            continue
-        jlo, jhi = None, None
-        feasible = True
-        for k in range(vm.n):
-            if k == j or z[k] == INF:
-                continue
-            bound = (z[k] - z[j]) - (xw[k] - xw[j])
-            coeff = ((k1 >> k) & 1) - ((k1 >> j) & 1)
-            if coeff == 0:
-                if bound < 0:
-                    feasible = False
-                    break
-            elif coeff > 0:
-                if jhi is None or bound < jhi:
-                    jhi = bound
-            else:
-                if jlo is None or -bound > jlo:
-                    jlo = -bound
-        if not feasible:
-            continue
-        glo = lo if jlo is None else (jlo if lo is None else max(lo, jlo))
-        ghi = hi if jhi is None else (jhi if hi is None else min(hi, jhi))
-        # escape needs t with lo < t < hi, jlo <= t <= jhi
-        if glo is None or ghi is None:
-            return False
-        if glo < ghi:
-            return False
-        if glo == ghi:
-            closed_lo = jlo is not None and glo == jlo and (
-                lo is None or lo < glo)
-            closed_hi = jhi is not None and ghi == jhi and (
-                hi is None or hi > ghi)
-            if closed_lo and closed_hi:
-                return False
-    return True
-
-
 def cell_complex_bruteforce(vm):
     """All loop-free cells, by closing the maximal ones under every
     subset-direction face (not just flats).  Returns a set of basis
@@ -482,304 +75,3 @@ def cell_complex_bruteforce(vm):
             seen.add(keep)
             queue.append(keep)
     return seen
-
-
-def rinf_member_lp(vm, cell, flat, z):
-    """Escape-region membership by the full-row LP, with no cache.
-
-    One LP per finite coordinate j of z on the flat, with one region row
-    per support basis off the face and one row per other finite
-    coordinate, duplicates included; rinf_member sends the same LP with
-    every duplicate row collapsed.
-    """
-    from .linprog import solve_lp
-    from .trop import ONE, check_point
-
-    m = cell.matroid
-    cf = m.cyclic_flats()
-    if flat not in cf:
-        raise NotCyclicFlat(witness=list1(flat))
-    z = check_point(z)
-    if all(z[j] == INF for j in bits(flat)):
-        return True
-    w = m.polytope_face(flat)
-    xw = face_point_fraction(vm, m, cell.witness, flat)
-    comps = w.connected_components()
-    c = len(comps)
-    where = {}
-    for i, k in enumerate(comps):
-        for e in bits(k):
-            where[e] = i
-    ranks = [w.rank(k) for k in comps]
-    m0 = vm.table[w.bases[0]] - xsum(xw, w.bases[0])
-    # variables t_0..t_{c-2} (component shifts, last one gauged to 0), s
-    region = []
-    for b in vm.support:
-        if b in w.baseset:
-            continue
-        coeffs = [ZERO] * c
-        for i in range(c - 1):
-            coeffs[i] = Fraction((b & comps[i]).bit_count() - ranks[i])
-        coeffs[c - 1] = ONE
-        gap = vm.table[b] - xsum(xw, b) - m0
-        region.append((coeffs, gap))
-    cap = [ZERO] * c
-    cap[c - 1] = ONE
-    region.append((cap, ONE))
-    for j in bits(flat):
-        if z[j] == INF:
-            continue
-        cons = list(region)
-        bad = False
-        for k in range(vm.n):
-            if k == j or z[k] == INF:
-                continue
-            coeffs = [ZERO] * c
-            ck, cj = where[k], where[j]
-            if ck < c - 1:
-                coeffs[ck] += 1
-            if cj < c - 1:
-                coeffs[cj] -= 1
-            rhs = (z[k] - z[j]) - (xw[k] - xw[j])
-            if ck == cj and rhs < 0:
-                bad = True
-                break
-            cons.append((coeffs, rhs))
-        if bad:
-            continue
-        status, value, _ = solve_lp(c, cap, cons)
-        if status == "optimal" and value > 0:
-            return False
-    return True
-
-
-def _solve_exactly(a, b):
-    "The unique solution of the square system a x = b, or None."
-    n = len(a)
-    rows = [list(r) + [v] for r, v in zip(a, b)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if rows[i][col] != 0), None)
-        if piv is None:
-            return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        for i in range(n):
-            if i != col and rows[i][col] != 0:
-                f = rows[i][col] / rows[col][col]
-                rows[i] = [u - f * v for u, v in zip(rows[i], rows[col])]
-    return [rows[i][n] / rows[i][i] for i in range(n)]
-
-
-def lp_bruteforce(num_vars, objective, constraints):
-    """Maximize objective . x by enumerating vertices, for bounded regions.
-
-    Every choice of num_vars rows, made tight, is solved exactly; the
-    feasible solutions are the vertices of the region.  The region must
-    be bounded (a box among the rows, say): then it is empty, and the
-    answer ("infeasible", None), or it has a vertex, and the answer is
-    ("optimal", the largest objective value over the vertices).
-    """
-    rows = []
-    for coeffs, rel, rhs in constraints:
-        coeffs = [Fraction(v) for v in coeffs]
-        rhs = Fraction(rhs)
-        if rel == ">=":
-            coeffs, rhs, rel = [-v for v in coeffs], -rhs, "<="
-        rows.append((coeffs, rel, rhs))
-    best = None
-    for pick in combinations(rows, num_vars):
-        x = _solve_exactly([r[0] for r in pick], [r[2] for r in pick])
-        if x is None:
-            continue
-        ok = True
-        for coeffs, rel, rhs in rows:
-            lhs = sum(u * v for u, v in zip(coeffs, x))
-            if lhs > rhs or (rel == "=" and lhs != rhs):
-                ok = False
-                break
-        if ok:
-            val = sum(Fraction(u) * v for u, v in zip(objective, x))
-            if best is None or val > best:
-                best = val
-    if best is None:
-        return "infeasible", None
-    return "optimal", best
-
-
-def connected_components_bruteforce(m):
-    """Partition of the ground set by direct-sum separators, as masks:
-    every subset s with rank(s) + rank(E - s) = d splits the classes."""
-    comp = {e: m.full for e in range(m.n)}
-    for s in range(1, m.full):
-        if m.rank(s) + m.rank(m.full ^ s) != m.d:
-            continue
-        t = m.full ^ s
-        for e in range(m.n):
-            comp[e] &= s if (s >> e) & 1 else t
-    return tuple(sorted(set(comp.values())))
-
-
-def initial_matroid_bruteforce(vm, x):
-    "Bases minimizing pl(B) - x(B), by Fraction sums over the support."
-    best = INF
-    keep = []
-    for b in vm.support:
-        v = vm.table[b] - xsum(x, b)
-        if v < best:
-            best = v
-            keep = [b]
-        elif v == best:
-            keep.append(b)
-    return Matroid(vm.n, keep, check=False)
-
-
-def face_point_fraction(vm, m, x, flat):
-    """valuated.face_witness's point on Fractions, from the witness x of
-    the cell m: x itself if every basis of m meets the flat in full rank,
-    else x moved on the flat by half the first breakpoint
-    (first_breakpoint_bruteforce), or by 1 if there is none."""
-    r = m.rank(flat)
-    if all((b & flat).bit_count() == r for b in m.bases):
-        return tuple(x)
-    t = first_breakpoint_bruteforce(vm, m, x, flat, r)[0]
-    t = Fraction(1) if t == INF else t / 2
-    return tuple(v + t if (flat >> e) & 1 else v for e, v in enumerate(x))
-
-
-def first_breakpoint_bruteforce(vm, m, x, flat, r):
-    """(tstar, ties): the least (pl(b) - x(b) - pl(m) + x(m)) /
-    (|b & flat| - r) over the support bases b off the cell m with
-    |b & flat| > r, or INF, and the bases that attain it, by Fraction
-    sums."""
-    m0 = vm.table[m.bases[0]] - xsum(x, m.bases[0])
-    tstar = INF
-    ties = []
-    for b in vm.support:
-        if b in m.baseset:
-            continue
-        cnt = (b & flat).bit_count()
-        if cnt <= r:
-            continue
-        t = (vm.table[b] - xsum(x, b) - m0) / (cnt - r)
-        if t < tstar:
-            tstar = t
-            ties = [b]
-        elif t == tstar:
-            ties.append(b)
-    return tstar, ties
-
-
-def membership_bruteforce(vm, y):
-    """Membership of y in the tropical linear space of vm, by Fraction
-    sums: for every (d+1)-set c, the least finite y[j] + pl(c - j) over
-    j in c is attained twice."""
-    for c in ksubsets(vm.n, vm.d + 1):
-        best = INF
-        cnt = 0
-        for j in bits(c):
-            b = c ^ (1 << j)
-            if y[j] == INF or vm.table[b] == INF:
-                continue
-            t = y[j] + vm.table[b]
-            if t < best:
-                best = t
-                cnt = 1
-            elif t == best:
-                cnt += 1
-        if best != INF and cnt < 2:
-            return False
-    return True
-
-
-def circuits_bruteforce(m):
-    """Minimal dependent sets, by a scan over all subsets, sorted by
-    (size, mask)."""
-    dep = [s for s in range(m.full + 1) if not m.independent(s)]
-    return tuple(sorted((s for s in dep
-                         if all(m.independent(s ^ (1 << e))
-                                for e in bits(s))),
-                        key=lambda s: (s.bit_count(), s)))
-
-
-def cyclic_flats_bruteforce(m):
-    """Cyclic flats by filtering the whole flat lattice: the flats f with
-    coclosure(f) == f, sorted by (size, mask)."""
-    return tuple(f for f in m.flats() if m.coclosure(f) == f)
-
-
-def rank_violation_scan(m):
-    """First cyclic-flat family breaking the alternating rank inequality,
-    or None.
-
-    Families are scanned without repetition, by size then index order,
-    over cyclic flats sorted by (size, mask); repetitions never help and
-    family size d+1 always suffices.  Each family of size k costs 2^k
-    union ranks.
-    """
-    cf = list(m.cyclic_flats())
-    kmax = min(m.d + 1, len(cf))
-    for k in range(1, kmax + 1):
-        for fam in combinations(cf, k):
-            total = 0
-            for i in range(1, k + 1):
-                sign = -1 if i % 2 else 1
-                for sub in combinations(fam, i):
-                    u = 0
-                    for f in sub:
-                        u |= f
-                    total += sign * m.rank(u)
-            inter = m.full
-            for f in fam:
-                inter &= f
-            if total > -m.rank(inter):
-                return {"family": [list1(f) for f in fam],
-                        "value": total, "bound": -m.rank(inter)}
-    return None
-
-
-def corank_transform_mobius(m):
-    """{cyclic flat f: tau(f)}, by the Moebius function of the poset of
-    cyclic flats: tau(f) = sum of mu(f, g) cork(g) over cyclic g above f,
-    with mu computed by its defining recursion."""
-    flats = m.cyclic_flats().flats
-    mu = {}
-
-    def mobius(f, g):
-        if f & g != f:
-            return 0
-        if (f, g) not in mu:
-            mu[f, g] = 1 if f == g else -sum(
-                mobius(f, h) for h in flats
-                if f & h == f and h & g == h and h != g)
-        return mu[f, g]
-
-    return {f: sum(mobius(f, g) * m.corank(g)
-                   for g in flats if f & g == f)
-            for f in flats}
-
-
-def set_presentation_scan(m, sets):
-    """Set presentation by every subfamily: the complements form a
-    pseudopresentation, m is transversal, and every k of the complements
-    meet in a flat of corank at least k.  2^k intersections."""
-    comps = [m.full ^ a for a in sets]
-    if not is_pseudopresentation(m, comps) or not is_transversal(m)[0]:
-        return False
-    for k in range(1, len(comps) + 1):
-        for sub in combinations(comps, k):
-            inter = m.full
-            for f in sub:
-                inter &= f
-            if m.corank(inter) < k:
-                return False
-    return True
-
-
-def sigma0_lattice_scan(m, supports):
-    """(f, count) for each flat f of the whole lattice, in (size, mask)
-    order, covered by more than cork(f) of the relative supports."""
-    out = []
-    for f in m.flats():
-        count = sum(1 for rs in supports if rs & f == f)
-        if count > m.corank(f):
-            out.append((f, count))
-    return out

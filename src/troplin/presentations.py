@@ -11,22 +11,14 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import (AllInfinite, CountMismatch, NotCyclicFlat,
-                     NotTransversalFacets, PointOutsideL, TroplinError,
-                     WrongArity)
+from .errors import (AllInfinite, NotTransversalFacets, PointOutsideL,
+                     TroplinError, WrongArity)
 from .linprog import distinct_rows, solve_lp
 from .trop import INF, check_point, integer_scaled, lowered, relsupp
 from .util import bits, elems, list1, mask_of
 from .valuated import (_face, face_witness, maximal_cells, membership,
                        v_contract)
 from . import transversal
-
-
-def r0_member(vm, flat, x, z):
-    "Is z a point of the space whose relative support from x covers `flat`?"
-    if not membership(vm, z):
-        return False
-    return relsupp(x, z) & flat == flat
 
 
 def _escape_region(vm, cell, flat):
@@ -60,12 +52,15 @@ def _escape_region(vm, cell, flat):
 
 
 def _in_region(region, flat, z):
-    """rinf_member for a checked z, on the rows of _escape_region: one
-    small exact LP maximizing s per finite coordinate j of z on the flat,
-    whose extra rows, saying that j attains the minimum, collapse to one
-    per pair of components.  A finite z[k] in j's own component with
-    z[k] - z[j] < xw[k] - xw[j] rules j out with no LP at all.  Rows go
-    to a larger scale only if z's denominators do not divide D."""
+    """Is the checked point z inside the escape region of `flat`, on the
+    rows of _escape_region?  It is unless some finite coordinate j of z
+    on the flat can attain the minimum of z - y for a y interior to the
+    cell of the face at the flat: one small exact LP maximizing s per
+    such j, whose extra rows, saying that j attains the minimum,
+    collapse to one per pair of components.  A finite z[k] in j's own
+    component with z[k] - z[j] < xw[k] - xw[j] rules j out with no LP at
+    all.  Rows go to a larger scale only if z's denominators do not
+    divide D."""
     scale, xs, where, c, rows, cap = region
     common, zs = integer_scaled(z, scale)
     up = common // scale
@@ -94,24 +89,6 @@ def _in_region(region, flat, z):
         if status == "optimal" and value > 0:
             return False
     return True
-
-
-def rinf_member(vm, cell, flat, z):
-    """Is z inside the escape region of `flat` seen from everywhere on the
-    cell's stretch of the space?
-
-    cell is a SubdivisionCell of vm (its matroid, point and table),
-    for instance one of maximal_cells(vm).  z escapes iff some finite
-    coordinate j of z on the flat can attain the minimum of z - y for a
-    y interior to the cell of the face at the flat (_in_region).
-    """
-    m = cell.matroid
-    if flat not in m.cyclic_flats():
-        raise NotCyclicFlat(witness=list1(flat))
-    z = check_point(z, vm.n)
-    if all(z[j] == INF for j in bits(flat)):
-        return True
-    return _in_region(_escape_region(vm, cell, flat), flat, z)
 
 
 def _loop_and_coloop_free(vm):
@@ -385,25 +362,3 @@ def sample_presentation(vm, seed=0):
             if _fits_distinguished(data, trial):
                 return trial
     return data.apices()
-
-
-def contract_presentation(vm, points, flat):
-    """Select the points infinite on a cyclic flat and project them off it.
-
-    The selected count must be the corank of the flat; the projections
-    present the contraction.
-    """
-    uv = vm.underlying()
-    if flat not in uv.cyclic_flats():
-        raise NotCyclicFlat(witness=list1(flat))
-    if len(points) != vm.d:
-        raise WrongArity(witness={"expected": vm.d, "got": len(points)})
-    points = [check_point(p, vm.n) for p in points]
-    keep = elems(vm.full ^ flat)
-    chosen = [p for p in points
-              if all(p[j] == INF for j in bits(flat))]
-    want = vm.d - uv.rank(flat)
-    if len(chosen) != want:
-        raise CountMismatch(witness={"expected": want,
-                                     "got": len(chosen)})
-    return [tuple(p[g] for g in keep) for p in chosen]

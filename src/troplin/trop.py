@@ -69,12 +69,6 @@ def relsupp(x, y):
     return mask_of(j for j, dv in enumerate(diffs) if dv > m)
 
 
-def zoom(x, y):
-    "Replace y by its 0/inf shadow relative to x."
-    rs = relsupp(x, y)
-    return tuple(INF if (rs >> j) & 1 else ZERO for j in range(len(x)))
-
-
 def matrix_shape(a):
     d = len(a)
     if d == 0:
@@ -295,21 +289,3 @@ def _assignment_minors(a):
     d, n = matrix_shape(a)
     return {b: min_assignment([[row[c] for c in bits(b)] for row in a])[0]
             for b in ksubsets(n, d)}
-
-
-def trop_cone_sample(a, coeffs):
-    "Min-plus row combination sum_i coeffs[i] + a[i]; raw, not normalized."
-    d, n = matrix_shape(a)
-    if len(coeffs) != d:
-        raise ValueError("need one coefficient per row")
-    y = []
-    for j in range(n):
-        best = INF
-        for i in range(d):
-            if coeffs[i] == INF or a[i][j] == INF:
-                continue
-            t = coeffs[i] + a[i][j]
-            if t < best:
-                best = t
-        y.append(best)
-    return check_point(y)

@@ -19,19 +19,19 @@ from common import (THREE_PAIR_DUAL_BASIS, THREE_PAIR_DUAL_MATCHING, fr,
                     rank2_four_rows, rank3_five, rank3_five_rows,
                     three_pair_dual_rows, three_pair_matroid,
                     three_pair_valuation)
-from troplin import (INF, Matroid, NegativeCycle, NotAMatroid,
-                     NotTransversal, PointOutsideL, ValuatedMatroid,
-                     WeightedDigraph, beta_solutions, contract_presentation,
-                     digraph_from_presentation, distinguished,
+from reference import (contract_presentation, linking_bruteforce,
+                       linking_value, presentations_exhaustive,
+                       subdivision_sample, trop_cone_sample, zoom)
+from troplin import (INF, Matroid, NegativeCycle, NotAMatroid, NotTransversal,
+                     PointOutsideL, ValuatedMatroid, WeightedDigraph,
+                     beta_solutions, digraph_from_presentation, distinguished,
                      gammoid_valuation, hyperplane, initial_matroid,
-                     is_transversal, linking_value, maximal_cells,
-                     membership, presentation_space_member,
-                     sample_presentation, stable_intersection, stiefel,
-                     transversal_matroid, trop_cone_sample, trop_minor,
-                     v_contract, v_dual, verify_presentation,
-                     verify_set_presentation, zoom)
-from troplin.oracle import (linking_bruteforce, presentations_exhaustive,
-                            subdivision_sample, trop_minor_bruteforce)
+                     is_transversal, maximal_cells, membership,
+                     presentation_space_member, sample_presentation,
+                     stable_intersection, stiefel, transversal_matroid,
+                     trop_minor, v_contract, v_dual, verify_presentation,
+                     verify_set_presentation)
+from troplin.oracle import trop_minor_bruteforce
 from troplin.util import ksubsets, mask_of
 
 

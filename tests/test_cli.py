@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import troplin.cli
 from common import random_valuation
+from reference import (check_pluecker_bruteforce, initial_matroid_bruteforce,
+                       membership_bruteforce, violated_relation)
 from troplin import (INF, AllInfinite, Matroid, TooLarge, TroplinError,
                      ValuatedMatroid, WeightedDigraph, jsonio, stiefel, trop,
                      util, valuated)
@@ -17,9 +19,6 @@ from troplin.cli import COMMANDS, run
 from troplin.jsonio import (dumps, fmt_matroid, fmt_point, fmt_valuated,
                             parse_matrix, parse_point, parse_scalar,
                             parse_valuated)
-from troplin.oracle import (check_pluecker_bruteforce,
-                            initial_matroid_bruteforce, membership_bruteforce,
-                            violated_relation)
 from troplin.util import bits, ksubsets, list1
 from troplin.valuated import check_pluecker
 
@@ -415,6 +414,41 @@ def test_small_exponents_still_parse(tmp_path):
     assert out["entries"] == {"1": "40001/40", "2": "0", "3": "1/40"}
     assert parse_scalar("1E+4300") == 10 ** 4300
     assert parse_scalar("-1e-0_4300") == Fraction(-1, 10 ** 4300)
+
+
+def test_bare_numbers_read_as_their_text(tmp_path, capsys, monkeypatch):
+    """A bare JSON number is read exactly, as the same text in a string,
+    from a file or from stdin.  A bare 1e400 once came in as the float
+    inf, and dual answered "inf" with exit 0.  NaN, Infinity and
+    -Infinity are not JSON numbers and are refused."""
+    dst = tmp_path / "out.json"
+
+    def dual(entry, stdin=False):
+        text = '{"n": 2, "rank": 1, "entries": {"1": %s, "2": "0"}}' % entry
+        if stdin:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            code = run(["dual", "--output", str(dst)])
+        else:
+            src = tmp_path / "in.json"
+            src.write_text(text)
+            code = run(["dual", "--input", str(src), "--output", str(dst)])
+        return code, dst.read_text()
+
+    code, out = dual("1e400")
+    assert (code, out) == dual('"1e400"') == dual("1e400", stdin=True)
+    assert code == 0
+    assert json.loads(out)["entries"] == {"1": "0", "2": "1" + "0" * 400}
+    for entry in ("0.1", "-2.5e-2", "1E+3", "1e100000"):
+        assert dual(entry) == dual('"%s"' % entry)
+    assert dual("1e100000")[0] == 2
+    for token in ("NaN", "Infinity", "-Infinity"):
+        for stdin in (False, True):
+            code, out = dual(token, stdin)
+            assert code == 2
+            assert json.loads(out) == {
+                "error": "ValueError", "witness": None,
+                "message": "input JSON holds the non-JSON number " + token}
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("first, second", [("1,2", "2,1"),

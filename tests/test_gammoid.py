@@ -5,13 +5,12 @@ import pytest
 
 from common import (THREE_PAIR_DUAL_BASIS, THREE_PAIR_DUAL_MATCHING, fr,
                     random_rows, three_pair_dual_rows, three_pair_valuation)
+from reference import (digraph_from_presentation_stiefel, linking_bruteforce,
+                       linking_value)
 from troplin import (INF, NegativeCycle, NoBasis, NotMinimalMatching,
                      ValuatedMatroid, WeightedDigraph,
                      digraph_from_presentation, gammoid, gammoid_valuation,
-                     jsonio, linking_value, stable_intersect_hyperplanes,
-                     stiefel, v_dual)
-from troplin.oracle import (digraph_from_presentation_stiefel,
-                            linking_bruteforce)
+                     jsonio, stable_intersect_hyperplanes, stiefel, v_dual)
 from troplin.util import ksubsets, mask_of
 
 

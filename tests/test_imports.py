@@ -6,12 +6,15 @@ same module (the root of `a.b.c` counts for `import a.b`).  The
 package's __init__.py re-exports on purpose and is skipped.
 
 Next to it, a dead-code check: the name of every function or method the
-package defines (dunders aside) must occur as a name in the code of the
-package, the tests or the benchmark, outside its own definition.  A
-name counts where it is a Python name token or a string literal that
-is a whole identifier or dotted path (as the tracer names functions);
-prose in comments and docstrings does not.  Likewise every error class
-of errors.py must be raised somewhere in the package outside oracle.py.
+package or tests/reference.py defines (dunders aside) must occur as a
+name in the code of the package, the tests or the benchmark, outside
+its own definition.  A name counts where it is a Python name token or
+a string literal that is a whole identifier or dotted path (as the
+tracer names functions); prose in comments and docstrings does not.
+Likewise every error class of errors.py must be raised somewhere in the
+package outside oracle.py.  And troplin.oracle, which every benchmark
+process imports, defines only what bench/ imports from it and what that
+calls.
 """
 
 import ast
@@ -25,8 +28,10 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "troplin").glob("*.py"))
 SOURCES = sorted(p for p in [*PACKAGE, *(ROOT / "tests").glob("*.py")]
                  if p.name != "__init__.py")
-USERS = sorted([*(ROOT / "tests").glob("*.py"),
-                *(ROOT / "bench").glob("*.py")])
+REFERENCE = ROOT / "tests" / "reference.py"
+USERS = sorted(p for p in [*(ROOT / "tests").glob("*.py"),
+                           *(ROOT / "bench").glob("*.py")]
+               if p != REFERENCE)
 
 
 def unused_imports(source):
@@ -124,7 +129,7 @@ def test_dead_code_checker_sees_uncalled_functions():
 
 def test_no_uncalled_functions():
     defining = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
-                for p in PACKAGE}
+                for p in [*PACKAGE, REFERENCE]}
     using = [p.read_text(encoding="utf-8") for p in USERS]
     found = ["%s:%d %s" % hit for hit in unused_functions(defining, using)]
     assert not found, "functions nobody calls:\n" + "\n".join(found)
@@ -164,3 +169,49 @@ def test_every_error_class_is_raised():
     assert len(modules) > 8
     missing = unraised_errors(errors.read_text(encoding="utf-8"), modules)
     assert not missing, "error classes nothing raises: " + ", ".join(missing)
+
+
+def unread_references(oracle, users):
+    """Names of the functions that `oracle` (a module's text) defines at
+    top level and that no text in `users` imports from troplin.oracle,
+    nor calls from one so imported, directly or through another."""
+    defs = {node.name: node for node in ast.parse(oracle).body
+            if isinstance(node, ast.FunctionDef)}
+    reached = set()
+    for text in users:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) \
+                    and node.module == "troplin.oracle":
+                reached.update(a.name for a in node.names if a.name in defs)
+    queue = list(reached)
+    while queue:
+        for node in ast.walk(defs[queue.pop()]):
+            if isinstance(node, ast.Name) and node.id in defs \
+                    and node.id not in reached:
+                reached.add(node.id)
+                queue.append(node.id)
+    return sorted(set(defs) - reached)
+
+
+def test_reference_checker_sees_what_the_benchmark_does_not_run():
+    oracle = ("def ref(a):\n    return helper(a)\n"
+              "def helper(a):\n    return a\n"
+              "def spare(a):\n    return ref(a)\n"
+              "def tested(a):\n    return a\n")
+    users = ["from troplin.oracle import ref\n",
+             "from reference import tested\nimport troplin.oracle\n"
+             "# spare\nSPARE = 'troplin.oracle.spare'\n"]
+    assert unread_references(oracle, users) == ["spare", "tested"]
+
+
+def test_oracle_holds_only_what_the_benchmark_runs():
+    """Every benchmark process imports troplin.oracle, so a reference
+    that only the tests use belongs in tests/reference.py instead: in
+    the package it costs every run the compile of its lines."""
+    oracle = ROOT / "src" / "troplin" / "oracle.py"
+    bench = [p.read_text(encoding="utf-8")
+             for p in sorted((ROOT / "bench").glob("*.py"))]
+    assert len(bench) > 3
+    unread = unread_references(oracle.read_text(encoding="utf-8"), bench)
+    assert not unread, ("troplin.oracle functions that bench/ never "
+                        "runs: " + ", ".join(unread))

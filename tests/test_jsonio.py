@@ -6,11 +6,11 @@ from itertools import combinations
 import pytest
 
 from common import random_valuation
+from reference import mask_to_key
 from troplin import INF, ValuatedMatroid, jsonio
 from troplin.jsonio import (_fmt_ratio, _parse_ratio, fmt_point,
                             fmt_scalar, fmt_valuated, key_to_mask,
                             parse_point, parse_scalar, parse_valuated)
-from troplin.oracle import mask_to_key
 from troplin.util import elems, ksubsets, mask_of, slot_keys, submasks
 
 

@@ -1,9 +1,9 @@
 import random
 from fractions import Fraction
 
+from reference import lp_bruteforce
 from troplin import linprog
 from troplin.linprog import distinct_rows, solve_lp
-from troplin.oracle import lp_bruteforce
 
 
 def test_single_variable_cap():

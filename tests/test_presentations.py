@@ -13,23 +13,22 @@ from common import (fr, matroid_pool, points_of, rank2_four, rank3_five,
                     rank3_five_rows, random_rows, random_valuation,
                     three_pair_dual_rows, three_pair_valuation)
 from test_acceptance import fiber_harness  # noqa: F401  (a fixture)
-from troplin import (INF, AllInfinite, CountMismatch, DistinguishedEntry,
-                     Matroid, NotAMatroid, NotCyclicFlat,
-                     NotTransversalFacets, PointOutsideL, TroplinError,
-                     ValuatedMatroid, WrongArity,
-                     contract_presentation, distinguished,
-                     is_transversal, is_transversal_valuated, maximal_cells,
-                     membership, normalize_point, presentation_fan_member,
-                     presentation_space_member, presentations, r0_member,
-                     relsupp, rinf_member, sample_presentation, stiefel,
+from reference import (contract_presentation, membership_bruteforce,
+                       presentations_exhaustive, r0_member, rinf_facet_oracle,
+                       rinf_member, rinf_member_lp, set_presentation_scan,
+                       sigma0_lattice_scan)
+from troplin import (INF, AllInfinite, DistinguishedEntry, Matroid,
+                     NotAMatroid, NotCyclicFlat, NotTransversalFacets,
+                     PointOutsideL, TroplinError, ValuatedMatroid, WrongArity,
+                     distinguished, is_transversal, is_transversal_valuated,
+                     maximal_cells, membership, normalize_point,
+                     presentation_fan_member, presentation_space_member,
+                     presentations, relsupp, sample_presentation, stiefel,
                      transversal, uniform_matroid, v_contract, v_dual,
                      valuated, verify_presentation, verify_set_presentation)
 from troplin import linprog
 from troplin.cli import run
 from troplin.jsonio import fmt_matrix
-from troplin.oracle import (membership_bruteforce, presentations_exhaustive,
-                            rinf_facet_oracle, rinf_member_lp,
-                            set_presentation_scan, sigma0_lattice_scan)
 from troplin.util import ksubsets, list1, mask_of
 
 
@@ -672,7 +671,7 @@ def test_contract_presentation_golden():
 def test_contract_presentation_guards():
     v = rank3_five()
     rows = points_of(rank3_five_rows())
-    with pytest.raises(CountMismatch) as err:
+    with pytest.raises(WrongArity) as err:
         contract_presentation(v, [rows[0]] * 3, mask_of([0, 3, 4]))
     assert err.value.witness == {"expected": 1, "got": 0}
     with pytest.raises(NotCyclicFlat):

@@ -8,14 +8,14 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from common import matroid_pool, three_pair_matroid
+from reference import (presentations_exhaustive, rank_violation_scan,
+                       set_presentation_scan)
 from troplin import (Matroid, NoBasis, NotTransversal, TooLarge,
                      beta_solutions, direct_sum, is_pseudopresentation,
                      is_transversal, max_presentation, transversal,
                      transversal_matroid, uniform_matroid,
                      verify_set_presentation)
 from troplin.cli import run
-from troplin.oracle import (presentations_exhaustive, rank_violation_scan,
-                            set_presentation_scan)
 from troplin.transversal import _counting_violation, covering_violations
 from troplin.util import ksubsets, mask_of
 from troplin.valuated import MAX_SLOTS

@@ -5,6 +5,11 @@ import pytest
 
 from common import (fr, random_point, random_rows, rank2_four, rank3_five,
                     random_valuation, three_pair_valuation)
+from reference import (check_pluecker_bruteforce, face_point_fraction,
+                       first_breakpoint_bruteforce, initial_matroid_bruteforce,
+                       membership_bruteforce, subdivision_sample,
+                       three_term_violation_scan, trop_cone_sample,
+                       violated_relation)
 from troplin import (INF, AllInfinite, EmptyIntersection, EmptySupport,
                      InfiniteBase, Matroid, NotAMatroid, OutOfDomain,
                      ValuatedMatroid, cell_complex, check_pluecker, hyperplane,
@@ -12,12 +17,7 @@ from troplin import (INF, AllInfinite, EmptyIntersection, EmptySupport,
                      normalize_point, stable_intersection, stable_sum,
                      stiefel, trop, uniform_matroid, v_contract, v_dual,
                      v_restrict, valuated)
-from troplin.oracle import (cell_complex_bruteforce,
-                            check_pluecker_bruteforce, face_point_fraction,
-                            first_breakpoint_bruteforce,
-                            initial_matroid_bruteforce,
-                            membership_bruteforce, subdivision_sample,
-                            three_term_violation_scan, violated_relation)
+from troplin.oracle import cell_complex_bruteforce
 from troplin.util import bits, elems, ksubsets, mask_of, submasks
 
 
@@ -335,7 +335,7 @@ def test_membership_matches_the_fraction_reference():
             if all(c == INF for c in coeffs):
                 coeffs[0] = fr(0)
             try:
-                y = list(trop.trop_cone_sample(rows, coeffs))
+                y = list(trop_cone_sample(rows, coeffs))
             except AllInfinite:
                 continue
             if rng.random() < 0.5:
