@@ -18,16 +18,15 @@ from .errors import (AllInfinite, EmptyGroundSet, EmptyIntersection,
 from .gammoid import (WeightedDigraph, digraph_from_presentation,
                       gammoid_valuation, stable_intersect_hyperplanes)
 from .matroid import CyclicFlatData, Matroid, direct_sum, uniform_matroid
-from .presentations import (DistinguishedData, DistinguishedEntry,
-                            distinguished, is_transversal_valuated,
-                            presentation_fan_member,
+from .presentations import (DistinguishedEntry, apices, distinguished,
+                            is_transversal_valuated, presentation_fan_member,
                             presentation_space_member, sample_presentation,
                             verify_presentation)
 from .transversal import (beta_solutions, is_pseudopresentation,
                           is_transversal, max_presentation,
                           transversal_matroid, verify_set_presentation)
 from .trop import (INF, min_assignment, normalize_point, relsupp, stiefel,
-                   stiefel_domain_witness, trop_minor)
+                   stiefel_domain_witness)
 from .valuated import (SubdivisionCell, ValuatedMatroid, cell_complex,
                        check_pluecker, hyperplane, initial_matroid,
                        maximal_cells, membership, stable_intersection,

@@ -16,7 +16,7 @@ import sys
 from . import jsonio
 from .errors import NotPluecker, PointOutsideL, TroplinError, UsageError
 from .gammoid import digraph_from_presentation, gammoid_valuation
-from .presentations import (distinguished, presentation_space_member,
+from .presentations import (apices, distinguished, presentation_space_member,
                             sample_presentation, verify_presentation)
 from .transversal import (is_transversal, max_presentation,
                           verify_set_presentation)
@@ -154,10 +154,9 @@ def cmd_distinguished(payload, args):
                 "multiplicity": e.multiplicity,
                 "vertex": jsonio.fmt_point(e.vertex),
                 "apex": jsonio.fmt_point(e.apex)}
-               for e in data.entries]
-    apices = [jsonio.fmt_point(a) for a in data.apices()]
-    return 0, {"n": data.n, "rank": data.d,
-               "entries": entries, "apices": apices}
+               for e in data]
+    return 0, {"n": vm.n, "rank": vm.d, "entries": entries,
+               "apices": [jsonio.fmt_point(a) for a in apices(data)]}
 
 
 def cmd_in_presentation_space(payload, args):

@@ -306,12 +306,18 @@ class Matroid:
             raise EmptyGroundSet("contraction of the full ground set")
         # fix the lex-least basis of `subset` so the surviving bases are
         # exactly the bases of the contraction, no union over choices
-        bj = 0
-        for e in bits(subset):
-            if self.rank(bj | (1 << e)) > self.rank(bj):
-                bj |= 1 << e
+        bj = self.greedy(0, subset)
         newb = {b & rest for b in self.bases if b & subset == bj}
         return self._relabel(newb, rest)
+
+    def greedy(self, start, pool):
+        """The elements of `pool` that the greedy extension of `start`
+        takes, in increasing order: each one that raises the rank."""
+        chosen = start
+        for e in bits(pool):
+            if self.rank(chosen | (1 << e)) > self.rank(chosen):
+                chosen |= 1 << e
+        return chosen & ~start
 
     def polytope_face(self, flat):
         "Subdivision-cell face: bases meeting `flat` in full rank."

@@ -144,10 +144,16 @@ def verify_presentation(vm, points):
     return {"ok": not violations, "violations": violations}
 
 
+def _first_nontransversal_cell(vm):
+    "The first maximal cell failing the counting conditions, else None."
+    for cell in maximal_cells(vm):
+        if transversal._counting_violation(cell.matroid) is not None:
+            return cell
+
+
 def is_transversal_valuated(vm):
     "A valuated matroid is transversal iff all its maximal cells are."
-    return all(transversal._counting_violation(cell.matroid) is None
-               for cell in maximal_cells(vm))
+    return _first_nontransversal_cell(vm) is None
 
 
 class DistinguishedEntry:
@@ -173,28 +179,14 @@ class DistinguishedEntry:
             list1(self.flat), self.multiplicity, self.matroid)
 
 
-class DistinguishedData:
-    def __init__(self, n, d, entries):
-        self.n = n
-        self.d = d
-        self.entries = entries
-
-    def apices(self):
-        "The apex multiset, one copy per unit of multiplicity."
-        out = []
-        for e in self.entries:
-            out.extend([e.apex] * e.multiplicity)
-        return out
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
+def apices(entries):
+    "The apex multiset of distinguished entries, one copy per multiplicity."
+    return [e.apex for e in entries for _ in range(e.multiplicity)]
 
 
 def distinguished(vm):
-    """All distinguished matroids of the valuation, with apices.
+    """All distinguished matroids of the valuation, with apices: the
+    list of DistinguishedEntry sorted by (flat, bases).
 
     Scans the cyclic flats F of the support; for each, the connected
     maximal cells M of the contraction at F with positive empty-flat
@@ -204,13 +196,13 @@ def distinguished(vm):
     vm.  Assumes vm is a valuated matroid (see check_pluecker).
     """
     uv = _loop_and_coloop_free(vm)
-    for cell in maximal_cells(vm):
-        if transversal._counting_violation(cell.matroid) is not None:
-            raise NotTransversalFacets(
-                "a maximal cell is not transversal",
-                witness={"cell": [list1(b) for b in cell.matroid.bases],
-                         "certificate": transversal.is_transversal(
-                             cell.matroid)[1]})
+    bad = _first_nontransversal_cell(vm)
+    if bad is not None:
+        raise NotTransversalFacets(
+            "a maximal cell is not transversal",
+            witness={"cell": [list1(b) for b in bad.matroid.bases],
+                     "certificate": transversal.is_transversal(
+                         bad.matroid)[1]})
     entries = []
     for f in uv.cyclic_flats():
         if f == uv.full:
@@ -235,26 +227,29 @@ def distinguished(vm):
         raise TroplinError("apex multiplicities do not sum to the rank",
                            witness={"total": total, "rank": vm.d})
     entries.sort(key=lambda e: (e.flat, e.matroid.bases))
-    return DistinguishedData(vm.n, vm.d, entries)
+    return entries
 
 
 def presentation_fan_member(m, points):
     """Do these points fill the free slots of a presentation of m?
 
     There are tau(empty) slots; each point's relative support from the
-    origin must be an independent flat, and the supports' complements
-    together with the maximal presentation of the other cyclic flats
-    must satisfy the set-presentation conditions.  That puts each point
-    in the tropical linear space of m valued 0 with no circuit scan: a
-    circuit C is not inside the support g, and meeting E - g in one
-    element e would put e in cl(C - e), inside g, so the least
+    origin must be an independent flat, and those flats together with
+    the other cyclic flats, each weighted by its tau, must pass the
+    covering counts (transversal.covering_violations).  That is the
+    set-presentation test on the complements: the pseudopresentation
+    half holds once no tau is negative, since an independent flat has
+    an empty coclosure and a cyclic flat is its own.  It puts each
+    point in the tropical linear space of m valued 0 with no circuit
+    scan: a circuit C is not inside the support g, and meeting E - g in
+    one element e would put e in cl(C - e), inside g, so the least
     coordinate on C is attained twice.
     """
     cf = m.cyclic_flats()
     t = cf.tau(0)
     if len(points) != t:
         raise WrongArity(witness={"expected": t, "got": len(points)})
-    sets = []
+    weights = Counter()
     for p in points:
         try:
             p = check_point(p, m.n)
@@ -266,12 +261,13 @@ def presentation_fan_member(m, points):
         g = mask_of(j for j, v in enumerate(vs) if v > low)
         if not m.independent(g) or not m.is_flat(g):
             return False
-        sets.append(m.full ^ g)
-    for f in cf:
-        if f == 0:
-            continue
-        sets.extend([m.full ^ f] * cf.tau(f))
-    return transversal.verify_set_presentation(m, sets)
+        weights[g] += 1
+    for f, w in cf.transform.items():
+        if w < 0:
+            return False
+        if f and w:
+            weights[f] = w
+    return not transversal.covering_violations(m, weights)
 
 
 def presentation_space_member(vm, points):
@@ -286,15 +282,15 @@ def presentation_space_member(vm, points):
     return _fits_distinguished(distinguished(vm), points)
 
 
-def _fits_distinguished(data, points):
+def _fits_distinguished(entries, points):
     """The assignment search of presentation_space_member, on checked
     points of the right arity (only inf is a float) and the valuation's
-    distinguished data."""
+    distinguished entries."""
     infmask = [mask_of(j for j, v in enumerate(p) if isinstance(v, float))
                for p in points]
-    if any(all(e.flat & ~im for e in data.entries) for im in infmask):
+    if any(all(e.flat & ~im for e in entries) for im in infmask):
         return False
-    return _assign(data.entries, points, infmask, {}, 0,
+    return _assign(entries, points, infmask, {}, 0,
                    frozenset(range(len(points))))
 
 
@@ -303,7 +299,8 @@ def _assign(entries, points, infmask, local, i, remaining):
     multiplicities?  local[i, j] is point j translated to entry i
     (_translated), made once per (entry, point) in one search.  Not a
     closure: a recursive closure would hold the request's entries in a
-    reference cycle until the cyclic GC runs."""
+    reference cycle until the cyclic GC runs.  A candidate is inf on the
+    entry's flat and finite somewhere, so finite on its coordinates."""
     if i == len(entries):
         return True
     e = entries[i]
@@ -314,13 +311,9 @@ def _assign(entries, points, infmask, local, i, remaining):
         for j in group:
             if (i, j) not in local:
                 local[i, j] = _translated(e, points[j])
-        try:
-            ok = presentation_fan_member(e.matroid,
-                                         [local[i, j] for j in group])
-        except (AllInfinite, ValueError):
-            ok = False
-        if ok and _assign(entries, points, infmask, local, i + 1,
-                          remaining - set(group)):
+        if presentation_fan_member(e.matroid, [local[i, j] for j in group]) \
+                and _assign(entries, points, infmask, local, i + 1,
+                            remaining - set(group)):
             return True
     return False
 
@@ -343,14 +336,14 @@ def sample_presentation(vm, seed=0):
     search of presentation_space_member, falling back to the apices.
     Assumes vm is a valuated matroid (see check_pluecker).
     """
-    data = distinguished(vm)
+    entries = distinguished(vm)
     if seed:
         rng = random.Random(seed)
         indeps = [[f for f in e.matroid.flats() if e.matroid.independent(f)]
-                  for e in data.entries]
+                  for e in entries]
         for _ in range(25):
             trial = []
-            for e, indep in zip(data.entries, indeps):
+            for e, indep in zip(entries, indeps):
                 for _ in range(e.multiplicity):
                     g = rng.choice(indep)
                     c = Fraction(rng.randint(1, 6), rng.randint(1, 4))
@@ -359,6 +352,6 @@ def sample_presentation(vm, seed=0):
                         if (g >> i) & 1:
                             p[gl] = e.apex[gl] + c
                     trial.append(tuple(p))
-            if _fits_distinguished(data, trial):
+            if _fits_distinguished(entries, trial):
                 return trial
-    return data.apices()
+    return apices(entries)

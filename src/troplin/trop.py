@@ -140,22 +140,6 @@ def min_assignment(cost):
     return value, match
 
 
-def _as_cols(n, cols):
-    if isinstance(cols, int):
-        return list(bits(cols))
-    return sorted(cols)
-
-
-def trop_minor(a, cols):
-    "Min over permutations of the row sums into the given columns."
-    d, n = matrix_shape(a)
-    cols = _as_cols(n, cols)
-    if len(cols) != d:
-        raise ValueError("column set size must equal the row count")
-    value, _ = min_assignment([[row[c] for c in cols] for row in a])
-    return value
-
-
 def stiefel_domain_witness(a):
     """None, or (rows, cols) masks of an all-infinite k x (n+1-k) block.
 

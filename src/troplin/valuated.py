@@ -24,7 +24,7 @@ from .errors import (AllInfinite, EmptyIntersection, EmptySupport,
                      RankCollapse, TooLarge, TroplinError)
 from .matroid import Matroid, circuit_blocks
 from .trop import INF, check_point, integer_scaled
-from .util import bits, elems, ksubsets, list1, mask_of, submasks
+from .util import bits, ksubsets, list1, mask_of, submasks
 
 MAX_SLOTS = 1 << 16
 
@@ -280,39 +280,38 @@ def v_dual(vm):
 
 
 def v_restrict(vm, subset):
-    """Restriction to `subset`, ground set relabelled order-preserving.
-
-    Entries are read off against a fixed complementary basis, so the
-    result is independent of that choice after normalization.
-    """
+    """Restriction to `subset`, relabelled order-preserving, read at the
+    lex-least extension of `subset` to a spanning set (_minor_at).
+    Another choice shifts every entry by one constant, which
+    normalization removes."""
     if subset == 0:
         raise RankCollapse("restriction to the empty set")
-    uv = vm.underlying()
-    k = uv.rank(subset)
-    # lex-least independent complement spanning together with `subset`
-    chosen = 0
-    cur = subset
-    for e in elems(vm.full ^ subset):
-        if uv.rank(cur | (1 << e)) > uv.rank(cur):
-            cur |= 1 << e
-            chosen |= 1 << e
-    kept = elems(subset)
-    pos = {e: i for i, e in enumerate(kept)}
-    entries = {}
-    for s in submasks(subset, k):
-        v = vm.ints[s | chosen]
-        if v == INF:
-            continue
-        entries[mask_of(pos[e] for e in bits(s))] = v
-    return ValuatedMatroid(len(kept), k, entries, vm.den)
+    return _minor_at(vm, subset, vm.underlying().greedy(subset,
+                                                        vm.full ^ subset))
 
 
 def v_contract(vm, subset):
+    """Contraction of `subset`, relabelled order-preserving, read at the
+    lex-least basis of `subset` as Matroid.contract picks it, with no
+    dual built; the empty set comes back with no exchange check."""
     if subset == vm.full:
         raise RankCollapse("contraction of the full ground set")
     if subset == 0:
         return ValuatedMatroid(vm.n, vm.d, vm.ints, vm.den)
-    return v_dual(v_restrict(v_dual(vm), vm.full ^ subset))
+    return _minor_at(vm, vm.full ^ subset, vm.underlying().greedy(0, subset))
+
+
+def _minor_at(vm, kept, fixed):
+    """The minor on `kept` at the independent set `fixed` outside it:
+    pl(b) for each support basis b with b - kept = fixed, keyed by
+    b & kept relabelled, in one pass over the support."""
+    pos = {e: i for i, e in enumerate(bits(kept))}
+    entries = {}
+    for b in vm.support:
+        if b & ~kept == fixed:
+            entries[mask_of(pos[e] for e in bits(b & kept))] = vm.ints[b]
+    return ValuatedMatroid(len(pos), vm.d - fixed.bit_count(), entries,
+                           vm.den)
 
 
 def _values(vm, x):

@@ -7,8 +7,9 @@ scans instead of Moebius counting.  Sizes are capped accordingly.
 Next to the brute-force references are the definitional forms that no
 command runs: zoom, trop_cone_sample, r0_member, rinf_member (one point
 against the escape region of one cell, through the _escape_region and
-_in_region that verify_presentation runs), contract_presentation and
-linking_value, the definition that gammoid_valuation is checked against.
+_in_region that verify_presentation runs), contract_presentation,
+trop_minor (one tropical maximal minor) and linking_value, the
+definition that gammoid_valuation is checked against.
 troplin.oracle keeps only the references that bench/checker.py runs.
 """
 
@@ -25,11 +26,12 @@ from troplin.linprog import solve_lp
 from troplin.matroid import Matroid
 from troplin.presentations import _escape_region, _in_region
 from troplin.transversal import (is_pseudopresentation, is_transversal,
-                                 transversal_matroid)
-from troplin.trop import (INF, ONE, ZERO, check_point, matrix_shape,
-                          min_assignment, relsupp, stiefel, trop_minor)
-from troplin.util import bits, elems, ksubsets, list1, mask_of
-from troplin.valuated import initial_matroid, maximal_cells, membership
+                                 transversal_matroid, verify_set_presentation)
+from troplin.trop import (INF, ONE, ZERO, check_point, integer_scaled,
+                          matrix_shape, min_assignment, relsupp, stiefel)
+from troplin.util import bits, elems, ksubsets, list1, mask_of, submasks
+from troplin.valuated import (ValuatedMatroid, initial_matroid,
+                              maximal_cells, membership)
 
 
 def xsum(x, mask):
@@ -719,6 +721,71 @@ def set_presentation_scan(m, sets):
     return True
 
 
+def fan_member_by_sets(m, points):
+    """presentation_fan_member through the set-presentation test: the
+    complements of the points' relative supports from the origin (each
+    an independent flat) and of the other cyclic flats, each tau times,
+    must present m (verify_set_presentation)."""
+    cf = m.cyclic_flats()
+    t = cf.tau(0)
+    if len(points) != t:
+        raise WrongArity(witness={"expected": t, "got": len(points)})
+    sets = []
+    for p in points:
+        try:
+            p = check_point(p, m.n)
+        except AllInfinite:
+            return False
+        _, vs = integer_scaled(p)
+        low = min(vs)
+        g = mask_of(j for j, v in enumerate(vs) if v > low)
+        if not m.independent(g) or not m.is_flat(g):
+            return False
+        sets.append(m.full ^ g)
+    for f in cf:
+        if f == 0:
+            continue
+        sets.extend([m.full ^ f] * cf.tau(f))
+    return verify_set_presentation(m, sets)
+
+
+def _support_rank(vm, s):
+    return max((b & s).bit_count() for b in vm.support)
+
+
+def _minor_by_subsets(vm, kept, fixed):
+    """The table at s + fixed over the size-subsets s of `kept`, where
+    size is d - |fixed|, relabelled order-preserving: every subset
+    enumerated and read off the Fraction table."""
+    pos = {e: i for i, e in enumerate(bits(kept))}
+    entries = {mask_of(pos[e] for e in bits(s)): vm.table[s | fixed]
+               for s in submasks(kept, vm.d - fixed.bit_count())}
+    return ValuatedMatroid(len(pos), vm.d - fixed.bit_count(), entries)
+
+
+def restrict_lex_greatest(vm, subset):
+    """The restriction to `subset`, read at the lex-greatest extension of
+    `subset` to a spanning set, as bench/checker.py reads it."""
+    fixed, cur = 0, subset
+    for e in reversed(range(vm.n)):
+        if not (subset >> e) & 1 \
+                and _support_rank(vm, cur | 1 << e) > _support_rank(vm, cur):
+            cur |= 1 << e
+            fixed |= 1 << e
+    return _minor_by_subsets(vm, subset, fixed)
+
+
+def contract_lex_greatest(vm, subset):
+    """The contraction of `subset`, read at its lex-greatest basis, as
+    bench/checker.py reads it."""
+    fixed = 0
+    for e in reversed(range(vm.n)):
+        if (subset >> e) & 1 and _support_rank(vm, fixed | 1 << e) > \
+                _support_rank(vm, fixed):
+            fixed |= 1 << e
+    return _minor_by_subsets(vm, vm.full ^ subset, fixed)
+
+
 def sigma0_lattice_scan(m, supports):
     """(f, count) for each flat f of the whole lattice, in (size, mask)
     order, covered by more than cork(f) of the relative supports."""
@@ -798,6 +865,22 @@ def contract_presentation(vm, points, flat):
     if len(chosen) != want:
         raise WrongArity(witness={"expected": want, "got": len(chosen)})
     return [tuple(p[g] for g in keep) for p in chosen]
+
+
+def _as_cols(n, cols):
+    if isinstance(cols, int):
+        return list(bits(cols))
+    return sorted(cols)
+
+
+def trop_minor(a, cols):
+    "Min over permutations of the row sums into the given columns."
+    d, n = matrix_shape(a)
+    cols = _as_cols(n, cols)
+    if len(cols) != d:
+        raise ValueError("column set size must equal the row count")
+    value, _ = min_assignment([[row[c] for c in cols] for row in a])
+    return value
 
 
 def linking_value(g, subset):

@@ -21,15 +21,15 @@ from common import (THREE_PAIR_DUAL_BASIS, THREE_PAIR_DUAL_MATCHING, fr,
                     three_pair_valuation)
 from reference import (contract_presentation, linking_bruteforce,
                        linking_value, presentations_exhaustive,
-                       subdivision_sample, trop_cone_sample, zoom)
+                       subdivision_sample, trop_cone_sample, trop_minor, zoom)
 from troplin import (INF, Matroid, NegativeCycle, NotAMatroid, NotTransversal,
-                     PointOutsideL, ValuatedMatroid, WeightedDigraph,
+                     PointOutsideL, ValuatedMatroid, WeightedDigraph, apices,
                      beta_solutions, digraph_from_presentation, distinguished,
                      gammoid_valuation, hyperplane, initial_matroid,
                      is_transversal, maximal_cells, membership,
                      presentation_space_member, sample_presentation,
                      stable_intersection, stiefel, transversal_matroid,
-                     trop_minor, v_contract, v_dual, verify_presentation,
+                     v_contract, v_dual, verify_presentation,
                      verify_set_presentation)
 from troplin.oracle import trop_minor_bruteforce
 from troplin.util import ksubsets, mask_of
@@ -88,11 +88,11 @@ def test_criterion_03_three_pair_matroid_rejected_with_certificate():
 def test_criterion_04_distinguished_apices_of_rank3_example():
     v = rank3_five()
     data = distinguished(v)
-    assert Counter(data.apices()) == Counter([
+    assert Counter(apices(data)) == Counter([
         (fr(0),) * 5,
         (fr(1), fr(1), fr(1), fr(0), fr(0)),
         (INF, fr(0), fr(0), INF, INF)])
-    assert sum(e.multiplicity for e in data.entries) == 3 == v.d
+    assert sum(e.multiplicity for e in data) == 3 == v.d
 
 
 def test_criterion_05_dual_three_pair_chain():
@@ -109,12 +109,12 @@ def test_criterion_05_dual_three_pair_chain():
                        check=False)
 
     data = distinguished(vd)
-    got = Counter(e.matroid for e in data.entries
+    got = Counter(e.matroid for e in data
                   for _ in range(e.multiplicity))
     assert got == Counter([m1, avoiding(mask_of([4, 5])),
                            avoiding(mask_of([2, 3])),
                            avoiding(mask_of([0, 1]))])
-    assert Counter(data.apices()) == Counter([
+    assert Counter(apices(data)) == Counter([
         (fr(0),) * 6,
         (fr(1), fr(1), fr(1), fr(1), fr(0), fr(0)),
         (fr(1), fr(1), fr(0), fr(0), fr(1), fr(1)),
@@ -221,9 +221,9 @@ def test_criterion_08_distinguished_multiset_has_rank_many_entries(
         if v in seen:
             continue
         seen.add(v)
-        apices = distinguished(v).apices()
-        assert len(apices) == v.d
-        assert stiefel(apices) == v
+        pts = apices(distinguished(v))
+        assert len(pts) == v.d
+        assert stiefel(pts) == v
         if len(seen) <= 50:
             for seed in (1, 2):
                 assert stiefel(sample_presentation(v, seed)) == v

@@ -3,6 +3,7 @@ import json
 import random
 import sys
 import weakref
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -13,22 +14,24 @@ from common import (fr, matroid_pool, points_of, rank2_four, rank3_five,
                     rank3_five_rows, random_rows, random_valuation,
                     three_pair_dual_rows, three_pair_valuation)
 from test_acceptance import fiber_harness  # noqa: F401  (a fixture)
-from reference import (contract_presentation, membership_bruteforce,
-                       presentations_exhaustive, r0_member, rinf_facet_oracle,
-                       rinf_member, rinf_member_lp, set_presentation_scan,
+from reference import (contract_presentation, fan_member_by_sets,
+                       membership_bruteforce, presentations_exhaustive,
+                       r0_member, rinf_facet_oracle, rinf_member,
+                       rinf_member_lp, set_presentation_scan,
                        sigma0_lattice_scan)
 from troplin import (INF, AllInfinite, DistinguishedEntry, Matroid,
                      NotAMatroid, NotCyclicFlat, NotTransversalFacets,
                      PointOutsideL, TroplinError, ValuatedMatroid, WrongArity,
-                     distinguished, is_transversal, is_transversal_valuated,
-                     maximal_cells, membership, normalize_point,
-                     presentation_fan_member, presentation_space_member,
-                     presentations, relsupp, sample_presentation, stiefel,
-                     transversal, uniform_matroid, v_contract, v_dual,
-                     valuated, verify_presentation, verify_set_presentation)
+                     apices, direct_sum, distinguished, is_transversal,
+                     is_transversal_valuated, maximal_cells, membership,
+                     normalize_point, presentation_fan_member,
+                     presentation_space_member, presentations, relsupp,
+                     sample_presentation, stiefel, transversal,
+                     uniform_matroid, v_contract, v_dual, valuated,
+                     verify_presentation, verify_set_presentation)
 from troplin import linprog
 from troplin.cli import run
-from troplin.jsonio import fmt_matrix
+from troplin.jsonio import fmt_matrix, fmt_valuated
 from troplin.util import ksubsets, list1, mask_of
 
 
@@ -410,7 +413,7 @@ def test_verify_presentation_guards():
 
 def test_distinguished_rank2_four():
     data = distinguished(rank2_four())
-    assert sorted(data.apices()) == [
+    assert sorted(apices(data)) == [
         (fr(0), fr(0), fr(0), fr(0)), (fr(0), fr(0), fr(1), fr(1))]
     assert [e.flat for e in data] == [0, 0]
     assert all(e.multiplicity == 1 for e in data)
@@ -420,7 +423,7 @@ def test_distinguished_rank3_five():
     data = distinguished(rank3_five())
     assert len(data) == 3
     assert sorted(e.flat for e in data) == [0, 0, mask_of([0, 3, 4])]
-    assert sorted(data.apices()) == sorted([
+    assert sorted(apices(data)) == sorted([
         (fr(0), fr(0), fr(0), fr(0), fr(0)),
         (fr(1), fr(1), fr(1), fr(0), fr(0)),
         (INF, fr(0), fr(0), INF, INF)])
@@ -542,6 +545,146 @@ def test_presentation_fan_member_builds_no_valuation(monkeypatch):
     assert not presentations._fits_distinguished(data, [points[0]] * v.d)
 
 
+def k4_lifts():
+    """Matroids with tau(empty) = 1 and tau(P) = -1 on a nonempty cyclic
+    flat P: the lift of M(K4) (edges 0..5, triangles as in
+    k4_graphic_valuation) by a parallel class P of 2 or 3 elements, in
+    which a 4-set is a basis iff it meets P at most once and is not P's
+    element with a triangle; alone and summed with 1 or 2 coloops.  A
+    direct sum of M(K4) with a matroid that is not free has tau(empty)
+    = 0, and one with coloops keeps M(K4)'s tau(empty) = -1."""
+    triangles = [mask_of(t) for t in ((0, 1, 3), (0, 2, 4), (1, 2, 5),
+                                      (3, 4, 5))]
+    out = []
+    for size in (2, 3):
+        n = 6 + size
+        p = ((1 << size) - 1) << 6
+        m = Matroid(n, [b for b in ksubsets(n, 4)
+                        if (b & p).bit_count() <= 1
+                        and (b & ~p) not in triangles], check=True)
+        out += [m] + [direct_sum(m, uniform_matroid(k, k)) for k in (1, 2)]
+    return out
+
+
+def fan_tuple(rng, m):
+    """Points for presentation_fan_member(m, .): tau(empty) of them (a
+    random count where the empty set is not cyclic, one more now and
+    then), each 0 off a random set g and above 0 or inf on g, shifted by
+    a constant.  g is mostly an independent flat, else any flat or any
+    set (any flat if no flat is independent), and a point is now and
+    then one coordinate too long."""
+    t = m.cyclic_flats().transform.get(0)
+    if t is None or rng.random() < 0.03:
+        t = rng.randint(0, 3) if t is None else t + 1
+    indep = [f for f in m.flats() if m.independent(f)] or m.flats()
+    points = []
+    for _ in range(t):
+        r = rng.random()
+        if r < 0.8:
+            g = rng.choice(indep)
+        elif r < 0.9:
+            g = rng.choice(m.flats())
+        else:
+            g = rng.getrandbits(m.n) if m.n else 0
+        c = fr(rng.randint(-4, 4), rng.choice((1, 2)))
+        p = [INF if (g >> j) & 1 and rng.random() < 0.2
+             else c + fr(rng.randint(1, 5), rng.choice((1, 3)))
+             if (g >> j) & 1 else c for j in range(m.n)]
+        if rng.random() < 0.02:
+            p.append(c)
+        points.append(tuple(p))
+    return points
+
+
+def fan_outcome(fan, m, points):
+    "The answer, or the type, message and witness of the error raised."
+    try:
+        return fan(m, points)
+    except (TroplinError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+def fills_a_slot(m, p):
+    "Is p's relative support from the origin an independent flat of m?"
+    if len(p) != m.n or all(v == INF for v in p):
+        return False
+    g = relsupp((fr(0),) * m.n, p)
+    return m.independent(g) and m.is_flat(g)
+
+
+def test_fan_test_matches_the_set_presentation_reference():
+    """presentation_fan_member reads the covering counts of its point
+    flats and the tau-weighted cyclic flats, and gives the answer and
+    the error of the set-presentation test on the complements
+    (reference.fan_member_by_sets) on 600 pool matroids and the M(K4)
+    lifts.  Tuples whose points all fill slots are rejected by the
+    covering counts in the pool and by the negative tau on the lifts."""
+    rng = random.Random(2929)
+    pool = matroid_pool(random.Random(2930), 600)
+    lifts = k4_lifts()
+    assert all(m.cyclic_flats().tau(0) == 1 and min(
+        m.cyclic_flats().transform.values()) == -1 for m in lifts)
+    answers = Counter()
+    filled_rejected = Counter()
+    for m in pool + lifts * 20:
+        for _ in range(6):
+            points = fan_tuple(rng, m)
+            want = fan_outcome(fan_member_by_sets, m, points)
+            assert fan_outcome(presentation_fan_member, m, points) == want
+            answers[want if isinstance(want, bool) else want[0]] += 1
+            if isinstance(want, bool) \
+                    and all(fills_a_slot(m, p) for p in points):
+                assert m not in lifts or want is False
+                filled_rejected[m in lifts] += not want
+    assert answers[True] >= 1000 and answers[False] >= 800
+    assert answers[WrongArity] >= 100 and answers[NotCyclicFlat] >= 1000
+    assert answers[ValueError] >= 30
+    assert filled_rejected[False] >= 100 and filled_rejected[True] >= 500
+
+
+def test_fan_commands_run_no_pseudopresentation_test(monkeypatch, tmp_path):
+    """With transversal.is_pseudopresentation and verify_set_presentation
+    raising, in-presentation-space (true and false) and
+    sample-presentation --seed 3 print the unpatched bytes, and each
+    runs the fan test."""
+    rows = random_rows(random.Random(804), 4, 8, inf_prob=0.15)
+    table = fmt_valuated(stiefel(rows))
+    requests = [("in-presentation-space", 0,
+                 {"valuation": table, "points": fmt_matrix(pts)})
+                for pts in (rows, [rows[1]] + rows[1:])]
+    requests.append(("sample-presentation", 3, table))
+    fan = presentations.presentation_fan_member
+    calls = []
+
+    def counted(m, points):
+        calls.append(len(points))
+        return fan(m, points)
+
+    def answers():
+        out = []
+        for command, seed, payload in requests:
+            src = tmp_path / "in.json"
+            dst = tmp_path / "out.json"
+            src.write_text(json.dumps(payload))
+            del calls[:]
+            code = run([command, "--seed", str(seed), "--input", str(src),
+                        "--output", str(dst)])
+            assert calls
+            out.append((code, dst.read_bytes()))
+        return out
+
+    monkeypatch.setattr(presentations, "presentation_fan_member", counted)
+    expected = answers()
+    assert [code for code, _ in expected] == [0, 1, 0]
+
+    def refuse(*args):
+        raise AssertionError("the fan test ran the set-presentation test")
+
+    monkeypatch.setattr(transversal, "is_pseudopresentation", refuse)
+    monkeypatch.setattr(transversal, "verify_set_presentation", refuse)
+    assert answers() == expected
+
+
 def test_presentation_space_member_golden():
     v = rank2_four()
     apices = [(fr(0), fr(0), fr(0), fr(0)), (fr(0), fr(0), fr(1), fr(1))]
@@ -592,7 +735,7 @@ def test_presentation_space_member_frees_its_entries_on_return(
 def test_sample_presentation_seeds():
     for v in (rank2_four(), rank3_five(), v_dual(three_pair_valuation())):
         pts = sample_presentation(v, seed=0)
-        assert sorted(pts) == sorted(distinguished(v).apices())
+        assert sorted(pts) == sorted(apices(distinguished(v)))
         for seed in (1, 2, 3):
             pts = sample_presentation(v, seed=seed)
             assert stiefel(pts) == v

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from common import (fr, rank2_four, rank2_four_rows, rank3_five_rows,
                     random_rows)
 from reference import (normalize_point_fraction, relsupp_fraction,
-                       trop_cone_sample, zoom)
+                       trop_cone_sample, trop_minor, zoom)
 from troplin import (INF, AllInfinite, InfiniteBase, OutOfDomain,
                      ValuatedMatroid, membership, min_assignment,
-                     normalize_point, relsupp, stiefel, trop_minor)
+                     normalize_point, relsupp, stiefel)
 from troplin.oracle import stiefel_bruteforce, trop_minor_bruteforce
 from troplin.trop import (_assignment_minors, _laplace_minors, _laplace_pays,
                           integer_scaled, stiefel_domain_witness)

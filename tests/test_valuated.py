@@ -5,9 +5,10 @@ import pytest
 
 from common import (fr, random_point, random_rows, rank2_four, rank3_five,
                     random_valuation, three_pair_valuation)
-from reference import (check_pluecker_bruteforce, face_point_fraction,
-                       first_breakpoint_bruteforce, initial_matroid_bruteforce,
-                       membership_bruteforce, subdivision_sample,
+from reference import (check_pluecker_bruteforce, contract_lex_greatest,
+                       face_point_fraction, first_breakpoint_bruteforce,
+                       initial_matroid_bruteforce, membership_bruteforce,
+                       restrict_lex_greatest, subdivision_sample,
                        three_term_violation_scan, trop_cone_sample,
                        violated_relation)
 from troplin import (INF, AllInfinite, EmptyIntersection, EmptySupport,
@@ -865,6 +866,71 @@ def test_contraction_is_dual_restriction():
             left = v_contract(v, s)
             right = v_dual(v_restrict(v_dual(v), v.full ^ s))
             assert left == right
+
+
+def test_minors_match_the_lex_greatest_reading():
+    """v_restrict and v_contract, each read at one lex-least choice in
+    one pass over the support, equal the readings at the lex-greatest
+    choice over every subset (as bench/checker.py checks them) on 2,400
+    (valuation, set) pairs, d <= 4, n <= 8, up to 40% inf matrix
+    entries, half the sets or more not flats."""
+    rng = random.Random(3141)
+    pairs = nonflat = 0
+    while pairs < 2400:
+        d = rng.randint(1, 4)
+        v = random_valuation(rng, d, rng.randint(d + 1, 8),
+                             inf_prob=rng.uniform(0, 0.4))
+        u = v.underlying()
+        for _ in range(6):
+            s = rng.randint(1, v.full - 1)
+            assert v_restrict(v, s) == restrict_lex_greatest(v, s)
+            assert v_contract(v, s) == contract_lex_greatest(v, s)
+            pairs += 1
+            nonflat += not u.is_flat(s)
+    assert nonflat >= 1200
+
+
+def test_contraction_builds_one_valuation_and_no_dual(monkeypatch):
+    """v_contract builds exactly one ValuatedMatroid and never calls
+    v_dual, on fresh valuations whose support is not yet checked."""
+    rng = random.Random(1414)
+    cases = [(rank3_five(), mask_of([0, 3, 4]))]
+    for _ in range(8):
+        d = rng.randint(2, 4)
+        v = random_valuation(rng, d, rng.randint(d + 2, 8), inf_prob=0.3)
+        cases.append((v, rng.randint(1, v.full - 1)))
+    want = [v_contract(v, s) for v, s in cases]
+    fresh = [ValuatedMatroid(v.n, v.d, v.ints, v.den) for v, _ in cases]
+    init = ValuatedMatroid.__init__
+    built = []
+
+    def counted(self, *args, **kwargs):
+        built.append(args[:2])
+        init(self, *args, **kwargs)
+
+    def refuse(vm):
+        raise AssertionError("v_contract built a dual")
+
+    monkeypatch.setattr(ValuatedMatroid, "__init__", counted)
+    monkeypatch.setattr(valuated, "v_dual", refuse)
+    for v, (_, s), w in zip(fresh, cases, want):
+        del built[:]
+        assert v_contract(v, s) == w
+        assert len(built) == 1
+
+
+def test_minors_of_a_non_matroid_support():
+    """A support that is not a matroid is refused by both minors with
+    the exchange witness of its own bases, not of its dual's;
+    contracting the empty set answers with no exchange check."""
+    bad = ValuatedMatroid(5, 2, {mask_of([0, 1]): 0, mask_of([2, 3]): 0})
+    with pytest.raises(NotAMatroid) as want:
+        bad.underlying()
+    for minor in (v_restrict, v_contract):
+        with pytest.raises(NotAMatroid) as err:
+            minor(bad, mask_of([0]))
+        assert err.value.witness == want.value.witness
+    assert v_contract(bad, 0) == bad
 
 
 def test_stable_sum_and_intersection_duality():
