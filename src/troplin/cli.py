@@ -251,17 +251,26 @@ def _refuse_constant(token):
     raise ValueError("input JSON holds the non-JSON number %s" % token)
 
 
+_DECODER = json.JSONDecoder(parse_float=str, parse_constant=_refuse_constant)
+
+
 def _read(path):
     """The payload.  A bare number with a fraction or an exponent is kept
     as its text, so that jsonio reads it exactly, under its exponent
     bound, as the same text in a string; NaN, Infinity and -Infinity,
-    and JSON nested beyond the decoder's depth, are input errors."""
-    numbers = {"parse_float": str, "parse_constant": _refuse_constant}
+    and JSON nested beyond the decoder's depth, are input errors.  One
+    decoder serves every request; a leading byte-order mark is refused
+    as json.loads refuses it."""
     try:
         if path == "-":
-            return json.loads(sys.stdin.read(), **numbers)
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, **numbers)
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except RecursionError:
         raise ValueError("input JSON is nested too deeply") from None
 

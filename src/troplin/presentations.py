@@ -14,10 +14,11 @@ from itertools import combinations
 from .errors import (AllInfinite, NotTransversalFacets, PointOutsideL,
                      TroplinError, WrongArity)
 from .linprog import distinct_rows, solve_lp
+from .matroid import Matroid
 from .trop import INF, check_point, integer_scaled, lowered, relsupp
 from .util import bits, elems, list1, mask_of
-from .valuated import (_face, face_witness, maximal_cells, membership,
-                       v_contract)
+from .valuated import (MAX_SLOTS, _face, face_witness, maximal_cells,
+                       membership, v_contract)
 from . import transversal
 
 
@@ -184,6 +185,13 @@ def apices(entries):
     return [e.apex for e in entries for _ in range(e.multiplicity)]
 
 
+# distinguished's answers by canonical valuation, oldest first, as plain
+# tuples (no valuation, cell or matroid), with their cost in key slots
+# plus stored bases; _memo_size, their total, stays within MAX_SLOTS.
+_MEMO = {}
+_memo_size = 0
+
+
 def distinguished(vm):
     """All distinguished matroids of the valuation, with apices: the
     list of DistinguishedEntry sorted by (flat, bases).
@@ -194,7 +202,17 @@ def distinguished(vm):
     (M fixes its point up to a constant), the apex that extended by inf
     on F.  Multiplicities always sum to the rank, and the apices present
     vm.  Assumes vm is a valuated matroid (see check_pluecker).
+
+    The answer is kept in _MEMO under vm.canonical(), within MAX_SLOTS
+    (_remember), so a valuation met again, in any spelling, is rebuilt
+    from plain data with no walk.  A refusal is never kept, so it is
+    found again on every call.
     """
+    key = vm.canonical()
+    hit = _MEMO.get(key)
+    if hit is not None:
+        return [DistinguishedEntry(f, Matroid(n, bases, check=False), *rest)
+                for f, n, bases, *rest in hit[1]]
     uv = _loop_and_coloop_free(vm)
     bad = _first_nontransversal_cell(vm)
     if bad is not None:
@@ -227,7 +245,24 @@ def distinguished(vm):
         raise TroplinError("apex multiplicities do not sum to the rank",
                            witness={"total": total, "rank": vm.d})
     entries.sort(key=lambda e: (e.flat, e.matroid.bases))
+    _remember(key, tuple((e.flat, e.matroid.n, e.matroid.bases, e.coords,
+                          e.multiplicity, e.vertex, e.apex)
+                         for e in entries))
     return entries
+
+
+def _remember(key, plain):
+    """Keep plain under key in _MEMO, evicting the oldest answers while
+    the key slots plus stored bases pass MAX_SLOTS; an answer costing
+    more than that alone is not kept."""
+    global _memo_size
+    cost = len(key[3]) + sum(len(p[2]) for p in plain)
+    if cost > MAX_SLOTS:
+        return
+    _MEMO[key] = cost, plain
+    _memo_size += cost
+    while _memo_size > MAX_SLOTS:
+        _memo_size -= _MEMO.pop(next(iter(_MEMO)))[0]
 
 
 def presentation_fan_member(m, points):
@@ -235,15 +270,18 @@ def presentation_fan_member(m, points):
 
     There are tau(empty) slots; each point's relative support from the
     origin must be an independent flat, and those flats together with
-    the other cyclic flats, each weighted by its tau, must pass the
-    covering counts (transversal.covering_violations).  That is the
+    the other cyclic flats, each weighted by its positive tau, must pass
+    the covering counts (transversal.covering_violations).  That is the
     set-presentation test on the complements: the pseudopresentation
     half holds once no tau is negative, since an independent flat has
-    an empty coclosure and a cyclic flat is its own.  It puts each
-    point in the tropical linear space of m valued 0 with no circuit
-    scan: a circuit C is not inside the support g, and meeting E - g in
-    one element e would put e in cl(C - e), inside g, so the least
-    coordinate on C is attained twice.
+    an empty coclosure and a cyclic flat is its own, and a negative tau
+    fails the counts: at a largest cyclic flat F with tau(F) < 0, the
+    positive tau above F sum to cork(F) - tau(F) > cork(F), all of them
+    on flats containing their meet, whose corank is at most cork(F).  It
+    puts each point in the tropical linear space of m valued 0 with no
+    circuit scan: a circuit C is not inside the support g, and meeting
+    E - g in one element e would put e in cl(C - e), inside g, so the
+    least coordinate on C is attained twice.
     """
     cf = m.cyclic_flats()
     t = cf.tau(0)
@@ -263,9 +301,7 @@ def presentation_fan_member(m, points):
             return False
         weights[g] += 1
     for f, w in cf.transform.items():
-        if w < 0:
-            return False
-        if f and w:
+        if f and w > 0:
             weights[f] = w
     return not transversal.covering_violations(m, weights)
 

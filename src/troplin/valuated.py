@@ -50,7 +50,8 @@ class ValuatedMatroid:
     finite entry 0 and den reduced by the gcd of den and the entries
     less their minimum, so sums of entries compare on integers and
     (den, ints) is the same for every spelling of one valuation:
-    equality and hashing read it directly.  table is the Fraction view
+    canonical() reads it, for equality, hashing and the memo of
+    presentations.distinguished.  table is the Fraction view
     of ints, built on first use, for the library API.  underlying()
     checks that the support is a matroid; check_pluecker() checks that
     and the tropical Pluecker relations.  The other views kept are those
@@ -101,13 +102,17 @@ class ValuatedMatroid:
             self._underlying = Matroid(self.n, self.support, check=True)
         return self._underlying
 
+    def canonical(self):
+        """(n, d, den, the entries in slot order): one value per
+        valuation, whatever its spelling or additive shift."""
+        return self.n, self.d, self.den, tuple(self.ints.values())
+
     def __eq__(self, other):
-        return (isinstance(other, ValuatedMatroid) and self.n == other.n
-                and self.d == other.d and self.den == other.den
-                and self.ints == other.ints)
+        return (isinstance(other, ValuatedMatroid)
+                and self.canonical() == other.canonical())
 
     def __hash__(self):
-        return hash((self.n, self.d, self.den, tuple(self.ints.values())))
+        return hash(self.canonical())
 
     def __repr__(self):
         return "ValuatedMatroid(n=%d, d=%d, %d finite entries)" % (

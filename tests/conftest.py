@@ -1,7 +1,10 @@
 import os
 import sys
 
+import pytest
 from hypothesis import settings
+
+from troplin import presentations
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -10,3 +13,11 @@ sys.path.insert(0, os.path.dirname(__file__))
 settings.register_profile("repeatable", derandomize=True, deadline=None,
                           database=None)
 settings.load_profile("repeatable")
+
+
+@pytest.fixture(autouse=True)
+def fresh_distinguished_memo(monkeypatch):
+    """Each test starts with an empty memo of presentations.distinguished,
+    so no test sees the answers, or the walks skipped, of another."""
+    monkeypatch.setattr(presentations, "_MEMO", {})
+    monkeypatch.setattr(presentations, "_memo_size", 0)

@@ -2,23 +2,26 @@ import contextlib
 import io
 import json
 import random
+import sys
 import time
+from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import troplin.cli
-from common import random_valuation
+from common import random_rows, random_valuation
 from reference import (check_pluecker_bruteforce, initial_matroid_bruteforce,
                        membership_bruteforce, violated_relation)
 from troplin import (INF, AllInfinite, Matroid, TooLarge, TroplinError,
-                     ValuatedMatroid, WeightedDigraph, jsonio, stiefel, trop,
-                     util, valuated)
+                     ValuatedMatroid, WeightedDigraph, jsonio, presentations,
+                     stiefel, trop, util, valuated)
 from troplin.cli import COMMANDS, run
-from troplin.jsonio import (dumps, fmt_matroid, fmt_point, fmt_valuated,
-                            parse_matrix, parse_point, parse_scalar,
-                            parse_valuated)
+from troplin.jsonio import (dumps, fmt_matrix, fmt_matroid, fmt_point,
+                            fmt_valuated, parse_matrix, parse_point,
+                            parse_scalar, parse_valuated)
 from troplin.util import bits, ksubsets, list1
 from troplin.valuated import check_pluecker
 
@@ -273,6 +276,102 @@ def test_sample_presentation_round_trip(tmp_path):
     assert code == 0 and back == table
 
 
+def respelled(table, rng):
+    """The same valuation spelled two other ways: every finite entry over
+    one unreduced common denominator, and every entry shifted by one
+    constant."""
+    entries = table["entries"]
+    q = rng.randint(2, 5) * lcm(*(Fraction(v).denominator
+                                  for v in entries.values() if v != "inf"))
+    c = Fraction(rng.randint(-9, 9), rng.choice((1, 3)))
+    over, shifted = {}, {}
+    for key, v in entries.items():
+        if v == "inf":
+            over[key] = shifted[key] = v
+            continue
+        x = Fraction(v)
+        over[key] = "%d/%d" % (x * q, q)
+        shifted[key] = str(x + c)
+    return [dict(table, entries=over), dict(table, entries=shifted)]
+
+
+def answer(command, seed, payload):
+    "The exit code and bytes of one request, through stdin and stdout."
+    real = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(payload))
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = run([command, "--seed", str(seed)])
+    finally:
+        sys.stdin = real
+    return code, out.getvalue()
+
+
+def test_distinguished_memo_gives_the_cold_bytes(monkeypatch):
+    """distinguished, in-presentation-space (true and false) and
+    sample-presentation with --seed 0 and 3 answer 200 drawn Stiefel
+    images (d <= 4, n <= 8) cold, with the memo emptied before each
+    request, and warm, from the memo, with the same exit code and bytes.
+    Two other spellings of each valuation (one unreduced denominator,
+    one additive shift) get those bytes too and share its slot.  With
+    maximal_cells and v_contract raising after the warm-up, every
+    request still answers the same."""
+    rng = random.Random(3030)
+    cases = []
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        n = rng.randint(d + 1, 8)
+        rows = random_rows(rng, d, n, inf_prob=rng.uniform(0.0, 0.3))
+        table = fmt_valuated(stiefel(rows))
+        for payload in (table, *respelled(table, rng)):
+            cases.append([
+                ("distinguished", 0, payload),
+                ("in-presentation-space", 0,
+                 {"valuation": payload, "points": fmt_matrix(rows)}),
+                ("in-presentation-space", 0,
+                 {"valuation": payload,
+                  "points": fmt_matrix([rows[-1]] + rows[1:])}),
+                ("sample-presentation", 0, payload),
+                ("sample-presentation", 3, payload)])
+
+    def forget():
+        presentations._MEMO.clear()
+        presentations._memo_size = 0
+
+    cold = []
+    for requests in cases[::3]:
+        want = []
+        for request in requests:
+            forget()
+            want.append(answer(*request))
+        cold += [want] * 3
+    codes = Counter((request[0], code)
+                    for requests, want in zip(cases, cold)
+                    for request, (code, _) in zip(requests, want))
+    assert codes["distinguished", 0] >= 450
+    assert codes["distinguished", 2] >= 60
+    assert codes["in-presentation-space", 0] >= 450
+    assert codes["in-presentation-space", 1] >= 300
+    forget()
+    warm = [[answer(*request) for request in requests] for requests in cases]
+    assert warm == cold
+    answered = {parse_valuated(requests[0][2]).canonical()
+                for requests, want in zip(cases, cold) if want[0][0] == 0}
+    assert set(presentations._MEMO) == answered
+    assert len(answered) >= 150
+    assert presentations._memo_size < presentations.MAX_SLOTS
+
+    def refuse(*args):
+        raise AssertionError("a memo hit walked the cells")
+
+    for module in (presentations, valuated):
+        monkeypatch.setattr(module, "maximal_cells", refuse)
+        monkeypatch.setattr(module, "v_contract", refuse)
+    assert [[answer(*request) for request in requests]
+            for requests in cases] == cold
+
+
 def test_stable_sum_and_intersect(tmp_path):
     _, a, _ = call(tmp_path, "stiefel", [["0", "0", "0", "0"]])
     _, b, _ = call(tmp_path, "stiefel", [["0", "1", "2", "3"]])
@@ -449,6 +548,32 @@ def test_bare_numbers_read_as_their_text(tmp_path, capsys, monkeypatch):
                 "error": "ValueError", "witness": None,
                 "message": "input JSON holds the non-JSON number " + token}
     assert capsys.readouterr().err == ""
+
+
+def test_a_leading_byte_order_mark_is_refused_by_one_decoder(
+        tmp_path, monkeypatch):
+    """A payload starting with U+FEFF is refused, on stdin and through
+    --input, with the exit code and body json.loads gave it; every
+    request reads through the one module-level decoder."""
+    text = '\ufeff{"n": 2, "rank": 1, "entries": {"1": "0", "2": "0"}}'
+    src = tmp_path / "in.json"
+    src.write_text(text, encoding="utf-8")
+    dst = tmp_path / "out.json"
+    want = ('{"error":"JSONDecodeError","message":"Unexpected UTF-8 BOM '
+            '(decode using utf-8-sig): line 1 column 1 (char 0)",'
+            '"witness":null}\n')
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a decoder was built for the request")
+
+    monkeypatch.setattr(json, "JSONDecoder", refuse)
+    assert run(["dual", "--input", str(src), "--output", str(dst)]) == 2
+    assert dst.read_text() == want
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(["dual", "--output", str(dst)]) == 2
+    assert dst.read_text() == want
+    src.write_text(text[1:], encoding="utf-8")
+    assert run(["dual", "--input", str(src), "--output", str(dst)]) == 0
 
 
 @pytest.mark.parametrize("first, second", [("1,2", "2,1"),

@@ -451,6 +451,127 @@ def test_distinguished_rejects_loops_and_coloops():
     assert err.value.witness == [3]
 
 
+def nontransversal_dual(rng):
+    """A loop- and coloop-free dual of a Stiefel image (d <= 4, n <= 7)
+    with a non-transversal maximal cell."""
+    for _ in range(500):
+        d = rng.randint(1, 4)
+        w = v_dual(random_valuation(rng, d, rng.randint(d + 2, 7),
+                                    inf_prob=0.2))
+        uv = w.underlying()
+        if not uv.loops() | uv.coloops() and not is_transversal_valuated(w):
+            return w
+    raise AssertionError("no non-transversal dual drawn")
+
+
+def plain(entries):
+    return [(e.flat, e.matroid.n, e.matroid.bases, e.coords, e.multiplicity,
+             e.vertex, e.apex) for e in entries]
+
+
+def memo_state():
+    return dict(presentations._MEMO), presentations._memo_size
+
+
+def test_distinguished_memo_keeps_no_refusal():
+    """A refused valuation raises with the same error and witness on every
+    call, through distinguished and the commands built on it, and leaves
+    the memo as it was: a coloop, a loop, the three-pair valuation and a
+    non-transversal dual of a Stiefel image."""
+    distinguished(rank2_four())
+    before = memo_state()
+    assert len(before[0]) == 1
+    refused = [
+        ValuatedMatroid(3, 2, {mask_of([0, 1]): 0, mask_of([0, 2]): 0}),
+        ValuatedMatroid(3, 1, {mask_of([0]): 0, mask_of([1]): 0}),
+        three_pair_valuation(), nontransversal_dual(random.Random(2))]
+    kinds = []
+    for v in refused:
+        seen = []
+        for call in (distinguished, distinguished, sample_presentation,
+                     lambda v: presentation_space_member(v, [(0,) * v.n]
+                                                         * v.d)):
+            with pytest.raises(TroplinError) as err:
+                call(v)
+            seen.append((type(err.value), str(err.value),
+                         json.dumps(err.value.witness)))
+            assert memo_state() == before
+        assert len(set(seen)) == 1
+        kinds.append(seen[0][0])
+    assert kinds == [TroplinError, TroplinError, NotTransversalFacets,
+                     NotTransversalFacets]
+
+
+def test_distinguished_memo_evicts_the_oldest_within_its_budget(
+        monkeypatch):
+    """Each answer costs its key slots plus its stored bases.  With the
+    budget patched to one less than three answers cost, the third evicts
+    the first; a hit rebuilds the cold entries, each on a fresh matroid;
+    an answer costing more than the whole budget is given and not kept,
+    and evicts nothing."""
+    rng = random.Random(3131)
+    vals = [rank2_four(), rank3_five(), v_dual(three_pair_valuation())]
+    big = random_valuation(rng, 4, 8)
+    cold = [plain(distinguished(v)) for v in (*vals, big)]
+    cost = [len(v.ints) + sum(len(e[2]) for e in c)
+            for v, c in zip((*vals, big), cold)]
+    assert presentations._memo_size == sum(cost)
+    presentations._MEMO.clear()
+    presentations._memo_size = 0
+    budget = sum(cost[:3]) - 1
+    assert cost[3] > budget
+    monkeypatch.setattr(presentations, "MAX_SLOTS", budget)
+    for v in vals:
+        distinguished(v)
+    keys = [v.canonical() for v in vals]
+    assert list(presentations._MEMO) == keys[1:]
+    assert presentations._memo_size == cost[1] + cost[2] <= budget
+    hit = distinguished(vals[2])
+    assert plain(hit) == cold[2]
+    assert all(e.matroid._cf is None for e in hit)
+    before = memo_state()
+    assert plain(distinguished(big)) == cold[3]
+    assert memo_state() == before
+    assert plain(distinguished(vals[0])) == cold[0]
+    assert list(presentations._MEMO) == keys[2:] + keys[:1]
+    assert presentations._memo_size == cost[2] + cost[0] <= budget
+
+
+def test_distinguished_memo_holds_no_valuation(monkeypatch, tmp_path):
+    """With the cyclic garbage collector off, every ValuatedMatroid that a
+    fiber request builds, its contractions among them, is freed when
+    cli.run returns, on a miss and on a hit: the memo keeps plain data."""
+    rows = random_rows(random.Random(804), 4, 8, inf_prob=0.15)
+    table = json.loads(json.dumps(fmt_valuated(stiefel(rows))))
+    requests = [("distinguished", table),
+                ("in-presentation-space",
+                 {"valuation": table, "points": fmt_matrix(rows)}),
+                ("sample-presentation", table)]
+    refs = []
+    init = ValuatedMatroid.__init__
+
+    def tracked(self, *args):
+        init(self, *args)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(ValuatedMatroid, "__init__", tracked)
+    counts = []
+    gc.disable()
+    try:
+        for command, payload in requests * 2:
+            src = tmp_path / "in.json"
+            src.write_text(json.dumps(payload))
+            refs.clear()
+            assert run([command, "--seed", "3", "--input", str(src),
+                        "--output", str(tmp_path / "out.json")]) == 0
+            counts.append(len(refs))
+            assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+    assert counts == [2, 1, 1, 1, 1, 1]  # the one contraction on the miss
+    assert len(presentations._MEMO) == 1
+
+
 def test_presentation_fan_member_uniform():
     m = uniform_matroid(2, 4)
     assert presentation_fan_member(
