@@ -19,8 +19,7 @@ from .gammoid import (WeightedDigraph, digraph_from_presentation,
                       gammoid_valuation, stable_intersect_hyperplanes)
 from .matroid import CyclicFlatData, Matroid, direct_sum, uniform_matroid
 from .presentations import (DistinguishedEntry, apices, distinguished,
-                            is_transversal_valuated, presentation_fan_member,
-                            presentation_space_member, sample_presentation,
+                            is_transversal_valuated, sample_presentation,
                             verify_presentation)
 from .transversal import (beta_solutions, is_pseudopresentation,
                           is_transversal, max_presentation,

@@ -14,13 +14,14 @@ import json
 import sys
 
 from . import jsonio
-from .errors import NotPluecker, PointOutsideL, TroplinError, UsageError
+from .errors import (NotPluecker, OutOfDomain, PointOutsideL, TroplinError,
+                     UsageError, WrongArity)
 from .gammoid import digraph_from_presentation, gammoid_valuation
-from .presentations import (apices, distinguished, presentation_space_member,
-                            sample_presentation, verify_presentation)
+from .presentations import (apices, distinguished, sample_presentation,
+                            verify_presentation)
 from .transversal import (is_transversal, max_presentation,
                           verify_set_presentation)
-from .trop import lowered, stiefel
+from .trop import check_point, lowered, stiefel
 from .util import list1, mask_of
 from .valuated import (cell_complex, check_pluecker, initial_matroid,
                        maximal_cells, membership, require_loop_free,
@@ -163,7 +164,15 @@ def cmd_in_presentation_space(payload, args):
     vm = jsonio.parse_valuated(_need(payload, "valuation"))
     points = [jsonio.parse_point(p) for p in _need(payload, "points")]
     _require_pluecker(vm)
-    ok = presentation_space_member(vm, points)
+    if len(points) != vm.d:
+        raise WrongArity(witness={"expected": vm.d, "got": len(points)})
+    points = [check_point(p, vm.n) for p in points]
+    # by the definition; the empty tuple presents a rank-0 valuation,
+    # and a tuple outside the domain of stiefel presents nothing
+    try:
+        ok = vm.d == 0 or stiefel(points) == vm
+    except OutOfDomain:
+        ok = False
     return (0 if ok else 1), {"ok": ok}
 
 

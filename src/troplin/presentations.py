@@ -1,22 +1,24 @@
 """Presentations of valuated matroids: regions, apices, the presentation space.
 
 A presentation is a d-tuple of points of the tropical linear space whose
-min-plus row span recovers the valuation.  The verifier counts points in
-escape regions against coranks of flats; the distinguished apices are the
-vertices of connected maximal cells of the contractions at cyclic flats.
+min-plus row span recovers the valuation, a point of the fiber of the
+tropical Stiefel map, so membership is one stiefel image compared with
+the valuation.  The verifier counts points in escape regions against
+coranks of flats; the distinguished apices are the vertices of connected
+maximal cells of the contractions at cyclic flats, and
+sample_presentation jitters them.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
 
-from .errors import (AllInfinite, NotTransversalFacets, PointOutsideL,
-                     TroplinError, WrongArity)
+from .errors import (NotTransversalFacets, PointOutsideL, TroplinError,
+                     WrongArity)
 from .linprog import distinct_rows, solve_lp
 from .matroid import Matroid
-from .trop import INF, check_point, integer_scaled, lowered, relsupp
-from .util import bits, elems, list1, mask_of
+from .trop import INF, check_point, integer_scaled, lowered, relsupp, stiefel
+from .util import bits, elems, list1
 from .valuated import (MAX_SLOTS, _face, face_witness, maximal_cells,
                        membership, v_contract)
 from . import transversal
@@ -265,111 +267,14 @@ def _remember(key, plain):
         _memo_size -= _MEMO.pop(next(iter(_MEMO)))[0]
 
 
-def presentation_fan_member(m, points):
-    """Do these points fill the free slots of a presentation of m?
-
-    There are tau(empty) slots; each point's relative support from the
-    origin must be an independent flat, and those flats together with
-    the other cyclic flats, each weighted by its positive tau, must pass
-    the covering counts (transversal.covering_violations).  That is the
-    set-presentation test on the complements: the pseudopresentation
-    half holds once no tau is negative, since an independent flat has
-    an empty coclosure and a cyclic flat is its own, and a negative tau
-    fails the counts: at a largest cyclic flat F with tau(F) < 0, the
-    positive tau above F sum to cork(F) - tau(F) > cork(F), all of them
-    on flats containing their meet, whose corank is at most cork(F).  It
-    puts each point in the tropical linear space of m valued 0 with no
-    circuit scan: a circuit C is not inside the support g, and meeting
-    E - g in one element e would put e in cl(C - e), inside g, so the
-    least coordinate on C is attained twice.
-    """
-    cf = m.cyclic_flats()
-    t = cf.tau(0)
-    if len(points) != t:
-        raise WrongArity(witness={"expected": t, "got": len(points)})
-    weights = Counter()
-    for p in points:
-        try:
-            p = check_point(p, m.n)
-        except AllInfinite:
-            return False
-        # the relative support from the origin: coordinates above the least
-        _, vs = integer_scaled(p)
-        low = min(vs)
-        g = mask_of(j for j, v in enumerate(vs) if v > low)
-        if not m.independent(g) or not m.is_flat(g):
-            return False
-        weights[g] += 1
-    for f, w in cf.transform.items():
-        if f and w > 0:
-            weights[f] = w
-    return not transversal.covering_violations(m, weights)
-
-
-def presentation_space_member(vm, points):
-    """Is the tuple of points a presentation, decided by the apex geometry?
-
-    Some assignment of the points to the distinguished entries (respecting
-    multiplicities) must restrict-and-translate into each entry's fan.
-    """
-    if len(points) != vm.d:
-        raise WrongArity(witness={"expected": vm.d, "got": len(points)})
-    points = [check_point(p, vm.n) for p in points]
-    return _fits_distinguished(distinguished(vm), points)
-
-
-def _fits_distinguished(entries, points):
-    """The assignment search of presentation_space_member, on checked
-    points of the right arity (only inf is a float) and the valuation's
-    distinguished entries."""
-    infmask = [mask_of(j for j, v in enumerate(p) if isinstance(v, float))
-               for p in points]
-    if any(all(e.flat & ~im for e in entries) for im in infmask):
-        return False
-    return _assign(entries, points, infmask, {}, 0,
-                   frozenset(range(len(points))))
-
-
-def _assign(entries, points, infmask, local, i, remaining):
-    """Can the points in `remaining` fill entries i, i+1, ... by their
-    multiplicities?  local[i, j] is point j translated to entry i
-    (_translated), made once per (entry, point) in one search.  Not a
-    closure: a recursive closure would hold the request's entries in a
-    reference cycle until the cyclic GC runs.  A candidate is inf on the
-    entry's flat and finite somewhere, so finite on its coordinates."""
-    if i == len(entries):
-        return True
-    e = entries[i]
-    cand = [j for j in remaining if e.flat & ~infmask[j] == 0]
-    if len(cand) < e.multiplicity:
-        return False
-    for group in combinations(cand, e.multiplicity):
-        for j in group:
-            if (i, j) not in local:
-                local[i, j] = _translated(e, points[j])
-        if presentation_fan_member(e.matroid, [local[i, j] for j in group]) \
-                and _assign(entries, points, infmask, local, i + 1,
-                            remaining - set(group)):
-            return True
-    return False
-
-
-def _translated(e, p):
-    """The checked point p on the entry's coordinates less its vertex,
-    subtracted on one integer scale: a Fraction per finite coordinate
-    out, inf where p is inf."""
-    k = len(e.coords)
-    common, vs = integer_scaled([*e.vertex, *(p[g] for g in e.coords)])
-    return tuple(v if v is INF else Fraction(v - vs[i], common)
-                 for i, v in enumerate(vs[k:]))
-
-
 def sample_presentation(vm, seed=0):
     """A presentation of vm: the apices for seed 0, a jittered one else.
 
     Jitter moves each point away from its apex along a random independent
-    flat of its cell; candidates are rejection-tested by the assignment
-    search of presentation_space_member, falling back to the apices.
+    flat of its cell; up to 25 candidates are rejection-tested by the
+    definition, stiefel(trial) == vm, falling back to the apices.  A
+    trial has the apices' infinite coordinates, so it is in the domain
+    of stiefel.
     Assumes vm is a valuated matroid (see check_pluecker).
     """
     entries = distinguished(vm)
@@ -388,6 +293,6 @@ def sample_presentation(vm, seed=0):
                         if (g >> i) & 1:
                             p[gl] = e.apex[gl] + c
                     trial.append(tuple(p))
-            if _fits_distinguished(entries, trial):
+            if stiefel(trial) == vm:
                 return trial
     return apices(entries)

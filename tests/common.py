@@ -55,6 +55,14 @@ def three_pair_valuation():
                for b in ksubsets(6, 2)})
 
 
+def k4_graphic_valuation():
+    "The trivial valuation of M(K4): edges 12 13 14 23 24 34, no triangle."
+    triangles = {mask_of(t) for t in ((0, 1, 3), (0, 2, 4), (1, 2, 5),
+                                      (3, 4, 5))}
+    return ValuatedMatroid(6, 3, {b: 0 for b in ksubsets(6, 3)
+                                  if b not in triangles})
+
+
 # A 4x6 presentation of the dual of three_pair_valuation, plus the
 # matching of its rows onto the basis {1,2,3,5} that attains V*_{1235}.
 def three_pair_dual_rows():

@@ -9,12 +9,18 @@ command runs: zoom, trop_cone_sample, r0_member, rinf_member (one point
 against the escape region of one cell, through the _escape_region and
 _in_region that verify_presentation runs), contract_presentation,
 trop_minor (one tropical maximal minor) and linking_value, the
-definition that gammoid_valuation is checked against.
+definition that gammoid_valuation is checked against.  The paper's
+explicit fiber description is here too: presentation_space_member
+assigns the points to the distinguished apices, and
+presentation_fan_member tests each apex's group against the fan of its
+matroid.  The commands decide fiber membership by the definition,
+stiefel(points) == v, and the tests hold the two routes equal.
 troplin.oracle keeps only the references that bench/checker.py runs.
 """
 
 import functools
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
@@ -24,9 +30,10 @@ from troplin.errors import (AllInfinite, InfiniteBase, NoBasis, NotAMatroid,
 from troplin.gammoid import WeightedDigraph, _fmt
 from troplin.linprog import solve_lp
 from troplin.matroid import Matroid
-from troplin.presentations import _escape_region, _in_region
-from troplin.transversal import (is_pseudopresentation, is_transversal,
-                                 transversal_matroid, verify_set_presentation)
+from troplin.presentations import _escape_region, _in_region, distinguished
+from troplin.transversal import (covering_violations, is_pseudopresentation,
+                                 is_transversal, transversal_matroid,
+                                 verify_set_presentation)
 from troplin.trop import (INF, ONE, ZERO, check_point, integer_scaled,
                           matrix_shape, min_assignment, relsupp, stiefel)
 from troplin.util import bits, elems, ksubsets, list1, mask_of, submasks
@@ -747,6 +754,109 @@ def fan_member_by_sets(m, points):
             continue
         sets.extend([m.full ^ f] * cf.tau(f))
     return verify_set_presentation(m, sets)
+
+
+def presentation_fan_member(m, points):
+    """Do these points fill the free slots of a presentation of m?
+
+    There are tau(empty) slots; each point's relative support from the
+    origin must be an independent flat, and those flats together with
+    the other cyclic flats, each weighted by its positive tau, must pass
+    the covering counts (transversal.covering_violations).  That is the
+    set-presentation test on the complements: the pseudopresentation
+    half holds once no tau is negative, since an independent flat has
+    an empty coclosure and a cyclic flat is its own, and a negative tau
+    fails the counts: at a largest cyclic flat F with tau(F) < 0, the
+    positive tau above F sum to cork(F) - tau(F) > cork(F), all of them
+    on flats containing their meet, whose corank is at most cork(F).  It
+    puts each point in the tropical linear space of m valued 0 with no
+    circuit scan: a circuit C is not inside the support g, and meeting
+    E - g in one element e would put e in cl(C - e), inside g, so the
+    least coordinate on C is attained twice.
+    """
+    cf = m.cyclic_flats()
+    t = cf.tau(0)
+    if len(points) != t:
+        raise WrongArity(witness={"expected": t, "got": len(points)})
+    weights = Counter()
+    for p in points:
+        try:
+            p = check_point(p, m.n)
+        except AllInfinite:
+            return False
+        # the relative support from the origin: coordinates above the least
+        _, vs = integer_scaled(p)
+        low = min(vs)
+        g = mask_of(j for j, v in enumerate(vs) if v > low)
+        if not m.independent(g) or not m.is_flat(g):
+            return False
+        weights[g] += 1
+    for f, w in cf.transform.items():
+        if f and w > 0:
+            weights[f] = w
+    return not covering_violations(m, weights)
+
+
+def presentation_space_member(vm, points):
+    """Is the tuple of points a presentation, decided by the apex geometry?
+
+    Some assignment of the points to the distinguished entries (respecting
+    multiplicities) must restrict-and-translate into each entry's fan.
+    That is the paper's explicit description of the fiber; the commands
+    decide by the definition, stiefel(points) == vm, and the tests hold
+    the two equal.
+    """
+    if len(points) != vm.d:
+        raise WrongArity(witness={"expected": vm.d, "got": len(points)})
+    points = [check_point(p, vm.n) for p in points]
+    return _fits_distinguished(distinguished(vm), points)
+
+
+def _fits_distinguished(entries, points):
+    """The assignment search of presentation_space_member, on checked
+    points of the right arity (only inf is a float) and the valuation's
+    distinguished entries."""
+    infmask = [mask_of(j for j, v in enumerate(p) if isinstance(v, float))
+               for p in points]
+    if any(all(e.flat & ~im for e in entries) for im in infmask):
+        return False
+    return _assign(entries, points, infmask, {}, 0,
+                   frozenset(range(len(points))))
+
+
+def _assign(entries, points, infmask, local, i, remaining):
+    """Can the points in `remaining` fill entries i, i+1, ... by their
+    multiplicities?  local[i, j] is point j translated to entry i
+    (_translated), made once per (entry, point) in one search.  Not a
+    closure: a recursive closure would hold the request's entries in a
+    reference cycle until the cyclic GC runs.  A candidate is inf on the
+    entry's flat and finite somewhere, so finite on its coordinates."""
+    if i == len(entries):
+        return True
+    e = entries[i]
+    cand = [j for j in remaining if e.flat & ~infmask[j] == 0]
+    if len(cand) < e.multiplicity:
+        return False
+    for group in combinations(cand, e.multiplicity):
+        for j in group:
+            if (i, j) not in local:
+                local[i, j] = _translated(e, points[j])
+        if presentation_fan_member(e.matroid, [local[i, j] for j in group]) \
+                and _assign(entries, points, infmask, local, i + 1,
+                            remaining - set(group)):
+            return True
+    return False
+
+
+def _translated(e, p):
+    """The checked point p on the entry's coordinates less its vertex,
+    subtracted on one integer scale: a Fraction per finite coordinate
+    out, inf where p is inf."""
+    k = len(e.coords)
+    common, vs = integer_scaled([*e.vertex, *(p[g] for g in e.coords)])
+    return tuple(v if v is INF else Fraction(v - vs[i], common)
+                 for i, v in enumerate(vs[k:]))
+
 
 
 def _support_rank(vm, s):

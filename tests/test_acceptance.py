@@ -20,17 +20,17 @@ from common import (THREE_PAIR_DUAL_BASIS, THREE_PAIR_DUAL_MATCHING, fr,
                     three_pair_dual_rows, three_pair_matroid,
                     three_pair_valuation)
 from reference import (contract_presentation, linking_bruteforce,
-                       linking_value, presentations_exhaustive,
-                       subdivision_sample, trop_cone_sample, trop_minor, zoom)
+                       linking_value, presentation_space_member,
+                       presentations_exhaustive, subdivision_sample,
+                       trop_cone_sample, trop_minor, zoom)
 from troplin import (INF, Matroid, NegativeCycle, NotAMatroid, NotTransversal,
                      PointOutsideL, ValuatedMatroid, WeightedDigraph, apices,
                      beta_solutions, digraph_from_presentation, distinguished,
                      gammoid_valuation, hyperplane, initial_matroid,
                      is_transversal, maximal_cells, membership,
-                     presentation_space_member, sample_presentation,
-                     stable_intersection, stiefel, transversal_matroid,
-                     v_contract, v_dual, verify_presentation,
-                     verify_set_presentation)
+                     sample_presentation, stable_intersection, stiefel,
+                     transversal_matroid, v_contract, v_dual,
+                     verify_presentation, verify_set_presentation)
 from troplin.oracle import trop_minor_bruteforce
 from troplin.util import ksubsets, mask_of
 

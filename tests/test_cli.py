@@ -12,16 +12,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import troplin.cli
-from common import random_rows, random_valuation
+from common import (k4_graphic_valuation, random_rows, random_valuation,
+                    rank2_four, three_pair_valuation)
 from reference import (check_pluecker_bruteforce, initial_matroid_bruteforce,
                        membership_bruteforce, violated_relation)
-from troplin import (INF, AllInfinite, Matroid, TooLarge, TroplinError,
-                     ValuatedMatroid, WeightedDigraph, jsonio, presentations,
-                     stiefel, trop, util, valuated)
+from troplin import (INF, AllInfinite, Matroid, OutOfDomain, TooLarge,
+                     TroplinError, ValuatedMatroid, WeightedDigraph, jsonio,
+                     presentations, stiefel, trop, util, valuated)
 from troplin.cli import COMMANDS, run
 from troplin.jsonio import (dumps, fmt_matrix, fmt_matroid, fmt_point,
                             fmt_valuated, parse_matrix, parse_point,
                             parse_scalar, parse_valuated)
+from troplin.oracle import stiefel_bruteforce
 from troplin.util import bits, ksubsets, list1
 from troplin.valuated import check_pluecker
 
@@ -370,6 +372,66 @@ def test_distinguished_memo_gives_the_cold_bytes(monkeypatch):
         monkeypatch.setattr(module, "v_contract", refuse)
     assert [[answer(*request) for request in requests]
             for requests in cases] == cold
+
+
+def test_in_presentation_space_answers_by_the_definition():
+    """in-presentation-space answers {"ok": stiefel(points) == v}, read
+    off the brute-force Stiefel image, with exit 0 or 1: on 200 drawn
+    Stiefel images (d <= 4, n <= 8), each with its own rows and with the
+    first row replaced by the last, 78 of the 400 requests on a support
+    with a loop or a coloop; and on tuples for M(K4) and the three-pair
+    valuation, which are not transversal, so no tuple presents them."""
+    def presents(v, rows):
+        try:
+            return stiefel_bruteforce(rows) == v
+        except OutOfDomain:
+            return False
+
+    def check(v, rows):
+        ok = presents(v, rows)
+        code, out = answer("in-presentation-space", 0,
+                           {"valuation": fmt_valuated(v),
+                            "points": fmt_matrix(rows)})
+        assert (code, json.loads(out)) == (0 if ok else 1, {"ok": ok})
+        return ok
+
+    rng = random.Random(3030)
+    degenerate = Counter()
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        n = rng.randint(d + 1, 8)
+        rows = random_rows(rng, d, n, inf_prob=rng.uniform(0.0, 0.3))
+        v = stiefel(rows)
+        u = v.underlying()
+        for pts in (rows, [rows[-1]] + rows[1:]):
+            ok = check(v, pts)
+            if u.loops() | u.coloops():
+                degenerate[ok] += 1
+    assert degenerate == {True: 66, False: 12}
+    for v in (k4_graphic_valuation(), three_pair_valuation()):
+        pinned = [[Fraction(i)] + [INF] * (v.n - 1) for i in range(v.d)]
+        tuples = [pinned] + [random_rows(rng, v.d, v.n, inf_prob=0.2)
+                             for _ in range(20)]
+        assert not any(check(v, rows) for rows in tuples)
+
+
+def test_in_presentation_space_at_rank_zero_and_off_the_domain(tmp_path):
+    """The empty tuple presents the rank-0 valuation; a tuple outside the
+    domain of stiefel presents nothing; a wrong arity is still refused."""
+    zero = {"n": 3, "rank": 0, "entries": {"": "0"}}
+    code, out, _ = call(tmp_path, "in-presentation-space",
+                        {"valuation": zero, "points": []})
+    assert code == 0 and out == {"ok": True}
+    code, out, _ = call(tmp_path, "in-presentation-space",
+                        {"valuation": zero, "points": [["0", "0", "0"]]})
+    assert code == 2 and out["error"] == "WrongArity"
+    off = [["0", "inf", "inf", "inf"]] * 2
+    with pytest.raises(OutOfDomain):
+        stiefel(parse_matrix(off))
+    code, out, _ = call(tmp_path, "in-presentation-space",
+                        {"valuation": fmt_valuated(rank2_four()),
+                         "points": off})
+    assert code == 1 and out == {"ok": False}
 
 
 def test_stable_sum_and_intersect(tmp_path):

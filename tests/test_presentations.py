@@ -10,12 +10,15 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from common import (fr, matroid_pool, points_of, rank2_four, rank3_five,
-                    rank3_five_rows, random_rows, random_valuation,
-                    three_pair_dual_rows, three_pair_valuation)
+from common import (fr, k4_graphic_valuation, matroid_pool, points_of,
+                    rank2_four, rank3_five, rank3_five_rows, random_rows,
+                    random_valuation, three_pair_dual_rows,
+                    three_pair_valuation)
 from test_acceptance import fiber_harness  # noqa: F401  (a fixture)
+import reference
 from reference import (contract_presentation, fan_member_by_sets,
-                       membership_bruteforce, presentations_exhaustive,
+                       membership_bruteforce, presentation_fan_member,
+                       presentation_space_member, presentations_exhaustive,
                        r0_member, rinf_facet_oracle, rinf_member,
                        rinf_member_lp, set_presentation_scan,
                        sigma0_lattice_scan)
@@ -24,8 +27,7 @@ from troplin import (INF, AllInfinite, DistinguishedEntry, Matroid,
                      PointOutsideL, TroplinError, ValuatedMatroid, WrongArity,
                      apices, direct_sum, distinguished, is_transversal,
                      is_transversal_valuated, maximal_cells, membership,
-                     normalize_point, presentation_fan_member,
-                     presentation_space_member, presentations, relsupp,
+                     normalize_point, presentations, relsupp,
                      sample_presentation, stiefel, transversal,
                      uniform_matroid, v_contract, v_dual, valuated,
                      verify_presentation, verify_set_presentation)
@@ -568,7 +570,9 @@ def test_distinguished_memo_holds_no_valuation(monkeypatch, tmp_path):
             assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
-    assert counts == [2, 1, 1, 1, 1, 1]  # the one contraction on the miss
+    # the one contraction on the miss, and one stiefel image per
+    # in-presentation-space request and per sample-presentation trial
+    assert counts == [2, 2, 2, 1, 2, 2]
     assert len(presentations._MEMO) == 1
 
 
@@ -626,14 +630,14 @@ def test_fan_answers_on_the_criterion_06_tuples(fiber_harness, monkeypatch):
 
     randoms, adversarial = fiber_harness
     calls = []
-    fan = presentations.presentation_fan_member
+    fan = reference.presentation_fan_member
 
     def recorded(m, points):
         ok = fan(m, points)
         calls.append((m, points, ok))
         return ok
 
-    monkeypatch.setattr(presentations, "presentation_fan_member", recorded)
+    monkeypatch.setattr(reference, "presentation_fan_member", recorded)
     for rows, v in randoms:
         presentation_space_member(v, points_of(rows))
     for v, pts, _ in adversarial:
@@ -650,9 +654,71 @@ def test_fan_answers_on_the_criterion_06_tuples(fiber_harness, monkeypatch):
                              "276092473032cec5e611599247ba1706")
 
 
+def test_apex_route_equals_the_definition(fiber_harness, monkeypatch):
+    """The paper's fiber theorem: the apex route
+    (reference.presentation_space_member) answers stiefel(points) == v.
+    Checked on the criterion-06 valuations and on 100 drawn images with
+    infinite entries (d <= 4, n <= 8, loop- and coloop-free ones only):
+    on the apices, on every trial that sample_presentation makes with
+    seeds 1-5 (1-3 on the drawn ones), accepted and rejected, and on
+    each sample with one finite coordinate of one point moved off its
+    stratum.  The criterion-06 samples are the ones the apex route
+    picked when it was sample_presentation's rejection test (digest)."""
+    import hashlib
+
+    randoms, _ = fiber_harness
+    rng = random.Random(3131)
+    drawn = []
+    while len(drawn) < 100:
+        d = rng.randint(1, 4)
+        v = stiefel(random_rows(rng, d, rng.randint(d + 1, 8),
+                                inf_prob=rng.uniform(0.0, 0.3)))
+        u = v.underlying()
+        if not u.loops() | u.coloops():
+            drawn.append(v)
+    trials = []
+    image = presentations.stiefel
+
+    def recorded(points):
+        trials.append(points)
+        return image(points)
+
+    monkeypatch.setattr(presentations, "stiefel", recorded)
+    cases = Counter()
+
+    def agree(kind, v, points):
+        want = stiefel(points) == v
+        assert presentation_space_member(v, points) == want
+        cases[kind, want] += 1
+
+    h = hashlib.sha256()
+    for v, seeds in ([(v, range(1, 6)) for _, v in randoms]
+                     + [(v, range(1, 4)) for v in drawn]):
+        agree("apices", v, apices(distinguished(v)))
+        for seed in seeds:
+            del trials[:]
+            points = sample_presentation(v, seed)
+            if len(seeds) == 5:
+                h.update(repr(points).encode())
+            for trial in trials:
+                agree("trial", v, trial)
+            moved = [list(p) for p in points]
+            i = rng.randrange(v.d)
+            j = rng.choice([j for j, x in enumerate(moved[i]) if x != INF])
+            moved[i][j] += Fraction(rng.choice((-1, 1)) * rng.randint(1, 6),
+                                    rng.randint(1, 4))
+            agree("moved", v, points_of(moved))
+    assert h.hexdigest() == ("6f774e76b9aedc023d199a48e0b4155b"
+                             "b62268154a3a85119db78b8e7cadfd6a")
+    assert cases["apices", False] == 0 and cases["apices", True] == 310
+    assert cases["trial", True] == 1350 and cases["trial", False] >= 40
+    assert cases["moved", True] >= 250 and cases["moved", False] >= 1000
+
+
 def test_presentation_fan_member_builds_no_valuation(monkeypatch):
-    """Fan trials of sample_presentation run on the circuits of each
-    distinguished matroid: no ValuatedMatroid and no membership scan."""
+    """The apex route on a sample_presentation tuple runs on the circuits
+    of each distinguished matroid: no ValuatedMatroid and no membership
+    scan."""
     v = stiefel(random_rows(random.Random(804), 4, 8, inf_prob=0.15))
     data = distinguished(v)
     points = sample_presentation(v, seed=3)
@@ -660,10 +726,10 @@ def test_presentation_fan_member_builds_no_valuation(monkeypatch):
     def refuse(*args):
         raise AssertionError("the fan test built a valuation")
 
-    monkeypatch.setattr(presentations, "membership", refuse)
+    monkeypatch.setattr(reference, "membership", refuse)
     monkeypatch.setattr(ValuatedMatroid, "__init__", refuse)
-    assert presentations._fits_distinguished(data, points)
-    assert not presentations._fits_distinguished(data, [points[0]] * v.d)
+    assert reference._fits_distinguished(data, points)
+    assert not reference._fits_distinguished(data, [points[0]] * v.d)
 
 
 def k4_lifts():
@@ -766,15 +832,18 @@ def test_fan_test_matches_the_set_presentation_reference():
 def test_fan_commands_run_no_pseudopresentation_test(monkeypatch, tmp_path):
     """With transversal.is_pseudopresentation and verify_set_presentation
     raising, in-presentation-space (true and false) and
-    sample-presentation --seed 3 print the unpatched bytes, and each
-    runs the fan test."""
+    sample-presentation --seed 3 print the unpatched bytes, and the apex
+    route (reference.presentation_space_member) gives its unpatched
+    answers on the two tuples, running the fan test on each."""
     rows = random_rows(random.Random(804), 4, 8, inf_prob=0.15)
-    table = fmt_valuated(stiefel(rows))
+    v = stiefel(rows)
+    table = fmt_valuated(v)
+    tuples = (rows, [rows[1]] + rows[1:])
     requests = [("in-presentation-space", 0,
                  {"valuation": table, "points": fmt_matrix(pts)})
-                for pts in (rows, [rows[1]] + rows[1:])]
+                for pts in tuples]
     requests.append(("sample-presentation", 3, table))
-    fan = presentations.presentation_fan_member
+    fan = reference.presentation_fan_member
     calls = []
 
     def counted(m, points):
@@ -787,16 +856,19 @@ def test_fan_commands_run_no_pseudopresentation_test(monkeypatch, tmp_path):
             src = tmp_path / "in.json"
             dst = tmp_path / "out.json"
             src.write_text(json.dumps(payload))
-            del calls[:]
             code = run([command, "--seed", str(seed), "--input", str(src),
                         "--output", str(dst)])
-            assert calls
             out.append((code, dst.read_bytes()))
+        for pts in tuples:
+            del calls[:]
+            out.append(presentation_space_member(v, points_of(pts)))
+            assert calls
         return out
 
-    monkeypatch.setattr(presentations, "presentation_fan_member", counted)
+    monkeypatch.setattr(reference, "presentation_fan_member", counted)
     expected = answers()
-    assert [code for code, _ in expected] == [0, 1, 0]
+    assert [code for code, _ in expected[:3]] == [0, 1, 0]
+    assert expected[3:] == [True, False]
 
     def refuse(*args):
         raise AssertionError("the fan test ran the set-presentation test")
@@ -970,14 +1042,6 @@ def test_contraction_round_trip_random():
             done += 1
             nontrivial += bool(f)
     assert nontrivial >= 4
-
-
-def k4_graphic_valuation():
-    "The trivial valuation of M(K4): edges 12 13 14 23 24 34, no triangle."
-    triangles = {mask_of(t) for t in ((0, 1, 3), (0, 2, 4), (1, 2, 5),
-                                      (3, 4, 5))}
-    return ValuatedMatroid(6, 3, {b: 0 for b in ksubsets(6, 3)
-                                  if b not in triangles})
 
 
 def test_is_transversal_valuated():
