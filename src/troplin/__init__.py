@@ -11,13 +11,13 @@ linkings in weighted digraphs.
 from .errors import (AllInfinite, EmptyGroundSet, EmptyIntersection,
                      EmptySupport, InconsistentCell, InfiniteBase,
                      NegativeCycle, NoBasis, NotAFlat, NotAMatroid,
-                     NotCyclicFlat, NotMinimalMatching, NotPluecker,
-                     NotTransversal, NotTransversalFacets, OutOfDomain,
-                     PointOutsideL, RankCollapse, TooLarge, TroplinError,
-                     UsageError, WrongArity)
+                     NotMinimalMatching, NotPluecker, NotTransversal,
+                     NotTransversalFacets, OutOfDomain, PointOutsideL,
+                     RankCollapse, TooLarge, TroplinError, UsageError,
+                     WrongArity)
 from .gammoid import (WeightedDigraph, digraph_from_presentation,
                       gammoid_valuation, stable_intersect_hyperplanes)
-from .matroid import CyclicFlatData, Matroid, direct_sum, uniform_matroid
+from .matroid import Matroid, direct_sum, uniform_matroid
 from .presentations import (DistinguishedEntry, apices, distinguished,
                             is_transversal_valuated, sample_presentation,
                             verify_presentation)

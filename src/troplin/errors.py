@@ -64,10 +64,6 @@ class NotTransversal(TroplinError):
     pass
 
 
-class NotCyclicFlat(TroplinError):
-    pass
-
-
 class PointOutsideL(TroplinError):
     "A putative presentation point fails tropical-linear-space membership."
 
@@ -77,8 +73,9 @@ class NotTransversalFacets(TroplinError):
 
 
 class TooLarge(TroplinError):
-    """C(n, d), or at the JSON boundary n itself, beyond
-    valuated.MAX_SLOTS; witness gives n, rank (for C(n, d)) and limit."""
+    """C(n, d), or at the JSON boundary n itself, beyond util.MAX_SLOTS;
+    witness gives n, rank (for C(n, d)) and limit.  A flat lattice or a
+    meet closure past it gives flats or meets and limit."""
 
 
 class UsageError(TroplinError):

@@ -2,9 +2,8 @@
 
 from math import comb
 
-from .errors import (EmptyGroundSet, NoBasis, NotAFlat, NotAMatroid,
-                     NotCyclicFlat)
-from .util import bits, elems, ksubsets, list1
+from .errors import EmptyGroundSet, NoBasis, NotAFlat, NotAMatroid, TooLarge
+from .util import MAX_SLOTS, bits, elems, ksubsets, list1
 
 
 class Matroid:
@@ -161,7 +160,9 @@ class Matroid:
         return self.rank(subset) == subset.bit_count()
 
     def flats(self):
-        "All flats, sorted by (size, mask)."
+        """All flats, sorted by (size, mask).  The lattice can hold 2^n
+        flats (the free matroid has that many; U(n-1, n) has 2^n - n),
+        so it is refused with TooLarge once it passes MAX_SLOTS flats."""
         if self._flats is None:
             found = {self.closure(0)}
             queue = [self.closure(0)]
@@ -174,12 +175,19 @@ class Matroid:
                     if g not in found:
                         found.add(g)
                         queue.append(g)
+                        if len(found) > MAX_SLOTS:
+                            raise TooLarge(
+                                "%d flats exceed %d" % (len(found), MAX_SLOTS),
+                                witness={"flats": len(found),
+                                         "limit": MAX_SLOTS})
             self._flats = tuple(sorted(found,
                                        key=lambda f: (f.bit_count(), f)))
         return self._flats
 
     def cyclic_flats(self):
-        """Cyclic flats, sorted by (size, mask), without the flat lattice.
+        """The corank transform: {cyclic flat: tau}, its keys in (size,
+        mask) order, found without the flat lattice.  The dict is cached
+        and shared, so callers read it and never write to it.
 
         The cyclic flats form a lattice with bottom cl(empty), the loops,
         and join cl(X | Y); the closure of a circuit is a cyclic flat,
@@ -190,6 +198,12 @@ class Matroid:
         the circuits, closed under joins, are all of them.  A
         circuit C inside a known cyclic flat of rank |C| - 1 has that
         flat as its closure and costs no scan.
+
+        tau is the Moebius inversion from above of the corank on the
+        poset of cyclic flats: cork(f) is the sum of tau(g) over the
+        cyclic flats g containing f.  So, from the largest cyclic flat
+        down, tau(f) = cork(f) minus the sum of tau(g) over cyclic g
+        strictly above f, computed once.  tau may be negative.
         """
         if self._cf is None:
             found = {self.closure(0)}
@@ -210,9 +224,13 @@ class Matroid:
                     if z not in found:
                         found.add(z)
                         queue.append(z)
-            cf = tuple(sorted(found, key=lambda f: (f.bit_count(), f)))
-            self._cf = CyclicFlatData(
-                self.d, cf, {f: self._rank[f] for f in cf})
+            cf = sorted(found, key=lambda f: (f.bit_count(), f))
+            tau = {}
+            for f in reversed(cf):
+                # every g above f is larger, so later in (size, mask) order
+                tau[f] = self.d - self._rank[f] - sum(
+                    t for g, t in tau.items() if g & f == f)
+            self._cf = {f: tau[f] for f in cf}
         return self._cf
 
     def circuits(self):
@@ -345,52 +363,6 @@ def circuit_blocks(full, circuits):
         blocks = rest
     blocks.extend(1 << e for e in bits(full & ~covered))
     return tuple(sorted(blocks))
-
-
-class CyclicFlatData:
-    """Cyclic flats with their ranks and corank transform.
-
-    The corank transform tau is the Moebius inversion from above of the
-    corank on the poset of cyclic flats: cork(f) is the sum of tau(g)
-    over the cyclic flats g containing f.  So, from the largest cyclic
-    flat down, tau(f) = cork(f) minus the sum of tau(g) over cyclic
-    g strictly above f, computed once; transform maps each cyclic flat,
-    in the order of flats, to its tau.
-    """
-
-    def __init__(self, d, flats, rank):
-        self.flats = flats
-        self.rank = rank
-        tau = {}
-        for f in reversed(flats):
-            # every g above f is larger, so later in (size, mask) order
-            tau[f] = d - rank[f] - sum(t for g, t in tau.items()
-                                       if g & f == f)
-        self.transform = {f: tau[f] for f in flats}
-
-    def __iter__(self):
-        return iter(self.flats)
-
-    def __len__(self):
-        return len(self.flats)
-
-    def __contains__(self, f):
-        return f in self.transform
-
-    def tau(self, f):
-        "Corank-transform multiplicity of the cyclic flat f."
-        t = self.transform.get(f)
-        if t is None:
-            raise NotCyclicFlat(witness=list1(f))
-        return t
-
-    def multiset(self):
-        "Flats with positive tau, repeated tau times, sorted."
-        out = []
-        for f, t in self.transform.items():
-            out.extend([f] * t)
-        out.sort()
-        return out
 
 
 def uniform_matroid(d, n):

@@ -233,7 +233,7 @@ def distinguished(vm):
             m = cell.matroid
             if len(m.connected_components()) != 1:
                 continue
-            t = m.cyclic_flats().tau(0)
+            t = m.cyclic_flats()[0]  # m has no loops: vf contracts a flat
             if t <= 0:
                 continue
             v = lowered(*cell.scaled)

@@ -68,7 +68,7 @@ def covering_violations(m, weights):
 
 def _counting_violation(m):
     "The first cyclic flat with tau < 0, else the first covering violation."
-    tau = m.cyclic_flats().transform
+    tau = m.cyclic_flats()
     for f, t in tau.items():
         if t < 0:
             return f
@@ -91,7 +91,7 @@ def is_transversal(m):
     violation at f makes the tau-sum exceed cork(f) >= cork(meet), so
     value > bound = -r(meet).
     """
-    tau = m.cyclic_flats().transform
+    tau = m.cyclic_flats()
     f = _counting_violation(m)
     if f is None:
         sets = [m.full ^ g for g, t in tau.items() for _ in range(t)]
@@ -134,7 +134,8 @@ def is_pseudopresentation(m, flats):
     "Flats whose coclosures realize the corank-transform multiset."
     if len(flats) != m.d or any(not m.is_flat(f) for f in flats):
         return False
-    return sorted(m.coclosure(f) for f in flats) == m.cyclic_flats().multiset()
+    return sorted(m.coclosure(f) for f in flats) == sorted(
+        f for f, t in m.cyclic_flats().items() for _ in range(t))
 
 
 def beta_solutions(m):
@@ -156,7 +157,7 @@ def beta_solutions(m):
         raise ValueError("enumeration capped at %d flats" % BETA_MAX_FLATS)
     order = sorted(lattice, key=lambda f: (-f.bit_count(), f))
     sols = []
-    _weightings(m, order, set(m.cyclic_flats()), {}, 0, sols)
+    _weightings(m, order, m.cyclic_flats(), {}, 0, sols)
     if not sols:
         raise NotTransversal("no admissible weighting")
     return [{f: b for f, b in sol.items() if b} for sol in sols]

@@ -2,6 +2,9 @@
 
 from itertools import combinations
 
+# The most slots, flats or meets of flats that one request may list.
+MAX_SLOTS = 1 << 16
+
 
 def bits(mask):
     "Yield the set bits of mask in increasing order."

@@ -24,9 +24,7 @@ from .errors import (AllInfinite, EmptyIntersection, EmptySupport,
                      RankCollapse, TooLarge, TroplinError)
 from .matroid import Matroid, circuit_blocks
 from .trop import INF, check_point, integer_scaled
-from .util import bits, ksubsets, list1, mask_of, submasks
-
-MAX_SLOTS = 1 << 16
+from .util import MAX_SLOTS, bits, ksubsets, list1, mask_of, submasks
 
 
 def check_slots(n, d):
@@ -198,6 +196,8 @@ def _three_term_violation(n, d, table):
     are fewer than four.  So the first failure met is the same as over
     every quadruple, and a sparse table costs about its support.
     """
+    if n - d < 2:
+        return None  # no (d-2)-set leaves four elements outside it
     big = 2 * max(v for v in table.values() if v != INF) + 1
     t = {b: big if v == INF else v for b, v in table.items()}
     full = (1 << n) - 1

@@ -15,7 +15,9 @@ assigns the points to the distinguished apices, and
 presentation_fan_member tests each apex's group against the fan of its
 matroid.  The commands decide fiber membership by the definition,
 stiefel(points) == v, and the tests hold the two routes equal.
-troplin.oracle keeps only the references that bench/checker.py runs.
+census lists every valuated matroid of a small class, as ground truth
+for the theorems.  troplin.oracle keeps only the references that
+bench/checker.py runs.
 """
 
 import functools
@@ -26,7 +28,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from troplin.errors import (AllInfinite, InfiniteBase, NoBasis, NotAMatroid,
-                            NotCyclicFlat, NotMinimalMatching, WrongArity)
+                            NotMinimalMatching, TroplinError, WrongArity)
 from troplin.gammoid import WeightedDigraph, _fmt
 from troplin.linprog import solve_lp
 from troplin.matroid import Matroid
@@ -37,8 +39,12 @@ from troplin.transversal import (covering_violations, is_pseudopresentation,
 from troplin.trop import (INF, ONE, ZERO, check_point, integer_scaled,
                           matrix_shape, min_assignment, relsupp, stiefel)
 from troplin.util import bits, elems, ksubsets, list1, mask_of, submasks
-from troplin.valuated import (ValuatedMatroid, initial_matroid,
-                              maximal_cells, membership)
+from troplin.valuated import (ValuatedMatroid, check_pluecker,
+                              initial_matroid, maximal_cells, membership)
+
+
+class NotCyclicFlat(TroplinError):
+    "A reference was asked about a flat that is not cyclic."
 
 
 def xsum(x, mask):
@@ -694,7 +700,7 @@ def corank_transform_mobius(m):
     """{cyclic flat f: tau(f)}, by the Moebius function of the poset of
     cyclic flats: tau(f) = sum of mu(f, g) cork(g) over cyclic g above f,
     with mu computed by its defining recursion."""
-    flats = m.cyclic_flats().flats
+    flats = list(m.cyclic_flats())
     mu = {}
 
     def mobius(f, g):
@@ -709,6 +715,49 @@ def corank_transform_mobius(m):
     return {f: sum(mobius(f, g) * m.corank(g)
                    for g in flats if f & g == f)
             for f in flats}
+
+
+def census(n, d, values):
+    """Every table of a valuated matroid of rank d on n elements with its
+    entries in `values` (INF allowed), as {mask: value} dicts, listed by
+    backtracking over the slots in ksubsets order.  Each three-term
+    relation is checked as soon as its last slot is set, and a leaf
+    with a finite entry is kept iff check_pluecker accepts it, which
+    adds the exchange axiom of the support.  Tables that differ by a
+    constant are listed apart; ValuatedMatroid equality merges them."""
+    slots = ksubsets(n, d)
+    index = {b: x for x, b in enumerate(slots)}
+    due = [[] for _ in slots]
+    for s in ksubsets(n, d - 2):
+        rest = [1 << e for e in bits(((1 << n) - 1) & ~s)]
+        for i, j, k, l in combinations(rest, 4):
+            terms = [(index[s | i | j], index[s | k | l]),
+                     (index[s | i | k], index[s | j | l]),
+                     (index[s | i | l], index[s | j | k])]
+            due[max(map(max, terms))].append(terms)
+    tables = []
+    _census_fill(n, d, values, slots, due, [None] * len(slots), 0, tables)
+    return tables
+
+
+def _census_fill(n, d, values, slots, due, vals, x, tables):
+    "census's backtracking from slot x on, vals[:x] already set."
+    if x == len(slots):
+        table = dict(zip(slots, vals))
+        if (any(v != INF for v in vals)
+                and check_pluecker(ValuatedMatroid(n, d, table))[0]):
+            tables.append(table)
+        return
+    for v in values:
+        vals[x] = v
+        if all(_three_terms_hold(vals, terms) for terms in due[x]):
+            _census_fill(n, d, values, slots, due, vals, x + 1, tables)
+
+
+def _three_terms_hold(vals, terms):
+    "Is the least of the three sums infinite or attained twice?"
+    sums = sorted(vals[a] + vals[b] for a, b in terms)
+    return sums[0] == INF or sums[0] == sums[1]
 
 
 def set_presentation_scan(m, sets):
@@ -734,7 +783,9 @@ def fan_member_by_sets(m, points):
     an independent flat) and of the other cyclic flats, each tau times,
     must present m (verify_set_presentation)."""
     cf = m.cyclic_flats()
-    t = cf.tau(0)
+    if 0 not in cf:
+        raise NotCyclicFlat(witness=[])
+    t = cf[0]
     if len(points) != t:
         raise WrongArity(witness={"expected": t, "got": len(points)})
     sets = []
@@ -752,7 +803,7 @@ def fan_member_by_sets(m, points):
     for f in cf:
         if f == 0:
             continue
-        sets.extend([m.full ^ f] * cf.tau(f))
+        sets.extend([m.full ^ f] * cf[f])
     return verify_set_presentation(m, sets)
 
 
@@ -775,7 +826,9 @@ def presentation_fan_member(m, points):
     least coordinate on C is attained twice.
     """
     cf = m.cyclic_flats()
-    t = cf.tau(0)
+    if 0 not in cf:
+        raise NotCyclicFlat(witness=[])
+    t = cf[0]
     if len(points) != t:
         raise WrongArity(witness={"expected": t, "got": len(points)})
     weights = Counter()
@@ -791,7 +844,7 @@ def presentation_fan_member(m, points):
         if not m.independent(g) or not m.is_flat(g):
             return False
         weights[g] += 1
-    for f, w in cf.transform.items():
+    for f, w in cf.items():
         if f and w > 0:
             weights[f] = w
     return not covering_violations(m, weights)

@@ -2,11 +2,13 @@ import contextlib
 import io
 import json
 import random
+import re
 import sys
 import time
 from collections import Counter
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,7 @@ from reference import (check_pluecker_bruteforce, initial_matroid_bruteforce,
                        membership_bruteforce, violated_relation)
 from troplin import (INF, AllInfinite, Matroid, OutOfDomain, TooLarge,
                      TroplinError, ValuatedMatroid, WeightedDigraph, jsonio,
-                     presentations, stiefel, trop, util, valuated)
+                     matroid, presentations, stiefel, trop, util, valuated)
 from troplin.cli import COMMANDS, run
 from troplin.jsonio import (dumps, fmt_matrix, fmt_matroid, fmt_point,
                             fmt_valuated, parse_matrix, parse_point,
@@ -276,6 +278,30 @@ def test_sample_presentation_round_trip(tmp_path):
     assert again == out
     code, back, _ = call(tmp_path, "stiefel", out)
     assert code == 0 and back == table
+
+
+def test_sample_presentation_refuses_a_flat_lattice_past_the_limit(
+        tmp_path, monkeypatch):
+    """A nonzero seed lists the flats of each distinguished matroid.  On
+    the corank-1 all-zero valuation at n = 11 that is U(10, 11), with
+    2^11 - 11 = 2,037 flats: under a limit patched to 1,000 it exits 2
+    with TooLarge as soon as the 1,001st flat is found.  Seed 0 lists no
+    flats, and a small valuation still answers."""
+    monkeypatch.setattr(matroid, "MAX_SLOTS", 1000)
+    table = {"n": 11, "rank": 10,
+             "entries": {",".join(str(e) for e in range(1, 12) if e != k): "0"
+                         for k in range(1, 12)}}
+    code, out, _ = call(tmp_path, "sample-presentation", table,
+                        "--seed", "1")
+    assert code == 2 and out["error"] == "TooLarge"
+    assert out["witness"] == {"flats": 1001, "limit": 1000}
+    code, out, _ = call(tmp_path, "sample-presentation", table,
+                        "--seed", "0")
+    assert code == 0 and len(out["points"]) == 10
+    _, small, _ = call(tmp_path, "stiefel", RANK3_FIVE)
+    code, out, _ = call(tmp_path, "sample-presentation", small,
+                        "--seed", "3")
+    assert code == 0 and len(out["points"]) == 3
 
 
 def respelled(table, rng):
@@ -953,6 +979,17 @@ def test_help_is_unchanged(capsys):
         run(["--help"])
     assert err.value.code == 0
     assert capsys.readouterr().out.startswith("usage: troplin")
+
+
+def test_readme_lists_every_command():
+    """The backticked names in the first column of README's command table
+    are the commands the CLI dispatches, no more and no fewer."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    rows = text.split("### Commands", 1)[1].split("\n\n")[1].splitlines()
+    listed = {name for row in rows[2:]
+              for name in re.findall(r"`([^`]+)`", row.split("|")[1])}
+    assert listed == set(COMMANDS)
 
 
 @pytest.mark.parametrize("command, payload", [

@@ -16,15 +16,15 @@ from common import (fr, k4_graphic_valuation, matroid_pool, points_of,
                     three_pair_valuation)
 from test_acceptance import fiber_harness  # noqa: F401  (a fixture)
 import reference
-from reference import (contract_presentation, fan_member_by_sets,
-                       membership_bruteforce, presentation_fan_member,
-                       presentation_space_member, presentations_exhaustive,
-                       r0_member, rinf_facet_oracle, rinf_member,
-                       rinf_member_lp, set_presentation_scan,
+from reference import (NotCyclicFlat, contract_presentation,
+                       fan_member_by_sets, membership_bruteforce,
+                       presentation_fan_member, presentation_space_member,
+                       presentations_exhaustive, r0_member, rinf_facet_oracle,
+                       rinf_member, rinf_member_lp, set_presentation_scan,
                        sigma0_lattice_scan)
 from troplin import (INF, AllInfinite, DistinguishedEntry, Matroid,
-                     NotAMatroid, NotCyclicFlat, NotTransversalFacets,
-                     PointOutsideL, TroplinError, ValuatedMatroid, WrongArity,
+                     NotAMatroid, NotTransversalFacets, PointOutsideL,
+                     TroplinError, ValuatedMatroid, WrongArity,
                      apices, direct_sum, distinguished, is_transversal,
                      is_transversal_valuated, maximal_cells, membership,
                      normalize_point, presentations, relsupp,
@@ -760,7 +760,7 @@ def fan_tuple(rng, m):
     a constant.  g is mostly an independent flat, else any flat or any
     set (any flat if no flat is independent), and a point is now and
     then one coordinate too long."""
-    t = m.cyclic_flats().transform.get(0)
+    t = m.cyclic_flats().get(0)
     if t is None or rng.random() < 0.03:
         t = rng.randint(0, 3) if t is None else t + 1
     indep = [f for f in m.flats() if m.independent(f)] or m.flats()
@@ -809,8 +809,8 @@ def test_fan_test_matches_the_set_presentation_reference():
     rng = random.Random(2929)
     pool = matroid_pool(random.Random(2930), 600)
     lifts = k4_lifts()
-    assert all(m.cyclic_flats().tau(0) == 1 and min(
-        m.cyclic_flats().transform.values()) == -1 for m in lifts)
+    assert all(m.cyclic_flats()[0] == 1 and min(
+        m.cyclic_flats().values()) == -1 for m in lifts)
     answers = Counter()
     filled_rejected = Counter()
     for m in pool + lifts * 20:

@@ -294,6 +294,25 @@ def test_three_term_scan_is_sized_by_the_support(monkeypatch):
     assert check_pluecker(ValuatedMatroid(200, 2, broken)) == (False, witness)
 
 
+def test_three_term_scan_lists_no_set_at_corank_below_two(monkeypatch):
+    """At d >= n - 1 no (d-2)-set leaves four elements outside it, so the
+    scan lists none: the corank-1 all-zero table at n = 120 passes, as
+    do a corank-0 table and a corank-1 table on two bases."""
+    tables = [(120, 119, {b: 0 for b in ksubsets(120, 119)}),
+              (5, 5, {mask_of(range(5)): 0}),
+              (4, 3, {mask_of([0, 1, 2]): 0, mask_of([1, 2, 3]): 1})]
+    vms = [ValuatedMatroid(n, d, t) for n, d, t in tables]
+    slots = valuated.ksubsets
+
+    def no_relations(n, k):
+        if any(k == vm.d - 2 for vm in vms):
+            raise AssertionError("listed the %d-sets of %d" % (k, n))
+        return slots(n, k)
+
+    monkeypatch.setattr(valuated, "ksubsets", no_relations)
+    assert [check_pluecker(vm) for vm in vms] == [(True, None)] * 3
+
+
 def test_check_pluecker_vacuous_ranks():
     rng = random.Random(77)
     for n in range(1, 7):
