@@ -8,12 +8,13 @@ representation, so 0.1 means 1/10 either way.  Ground-set
 elements are 1-based everywhere; subsets are sorted element lists.
 d-subset table keys are written in the canonical comma-joined spelling
 ("1,3,4"); on input any order and spacing is accepted ("3, 1,4"), and
-a d-set named by two keys is refused.  Canonical keys are read through
-one table from util.slot_keys, built after the slot limit; other
-spellings go through key_to_mask.  Valuation entries are read straight
-to integers over their lcm and written from the valuation's integer
-table, with no Fraction per entry; point coordinates are read through
-the same split, one Fraction each, with no string parse.
+a d-set named by two keys is refused.  Canonical keys are read and
+written through the shape's util.slot_table, built once per process
+after the slot limit; other spellings go through key_to_mask.
+Valuation entries are read straight to integers over their lcm and
+written from the valuation's integer table, with no Fraction per entry;
+point coordinates are read through the same split, one Fraction each,
+with no string parse.
 """
 
 import json
@@ -26,7 +27,7 @@ from .errors import TooLarge
 from .gammoid import WeightedDigraph
 from .matroid import Matroid
 from .trop import INF
-from .util import list1, slot_keys
+from .util import list1, slot_table
 from .valuated import MAX_SLOTS, ValuatedMatroid, check_slots
 
 
@@ -37,7 +38,11 @@ from .valuated import MAX_SLOTS, ValuatedMatroid, check_slots
 # So fmt_scalar refuses such output with its own message.
 MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\Z")
-_RATIO = re.compile(r"(-?[0-9]{1,4000})(?:/([0-9]{1,4000}))?\Z")
+# The split paths of _parse_ratio read at most this many digits per
+# integer, within Python's 4300-digit int() limit.
+_SPLIT_DIGITS = 4000
+_RATIO = re.compile(r"(-?[0-9]{1,%d})(?:/([0-9]{1,%d}))?\Z"
+                    % (_SPLIT_DIGITS, _SPLIT_DIGITS))
 
 
 def parse_scalar(v):
@@ -81,9 +86,19 @@ def _parse_ratio(v):
     """parse_scalar(v) as INF or a (numerator, denominator) pair in
     lowest terms, so that the lcm over a table's entries is the lcm of
     their reduced denominators.  Plain "-?digits" and "-?digits/digits"
-    strings are split here; every other form, and a zero denominator,
-    goes through parse_scalar."""
+    strings are split here, ASCII "digits" and "digits/digits" with no
+    regex; every other form, and a zero denominator, goes through
+    parse_scalar."""
     if isinstance(v, str):
+        num, slash, den = v.partition("/")
+        if num.isdigit() and num.isascii() and len(num) <= _SPLIT_DIGITS:
+            if not slash:
+                return int(num), 1
+            if (den.isdigit() and den.isascii()
+                    and len(den) <= _SPLIT_DIGITS and den.strip("0")):
+                num, den = int(num), int(den)
+                g = gcd(num, den)
+                return num // g, den // g
         m = _RATIO.match(v)
         if m is not None:
             num, den = m.groups()
@@ -108,8 +123,12 @@ def _fmt_ratio(num, den):
             return str(num // g)
         return "%d/%d" % (num // g, den // g)
     except ValueError:
-        raise ValueError("output scalar beyond the %d-digit limit"
-                         % sys.get_int_max_str_digits()) from None
+        raise _beyond_digit_limit() from None
+
+
+def _beyond_digit_limit():
+    return ValueError("output scalar beyond the %d-digit limit"
+                      % sys.get_int_max_str_digits())
 
 
 def parse_point(obj):
@@ -203,8 +222,9 @@ def _slot_of(key, n, d):
 
 def parse_valuated(obj):
     """The valuation of a JSON object, its entries read straight to
-    integers over their lcm.  The slot limit is checked before the key
-    table is built; a canonical key costs one lookup in it."""
+    integers over their lcm.  The slot limit is checked before the
+    shape's slot table is built or read; a canonical key costs one
+    lookup in it."""
     n = _get_n(obj)
     d = obj.get("rank")
     if isinstance(d, bool) or not isinstance(d, int):
@@ -215,7 +235,7 @@ def parse_valuated(obj):
     if not 0 <= d <= n:
         raise ValueError("rank out of range")
     check_slots(n, d)
-    masks = {key: mask for mask, key in slot_keys(n, d)}
+    masks = slot_table(n, d).index
     entries = {}
     for key, val in table.items():
         mask = masks.get(key)
@@ -243,9 +263,19 @@ def _refuse_repeated_sets(table, n, d):
 
 
 def fmt_valuated(vm):
-    den, ints = vm.den, vm.ints
-    entries = {key: _fmt_ratio(ints[b], den)
-               for b, key in slot_keys(vm.n, vm.d)}
+    """The JSON object of vm: its shape's canonical keys paired with
+    ints, which is in the same slot order.  Over den 1 each entry is
+    written with no gcd, and the digit limit is refused as in
+    _fmt_ratio."""
+    den, ints = vm.den, vm.ints.values()
+    if den == 1:
+        try:
+            values = ["inf" if v == INF else str(v) for v in ints]
+        except ValueError:
+            raise _beyond_digit_limit() from None
+    else:
+        values = [_fmt_ratio(v, den) for v in ints]
+    entries = dict(zip(slot_table(vm.n, vm.d).keys, values))
     return {"n": vm.n, "rank": vm.d, "entries": entries, "sparse": False}
 
 

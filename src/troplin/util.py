@@ -1,9 +1,16 @@
 """Bitmask helpers for subsets of {0, ..., n-1}."""
 
+from collections import namedtuple
 from itertools import combinations
 
 # The most slots, flats or meets of flats that one request may list.
 MAX_SLOTS = 1 << 16
+
+# One shape's k-subsets: masks in ksubsets order, their frozenset,
+# {canonical key: mask}, and the canonical keys aligned with masks.
+SlotTable = namedtuple("SlotTable", "masks maskset index keys")
+_SLOT_TABLES = {}
+_slot_count = 0
 
 
 def bits(mask):
@@ -42,8 +49,23 @@ def submasks(mask, k):
     return sorted(map(sum, combinations([1 << e for e in bits(mask)], k)))
 
 
-def slot_keys(n, k):
-    """(mask, JSON key) of every k-subset of {0..n-1}, one pass over the
-    combinations: keys are the canonical "1,3,4" spelling."""
-    return zip(map(sum, combinations([1 << e for e in range(n)], k)),
-               map(",".join, combinations([str(e + 1) for e in range(n)], k)))
+def slot_table(n, k):
+    """The SlotTable of the k-subsets of {0..n-1}, built once per shape
+    from one pass over the combinations, sorted by mask; keys are the
+    canonical "1,3,4" spelling.  Its parts are shared: read them only.  The tables kept hold at most MAX_SLOTS slots in all, the
+    oldest evicted first.  Callers check 0 <= k <= n and the slot limit
+    first."""
+    global _slot_count
+    table = _SLOT_TABLES.get((n, k))
+    if table is None:
+        masks, keys = zip(*sorted(zip(
+            map(sum, combinations([1 << e for e in range(n)], k)),
+            map(",".join, combinations([str(e + 1) for e in range(n)], k)))))
+        table = SlotTable(masks, frozenset(masks), dict(zip(keys, masks)),
+                          keys)
+        _SLOT_TABLES[n, k] = table
+        _slot_count += len(masks)
+        while _slot_count > MAX_SLOTS:
+            oldest = _SLOT_TABLES.pop(next(iter(_SLOT_TABLES)))
+            _slot_count -= len(oldest.masks)
+    return table

@@ -16,7 +16,7 @@ crossed once: a cell reached across a wall skips the wall back.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from math import gcd, lcm
 
 from .errors import (AllInfinite, EmptyIntersection, EmptySupport,
@@ -24,7 +24,8 @@ from .errors import (AllInfinite, EmptyIntersection, EmptySupport,
                      RankCollapse, TooLarge, TroplinError)
 from .matroid import Matroid, circuit_blocks
 from .trop import INF, check_point, integer_scaled
-from .util import MAX_SLOTS, bits, ksubsets, list1, mask_of, submasks
+from .util import (MAX_SLOTS, bits, ksubsets, list1, mask_of, slot_table,
+                   submasks)
 
 
 def check_slots(n, d):
@@ -49,41 +50,43 @@ class ValuatedMatroid:
     less their minimum, so sums of entries compare on integers and
     (den, ints) is the same for every spelling of one valuation:
     canonical() reads it, for equality, hashing and the memo of
-    presentations.distinguished.  table is the Fraction view
-    of ints, built on first use, for the library API.  underlying()
-    checks that the support is a matroid; check_pluecker() checks that
-    and the tropical Pluecker relations.  The other views kept are those
-    a request reuses: underlying() and maximal_cells().
+    presentations.distinguished.  Keys are checked, and ints laid out in
+    slot order, through the shape's util.slot_table, built once per
+    process.  table is the Fraction view of ints, built on first use,
+    for the library API.  underlying() checks that the support is a
+    matroid; check_pluecker() checks that and the tropical Pluecker
+    relations.  The other views kept are those a request reuses:
+    underlying() and maximal_cells().
     """
 
     def __init__(self, n, d, entries, den=None):
         if not 0 <= d <= n:
             raise ValueError("rank out of range")
         check_slots(n, d)
-        slots = ksubsets(n, d)
-        slotset = set(slots)
-        for key in entries:
-            if key not in slotset:
-                raise ValueError("entry key is not a %d-subset mask" % d)
+        slots = slot_table(n, d)
+        if not slots.maskset.issuperset(entries):
+            raise ValueError("entry key is not a %d-subset mask" % d)
+        raw = map(entries.get, slots.masks, repeat(INF))
         if den is None:
-            den, raw = integer_scaled(entries.get(b, INF) for b in slots)
+            den, raw = integer_scaled(raw)
         else:
-            raw = [entries.get(b, INF) for b in slots]
+            raw = list(raw)
         finite = [v for v in raw if v != INF]
         if not finite:
             raise AllInfinite("no finite Pluecker entry")
         low = min(finite)
         g = gcd(den, *(v - low for v in finite))
-        den //= g
-        ints = {b: (v if v == INF else (v - low) // g)
-                for b, v in zip(slots, raw)}
+        if low or g != 1:
+            den //= g
+            raw = [v if v == INF else (v - low) // g for v in raw]
+        ints = dict(zip(slots.masks, raw))
         self.n = n
         self.d = d
         self.full = (1 << n) - 1
         self.den = den
         self.ints = ints
         self._table = None
-        self.support = tuple(b for b in slots if ints[b] != INF)
+        self.support = tuple(b for b, v in ints.items() if v != INF)
         self._underlying = None
         self._maxcells = None
 
@@ -182,37 +185,39 @@ def _three_term_violation(n, d, table):
     terms are the relation's three sums; None if every relation holds.
 
     table must be normalized (least entry 0, as ValuatedMatroid.ints
-    is).  INF is read as big = 2 * max(finite) + 1: a sum of two finite
-    entries is below big, and a sum with an INF is at or above it.  So
-    z = pl(Sil) + pl(Sjk) breaks the relation iff z < lo and z < big,
-    or z > lo, lo < hi and lo < big, where lo <= hi are the other two
-    sums.
+    is); it is read in place, with no copy.  INF is read as
+    big = 2 * max(finite) + 1: a sum of two finite entries is below big,
+    and a sum with an INF is at or above it.  So z = pl(Sil) + pl(Sjk)
+    breaks the relation iff z < lo and z < big, or z > lo, lo < hi and
+    lo < big, where lo <= hi are the other two sums.
 
     Each (d-2)-set S reads its pair table p, the values at S + ij, once,
     and the quadruples run on indices into p (_quadruples).  Only the
     elements of finite pairs at S can break a relation at S, since each
-    sum covers all four of i, j, k, l: when p holds a big, the scan runs
-    on those elements alone, in the same order, and skips S when there
-    are fewer than four.  So the first failure met is the same as over
-    every quadruple, and a sparse table costs about its support.
+    sum covers all four of i, j, k, l: when p holds an INF, the scan
+    runs on those elements alone, in the same order, with INF as big in
+    their pair table, and skips S when there are fewer than four.  So
+    the first failure met is the same as over every quadruple, and a
+    sparse table costs about its support.
     """
     if n - d < 2:
         return None  # no (d-2)-set leaves four elements outside it
     big = 2 * max(v for v in table.values() if v != INF) + 1
-    t = {b: big if v == INF else v for b, v in table.items()}
     full = (1 << n) - 1
     for s in ksubsets(n, d - 2):
         rest = [1 << e for e in bits(full & ~s)]
-        p = [t[s | a | b] for a, b in combinations(rest, 2)]
-        if big in p:
+        p = [table[s | a | b] for a, b in combinations(rest, 2)]
+        if INF in p:
             live = 0
             for ab, v in zip(map(sum, combinations(rest, 2)), p):
-                if v < big:
+                if v != INF:
                     live |= ab
             if live.bit_count() < 4:
                 continue
             rest = [1 << e for e in bits(live)]
-            p = [t[s | a | b] for a, b in combinations(rest, 2)]
+            p = [big if v == INF else v
+                 for v in [table[s | a | b]
+                           for a, b in combinations(rest, 2)]]
         for ij, kl, ik, jl, il, jk in _quadruples(len(rest)):
             x = p[ij] + p[kl]
             y = p[ik] + p[jl]
@@ -585,7 +590,7 @@ def stable_sum(v1, v2):
     den = lcm(v1.den, v2.den)
     s1, s2 = den // v1.den, den // v2.den
     entries = {}
-    for j in ksubsets(v1.n, k):
+    for j in slot_table(v1.n, k).masks:
         best = INF
         for s in submasks(j, v1.d):
             a = v1.ints[s]

@@ -122,10 +122,14 @@ def test_oversized_tables_are_refused_before_enumeration(tmp_path,
     def no_enumeration(n, k):
         raise AssertionError("enumerated the %d-subsets of %d" % (k, n))
 
+    def no_combinations(items, k):
+        raise AssertionError("enumerated the %d-subsets of %r" % (k, items))
+
     monkeypatch.setattr(valuated, "ksubsets", no_enumeration)
     monkeypatch.setattr(trop, "ksubsets", no_enumeration)
-    monkeypatch.setattr(jsonio, "slot_keys", no_enumeration)
-    monkeypatch.setattr(util, "slot_keys", no_enumeration)
+    monkeypatch.setattr(valuated, "slot_table", no_enumeration)
+    monkeypatch.setattr(jsonio, "slot_table", no_enumeration)
+    monkeypatch.setattr(util, "combinations", no_combinations)
     want = {"n": 64, "rank": 32, "limit": valuated.MAX_SLOTS}
     with pytest.raises(TooLarge) as err:
         ValuatedMatroid(64, 32, {})
@@ -334,6 +338,70 @@ def answer(command, seed, payload):
     finally:
         sys.stdin = real
     return code, out.getvalue()
+
+
+def test_slot_tables_give_the_cold_bytes(monkeypatch):
+    """check-pluecker (on the image and on a copy with one entry moved),
+    dual, contract and stiefel answer 150 drawn Stiefel images (d <= 4,
+    n <= 8, entries over 1 or 2) cold, with the slot tables emptied
+    before each request, and warm, with the same exit codes and bytes."""
+    monkeypatch.setattr(util, "_SLOT_TABLES", {})
+    monkeypatch.setattr(util, "_slot_count", 0)
+    rng = random.Random(5150)
+    requests = []
+    for _ in range(150):
+        d = rng.randint(1, 4)
+        n = rng.randint(d, 8)
+        rows = random_rows(rng, d, n, rng.uniform(0, 0.3))
+        table = fmt_valuated(stiefel(rows))
+        moved = dict(table["entries"])
+        key = rng.choice([k for k, v in moved.items() if v != "inf"])
+        moved[key] = str(parse_scalar(moved[key]) + rng.choice((-1, 1)))
+        subset = [e for e in range(1, n + 1) if rng.random() < 0.3]
+        requests += [("stiefel", fmt_matrix(rows)),
+                     ("check-pluecker", table),
+                     ("check-pluecker", dict(table, entries=moved)),
+                     ("dual", table),
+                     ("contract", {"valuation": table, "set": subset})]
+    cold = []
+    for request in requests:
+        util._SLOT_TABLES.clear()
+        util._slot_count = 0
+        cold.append(answer(request[0], 0, request[1]))
+    warm = [answer(request[0], 0, request[1]) for request in requests]
+    assert warm == cold
+    codes = Counter((request[0], code)
+                    for request, (code, _) in zip(requests, cold))
+    assert codes["check-pluecker", 0] >= 150
+    assert codes["check-pluecker", 1] >= 30
+    assert codes["contract", 0] >= 100
+    assert util._slot_count > 0
+
+
+def test_a_seen_shape_builds_no_slot_index(monkeypatch):
+    """After one dual of a rank-3 valuation on 6 elements, a dual of
+    another one of that shape builds no slot index: with
+    util.combinations raising, parsing, construction and printing still
+    answer, with the bytes the cold request gave."""
+    monkeypatch.setattr(util, "_SLOT_TABLES", {})
+    monkeypatch.setattr(util, "_slot_count", 0)
+    rng = random.Random(6)
+    first, second = (fmt_valuated(random_valuation(rng, 3, 6, 0.2))
+                     for _ in range(2))
+    assert first != second
+    assert answer("dual", 0, first)[0] == 0
+    want = answer("dual", 0, second)
+    assert set(util._SLOT_TABLES) == {(6, 3)}
+    back = parse_valuated(second)
+
+    def no_combinations(items, k):
+        raise AssertionError("enumerated the %d-subsets of %r" % (k, items))
+
+    monkeypatch.setattr(util, "combinations", no_combinations)
+    assert answer("dual", 0, second) == want
+    assert parse_valuated(second) == back
+    assert ValuatedMatroid(6, 3, back.ints, back.den) == back
+    assert fmt_valuated(back) == second
 
 
 def test_distinguished_memo_gives_the_cold_bytes(monkeypatch):

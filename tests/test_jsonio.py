@@ -7,11 +7,11 @@ import pytest
 
 from common import random_valuation
 from reference import mask_to_key
-from troplin import INF, ValuatedMatroid, jsonio
+from troplin import INF, ValuatedMatroid, jsonio, util
 from troplin.jsonio import (_fmt_ratio, _parse_ratio, fmt_point,
                             fmt_scalar, fmt_valuated, key_to_mask,
                             parse_point, parse_scalar, parse_valuated)
-from troplin.util import elems, ksubsets, mask_of, slot_keys, submasks
+from troplin.util import elems, ksubsets, mask_of, slot_table, submasks
 
 
 def outcome(parse, v):
@@ -66,6 +66,16 @@ def test_fast_entry_parser_equals_parse_scalar():
             kinds["fast"] += isinstance(v, str) and v.lstrip("-").replace(
                 "/", "", 1).isdigit()
     assert min(kinds.values()) > 500
+    edge = ["٣", "²", "３", "1_0", " 1", "1 ", "+1", "-0", "00/04", "3/0",
+            "0/0", "1/2/3", "٣/4", "4/٣", "1/²", "12/", "/12"]
+    for k in (4000, 4001, 4301):
+        edge += ["7" * k, "-" + "7" * k, "7" * k + "/3", "1/" + "3" * k,
+                 "6" * k + "/" + "4" * k]
+    for v in edge:
+        want = outcome(parse_scalar, v)
+        assert outcome(_parse_ratio, v) == want, v
+        if isinstance(want, Fraction):
+            assert _parse_ratio(v) == (want.numerator, want.denominator), v
 
 
 def test_points_read_and_write_as_through_parse_scalar():
@@ -137,7 +147,8 @@ def test_entries_share_the_lcm_of_their_reduced_denominators(monkeypatch):
 
 def test_formatting_from_integers_equals_fmt_scalar():
     """Each entry written from (ints[b], den) reads as fmt_scalar of the
-    Fraction, INF and the digit-limit error included."""
+    Fraction, INF and the digit-limit error included; so does each entry
+    of a valuation over den 1, which fmt_valuated writes with no gcd."""
     rng = random.Random(4300)
     for _ in range(3000):
         den = rng.choice((1, 1, 2, 6, rng.randint(1, 10 ** 6)))
@@ -154,6 +165,55 @@ def test_formatting_from_integers_equals_fmt_scalar():
         assert str(fast.value) == str(ref.value) == \
             "output scalar beyond the %d-digit limit" % limit
     assert _fmt_ratio(10 ** limit * 3, 3 * 10 ** limit) == "1"
+    for _ in range(200):
+        d = rng.randint(0, 4)
+        n = rng.randint(max(d, 1), 7)
+        slots = ksubsets(n, d)
+        table = {b: rng.choice((INF, 0, rng.randint(-10 ** 20, 10 ** 20)))
+                 for b in slots}
+        table[rng.choice(slots)] = rng.randint(-5, 5)
+        vm = ValuatedMatroid(n, d, table, 1)
+        assert vm.den == 1
+        assert fmt_valuated(vm)["entries"] == {
+            mask_to_key(b): fmt_scalar(v) for b, v in vm.table.items()}
+    below = ValuatedMatroid(4, 2, {3: 0, 5: INF, 6: 10 ** (limit - 1)}, 1)
+    assert fmt_valuated(below)["entries"]["2,3"] == "1" + "0" * (limit - 1)
+    beyond = ValuatedMatroid(4, 2, {3: 0, 5: INF, 6: 10 ** limit}, 1)
+    assert beyond.den == 1
+    with pytest.raises(ValueError) as fast:
+        fmt_valuated(beyond)
+    assert str(fast.value) == \
+        "output scalar beyond the %d-digit limit" % limit
+
+
+def test_slot_tables_stay_within_their_budget(monkeypatch):
+    """With MAX_SLOTS patched to 40, the slot tables kept never hold
+    more than 40 slots in all: each new shape evicts the oldest tables
+    first, a shape met again is not rebuilt, and a table of exactly the
+    budget evicts every other."""
+    monkeypatch.setattr(util, "MAX_SLOTS", 40)
+    monkeypatch.setattr(util, "_SLOT_TABLES", {})
+    monkeypatch.setattr(util, "_slot_count", 0)
+
+    def kept():
+        shapes = list(util._SLOT_TABLES)
+        assert util._slot_count == sum(
+            len(t.masks) for t in util._SLOT_TABLES.values()) <= 40
+        return shapes
+
+    first = slot_table(6, 3)                 # 20 slots
+    slot_table(5, 2)                         # 10
+    assert kept() == [(6, 3), (5, 2)]
+    assert slot_table(6, 3) is first
+    slot_table(6, 2)                         # 15: (6, 3) goes
+    assert kept() == [(5, 2), (6, 2)]
+    slot_table(4, 2)                         # 6
+    slot_table(7, 2)                         # 21: (5, 2) and (6, 2) go
+    assert kept() == [(4, 2), (7, 2)]
+    assert slot_table(6, 3) is not first     # 20: (4, 2) and (7, 2) go
+    assert kept() == [(6, 3)]
+    slot_table(40, 1)                        # the whole budget
+    assert kept() == [(40, 1)]
 
 
 def test_valuations_round_trip_on_integers():
@@ -202,7 +262,7 @@ def key_outcome(parse, key, n, d):
 
 
 def test_key_table_equals_the_per_key_reference():
-    """slot_keys, ksubsets and submasks equal their per-combination
+    """slot_table, ksubsets and submasks equal their per-combination
     references for every n <= 10; parse_valuated reads canonical and
     respelled keys to the same table and den, and refuses malformed
     keys with key_to_mask's errors."""
@@ -211,9 +271,11 @@ def test_key_table_equals_the_per_key_reference():
         for k in range(n + 1):
             want = sorted(mask_of(c) for c in combinations(range(n), k))
             assert ksubsets(n, k) == want
-            pairs = list(slot_keys(n, k))
-            assert len(pairs) == len(want)
-            assert set(pairs) == {(b, mask_to_key(b)) for b in want}
+            table = slot_table(n, k)
+            assert list(table.masks) == want
+            assert table.maskset == set(want)
+            assert table.keys == tuple(mask_to_key(b) for b in want)
+            assert table.index == {mask_to_key(b): b for b in want}
             mask = rng.getrandbits(n)
             assert submasks(mask, k) == sorted(
                 mask_of(c) for c in combinations(elems(mask), k))

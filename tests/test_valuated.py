@@ -272,6 +272,38 @@ def test_three_term_violation_matches_the_plain_scan(monkeypatch, cache_max):
     assert set(valuated._QUADRUPLES) <= set(range(cache_max + 1))
 
 
+def test_three_term_violation_reads_inf_pairs_among_live_elements():
+    """At one (d-2)-set S, the pairs on a live set L (every element of L
+    in some finite pair at S) are drawn from {0, 1, 2, INF} with INF
+    among them, so the scan restricted to L reads INF as big in its pair
+    table; the rest of the table is sparse.  Witnesses equal the plain
+    scan's, and both answers occur."""
+    rng = random.Random(2718)
+    verdicts = set()
+    for _ in range(300):
+        d = rng.randint(2, 4)
+        n = rng.randint(d + 3, 9)
+        s = mask_of(rng.sample(range(n), d - 2))
+        live = rng.sample([e for e in range(n) if not s >> e & 1],
+                          rng.randint(4, min(6, n - d + 2)))
+        pairs = [(i, j) for x, i in enumerate(live) for j in live[x + 1:]]
+        table = {s | 1 << i | 1 << j: rng.choice((0, 1, 2, INF))
+                 for i, j in pairs}
+        dead = rng.sample(pairs, rng.randint(1, len(pairs) // 3))
+        for i, j in dead:
+            table[s | 1 << i | 1 << j] = INF
+        for i, j in zip(live, live[1:] + live[:1]):
+            if (i, j) not in dead and (j, i) not in dead:
+                table[s | 1 << i | 1 << j] = rng.randint(0, 2)
+        for b in rng.sample(ksubsets(n, d), 3):
+            table.setdefault(b, rng.randint(0, 3))
+        v = ValuatedMatroid(n, d, table)
+        got = valuated._three_term_violation(n, d, v.ints)
+        assert got == three_term_violation_scan(n, d, v.ints)
+        verdicts.add(got is None)
+    assert verdicts == {True, False}
+
+
 def test_three_term_scan_is_sized_by_the_support(monkeypatch):
     """Only the elements of finite pairs at S enter the scan at S, so a
     sparse table never runs the quadruples of its ground set."""
