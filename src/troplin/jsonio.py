@@ -38,11 +38,9 @@ from .valuated import MAX_SLOTS, ValuatedMatroid, check_slots
 # So fmt_scalar refuses such output with its own message.
 MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\Z")
-# The split paths of _parse_ratio read at most this many digits per
-# integer, within Python's 4300-digit int() limit.
+# _parse_ratio splits at most this many digits per integer, within
+# Python's 4300-digit int() limit.
 _SPLIT_DIGITS = 4000
-_RATIO = re.compile(r"(-?[0-9]{1,%d})(?:/([0-9]{1,%d}))?\Z"
-                    % (_SPLIT_DIGITS, _SPLIT_DIGITS))
 
 
 def parse_scalar(v):
@@ -85,26 +83,18 @@ def fmt_scalar(v):
 def _parse_ratio(v):
     """parse_scalar(v) as INF or a (numerator, denominator) pair in
     lowest terms, so that the lcm over a table's entries is the lcm of
-    their reduced denominators.  Plain "-?digits" and "-?digits/digits"
-    strings are split here, ASCII "digits" and "digits/digits" with no
-    regex; every other form, and a zero denominator, goes through
+    their reduced denominators.  Plain ASCII "-?digits" and
+    "-?digits/digits" strings are split here, with no Fraction parse;
+    every other form, and a zero denominator, goes through
     parse_scalar."""
     if isinstance(v, str):
         num, slash, den = v.partition("/")
-        if num.isdigit() and num.isascii() and len(num) <= _SPLIT_DIGITS:
+        mag = num[1:] if num[:1] == "-" else num
+        if mag.isdigit() and mag.isascii() and len(mag) <= _SPLIT_DIGITS:
             if not slash:
                 return int(num), 1
             if (den.isdigit() and den.isascii()
                     and len(den) <= _SPLIT_DIGITS and den.strip("0")):
-                num, den = int(num), int(den)
-                g = gcd(num, den)
-                return num // g, den // g
-        m = _RATIO.match(v)
-        if m is not None:
-            num, den = m.groups()
-            if den is None:
-                return int(num), 1
-            if den.strip("0"):
                 num, den = int(num), int(den)
                 g = gcd(num, den)
                 return num // g, den // g
@@ -118,17 +108,15 @@ def _fmt_ratio(num, den):
     if num == INF:
         return "inf"
     try:
+        if den == 1:
+            return str(num)
         g = gcd(num, den)
         if g == den:
             return str(num // g)
         return "%d/%d" % (num // g, den // g)
     except ValueError:
-        raise _beyond_digit_limit() from None
-
-
-def _beyond_digit_limit():
-    return ValueError("output scalar beyond the %d-digit limit"
-                      % sys.get_int_max_str_digits())
+        raise ValueError("output scalar beyond the %d-digit limit"
+                         % sys.get_int_max_str_digits()) from None
 
 
 def parse_point(obj):
@@ -264,18 +252,10 @@ def _refuse_repeated_sets(table, n, d):
 
 def fmt_valuated(vm):
     """The JSON object of vm: its shape's canonical keys paired with
-    ints, which is in the same slot order.  Over den 1 each entry is
-    written with no gcd, and the digit limit is refused as in
-    _fmt_ratio."""
-    den, ints = vm.den, vm.ints.values()
-    if den == 1:
-        try:
-            values = ["inf" if v == INF else str(v) for v in ints]
-        except ValueError:
-            raise _beyond_digit_limit() from None
-    else:
-        values = [_fmt_ratio(v, den) for v in ints]
-    entries = dict(zip(slot_table(vm.n, vm.d).keys, values))
+    ints, which is in the same slot order."""
+    den = vm.den
+    entries = dict(zip(slot_table(vm.n, vm.d).keys,
+                       [_fmt_ratio(v, den) for v in vm.ints.values()]))
     return {"n": vm.n, "rank": vm.d, "entries": entries, "sparse": False}
 
 

@@ -18,7 +18,7 @@ from .errors import (NotTransversalFacets, PointOutsideL, TroplinError,
 from .linprog import distinct_rows, solve_lp
 from .matroid import Matroid
 from .trop import INF, check_point, integer_scaled, lowered, relsupp, stiefel
-from .util import bits, elems, list1
+from .util import BoundedMemo, bits, elems, list1
 from .valuated import (MAX_SLOTS, _face, face_witness, maximal_cells,
                        membership, v_contract)
 from . import transversal
@@ -189,9 +189,8 @@ def apices(entries):
 
 # distinguished's answers by canonical valuation, oldest first, as plain
 # tuples (no valuation, cell or matroid), with their cost in key slots
-# plus stored bases; _memo_size, their total, stays within MAX_SLOTS.
-_MEMO = {}
-_memo_size = 0
+# plus stored bases; their total stays within MAX_SLOTS.
+_MEMO = BoundedMemo()
 
 
 def distinguished(vm):
@@ -254,17 +253,11 @@ def distinguished(vm):
 
 
 def _remember(key, plain):
-    """Keep plain under key in _MEMO, evicting the oldest answers while
-    the key slots plus stored bases pass MAX_SLOTS; an answer costing
-    more than that alone is not kept."""
-    global _memo_size
+    """Keep plain under key in _MEMO at a cost of its key slots plus
+    stored bases, within MAX_SLOTS: the oldest answers are evicted
+    first, and an answer costing more than that alone is not kept."""
     cost = len(key[3]) + sum(len(p[2]) for p in plain)
-    if cost > MAX_SLOTS:
-        return
-    _MEMO[key] = cost, plain
-    _memo_size += cost
-    while _memo_size > MAX_SLOTS:
-        _memo_size -= _MEMO.pop(next(iter(_MEMO)))[0]
+    _MEMO.keep(key, cost, plain, MAX_SLOTS)
 
 
 def sample_presentation(vm, seed=0):

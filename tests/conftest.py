@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 from troplin import presentations
+from troplin.util import BoundedMemo
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -19,5 +20,4 @@ settings.load_profile("repeatable")
 def fresh_distinguished_memo(monkeypatch):
     """Each test starts with an empty memo of presentations.distinguished,
     so no test sees the answers, or the walks skipped, of another."""
-    monkeypatch.setattr(presentations, "_MEMO", {})
-    monkeypatch.setattr(presentations, "_memo_size", 0)
+    monkeypatch.setattr(presentations, "_MEMO", BoundedMemo())

@@ -26,7 +26,7 @@ from troplin.jsonio import (dumps, fmt_matrix, fmt_matroid, fmt_point,
                             fmt_valuated, parse_matrix, parse_point,
                             parse_scalar, parse_valuated)
 from troplin.oracle import stiefel_bruteforce
-from troplin.util import bits, ksubsets, list1
+from troplin.util import BoundedMemo, bits, ksubsets, list1
 from troplin.valuated import check_pluecker
 
 
@@ -345,8 +345,7 @@ def test_slot_tables_give_the_cold_bytes(monkeypatch):
     dual, contract and stiefel answer 150 drawn Stiefel images (d <= 4,
     n <= 8, entries over 1 or 2) cold, with the slot tables emptied
     before each request, and warm, with the same exit codes and bytes."""
-    monkeypatch.setattr(util, "_SLOT_TABLES", {})
-    monkeypatch.setattr(util, "_slot_count", 0)
+    monkeypatch.setattr(util, "_SLOT_TABLES", BoundedMemo())
     rng = random.Random(5150)
     requests = []
     for _ in range(150):
@@ -366,7 +365,6 @@ def test_slot_tables_give_the_cold_bytes(monkeypatch):
     cold = []
     for request in requests:
         util._SLOT_TABLES.clear()
-        util._slot_count = 0
         cold.append(answer(request[0], 0, request[1]))
     warm = [answer(request[0], 0, request[1]) for request in requests]
     assert warm == cold
@@ -375,7 +373,7 @@ def test_slot_tables_give_the_cold_bytes(monkeypatch):
     assert codes["check-pluecker", 0] >= 150
     assert codes["check-pluecker", 1] >= 30
     assert codes["contract", 0] >= 100
-    assert util._slot_count > 0
+    assert util._SLOT_TABLES.size > 0
 
 
 def test_a_seen_shape_builds_no_slot_index(monkeypatch):
@@ -383,8 +381,7 @@ def test_a_seen_shape_builds_no_slot_index(monkeypatch):
     another one of that shape builds no slot index: with
     util.combinations raising, parsing, construction and printing still
     answer, with the bytes the cold request gave."""
-    monkeypatch.setattr(util, "_SLOT_TABLES", {})
-    monkeypatch.setattr(util, "_slot_count", 0)
+    monkeypatch.setattr(util, "_SLOT_TABLES", BoundedMemo())
     rng = random.Random(6)
     first, second = (fmt_valuated(random_valuation(rng, 3, 6, 0.2))
                      for _ in range(2))
@@ -431,15 +428,11 @@ def test_distinguished_memo_gives_the_cold_bytes(monkeypatch):
                 ("sample-presentation", 0, payload),
                 ("sample-presentation", 3, payload)])
 
-    def forget():
-        presentations._MEMO.clear()
-        presentations._memo_size = 0
-
     cold = []
     for requests in cases[::3]:
         want = []
         for request in requests:
-            forget()
+            presentations._MEMO.clear()
             want.append(answer(*request))
         cold += [want] * 3
     codes = Counter((request[0], code)
@@ -449,14 +442,14 @@ def test_distinguished_memo_gives_the_cold_bytes(monkeypatch):
     assert codes["distinguished", 2] >= 60
     assert codes["in-presentation-space", 0] >= 450
     assert codes["in-presentation-space", 1] >= 300
-    forget()
+    presentations._MEMO.clear()
     warm = [[answer(*request) for request in requests] for requests in cases]
     assert warm == cold
     answered = {parse_valuated(requests[0][2]).canonical()
                 for requests, want in zip(cases, cold) if want[0][0] == 0}
     assert set(presentations._MEMO) == answered
     assert len(answered) >= 150
-    assert presentations._memo_size < presentations.MAX_SLOTS
+    assert presentations._MEMO.size < presentations.MAX_SLOTS
 
     def refuse(*args):
         raise AssertionError("a memo hit walked the cells")

@@ -187,23 +187,23 @@ def test_formatting_from_integers_equals_fmt_scalar():
 
 
 def test_slot_tables_stay_within_their_budget(monkeypatch):
-    """With MAX_SLOTS patched to 40, the slot tables kept never hold
-    more than 40 slots in all: each new shape evicts the oldest tables
-    first, a shape met again is not rebuilt, and a table of exactly the
-    budget evicts every other."""
+    """With MAX_SLOTS patched to 40, the slot tables kept never weigh
+    more than 40 in all: each new shape evicts the oldest tables first,
+    a shape met again is not rebuilt, and tables of exactly the budget
+    are kept.  A table weighs its slot count while n < 30 and its keys
+    are shorter than 30 characters."""
     monkeypatch.setattr(util, "MAX_SLOTS", 40)
-    monkeypatch.setattr(util, "_SLOT_TABLES", {})
-    monkeypatch.setattr(util, "_slot_count", 0)
+    monkeypatch.setattr(util, "_SLOT_TABLES", util.BoundedMemo())
 
     def kept():
-        shapes = list(util._SLOT_TABLES)
-        assert util._slot_count == sum(
-            len(t.masks) for t in util._SLOT_TABLES.values()) <= 40
-        return shapes
+        tables = util._SLOT_TABLES
+        assert tables.size == sum(c for c, _ in tables.values()) <= 40
+        return list(tables)
 
     first = slot_table(6, 3)                 # 20 slots
     slot_table(5, 2)                         # 10
     assert kept() == [(6, 3), (5, 2)]
+    assert util._SLOT_TABLES.size == 30
     assert slot_table(6, 3) is first
     slot_table(6, 2)                         # 15: (6, 3) goes
     assert kept() == [(5, 2), (6, 2)]
@@ -211,9 +211,31 @@ def test_slot_tables_stay_within_their_budget(monkeypatch):
     slot_table(7, 2)                         # 21: (5, 2) and (6, 2) go
     assert kept() == [(4, 2), (7, 2)]
     assert slot_table(6, 3) is not first     # 20: (4, 2) and (7, 2) go
-    assert kept() == [(6, 3)]
-    slot_table(40, 1)                        # the whole budget
-    assert kept() == [(40, 1)]
+    slot_table(20, 1)                        # 20, the rest of the budget
+    assert kept() == [(6, 3), (20, 1)]
+    assert util._SLOT_TABLES.size == 40
+
+
+def test_wide_slot_tables_are_weighed_by_mask_and_key_size(monkeypatch):
+    """A slot weighs one more per 30 bits of n and per 30 characters of
+    the shape's longest key.  With MAX_SLOTS patched to 40, the 35
+    slots of (35, 1) weigh 70 and the 25 slots of (25, 24), whose keys
+    run to 63 characters, weigh 75: neither table is kept, each is
+    built afresh on every call, and the tables kept stay as they were."""
+    monkeypatch.setattr(util, "MAX_SLOTS", 40)
+    monkeypatch.setattr(util, "_SLOT_TABLES", util.BoundedMemo())
+    narrow = slot_table(5, 2)
+    assert list(util._SLOT_TABLES.items()) == [((5, 2), (10, narrow))]
+    for n, k in ((35, 1), (25, 24)):
+        wide = slot_table(n, k)
+        assert wide.masks == tuple(ksubsets(n, k))
+        assert slot_table(n, k) is not wide
+        assert list(util._SLOT_TABLES.items()) == [((5, 2), (10, narrow))]
+    assert len(slot_table(25, 24).keys[-1]) == 63
+    monkeypatch.setattr(util, "MAX_SLOTS", 75)
+    slot_table(25, 24)
+    assert list(util._SLOT_TABLES) == [(25, 24)]
+    assert util._SLOT_TABLES.size == 75
 
 
 def test_valuations_round_trip_on_integers():

@@ -472,7 +472,7 @@ def plain(entries):
 
 
 def memo_state():
-    return dict(presentations._MEMO), presentations._memo_size
+    return dict(presentations._MEMO), presentations._MEMO.size
 
 
 def test_distinguished_memo_keeps_no_refusal():
@@ -517,9 +517,8 @@ def test_distinguished_memo_evicts_the_oldest_within_its_budget(
     cold = [plain(distinguished(v)) for v in (*vals, big)]
     cost = [len(v.ints) + sum(len(e[2]) for e in c)
             for v, c in zip((*vals, big), cold)]
-    assert presentations._memo_size == sum(cost)
+    assert presentations._MEMO.size == sum(cost)
     presentations._MEMO.clear()
-    presentations._memo_size = 0
     budget = sum(cost[:3]) - 1
     assert cost[3] > budget
     monkeypatch.setattr(presentations, "MAX_SLOTS", budget)
@@ -527,7 +526,7 @@ def test_distinguished_memo_evicts_the_oldest_within_its_budget(
         distinguished(v)
     keys = [v.canonical() for v in vals]
     assert list(presentations._MEMO) == keys[1:]
-    assert presentations._memo_size == cost[1] + cost[2] <= budget
+    assert presentations._MEMO.size == cost[1] + cost[2] <= budget
     hit = distinguished(vals[2])
     assert plain(hit) == cold[2]
     assert all(e.matroid._cf is None for e in hit)
@@ -536,7 +535,7 @@ def test_distinguished_memo_evicts_the_oldest_within_its_budget(
     assert memo_state() == before
     assert plain(distinguished(vals[0])) == cold[0]
     assert list(presentations._MEMO) == keys[2:] + keys[:1]
-    assert presentations._memo_size == cost[2] + cost[0] <= budget
+    assert presentations._MEMO.size == cost[2] + cost[0] <= budget
 
 
 def test_distinguished_memo_holds_no_valuation(monkeypatch, tmp_path):
