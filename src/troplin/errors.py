@@ -73,9 +73,9 @@ class NotTransversalFacets(TroplinError):
 
 
 class TooLarge(TroplinError):
-    """C(n, d), or at the JSON boundary n itself, beyond util.MAX_SLOTS;
-    witness gives n, rank (for C(n, d)) and limit.  A flat lattice or a
-    meet closure past it gives flats or meets and limit."""
+    """A shape util.check_slots refuses (witness n, rank, limit, and the
+    weight if that is past its limit), n past util.MAX_SLOTS at the JSON
+    boundary (n, limit), or a flat lattice or meet closure past it."""
 
 
 class UsageError(TroplinError):

@@ -8,8 +8,8 @@ reduction matrix, whose rows are indexed by the non-sink vertices.
 
 from .errors import NegativeCycle, NoBasis, NotMinimalMatching
 from .trop import INF, ZERO, _augment, matrix_shape, min_assignment, stiefel
-from .util import elems, list1
-from .valuated import ValuatedMatroid, check_slots, v_dual
+from .util import check_slots, elems, list1
+from .valuated import ValuatedMatroid, v_dual
 
 
 def _fmt(v):

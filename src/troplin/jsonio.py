@@ -8,9 +8,9 @@ representation, so 0.1 means 1/10 either way.  Ground-set
 elements are 1-based everywhere; subsets are sorted element lists.
 d-subset table keys are written in the canonical comma-joined spelling
 ("1,3,4"); on input any order and spacing is accepted ("3, 1,4"), and
-a d-set named by two keys is refused.  Canonical keys are read and
-written through the shape's util.slot_table, built once per process
-after the slot limit; other spellings go through key_to_mask.
+a d-set named by two keys is refused.  Canonical keys are read through
+the shape's util.slot_table and written through the valuation's own
+table; other spellings go through key_to_mask.
 Valuation entries are read straight to integers over their lcm and
 written from the valuation's integer table, with no Fraction per entry;
 point coordinates are read through the same split, one Fraction each,
@@ -27,8 +27,8 @@ from .errors import TooLarge
 from .gammoid import WeightedDigraph
 from .matroid import Matroid
 from .trop import INF
-from .util import list1, slot_table
-from .valuated import MAX_SLOTS, ValuatedMatroid, check_slots
+from .util import MAX_SLOTS, list1, slot_table
+from .valuated import ValuatedMatroid
 
 
 # A decimal exponent costs time and bits that grow with its size, so
@@ -210,9 +210,9 @@ def _slot_of(key, n, d):
 
 def parse_valuated(obj):
     """The valuation of a JSON object, its entries read straight to
-    integers over their lcm.  The slot limit is checked before the
-    shape's slot table is built or read; a canonical key costs one
-    lookup in it."""
+    integers over their lcm.  The shape's slot table refuses a rank out
+    of range or too many slots before any is listed; a canonical key
+    costs one lookup in it."""
     n = _get_n(obj)
     d = obj.get("rank")
     if isinstance(d, bool) or not isinstance(d, int):
@@ -220,9 +220,6 @@ def parse_valuated(obj):
     table = obj.get("entries")
     if not isinstance(table, dict):
         raise ValueError("valuation needs an entries table")
-    if not 0 <= d <= n:
-        raise ValueError("rank out of range")
-    check_slots(n, d)
     masks = slot_table(n, d).index
     entries = {}
     for key, val in table.items():
@@ -251,10 +248,10 @@ def _refuse_repeated_sets(table, n, d):
 
 
 def fmt_valuated(vm):
-    """The JSON object of vm: its shape's canonical keys paired with
-    ints, which is in the same slot order."""
+    """The JSON object of vm: the canonical keys of the slot table it
+    carries paired with ints, which is in the same slot order."""
     den = vm.den
-    entries = dict(zip(slot_table(vm.n, vm.d).keys,
+    entries = dict(zip(vm.slots.keys,
                        [_fmt_ratio(v, den) for v in vm.ints.values()]))
     return {"n": vm.n, "rank": vm.d, "entries": entries, "sparse": False}
 

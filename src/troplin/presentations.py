@@ -18,9 +18,9 @@ from .errors import (NotTransversalFacets, PointOutsideL, TroplinError,
 from .linprog import distinct_rows, solve_lp
 from .matroid import Matroid
 from .trop import INF, check_point, integer_scaled, lowered, relsupp, stiefel
-from .util import BoundedMemo, bits, elems, list1
-from .valuated import (MAX_SLOTS, _face, face_witness, maximal_cells,
-                       membership, v_contract)
+from .util import MAX_SLOTS, BoundedMemo, bits, elems, list1
+from .valuated import (_face, face_witness, maximal_cells, membership,
+                       v_contract)
 from . import transversal
 
 

@@ -12,8 +12,7 @@ from collections import Counter
 from .errors import NoBasis, NotTransversal, TooLarge
 from .matroid import Matroid
 from .trop import _augment
-from .util import bits, ksubsets, list1
-from .valuated import MAX_SLOTS
+from .util import MAX_SLOTS, bits, ksubsets, list1
 
 BETA_MAX_FLATS = 24
 

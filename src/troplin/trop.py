@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .errors import AllInfinite, InfiniteBase, OutOfDomain
-from .util import bits, ksubsets, list1, mask_of
+from .util import bits, check_slots, list1, mask_of, slot_table
 
 INF = float("inf")
 ZERO = Fraction(0)
@@ -215,7 +215,7 @@ def stiefel(a):
     Laplace expansion shared by all column sets, or one Hungarian run per
     column set.
     """
-    from .valuated import ValuatedMatroid, check_slots
+    from .valuated import ValuatedMatroid
 
     d, n = matrix_shape(a)
     if d > n:
@@ -272,4 +272,4 @@ def _assignment_minors(a):
     "All maximal minors, raw, by one Hungarian run per column set."
     d, n = matrix_shape(a)
     return {b: min_assignment([[row[c] for c in bits(b)] for row in a])[0]
-            for b in ksubsets(n, d)}
+            for b in slot_table(n, d).masks}

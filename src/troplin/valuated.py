@@ -21,22 +21,10 @@ from math import gcd, lcm
 
 from .errors import (AllInfinite, EmptyIntersection, EmptySupport,
                      InconsistentCell, InfiniteBase, NotAMatroid,
-                     RankCollapse, TooLarge, TroplinError)
+                     RankCollapse, TroplinError)
 from .matroid import Matroid, circuit_blocks
 from .trop import INF, check_point, integer_scaled
-from .util import (MAX_SLOTS, bits, ksubsets, list1, mask_of, slot_table,
-                   submasks)
-
-
-def check_slots(n, d):
-    """Refuse C(n, d) > MAX_SLOTS slots before enumerating them.  C(n, i)
-    grows up to i = min(d, n - d), so the count stops past the limit."""
-    slots = 1
-    for i in range(min(d, n - d)):
-        slots = slots * (n - i) // (i + 1)
-        if slots > MAX_SLOTS:
-            raise TooLarge("C(%d, %d) slots exceed %d" % (n, d, MAX_SLOTS),
-                           witness={"n": n, "rank": d, "limit": MAX_SLOTS})
+from .util import bits, ksubsets, list1, mask_of, slot_table, submasks
 
 
 class ValuatedMatroid:
@@ -51,18 +39,15 @@ class ValuatedMatroid:
     (den, ints) is the same for every spelling of one valuation:
     canonical() reads it, for equality, hashing and the memo of
     presentations.distinguished.  Keys are checked, and ints laid out in
-    slot order, through the shape's util.slot_table, built once per
-    process.  table is the Fraction view of ints, built on first use,
-    for the library API.  underlying() checks that the support is a
-    matroid; check_pluecker() checks that and the tropical Pluecker
-    relations.  The other views kept are those a request reuses:
-    underlying() and maximal_cells().
+    slot order, through the shape's util.slot_table, kept as slots.
+    table is the Fraction view of ints, built on first use, for the
+    library API.  underlying() checks that the support is a matroid;
+    check_pluecker() checks that and the tropical Pluecker relations.
+    The other views kept are those a request reuses: underlying() and
+    maximal_cells().
     """
 
     def __init__(self, n, d, entries, den=None):
-        if not 0 <= d <= n:
-            raise ValueError("rank out of range")
-        check_slots(n, d)
         slots = slot_table(n, d)
         if not slots.maskset.issuperset(entries):
             raise ValueError("entry key is not a %d-subset mask" % d)
@@ -85,6 +70,7 @@ class ValuatedMatroid:
         self.full = (1 << n) - 1
         self.den = den
         self.ints = ints
+        self.slots = slots
         self._table = None
         self.support = tuple(b for b, v in ints.items() if v != INF)
         self._underlying = None
@@ -579,14 +565,13 @@ def cell_complex(vm):
 
 def stable_sum(v1, v2):
     """Min-plus convolution of two valuations on the same ground set,
-    on integers over the lcm of their denominators.  A sum of more than
-    MAX_SLOTS slots is refused before any slot is filled."""
+    on integers over the lcm of their denominators.  A sum of more slots
+    than util.slot_table admits is refused before any slot is filled."""
     if v1.n != v2.n:
         raise ValueError("ground sets differ")
     k = v1.d + v2.d
     if k > v1.n:
         raise EmptySupport("ranks add up beyond the ground set")
-    check_slots(v1.n, k)
     den = lcm(v1.den, v2.den)
     s1, s2 = den // v1.den, den // v2.den
     entries = {}

@@ -4,12 +4,16 @@ by reference.census, as ground truth for the theorems.
 Each class runs in a test of its own, so that its cost shows.
 """
 
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
-from reference import census, corank_transform_mobius, rank_violation_scan
-from troplin import (Matroid, NotTransversalFacets, ValuatedMatroid, apices,
-                     distinguished, is_transversal_valuated, maximal_cells,
-                     stiefel)
+from reference import (census, corank_transform_mobius,
+                       presentation_space_member, rank_violation_scan)
+from troplin import (INF, Matroid, NotTransversalFacets, ValuatedMatroid,
+                     apices, distinguished, is_transversal_valuated,
+                     maximal_cells, sample_presentation, stiefel)
 from troplin.util import mask_of
 
 
@@ -45,3 +49,33 @@ def test_census_rank3_on_6_with_values_0_1():
         assert bad in cells
         assert rank_violation_scan(bad) is not None
     assert verdicts.count(True) == 1213 and verdicts.count(False) == 30
+
+
+def test_census_fiber_route_equals_the_definition():
+    """The paper's fiber description (reference.presentation_space_member)
+    answers stiefel(points) == v on all 1,213 transversal valuations of
+    rank 3 on 6 elements with values {0, 1}, on four tuples each: the
+    apices, sample_presentation with seeds 1 and 2, and the seed-1
+    sample with its first finite coordinate moved by 1/2.  Of the 4,852
+    tuples, 4,549 present their valuation; the 303 others are moved
+    samples."""
+    vals = [v for v in {ValuatedMatroid(6, 3, t) for t in census(6, 3, (0, 1))}
+            if is_transversal_valuated(v)]
+    assert len(vals) == 1213
+    cases = Counter()
+    for v in vals:
+        first = sample_presentation(v, 1)
+        moved = [list(p) for p in first]
+        i, j = next((i, j) for i, p in enumerate(moved)
+                    for j, x in enumerate(p) if x != INF)
+        moved[i][j] += Fraction(1, 2)
+        for kind, points in (("apices", apices(distinguished(v))),
+                             ("seed 1", first),
+                             ("seed 2", sample_presentation(v, 2)),
+                             ("moved", moved)):
+            want = stiefel(points) == v
+            assert presentation_space_member(v, points) == want
+            cases[kind, want] += 1
+    assert cases == {("apices", True): 1213, ("seed 1", True): 1213,
+                     ("seed 2", True): 1213, ("moved", True): 910,
+                     ("moved", False): 303}

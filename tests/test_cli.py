@@ -19,8 +19,8 @@ from common import (k4_graphic_valuation, random_rows, random_valuation,
 from reference import (check_pluecker_bruteforce, initial_matroid_bruteforce,
                        membership_bruteforce, violated_relation)
 from troplin import (INF, AllInfinite, Matroid, OutOfDomain, TooLarge,
-                     TroplinError, ValuatedMatroid, WeightedDigraph, jsonio,
-                     matroid, presentations, stiefel, trop, util, valuated)
+                     TroplinError, ValuatedMatroid, WeightedDigraph, matroid,
+                     presentations, stiefel, util, valuated)
 from troplin.cli import COMMANDS, run
 from troplin.jsonio import (dumps, fmt_matrix, fmt_matroid, fmt_point,
                             fmt_valuated, parse_matrix, parse_point,
@@ -126,11 +126,8 @@ def test_oversized_tables_are_refused_before_enumeration(tmp_path,
         raise AssertionError("enumerated the %d-subsets of %r" % (k, items))
 
     monkeypatch.setattr(valuated, "ksubsets", no_enumeration)
-    monkeypatch.setattr(trop, "ksubsets", no_enumeration)
-    monkeypatch.setattr(valuated, "slot_table", no_enumeration)
-    monkeypatch.setattr(jsonio, "slot_table", no_enumeration)
     monkeypatch.setattr(util, "combinations", no_combinations)
-    want = {"n": 64, "rank": 32, "limit": valuated.MAX_SLOTS}
+    want = {"n": 64, "rank": 32, "limit": util.MAX_SLOTS}
     with pytest.raises(TooLarge) as err:
         ValuatedMatroid(64, 32, {})
     assert err.value.witness == want
@@ -143,9 +140,58 @@ def test_oversized_tables_are_refused_before_enumeration(tmp_path,
     code, out, _ = call(tmp_path, "check-pluecker", payload)
     assert code == 2
     assert out["error"] == "TooLarge"
-    assert out["witness"] == {"n": 30, "rank": 15, "limit": valuated.MAX_SLOTS}
+    assert out["witness"] == {"n": 30, "rank": 15, "limit": util.MAX_SLOTS}
     code, out, _ = call(tmp_path, "stiefel", [["0"] * 64] * 32)
     assert code == 2 and out["witness"] == want
+
+
+def test_heavy_slot_tables_are_refused_before_enumeration(tmp_path,
+                                                          monkeypatch):
+    """C(65536, 65535) and C(65536, 1) are within the slot count, but a
+    table of their 65,536 slots would hold 65,536-bit masks, and the
+    corank-1 keys run to 382,108 characters: each table weighs past
+    MAX_SLOTS << 4, so check-pluecker exits 2 with TooLarge before any
+    subset is listed."""
+    def no_combinations(items, k):
+        raise AssertionError("enumerated %d-subsets" % k)
+
+    monkeypatch.setattr(util, "combinations", no_combinations)
+    limit = util.MAX_SLOTS << 4
+    for d, entries, weight in ((65535, {}, 977862656),
+                               (1, {"1": "0", "65536": "2"}, 143196160)):
+        code, out, _ = call(tmp_path, "check-pluecker",
+                            {"n": 65536, "rank": d, "entries": entries})
+        assert code == 2
+        assert out == {"error": "TooLarge",
+                       "message": "C(65536, %d) slots weigh %d, beyond %d"
+                                  % (d, weight, limit),
+                       "witness": {"n": 65536, "rank": d, "weight": weight,
+                                   "limit": limit}}
+
+
+def test_slot_tables_are_weighed_before_enumeration(monkeypatch):
+    """check_slots weighs a shape's table as slot_table would keep it,
+    from counts alone.  Every rank-2 shape within the slot count is
+    admitted, (362, 2) weighing 849,433, as are the widest shapes the
+    tests build; a shape is first refused by weight at n = 240 for
+    corank 2, n = 2,384 for corank 1 and n = 5,608 for rank 1."""
+    for n, k, weight in ((362, 2, 849433), (200, 2, 139300),
+                         (120, 119, 2040), (239, 237, 1023876),
+                         (2383, 2382, 1048520), (5607, 1, 1048509)):
+        assert util.check_slots(n, k) == weight
+    for n, k in ((240, 238), (2384, 2383), (5608, 1), (65536, 65535)):
+        with pytest.raises(TooLarge) as err:
+            util.check_slots(n, k)
+        assert set(err.value.witness) == {"n", "rank", "weight", "limit"}
+    for n in range(2, 363):
+        assert util.check_slots(n, 2) <= util.MAX_SLOTS << 4
+    monkeypatch.setattr(util, "_SLOT_TABLES", BoundedMemo())
+    for n in range(3, 130):
+        for k in {0, 1, 2, n - 2, n - 1, n}:
+            table = util.slot_table(n, k)
+            weight = len(table.masks) * (1 + n // 30
+                                         + len(table.keys[-1]) // 30)
+            assert util.check_slots(n, k) == weight
 
 
 def test_dual_restrict_contract_initial(tmp_path):
@@ -1072,8 +1118,8 @@ def test_ground_sets_beyond_the_slot_limit_are_refused(
     assert code == 2
     assert out == {"error": "TooLarge",
                    "message": "n = %d exceeds %d" % (10 ** 10,
-                                                     valuated.MAX_SLOTS),
-                   "witness": {"n": 10 ** 10, "limit": valuated.MAX_SLOTS}}
+                                                     util.MAX_SLOTS),
+                   "witness": {"n": 10 ** 10, "limit": util.MAX_SLOTS}}
     assert capsys.readouterr().err == ""
 
 

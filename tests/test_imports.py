@@ -14,7 +14,8 @@ tracer names functions); prose in comments and docstrings does not.
 Likewise every error class of errors.py must be raised somewhere in the
 package outside oracle.py.  And troplin.oracle, which every benchmark
 process imports, defines only what bench/ imports from it and what that
-calls.
+calls.  Each package module imports a name from the module that
+defines it, not through another module that imports it in turn.
 """
 
 import ast
@@ -215,3 +216,43 @@ def test_oracle_holds_only_what_the_benchmark_runs():
     unread = unread_references(oracle.read_text(encoding="utf-8"), bench)
     assert not unread, ("troplin.oracle functions that bench/ never "
                         "runs: " + ", ".join(unread))
+
+
+def reexported_imports(modules):
+    """(label, line, name) for each `from .m import name` in the modules
+    ({label: text}, labelled by file name) where m.py binds the name
+    only by importing it: no def, class or assignment at its top level."""
+    defined = {}
+    for label, text in modules.items():
+        names = defined[label[:-3]] = set()
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                names.update(n.id for t in targets for n in ast.walk(t)
+                             if isinstance(n, ast.Name))
+    return sorted((label, node.lineno, alias.name)
+                  for label, text in modules.items()
+                  for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.ImportFrom) and node.level == 1
+                  and node.module in defined
+                  for alias in node.names
+                  if alias.name not in defined[node.module])
+
+
+def test_reexport_checker_sees_chained_imports():
+    modules = {"a.py": "LIMIT = 1\ndef f():\n    return LIMIT\n",
+               "b.py": "from .a import LIMIT, f\nclass C:\n    pass\n",
+               "c.py": "from .b import C, LIMIT\n"
+                       "def g():\n    from .b import f\n    return f\n"}
+    assert reexported_imports(modules) == [("c.py", 1, "LIMIT"),
+                                           ("c.py", 3, "f")]
+
+
+def test_names_are_imported_from_their_defining_module():
+    modules = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
+    found = ["%s:%d %s" % hit for hit in reexported_imports(modules)]
+    assert not found, "names imported through a re-export:\n" + \
+        "\n".join(found)

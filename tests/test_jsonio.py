@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from common import random_valuation
 from reference import mask_to_key
 from troplin import INF, ValuatedMatroid, jsonio, util
+from troplin.cli import run
 from troplin.jsonio import (_fmt_ratio, _parse_ratio, fmt_point,
                             fmt_scalar, fmt_valuated, key_to_mask,
                             parse_point, parse_scalar, parse_valuated)
@@ -236,6 +238,37 @@ def test_wide_slot_tables_are_weighed_by_mask_and_key_size(monkeypatch):
     slot_table(25, 24)
     assert list(util._SLOT_TABLES) == [(25, 24)]
     assert util._SLOT_TABLES.size == 75
+
+
+def test_a_heavy_table_is_built_once_per_valuation(monkeypatch, tmp_path):
+    """With MAX_SLOTS patched to 40, the 35-slot tables of (35, 1) and
+    (35, 34) are too heavy to keep, so each valuation builds its own:
+    the parser and the constructor each build one, and the printer
+    reads the table its valuation carries.  stiefel on one row builds
+    1 (the constructor), dual 3 (parse, construct, the dual) and
+    check-pluecker 2."""
+    monkeypatch.setattr(util, "MAX_SLOTS", 40)
+    monkeypatch.setattr(util, "_SLOT_TABLES", util.BoundedMemo())
+    built, table = [], util.SlotTable
+
+    def counted(*parts):
+        built.append(len(parts[0]))
+        return table(*parts)
+
+    monkeypatch.setattr(util, "SlotTable", counted)
+    row = [str(j % 3) for j in range(35)]
+    valuation = {"n": 35, "rank": 1,
+                 "entries": {str(j + 1): v for j, v in enumerate(row)}}
+    src, dst = tmp_path / "in.json", tmp_path / "out.json"
+    for command, payload, builds in (("stiefel", [row], 1),
+                                     ("dual", valuation, 3),
+                                     ("check-pluecker", valuation, 2)):
+        src.write_text(json.dumps(payload))
+        del built[:]
+        assert run([command, "--input", str(src), "--output",
+                    str(dst)]) == 0
+        assert built == [35] * builds
+        assert not util._SLOT_TABLES
 
 
 def test_valuations_round_trip_on_integers():

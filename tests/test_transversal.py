@@ -17,8 +17,7 @@ from troplin import (Matroid, NoBasis, NotTransversal, TooLarge,
                      verify_set_presentation)
 from troplin.cli import run
 from troplin.transversal import _counting_violation, covering_violations
-from troplin.util import ksubsets, mask_of
-from troplin.valuated import MAX_SLOTS
+from troplin.util import MAX_SLOTS, ksubsets, mask_of
 
 
 def series_pair():
