@@ -21,7 +21,7 @@ from .presentations import (apices, distinguished, sample_presentation,
                             verify_presentation)
 from .transversal import (is_transversal, max_presentation,
                           verify_set_presentation)
-from .trop import check_point, lowered, stiefel
+from .trop import check_point, stiefel
 from .util import list1, mask_of
 from .valuated import (cell_complex, check_pluecker, initial_matroid,
                        maximal_cells, membership, require_loop_free,
@@ -93,7 +93,7 @@ def cmd_cells(payload, args):
     vm = jsonio.parse_valuated(payload)
     _require_pluecker(vm)
     cells = [{"bases": [list1(b) for b in c.matroid.bases],
-              "witness": jsonio.fmt_point(c.witness),
+              "witness": jsonio.fmt_scaled(*c.scaled),
               "maximal": c.is_maximal}
              for c in cell_complex(vm)]
     return 0, {"n": vm.n, "rank": vm.d, "cells": cells}
@@ -105,7 +105,7 @@ def cmd_vertices(payload, args):
     _require_pluecker(vm)
     require_loop_free(vm)
     out = [{"bases": [list1(b) for b in c.matroid.bases],
-            "point": jsonio.fmt_point(lowered(*c.scaled))}
+            "point": jsonio.fmt_scaled(*c.scaled, lower=True)}
            for c in maximal_cells(vm)
            if len(c.matroid.connected_components()) == 1]
     return 0, {"n": vm.n, "vertices": out}

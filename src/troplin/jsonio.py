@@ -14,7 +14,8 @@ table; other spellings go through key_to_mask.
 Valuation entries are read straight to integers over their lcm and
 written from the valuation's integer table, with no Fraction per entry;
 point coordinates are read through the same split, one Fraction each,
-with no string parse.
+with no string parse, and points on an integer scale (cell witnesses,
+vertices) are written from it (fmt_scaled).
 """
 
 import json
@@ -132,6 +133,14 @@ def fmt_point(p):
     return [fmt_scalar(v) for v in p]
 
 
+def fmt_scaled(den, ys, lower=False):
+    """fmt_point of the point ys / den, for ints ys as integer_scaled
+    gives them, with no Fraction per coordinate; if lower, shifted so
+    its least finite coordinate is 0, as trop.lowered shifts it."""
+    low = min(v for v in ys if v is not INF) if lower else 0
+    return [_fmt_ratio(v if v is INF else v - low, den) for v in ys]
+
+
 def parse_matrix(obj):
     if not isinstance(obj, (list, tuple)) or not obj:
         raise ValueError("matrix must be a nonempty list of rows")
@@ -212,7 +221,8 @@ def parse_valuated(obj):
     """The valuation of a JSON object, its entries read straight to
     integers over their lcm.  The shape's slot table refuses a rank out
     of range or too many slots before any is listed; a canonical key
-    costs one lookup in it."""
+    costs one lookup in it, and the constructor takes the same table, so
+    a table too heavy to keep is built once per parsed valuation."""
     n = _get_n(obj)
     d = obj.get("rank")
     if isinstance(d, bool) or not isinstance(d, int):
@@ -220,7 +230,8 @@ def parse_valuated(obj):
     table = obj.get("entries")
     if not isinstance(table, dict):
         raise ValueError("valuation needs an entries table")
-    masks = slot_table(n, d).index
+    slots = slot_table(n, d)
+    masks = slots.index
     entries = {}
     for key, val in table.items():
         mask = masks.get(key)
@@ -233,7 +244,7 @@ def parse_valuated(obj):
     ints = {b: v if v is INF else v[0] * (den // v[1])
             for b, v in entries.items()}
     # missing keys mean inf, so sparse input needs no special casing
-    return ValuatedMatroid(n, d, ints, den)
+    return ValuatedMatroid(n, d, ints, den, slots)
 
 
 def _refuse_repeated_sets(table, n, d):

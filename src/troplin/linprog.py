@@ -14,7 +14,7 @@ one.
 
 The tableau holds integers (integer-preserving pivoting, after Edmonds
 1967 and Bareiss 1968): a row starts as its constraint times the lcm of
-its denominators (1 for a row of ints) and stays a positive multiple of
+its denominators (a row of ints as it is) and stays a positive multiple of
 the row of a Fraction tableau, reduced by its gcd, with that multiple
 as its basic entry; the objective row ends in one positive denominator.
 Signs and ratios compare as on Fractions, so the pivots, status, value
@@ -74,6 +74,14 @@ def _run(tab, obj, basis, ncols):
         _pivot(tab, obj, basis, leave, enter)
 
 
+def _scaled(values):
+    """(k, ints): the values times k, the lcm of their denominators, as
+    integer_scaled gives them; a list of ints is taken as it is."""
+    if all(type(v) is int for v in values):
+        return 1, values
+    return integer_scaled([Fraction(v) for v in values])
+
+
 def distinct_rows(constraints):
     """The (coeffs, rhs) rows, one per distinct left side, in order of
     first appearance: of rows with equal coefficient tuples only the
@@ -99,7 +107,10 @@ def solve_lp(num_vars, objective, constraints):
     """Maximize objective . x over free rational x subject to constraints.
 
     constraints: iterable of (coeffs, rhs) rows, each meaning
-    coeffs . x <= rhs.  Returns (status, value, x) where status is
+    coeffs . x <= rhs, reduced by distinct_rows.  A row of ints starts
+    the tableau as it is, as the escape-region rows of
+    presentations._in_region do; any other row is scaled to integers
+    first (_scaled).  Returns (status, value, x) where status is
     "optimal", "infeasible" or "unbounded"; value and x are Fractions,
     or None unless optimal.
     """
@@ -113,7 +124,7 @@ def solve_lp(num_vars, objective, constraints):
     basis = []
     ai = nreal
     for i, (coeffs, rhs) in enumerate(rows):
-        k, ints = integer_scaled([*coeffs, rhs])
+        k, ints = _scaled([*coeffs, rhs])
         row = [0] * (ncols + 1)
         for j, c in enumerate(ints[:-1]):
             row[2 * j] = c
@@ -152,7 +163,7 @@ def solve_lp(num_vars, objective, constraints):
         tab = [row[:nreal] + [row[-1]] for row in tab]
 
     # phase 2
-    den, ints = integer_scaled([Fraction(c) for c in objective])
+    den, ints = _scaled(list(objective))
     obj = [0] * (nreal + 1) + [den]
     for j, c in enumerate(ints):
         obj[2 * j] = -c

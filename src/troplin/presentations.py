@@ -58,37 +58,44 @@ def _in_region(region, flat, z):
     """Is the checked point z inside the escape region of `flat`, on the
     rows of _escape_region?  It is unless some finite coordinate j of z
     on the flat can attain the minimum of z - y for a y interior to the
-    cell of the face at the flat: one small exact LP maximizing s per
-    such j, whose extra rows, saying that j attains the minimum,
-    collapse to one per pair of components.  A finite z[k] in j's own
-    component with z[k] - z[j] < xw[k] - xw[j] rules j out with no LP at
-    all.  Rows go to a larger scale only if z's denominators do not
-    divide D."""
+    cell of the face at the flat, y = xw + t, t constant on each face
+    component.  On the gaps z - xw, j must attain the least gap low[K]
+    of its own component K, and then the rows saying that j attains the
+    minimum are t_K' - t_K <= low[K'] - low[K], one per other component
+    K' that z meets, the same for every such j of K.  Each face
+    component lies wholly on or off the flat.  If a component on the
+    flat reaches the least gap of all, t = 0 satisfies those rows and
+    leaves the margin s > 0 (off-face bases are strictly above the face
+    ones at xw), so z is outside with no LP.  Else one small exact LP
+    maximizing s runs per component on the flat that z meets.  Rows go
+    to a larger scale only if z's denominators do not divide D."""
     scale, xs, where, c, rows, cap = region
     common, zs = integer_scaled(z, scale)
     up = common // scale
     if up > 1:
         xs = [v * up for v in xs]
         rows = [(coeffs, rhs * up) for coeffs, rhs in rows]
-    for j in bits(flat):
-        if zs[j] == INF:
-            continue
-        cons = []
-        for k in range(len(zs)):
-            if k == j or zs[k] == INF:
-                continue
-            coeffs = [0] * c
-            ck, cj = where[k], where[j]
-            if ck < c - 1:
-                coeffs[ck] += 1
-            if cj < c - 1:
-                coeffs[cj] -= 1
-            cons.append((coeffs, (zs[k] - zs[j]) - (xs[k] - xs[j])))
-        # these rows leave s free, so none repeats a region row
-        cons = distinct_rows(cons)
-        if cons is None:
-            continue
-        status, value, _ = solve_lp(c, cap, rows + cons)
+    low = {}
+    for k, v in enumerate(zs):
+        if v is not INF:
+            i, gap = where[k], v - xs[k]
+            if i not in low or gap < low[i]:
+                low[i] = gap
+    on_flat = sorted({where[j] for j in bits(flat)}.intersection(low))
+    least = min(low.values())  # z, checked, has a finite coordinate
+    if any(low[i] == least for i in on_flat):
+        return False
+    for i in on_flat:
+        cons = list(rows)
+        for other, gap in low.items():
+            if other != i:
+                coeffs = [0] * c
+                if other < c - 1:
+                    coeffs[other] = 1
+                if i < c - 1:
+                    coeffs[i] = -1
+                cons.append((coeffs, gap - low[i]))
+        status, value, _ = solve_lp(c, cap, cons)
         if status == "optimal" and value > 0:
             return False
     return True
@@ -113,7 +120,10 @@ def verify_presentation(vm, points):
     F the escape-region count must equal cork(F) exactly.  A support rs
     is a flat of the cell, as v + eps e_rs lies in the space (tropical
     convexity), so the first count runs only at the meets of the
-    supports, in transversal.covering_violations.
+    supports, in transversal.covering_violations.  Each point is placed
+    in or out of an escape region at the region's face point when its
+    least gap there lies on the flat, and else by one LP per face
+    component on the flat (_in_region).
     Returns {"ok": bool, "violations": [...]}.
     """
     if len(points) != vm.d:

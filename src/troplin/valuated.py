@@ -39,7 +39,8 @@ class ValuatedMatroid:
     (den, ints) is the same for every spelling of one valuation:
     canonical() reads it, for equality, hashing and the memo of
     presentations.distinguished.  Keys are checked, and ints laid out in
-    slot order, through the shape's util.slot_table, kept as slots.
+    slot order, through the shape's util.slot_table, kept as slots; a
+    caller holding that table already (jsonio.parse_valuated) passes it.
     table is the Fraction view of ints, built on first use, for the
     library API.  underlying() checks that the support is a matroid;
     check_pluecker() checks that and the tropical Pluecker relations.
@@ -47,8 +48,9 @@ class ValuatedMatroid:
     maximal_cells().
     """
 
-    def __init__(self, n, d, entries, den=None):
-        slots = slot_table(n, d)
+    def __init__(self, n, d, entries, den=None, slots=None):
+        if slots is None:
+            slots = slot_table(n, d)
         if not slots.maskset.issuperset(entries):
             raise ValueError("entry key is not a %d-subset mask" % d)
         raw = map(entries.get, slots.masks, repeat(INF))

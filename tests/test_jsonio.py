@@ -129,9 +129,9 @@ def test_entries_share_the_lcm_of_their_reduced_denominators(monkeypatch):
     seen = []
 
     class Spy(ValuatedMatroid):
-        def __init__(self, n, d, entries, den=None):
+        def __init__(self, n, d, entries, den=None, slots=None):
             seen.append(den)
-            super().__init__(n, d, entries, den)
+            super().__init__(n, d, entries, den, slots)
 
     monkeypatch.setattr(jsonio, "ValuatedMatroid", Spy)
     rng = random.Random(48620)
@@ -243,10 +243,10 @@ def test_wide_slot_tables_are_weighed_by_mask_and_key_size(monkeypatch):
 def test_a_heavy_table_is_built_once_per_valuation(monkeypatch, tmp_path):
     """With MAX_SLOTS patched to 40, the 35-slot tables of (35, 1) and
     (35, 34) are too heavy to keep, so each valuation builds its own:
-    the parser and the constructor each build one, and the printer
-    reads the table its valuation carries.  stiefel on one row builds
-    1 (the constructor), dual 3 (parse, construct, the dual) and
-    check-pluecker 2."""
+    the parser builds one and hands it to the constructor, and the
+    printer reads the table its valuation carries.  stiefel on one row
+    builds 1 (the constructor), dual 2 (parse, the dual) and
+    check-pluecker 1."""
     monkeypatch.setattr(util, "MAX_SLOTS", 40)
     monkeypatch.setattr(util, "_SLOT_TABLES", util.BoundedMemo())
     built, table = [], util.SlotTable
@@ -261,8 +261,8 @@ def test_a_heavy_table_is_built_once_per_valuation(monkeypatch, tmp_path):
                  "entries": {str(j + 1): v for j, v in enumerate(row)}}
     src, dst = tmp_path / "in.json", tmp_path / "out.json"
     for command, payload, builds in (("stiefel", [row], 1),
-                                     ("dual", valuation, 3),
-                                     ("check-pluecker", valuation, 2)):
+                                     ("dual", valuation, 2),
+                                     ("check-pluecker", valuation, 1)):
         src.write_text(json.dumps(payload))
         del built[:]
         assert run([command, "--input", str(src), "--output",

@@ -1149,6 +1149,124 @@ def test_escape_regions_come_from_the_cell_in_hand(monkeypatch, tmp_path):
     assert got == ESCAPE_REGION_DIGEST
 
 
+def test_a_least_gap_on_the_flat_is_decided_with_no_lp(monkeypatch):
+    """A point whose least gap z - xw, over all its finite coordinates,
+    lies on the flat (strictly or tied) is outside the escape region:
+    with solve_lp failing, _in_region decides so, and the full-row LP
+    of the oracle agrees, on walls with 1, 2 and 3 components."""
+    def refuse(*args):
+        raise AssertionError("an escape-region LP ran")
+
+    monkeypatch.setattr(presentations, "solve_lp", refuse)
+    rng = random.Random(3535)
+    by_components = Counter()
+    for rows, _ in escape_region_cases():
+        v = stiefel(rows)
+        for cell in maximal_cells(v):
+            m = cell.matroid
+            if len(m.connected_components()) != 1:
+                continue
+            for f in m.cyclic_flats():
+                if f == 0:
+                    continue
+                region = presentations._escape_region(v, cell, f)
+                scale, xs = region[:2]
+                z = [INF if rng.random() < 0.15
+                     else Fraction(x, scale) + rng.randint(0, 6) for x in xs]
+                j = rng.choice(list1(f)) - 1
+                z[j] = Fraction(xs[j], scale) - rng.choice((0, Fraction(1, 2)))
+                z = tuple(z)
+                assert not presentations._in_region(region, f, z)
+                assert not rinf_member_lp(v, cell, f, z)
+                by_components[
+                    len(m.polytope_face(f).connected_components())] += 1
+    assert {1, 2, 3} <= set(by_components)
+    assert sum(by_components.values()) > 100
+
+
+def test_escape_regions_send_one_lp_per_face_component_on_the_flat(
+        monkeypatch):
+    """Each face component lies wholly on or off the flat, and each
+    (region, point) pair of verify_presentation on escape_region_cases
+    sends at most one LP per face component on the flat, with the
+    verdict of the full-row LP of the oracle."""
+    sent = []
+    real = presentations.solve_lp
+
+    def counted(*args):
+        sent.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(presentations, "solve_lp", counted)
+    pairs = lps = inside = 0
+    for rows, points in escape_region_cases():
+        v = stiefel(rows)
+        for cell in maximal_cells(v):
+            m = cell.matroid
+            if len(m.connected_components()) != 1:
+                continue
+            for f in m.cyclic_flats():
+                if f == 0:
+                    continue
+                comps = m.polytope_face(f).connected_components()
+                assert all(k & f in (0, k) for k in comps)
+                on_flat = sum(1 for k in comps if k & f)
+                region = presentations._escape_region(v, cell, f)
+                for z in points:
+                    del sent[:]
+                    got = presentations._in_region(region, f, z)
+                    assert len(sent) <= on_flat
+                    assert got == rinf_member_lp(v, cell, f, z)
+                    pairs += 1
+                    lps += len(sent)
+                    inside += got
+    assert pairs > 300
+    assert 0 < lps < pairs // 2
+    assert 0 < inside < pairs
+
+
+# sha256 of the (code, bytes) of the verify-presentation requests below,
+# as they were when every finite coordinate on the flat ran its own LP
+SUBDIVISION_VERIFY_DIGEST = ("3be326c0c6fb442001ab1362d8567cc2"
+                             "4894c9c4ff04b9c5e00f6144c0fc0291")
+
+
+def test_subdivision_verify_requests_send_few_lps(monkeypatch, tmp_path):
+    """The 24 verify-presentation requests of the benchmark's seed-1
+    subdivision stream (6 copies, as its 30-second run sends them) give
+    the bytes they gave with one LP per finite coordinate on the flat
+    (605 LPs), now with at most 220, both verdicts seen."""
+    import hashlib
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(Path(__file__).resolve().parent.parent
+                                / "bench")
+    import workloads
+
+    calls = []
+    real = presentations.solve_lp
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(presentations, "solve_lp", counted)
+    h = hashlib.sha256()
+    src, dst = tmp_path / "in.json", tmp_path / "out.json"
+    codes = Counter()
+    for req in workloads.build_stream("subdivision", 1, 6):
+        if req.command != "verify-presentation":
+            continue
+        src.write_text(req.text)
+        code = run([req.command, *req.argv, "--input", str(src),
+                    "--output", str(dst)])
+        codes[code] += 1
+        h.update(repr((code, dst.read_text())).encode())
+    assert codes == {0: 14, 1: 10}
+    assert 0 < len(calls) <= 220
+    assert h.hexdigest() == SUBDIVISION_VERIFY_DIGEST
+
+
 def vertex_answer_cases():
     """Loop- and coloop-free Stiefel images with d <= 4 and n <= 8, each
     with its rows and d points of their row span."""
