@@ -184,6 +184,29 @@ class Matroid:
                                        key=lambda f: (f.bit_count(), f)))
         return self._flats
 
+    def independent_flats(self):
+        """The independent flats, sorted by (size, mask), with no flat
+        lattice: a subset of an independent flat is one, so each is one a
+        size smaller plus an element above its largest, kept iff closed.
+        Refused with TooLarge once past MAX_SLOTS, as flats() is."""
+        found = [0] if self.is_flat(0) else []
+        level = found
+        while level:
+            grown = []
+            for f in level:
+                for e in range(f.bit_length(), self.n):
+                    if self.is_flat(f | 1 << e):
+                        grown.append(f | 1 << e)
+                        if len(found) + len(grown) > MAX_SLOTS:
+                            raise TooLarge(
+                                "%d independent flats exceed %d" % (
+                                    MAX_SLOTS + 1, MAX_SLOTS),
+                                witness={"flats": MAX_SLOTS + 1,
+                                         "limit": MAX_SLOTS})
+            level = sorted(grown)
+            found = found + level
+        return found
+
     def cyclic_flats(self):
         """The corank transform: {cyclic flat: tau}, its keys in (size,
         mask) order, found without the flat lattice.  The dict is cached

@@ -283,8 +283,7 @@ def sample_presentation(vm, seed=0):
     entries = distinguished(vm)
     if seed:
         rng = random.Random(seed)
-        indeps = [[f for f in e.matroid.flats() if e.matroid.independent(f)]
-                  for e in entries]
+        indeps = [e.matroid.independent_flats() for e in entries]
         for _ in range(25):
             trial = []
             for e, indep in zip(entries, indeps):

@@ -3,8 +3,10 @@
 Entries live on d-subsets of {0..n-1} (as bitmasks) and are normalized so
 the least finite entry is 0.  The induced regular subdivision of the basis
 polytope is computed exactly: maximal cells by a descent-plus-wall-flip
-walk, the full face complex by closing the maximal cells under facets
-(one facet test, _facets, serves both).  The walk compares on integers:
+walk, the full face complex by closing the maximal cells under facets.
+Each cell carries its parts, the cyclic flats of each component, and
+one facet test on them (_facets_of) serves both; a face's parts are
+read off its parent's.  The walk compares on integers:
 the table pl(B) - x(B) of every support basis is kept on one integer
 scale, starting from the valuation's own integers at x = 0, and each
 descent step, wall flip and face point moves that table and the
@@ -115,13 +117,15 @@ class SubdivisionCell:
     pl(b) - x(b) for each support basis b, on integers (_moved).  Tables
     are never mutated, so cells may share one.  The Fraction tuple
     witness is built on first read, since most witnesses of a walk are
-    never read."""
+    never read.  parts lists (K, {cyclic flat of m|K: rank}) for each
+    component K of two elements or more, loops left out (_parts)."""
 
-    def __init__(self, matroid, scaled, vals, is_maximal):
+    def __init__(self, matroid, scaled, vals, is_maximal, parts):
         self.matroid = matroid
         self.scaled = scaled
         self.vals = vals
         self.is_maximal = is_maximal
+        self.parts = parts
         self._witness = None
 
     @property
@@ -447,33 +451,89 @@ def _face(m, f):
     return r, tuple(face), circuit_blocks(m.full, circ)
 
 
-def _facets(m, flats):
-    """(f, r(f), face bases) for each proper flat f in `flats` whose face
-    has one more component than m (_face)."""
-    target = len(m.connected_components()) + 1
-    for f in flats:
-        if f == 0 or f == m.full:
-            continue
-        r, face, comps = _face(m, f)
-        if len(comps) == target:
-            yield f, r, face
+def _parts(m, comps, loops):
+    """(K, {cyclic flat of m|K: rank}) for each component K in comps of
+    two elements or more (a loop or coloop has no facet), read off
+    m.cyclic_flats(), the unions of its components' ones and the loops."""
+    cf = m.cyclic_flats()
+    return [(k, {z & ~loops: m.rank(z) for z in cf if not z & ~(k | loops)})
+            for k in comps if k.bit_count() > 1]
+
+
+def _splits(zs, top):
+    """Is the matroid on `top` with cyclic flats zs ({flat: rank}) and no
+    loops or coloops a direct sum: do two disjoint non-empty cyclic flats
+    (its separators) with union top have ranks adding up to r(top)?"""
+    r = zs[top]
+    return any(0 != z != top and zs.get(top ^ z) == r - rz
+               for z, rz in zs.items())
+
+
+def _flacet(part, f):
+    """The parts (f, Z(N|f)) and (K - f, Z(N/f)) of the face of the part
+    (K, Z(N)) at a proper non-empty cyclic flat f, the intervals below
+    and above f, less f and r(f) (Bonin-de Mier 2008); None if one
+    splits, as the face is then no facet (Feichtner-Sturmfels 2005)."""
+    k, zs = part
+    rf = zs[f]
+    below = {z: r for z, r in zs.items() if not z & ~f}
+    above = {z & ~f: r - rf for z, r in zs.items() if z & f == f}
+    if _splits(below, f) or _splits(above, k & ~f):
+        return None
+    return (f, below), (k & ~f, above)
+
+
+def _point(part, e):
+    """The part (K - e, Z(N/e)) of the face of the part (K, Z(N)) at {e},
+    its other part the coloop e, or None if {e} is no flat (a rank-1
+    cyclic flat holds e) or N/e splits.  Z(N/e) is Z - e for Z holding
+    e, and each Z missing e with Z + e a flat: unless a cyclic flat Y
+    holding e covers Z with r(Y) = r(Z) + 1, as cl(Z + e) then does."""
+    k, zs = part
+    bit = 1 << e
+    up = [(y, r) for y, r in zs.items() if y & bit]
+    if any(r == 1 for _, r in up):
+        return None
+    zc = {y ^ bit: r - 1 for y, r in up}
+    for z, r in zs.items():
+        if not z & bit and not any(ry == r + 1 and not z & ~y
+                                   for y, ry in up):
+            zc[z] = r
+    return None if _splits(zc, k ^ bit) else ((k ^ bit, zc),)
+
+
+def _facets_of(m, parts, points):
+    """(f, r(f), face bases, j, new parts) for each facet of the cell m
+    at a proper cyclic flat f of a part by (size, mask), then, if
+    `points`, at a point by element; part j splits into the new parts.
+    A cyclic flat plus whole parts, or a coloop, gives no other facet."""
+    found = [(f, parts[j][1][f], j, _flacet(parts[j], f))
+             for _, f, j in sorted((z.bit_count(), z, j)
+                                   for j, (k, zs) in enumerate(parts)
+                                   for z in zs if 0 != z != k)]
+    if points:
+        found += [(1 << e, 1, j, _point(parts[j], e)) for e, j in sorted(
+            (e, j) for j, (k, _) in enumerate(parts) for e in bits(k))]
+    for f, r, j, new in found:
+        if new:
+            face = tuple([b for b in m.bases if (b & f).bit_count() == r])
+            yield f, r, face, j, new
 
 
 def maximal_cells(vm):
     """All maximal cells of the induced subdivision, with witness points.
 
     Starts from one maximal cell and flips across every interior wall,
-    a face at a proper cyclic flat with one more component (_facets).
-    At the first breakpoint on the wall's flat f, bases meeting f in
-    fewer than r(f) elements are behind, so the cell across the wall is
-    the face bases (|b & f| = r(f)) and the bases tying there.  The walk
-    starts from the integer table at 0, ints itself, and each descent
-    step and each flip moves that table with the witness, both on
-    integers (_moved).  Each wall is crossed
-    once: a cell reached across f skips its wall back, the flat
-    (K - f) + loops, K the support component that f splits.  That wall
-    leads back to the cell the walk came from only if vm is a valuated
-    matroid (see check_pluecker), which the walk assumes.
+    a facet at a proper cyclic flat f of a part of the cell (_facets_of),
+    moved with the loops.  At the first breakpoint on f, bases meeting f
+    in fewer than r(f) elements are behind, so the cell across the wall
+    is the face bases (|b & f| = r(f)) and the bases tying there.  The
+    walk starts from the integer table at 0, ints itself, and each
+    descent step and each flip moves that table with the witness, both
+    on integers (_moved).  Each wall is crossed once: a cell reached
+    across f skips its wall back, K - f, K the part that f splits.  That
+    wall leads back to the cell the walk came from only if vm is a
+    valuated matroid (see check_pluecker), which the walk assumes.
     """
     if vm._maxcells is not None:
         return vm._maxcells
@@ -481,14 +541,16 @@ def maximal_cells(vm):
     comps = uv.connected_components()
     loops = uv.loops()
     first, x0, common, vals = _descend_to_maximal(vm, uv, len(comps))
-    cells = {first.bases: SubdivisionCell(first, (common, x0), vals, True)}
+    cells = {first.bases: SubdivisionCell(first, (common, x0), vals, True,
+                                          _parts(first, comps, loops))}
     queue = [(cells[first.bases], None)]
     while queue:
         cell, back = queue.pop()
         m = cell.matroid
         common, xs = cell.scaled
-        walls = [f for f in m.cyclic_flats() if f != back]
-        for f, r, face in _facets(m, walls):
+        for f, r, face, j, _ in _facets_of(m, cell.parts, False):
+            if f == back:
+                continue
             brk, ties = _first_break(cell.vals, m, f, r)
             if brk is None:
                 continue  # wall sits on the boundary of the support
@@ -499,12 +561,13 @@ def maximal_cells(vm):
             if len(m2.connected_components()) != len(comps):
                 raise InconsistentCell(
                     "wall flip did not land on a maximal cell",
-                    witness={"flat": list1(f)})
-            x2, common2, vals2 = _moved(vm, xs, common, cell.vals, f, *brk)
-            k = next(c for c in comps if c & f and c & ~f)
-            nc = SubdivisionCell(m2, (common2, x2), vals2, True)
+                    witness={"flat": list1(f | loops)})
+            x2, common2, vals2 = _moved(vm, xs, common, cell.vals,
+                                        f | loops, *brk)
+            nc = SubdivisionCell(m2, (common2, x2), vals2, True,
+                                 _parts(m2, comps, loops))
             cells[keep] = nc
-            queue.append((nc, (k & ~f) | loops))
+            queue.append((nc, cell.parts[j][0] & ~f))
     out = sorted(cells.values(), key=lambda c: c.matroid.bases)
     vm._maxcells = out
     return out
@@ -542,23 +605,25 @@ def cell_complex(vm):
     component, and the restriction to F is connected (Feichtner-Sturmfels
     2005), so F is a cyclic flat or a one-element flat.  So closing the
     maximal cells under those facets reaches every loop-free cell and no
-    other, with no flat lattice; each new face is built once.  Maximal
-    cells come first, each run sorted by bases.  A connected cell is
-    maximal; its vertex is its witness shifted to minimum 0.  Assumes
-    vm is a valuated matroid (see check_pluecker).
+    other, with no flat lattice; each new face is built once, its parts
+    read off the cell's (_facets_of), with no cyclic_flats() and no face
+    matroid for the test.  Maximal cells come first, each run sorted by
+    bases.  A connected cell is maximal; its vertex is its witness
+    shifted to minimum 0.  Assumes vm is a valuated matroid (see
+    check_pluecker).
     """
     require_loop_free(vm)
     found = {c.matroid.bases: c for c in maximal_cells(vm)}
     queue = list(found.values())
     while queue:
         cell = queue.pop()
-        m = cell.matroid
-        points = [1 << e for e in range(vm.n) if m.is_flat(1 << e)]
-        for f, _, face in _facets(m, [*m.cyclic_flats(), *points]):
+        parts = cell.parts
+        for f, _, face, j, new in _facets_of(cell.matroid, parts, True):
             if face in found:
                 continue
             nc = SubdivisionCell(Matroid(vm.n, face, check=False),
-                                 *face_witness(vm, cell, f), False)
+                                 *face_witness(vm, cell, f), False,
+                                 [*parts[:j], *new, *parts[j + 1:]])
             found[face] = nc
             queue.append(nc)
     return sorted(found.values(),

@@ -9,7 +9,10 @@ command runs: zoom, trop_cone_sample, r0_member, rinf_member (one point
 against the escape region of one cell, through the _escape_region and
 _in_region that verify_presentation runs), contract_presentation,
 trop_minor (one tropical maximal minor) and linking_value, the
-definition that gammoid_valuation is checked against.  The paper's
+definition that gammoid_valuation is checked against.
+cell_complex_by_faces is the face closure that counts each candidate
+face's components, which cell_complex reads off the cyclic-flat
+lattice instead.  The paper's
 explicit fiber description is here too: presentation_space_member
 assigns the points to the distinguished apices, and
 presentation_fan_member tests each apex's group against the fan of its
@@ -39,8 +42,9 @@ from troplin.transversal import (covering_violations, is_pseudopresentation,
 from troplin.trop import (INF, ONE, ZERO, check_point, integer_scaled,
                           matrix_shape, min_assignment, relsupp, stiefel)
 from troplin.util import bits, elems, ksubsets, list1, mask_of, submasks
-from troplin.valuated import (ValuatedMatroid, check_pluecker,
-                              initial_matroid, maximal_cells, membership)
+from troplin.valuated import (SubdivisionCell, ValuatedMatroid, _face,
+                              check_pluecker, face_witness, initial_matroid,
+                              maximal_cells, membership, require_loop_free)
 
 
 class NotCyclicFlat(TroplinError):
@@ -664,6 +668,55 @@ def cyclic_flats_bruteforce(m):
     """Cyclic flats by filtering the whole flat lattice: the flats f with
     coclosure(f) == f, sorted by (size, mask)."""
     return tuple(f for f in m.flats() if m.coclosure(f) == f)
+
+
+def _face_facets(m, flats):
+    """(f, face bases) for each proper flat f in `flats` whose face has
+    one more component than m, counted by valuated._face."""
+    target = len(m.connected_components()) + 1
+    for f in flats:
+        if f == 0 or f == m.full:
+            continue
+        _, face, comps = _face(m, f)
+        if len(comps) == target:
+            yield f, face
+
+
+def cell_complex_by_faces(vm):
+    """valuated.cell_complex as a closure of the maximal cells under the
+    facets that _face finds: every cyclic flat of each cell, from its
+    own cyclic_flats(), then every point flat by element, each face
+    counted from its fundamental circuits.  The cells come in the same
+    order, each face first found from the same (cell, flat), so the
+    witnesses are the same too."""
+    require_loop_free(vm)
+    found = {c.matroid.bases: c for c in maximal_cells(vm)}
+    queue = list(found.values())
+    while queue:
+        cell = queue.pop()
+        m = cell.matroid
+        points = [1 << e for e in range(vm.n) if m.is_flat(1 << e)]
+        for f, face in _face_facets(m, [*m.cyclic_flats(), *points]):
+            if face in found:
+                continue
+            nc = SubdivisionCell(Matroid(vm.n, face, check=False),
+                                 *face_witness(vm, cell, f), False, None)
+            found[face] = nc
+            queue.append(nc)
+    return sorted(found.values(),
+                  key=lambda c: (not c.is_maximal, c.matroid.bases))
+
+
+def component_flacets(m):
+    """The walls of the cell m that the cell walk tries, each spelled
+    once: the cyclic flats of m that lie in one component K plus the
+    loops, proper and non-empty in K, whose face has one more component
+    than m (_face_facets)."""
+    loops = m.loops()
+    inside = [f for f in m.cyclic_flats()
+              if any(not f & ~(k | loops) and 0 != f & k != k
+                     for k in m.connected_components())]
+    return [f for f, _ in _face_facets(m, inside)]
 
 
 def rank_violation_scan(m):

@@ -332,11 +332,12 @@ def test_sample_presentation_round_trip(tmp_path):
 
 def test_sample_presentation_refuses_a_flat_lattice_past_the_limit(
         tmp_path, monkeypatch):
-    """A nonzero seed lists the flats of each distinguished matroid.  On
-    the corank-1 all-zero valuation at n = 11 that is U(10, 11), with
-    2^11 - 11 = 2,037 flats: under a limit patched to 1,000 it exits 2
-    with TooLarge as soon as the 1,001st flat is found.  Seed 0 lists no
-    flats, and a small valuation still answers."""
+    """A nonzero seed lists the independent flats of each distinguished
+    matroid.  On the corank-1 all-zero valuation at n = 11 that is
+    U(10, 11), with 2^11 - 12 = 2,036 independent flats: under a limit
+    patched to 1,000 it exits 2 with TooLarge as soon as the 1,001st flat
+    is found.  Seed 0 lists no flats, and a small valuation still
+    answers."""
     monkeypatch.setattr(matroid, "MAX_SLOTS", 1000)
     table = {"n": 11, "rank": 10,
              "entries": {",".join(str(e) for e in range(1, 12) if e != k): "0"

@@ -24,14 +24,14 @@ from reference import (NotCyclicFlat, contract_presentation,
                        sigma0_lattice_scan)
 from troplin import (INF, AllInfinite, DistinguishedEntry, Matroid,
                      NotAMatroid, NotTransversalFacets, PointOutsideL,
-                     TroplinError, ValuatedMatroid, WrongArity,
+                     TooLarge, TroplinError, ValuatedMatroid, WrongArity,
                      apices, direct_sum, distinguished, is_transversal,
                      is_transversal_valuated, maximal_cells, membership,
                      normalize_point, presentations, relsupp,
                      sample_presentation, stiefel, transversal,
                      uniform_matroid, v_contract, v_dual, valuated,
                      verify_presentation, verify_set_presentation)
-from troplin import linprog
+from troplin import linprog, matroid
 from troplin.cli import run
 from troplin.jsonio import fmt_matrix, fmt_valuated
 from troplin.util import ksubsets, list1, mask_of
@@ -974,6 +974,29 @@ def test_distinguished_builds_no_flat_lattice(monkeypatch, tmp_path):
 
     monkeypatch.setattr(Matroid, "flats", no_flats)
     assert answers() == expected
+
+
+def test_independent_flats_are_listed_without_the_lattice(monkeypatch):
+    """Matroid.independent_flats lists the flats of Matroid.flats that
+    are independent, in the same (size, mask) order, on a matroid pool;
+    it refuses past MAX_SLOTS flats with TooLarge; and with
+    Matroid.flats failing, sample_presentation draws the same points."""
+    for m in matroid_pool(random.Random(4242), 300):
+        assert m.independent_flats() == \
+            [f for f in m.flats() if m.independent(f)]
+    v = v_dual(three_pair_valuation())
+    want = [sample_presentation(v, seed) for seed in (1, 2, 3)]
+
+    def no_flats(self):
+        raise AssertionError("the flat lattice was built")
+
+    monkeypatch.setattr(Matroid, "flats", no_flats)
+    assert [sample_presentation(v, seed) for seed in (1, 2, 3)] == want
+    monkeypatch.setattr(matroid, "MAX_SLOTS", 26)
+    assert len(uniform_matroid(4, 5).independent_flats()) == 26
+    with pytest.raises(TooLarge) as err:
+        uniform_matroid(5, 5).independent_flats()
+    assert err.value.witness == {"flats": 27, "limit": 26}
 
 
 def test_sample_presentation_walks_the_apices_once(monkeypatch):

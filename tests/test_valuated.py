@@ -1,11 +1,14 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from common import (fr, random_point, random_rows, rank2_four, rank3_five,
                     random_valuation, three_pair_valuation)
-from reference import (check_pluecker_bruteforce, contract_lex_greatest,
+from reference import (cell_complex_by_faces, census,
+                       check_pluecker_bruteforce, component_flacets,
+                       contract_lex_greatest,
                        face_point_fraction, first_breakpoint_bruteforce,
                        initial_matroid_bruteforce, membership_bruteforce,
                        restrict_lex_greatest, subdivision_sample,
@@ -644,9 +647,11 @@ def test_face_points_match_the_fraction_reference():
 
 def test_each_wall_is_crossed_once(monkeypatch):
     """Outside the descent, the walk runs _first_break once per wall of
-    each cell (_facets at its cyclic flats) but the one it came in by,
-    and _values never (the table at 0 is the valuation's own), on
-    images with loops and with several components among them."""
+    each cell but the one it came in by, a wall spelled once as a
+    facet at a cyclic flat inside one component plus the loops
+    (reference.component_flacets), and _values never (the table at 0 is
+    the valuation's own), on images with loops and with several
+    components among them."""
     inside = []
     breaks = []
     evaluations = []
@@ -677,9 +682,7 @@ def test_each_wall_is_crossed_once(monkeypatch):
         breaks.clear()
         evaluations.clear()
         cells = maximal_cells(v)
-        walls = sum(len(list(valuated._facets(c.matroid,
-                                              c.matroid.cyclic_flats())))
-                    for c in cells)
+        walls = sum(len(component_flacets(c.matroid)) for c in cells)
         assert sum(breaks) == walls - (len(cells) - 1)
         assert not evaluations
         assert maximal_cells(v) is cells and not evaluations
@@ -794,8 +797,9 @@ def test_cell_complex_matches_bruteforce(monkeypatch):
     cell: the result equals the closure under all faces, on Stiefel
     images up to (d, n) = (4, 7), and every witness has its cell as its
     initial matroid.  With the maximal cells known, the closure runs no
-    LP, no flat lattice, no polytope_face and no initial_matroid, and
-    builds one Matroid per face it adds."""
+    LP, no flat lattice, no polytope_face, no initial_matroid, no
+    circuit pass, no cyclic_flats and no _face, and builds one Matroid
+    per face it adds."""
     def refuse(name):
         def fail(*args):
             raise AssertionError("cell_complex ran " + name)
@@ -829,6 +833,9 @@ def test_cell_complex_matches_bruteforce(monkeypatch):
             mp.setattr(Matroid, "flats", refuse("Matroid.flats"))
             mp.setattr(Matroid, "polytope_face", refuse("polytope_face"))
             mp.setattr(valuated, "initial_matroid", refuse("initial_matroid"))
+            mp.setattr(Matroid, "circuits", refuse("Matroid.circuits"))
+            mp.setattr(Matroid, "cyclic_flats", refuse("cyclic_flats"))
+            mp.setattr(valuated, "_face", refuse("_face"))
             mp.setattr(valuated, "Matroid", counted)
             cc = cell_complex(v)
         assert len(built) == len(cc) - len(maximal)
@@ -839,6 +846,88 @@ def test_cell_complex_matches_bruteforce(monkeypatch):
             assert not c.matroid.loops()
             assert initial_matroid(v, c.witness) == c.matroid
     assert faces > 1000
+
+
+def census_sample(rng):
+    """A seeded sample of three census classes: 150 of the 1,243
+    valuations of rank 3 on 6 elements with values {0, 1}, and 60 tables
+    each of ranks 2 and 3 on 5 elements with values {0, 1, inf}."""
+    pool = [ValuatedMatroid(6, 3, t)
+            for t in rng.sample(census(6, 3, (0, 1)), 150)]
+    for d in (2, 3):
+        pool += [ValuatedMatroid(5, d, t)
+                 for t in rng.sample(census(5, d, (0, 1, INF)), 60)]
+    return pool
+
+
+def test_lattice_facet_test_matches_face_components():
+    """On every cell of a census sample and of walk_images (loops and
+    several components among them), faces included where the support is
+    loop-free: each cell carries the parts of its matroid (_parts).  At
+    every cyclic flat, _flacet on the one part the flat splits finds a
+    facet iff _face counts one more component, with whole parts added or
+    not; at every point, _point does iff {e} is a flat and _face counts
+    one more.  Each facet's new parts are the parts of its face."""
+    def by_part(parts):
+        return sorted(parts, key=lambda p: p[0])
+
+    def face_parts(v, face, loops):
+        m = Matroid(v.n, face, check=False)
+        return by_part(valuated._parts(m, m.connected_components(), loops))
+
+    rng = random.Random(3571)
+    pool = census_sample(rng) + [v for v, _, _ in walk_images(rng, 120)]
+    seen = Counter()
+    for v in pool:
+        loops = v.underlying().loops()
+        for cell in maximal_cells(v) if loops else cell_complex(v):
+            m = Matroid(v.n, cell.matroid.bases, check=False)
+            parts = cell.parts
+            assert by_part(parts) == by_part(valuated._parts(
+                m, m.connected_components(), loops))
+            target = len(m.connected_components()) + 1
+            for f in m.cyclic_flats():
+                split = [(j, f & k) for j, (k, _) in enumerate(parts)
+                         if 0 != f & k != k]
+                new = len(split) == 1 and valuated._flacet(
+                    parts[split[0][0]], split[0][1])
+                _, face, comps = valuated._face(m, f)
+                assert bool(new) == (len(comps) == target)
+                if new:
+                    j = split[0][0]
+                    assert by_part([*parts[:j], *new, *parts[j + 1:]]) == \
+                        face_parts(v, face, loops)
+                    seen["flacet" if split[0][1] == f & ~loops
+                         else "flacet with whole parts"] += 1
+                else:
+                    seen["cyclic, no facet"] += 1
+            if loops:
+                continue
+            for e in range(v.n):
+                j = next((j for j, (k, _) in enumerate(parts) if k >> e & 1),
+                         None)
+                new = j is not None and valuated._point(parts[j], e)
+                _, face, comps = valuated._face(m, 1 << e)
+                assert bool(new) == (m.is_flat(1 << e)
+                                     and len(comps) == target)
+                if new:
+                    assert by_part([*parts[:j], *new, *parts[j + 1:]]) == \
+                        face_parts(v, face, loops)
+                seen["point" if new else "point, no facet"] += 1
+    assert min(seen.values()) > 300, seen
+
+
+def test_cell_complex_equals_the_face_count_closure():
+    """cell_complex gives the cells of reference.cell_complex_by_faces,
+    which counts each candidate face's components with _face, in the
+    same order with the same witness integers, on a census sample."""
+    for v in census_sample(random.Random(2357)):
+        if v.underlying().loops():
+            continue
+        want = cell_complex_by_faces(ValuatedMatroid(v.n, v.d, v.ints, v.den))
+        assert [(c.matroid.bases, c.scaled, c.is_maximal)
+                for c in cell_complex(v)] == \
+            [(c.matroid.bases, c.scaled, c.is_maximal) for c in want]
 
 
 def test_subdivision_sampler_agrees():
