@@ -1,5 +1,6 @@
 """Matroids on {0..n-1} with bases stored as bitmasks."""
 
+from functools import lru_cache
 from math import comb
 
 from .errors import EmptyGroundSet, NoBasis, NotAFlat, NotAMatroid, TooLarge
@@ -212,15 +213,14 @@ class Matroid:
         mask) order, found without the flat lattice.  The dict is cached
         and shared, so callers read it and never write to it.
 
-        The cyclic flats form a lattice with bottom cl(empty), the loops,
-        and join cl(X | Y); the closure of a circuit is a cyclic flat,
-        and every cyclic flat is the join of the closures of the
-        circuits inside it (Bonin and de Mier, "The lattice of cyclic
-        flats of a matroid", Ann. Comb. 2008).  Every circuit is the
-        fundamental circuit C(e, B) of some basis B, so the closures of
-        the circuits, closed under joins, are all of them.  A
-        circuit C inside a known cyclic flat of rank |C| - 1 has that
-        flat as its closure and costs no scan.
+        Two routes find them, chosen by shape (_parity_pays).  On small
+        ground sets, one pass over bitmaps of the power set: with
+        P(S) = r(S) mod 2, e lies in cl(S) iff P(S + e) = P(S), so the
+        cyclic flats are the sets that every element outside flips and
+        no element inside does (_cyclic_by_parity).  On the others, the
+        closures of the circuits closed under joins, after Bonin and de
+        Mier (_cyclic_by_joins).  Either caches the rank of every
+        cyclic flat.
 
         tau is the Moebius inversion from above of the corank on the
         poset of cyclic flats: cork(f) is the sum of tau(g) over the
@@ -229,24 +229,10 @@ class Matroid:
         strictly above f, computed once.  tau may be negative.
         """
         if self._cf is None:
-            found = {self.closure(0)}
-            for c in self.circuits():
-                r = c.bit_count() - 1
-                if not any(c & ~z == 0 and self._rank[z] == r
-                           for z in found):
-                    found.add(self.closure(c))
-            queue = list(found)
-            joined = set(found)
-            while queue:
-                x = queue.pop()
-                for y in list(found):
-                    if x | y in joined:
-                        continue
-                    joined.add(x | y)
-                    z = self.closure(x | y)
-                    if z not in found:
-                        found.add(z)
-                        queue.append(z)
+            if _parity_pays(self.n, self.d, len(self.bases)):
+                found = self._cyclic_by_parity()
+            else:
+                found = self._cyclic_by_joins()
             cf = sorted(found, key=lambda f: (f.bit_count(), f))
             tau = {}
             for f in reversed(cf):
@@ -255,6 +241,78 @@ class Matroid:
                     t for g, t in tau.items() if g & f == f)
             self._cf = {f: tau[f] for f in cf}
         return self._cf
+
+    def _cyclic_by_joins(self):
+        """The cyclic flats form a lattice with bottom cl(empty), the
+        loops, and join cl(X | Y); the closure of a circuit is a cyclic
+        flat, and every cyclic flat is the join of the closures of the
+        circuits inside it (Bonin and de Mier, "The lattice of cyclic
+        flats of a matroid", Ann. Comb. 2008).  Every circuit is the
+        fundamental circuit C(e, B) of some basis B, so the closures of
+        the circuits, closed under joins, are all of them.  A circuit C
+        inside a known cyclic flat of rank |C| - 1 has that flat as its
+        closure and costs no scan."""
+        found = {self.closure(0)}
+        for c in self.circuits():
+            r = c.bit_count() - 1
+            if not any(c & ~z == 0 and self._rank[z] == r for z in found):
+                found.add(self.closure(c))
+        queue = list(found)
+        joined = set(found)
+        while queue:
+            x = queue.pop()
+            for y in list(found):
+                if x | y in joined:
+                    continue
+                joined.add(x | y)
+                z = self.closure(x | y)
+                if z not in found:
+                    found.add(z)
+                    queue.append(z)
+        return found
+
+    def _cyclic_by_parity(self):
+        """The cyclic flats read off bitmaps over the power set, bit S
+        standing for the subset S, with no circuit, closure or join.
+
+        The bases' down-closure, one shift per element, holds the
+        independent sets; the up-closure of its k-sets is the plane R_k
+        of the sets of rank >= k, and P = R_1 ^ ... ^ R_d holds
+        r(S) mod 2.  Adding an element raises the rank by 0 or 1, so
+        e lies in cl(S) iff P(S + e) = P(S).  Hence Z is a flat iff
+        every e outside Z flips P, and Z is cyclic iff removing no
+        element of Z flips it: one mask per element, O(d n) shifts of
+        2^n-bit integers whatever the number of bases.  The rank of
+        each cyclic flat, the count of planes holding it, is cached.
+        """
+        n = self.n
+        top, has, lacks, sizes = _power_masks(n)
+        raw = bytearray((1 << n) + 7 >> 3)
+        for b in self.bases:
+            raw[b >> 3] |= 1 << (b & 7)
+        ind = int.from_bytes(raw, "little")
+        for e in range(n):
+            ind |= (ind & has[e]) >> (1 << e)
+        planes = []
+        par = 0
+        for k in range(1, self.d + 1):
+            r = ind & sizes[k]
+            for e in range(n):
+                r |= (r & lacks[e]) << (1 << e)
+            planes.append(r.to_bytes(len(raw), "little"))
+            par ^= r
+        cyc = top
+        for e in range(n):
+            # flips: the sets S lacking e with e outside cl(S).  A set
+            # lacking e stays iff it is in flips (flat at e), a set Z
+            # holding e iff Z - e is not (cyclic at e)
+            s = 1 << e
+            flips = (par ^ par >> s) & lacks[e]
+            cyc &= flips | (has[e] ^ flips << s)
+        found = list(bits(cyc))
+        for z in found:
+            self._rank[z] = sum(p[z >> 3] >> (z & 7) & 1 for p in planes)
+        return found
 
     def circuits(self):
         """All circuits, sorted by (size, mask), in one pass over the bases.
@@ -367,6 +425,38 @@ class Matroid:
         r = self.rank(flat)
         keep = [b for b in self.bases if (b & flat).bit_count() == r]
         return Matroid(self.n, keep, check=False)
+
+
+def _parity_pays(n, d, nbases):
+    """Is the parity pass the cheaper route to the cyclic flats of a
+    rank-d matroid with nbases bases on n elements?  It makes about
+    (d + 2) n shifts of 2^n-bit integers whatever the bases; the join
+    route scans the bases once per circuit closure and per join, cheap
+    when the bases are few.  The constant is fitted on measured
+    crossovers: walk cells of 4 x 8 to 7 x 14 images, and transversal
+    and single-basis matroids on 12 to 16 elements.  Never past
+    MAX_SLOTS subsets."""
+    return 1 << n <= MAX_SLOTS and (d + 2) << n <= 256 * n * nbases
+
+
+@lru_cache(maxsize=17)
+def _power_masks(n):
+    """(top, has, lacks, sizes) over the 2^n subsets of {0..n-1}, bit S
+    for the subset S: top holds them all, has[e] those holding e, lacks[e]
+    the others and sizes[k] the k-sets.  Built on first use of each n
+    and kept for the 17 sizes that _parity_pays admits, n <= 16: at
+    most 3 n + 2 masks of 2^n bits each."""
+    top = (1 << (1 << n)) - 1
+    has = []
+    for e in range(n):
+        # runs of s = 2^e ones after s zeros, repeated over the 2^n bits
+        s = 1 << e
+        has.append(top // ((1 << 2 * s) - 1) * (((1 << s) - 1) << s))
+    sizes = [1]
+    for e in range(n):
+        s = 1 << e
+        sizes = [a | b << s for a, b in zip(sizes + [0], [0] + sizes)]
+    return top, tuple(has), tuple(top ^ h for h in has), tuple(sizes)
 
 
 def circuit_blocks(full, circuits):

@@ -1,15 +1,18 @@
 import random
+from functools import lru_cache
 from math import comb
 
 import pytest
 
-from common import matroid_pool, random_rows, three_pair_matroid
+from common import (PAIR_MASKS, matroid_pool, random_rows,
+                    three_pair_matroid)
 from reference import (check_exchange_bruteforce, circuits_bruteforce,
                        connected_components_bruteforce,
                        corank_transform_mobius, cover_mask_exchange,
                        cyclic_flats_bruteforce, exchange_fails)
-from troplin import (Matroid, NoBasis, NotAFlat, NotAMatroid, direct_sum,
-                     matroid, stiefel, transversal_matroid, uniform_matroid)
+from troplin import (Matroid, NoBasis, NotAFlat, NotAMatroid,
+                     ValuatedMatroid, direct_sum, matroid, maximal_cells,
+                     stiefel, transversal_matroid, uniform_matroid)
 from troplin.util import ksubsets, mask_of
 
 
@@ -161,14 +164,57 @@ def test_tau_three_pair_is_negative_at_bottom():
     assert cf[0] == -1
 
 
-def test_corank_transform_matches_the_mobius_sum():
-    """The one downward pass of cyclic_flats gives the tau that the
-    Moebius function of the cyclic-flat poset gives, negative values
-    included; tau off the cyclic flats is a KeyError."""
+ROUTES = ("parity", "joins")
+
+
+def take_route(monkeypatch, route):
+    "Send every cyclic_flats() call down one route, whatever the shape."
+    monkeypatch.setattr(matroid, "_parity_pays",
+                        lambda n, d, nbases: route == "parity")
+
+
+def edge_matroids():
+    """Rank 0 (loops only), rank n, coloops beside a circuit, one
+    element either way, the empty ground set and a single basis."""
+    return [uniform_matroid(0, 3), uniform_matroid(4, 4),
+            direct_sum(uniform_matroid(2, 2), uniform_matroid(1, 3)),
+            uniform_matroid(0, 1), uniform_matroid(1, 1),
+            uniform_matroid(0, 0), Matroid(5, [mask_of([1, 3])])]
+
+
+def wide_transversal(rng):
+    """Seeded transversal matroids on 10 to 16 elements, three of each
+    size, of rank 2 to 6 over random sets of density 0.15 to 0.45."""
+    out = []
+    while len(out) < 21:
+        n = 10 + len(out) // 3
+        dens = rng.uniform(0.15, 0.45)
+        sets = [sum(1 << e for e in range(n) if rng.random() < dens)
+                for _ in range(rng.randint(2, 6))]
+        try:
+            out.append(transversal_matroid(sets, n))
+        except NoBasis:
+            continue
+    return out
+
+
+@lru_cache(maxsize=None)
+def lattice_filter(n, bases):
+    "cyclic_flats_bruteforce, listed once per matroid for both routes."
+    return cyclic_flats_bruteforce(Matroid(n, bases, check=False))
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_corank_transform_matches_the_mobius_sum(monkeypatch, route):
+    """Each route to the cyclic flats, then the one downward pass, gives
+    the tau that the Moebius function of the cyclic-flat poset gives,
+    negative values included; tau off the cyclic flats is a KeyError."""
     pool = matroid_pool(random.Random(2357), 640) + [three_pair_matroid()]
+    pool += edge_matroids()
+    take_route(monkeypatch, route)
     signs = set()
     for m in pool:
-        cf = m.cyclic_flats()
+        cf = Matroid(m.n, m.bases, check=False).cyclic_flats()
         want = corank_transform_mobius(Matroid(m.n, m.bases, check=False))
         assert cf == want
         assert list(cf) == sorted(cf, key=lambda f: (f.bit_count(), f))
@@ -180,21 +226,86 @@ def test_corank_transform_matches_the_mobius_sum():
     assert signs == {-1, 0, 1}
 
 
-def test_cyclic_flats_match_the_lattice_filter():
-    """Closures of fundamental circuits, closed under joins, give the
-    cyclic flats that filtering the whole flat lattice gives, in the same
-    (size, mask) order."""
-    pool = matroid_pool(random.Random(3141), 630)
+@pytest.mark.parametrize("route", ROUTES)
+def test_cyclic_flats_match_the_lattice_filter(monkeypatch, route):
+    """The parity pass over the power set and the closures of the
+    circuits closed under joins each give the cyclic flats that
+    filtering the whole flat lattice gives, in the same (size, mask)
+    order, each with its rank cached: on pool matroids, on seeded
+    transversal matroids on 10 to 16 elements and on the edge cases."""
+    rng = random.Random(3141)
+    pool = matroid_pool(rng, 630)
+    wide = wide_transversal(rng)
+    pool += wide + edge_matroids()
+    take_route(monkeypatch, route)
     shapes = set()
     for m in pool:
-        cf = m.cyclic_flats()
-        fresh = Matroid(m.n, m.bases, check=False)
-        assert tuple(cf) == cyclic_flats_bruteforce(fresh)
+        mine = Matroid(m.n, m.bases, check=False)
+        cf = mine.cyclic_flats()
+        assert tuple(cf) == lattice_filter(m.n, m.bases)
+        assert all(mine._rank[z] == max((b & z).bit_count() for b in m.bases)
+                   for z in cf)
         shapes.add((bool(m.loops()), bool(m.coloops()),
                     len(m.connected_components()) > 1, len(cf) > 2))
     assert {(True, False, True, True), (False, True, True, True),
             (True, True, True, False), (False, False, True, True),
             (False, False, False, True)} <= shapes
+    assert {m.n for m in wide} == set(range(10, 17))
+    assert sum(len(m.cyclic_flats()) > 2 for m in wide) >= 10
+
+
+def test_parity_route_runs_no_circuit_or_closure(monkeypatch):
+    """On the shapes that the parity pass serves, cyclic_flats() and the
+    walk that reads every maximal cell's lattice call neither circuits()
+    nor closure(), and the walk finds the cells the join route finds."""
+    v = stiefel(random_rows(random.Random(4096), 4, 8, 0.2))
+    take_route(monkeypatch, "joins")
+    want = [(c.matroid.bases, c.scaled, c.parts) for c in maximal_cells(v)]
+    monkeypatch.undo()
+
+    def refuse(*args):
+        raise AssertionError("the parity route scans no circuit or closure")
+
+    monkeypatch.setattr(Matroid, "circuits", refuse)
+    monkeypatch.setattr(Matroid, "closure", refuse)
+    m = three_pair_matroid()
+    assert matroid._parity_pays(m.n, m.d, len(m.bases))
+    assert m.cyclic_flats() == {0: -1, PAIR_MASKS[0]: 1, PAIR_MASKS[1]: 1,
+                                PAIR_MASKS[2]: 1, m.full: 0}
+    fresh = ValuatedMatroid(v.n, v.d, v.table)
+    got = [(c.matroid.bases, c.scaled, c.parts)
+           for c in maximal_cells(fresh)]
+    assert got == want and len(got) > 1
+    assert all(matroid._parity_pays(c.matroid.n, c.matroid.d,
+                                    len(c.matroid.bases))
+               for c in maximal_cells(fresh))
+
+
+def test_wide_matroids_take_the_join_route(monkeypatch):
+    """Past 16 elements the power set is too wide for the parity pass,
+    however many bases: cyclic_flats() takes the join route and matches
+    the lattice filter.  The matroid: a loop, a coloop and a rank-2
+    matroid on 16 elements with parallel classes of 3, 4, 4 and 5
+    elements.  A single basis on 16 elements takes the join route too,
+    a scan of one basis against 2^16-bit shifts."""
+    classes = [range(1, 4), range(4, 8), range(8, 12), range(12, 17)]
+    bases = [1 << a | 1 << b | 1 << 17 for i, x in enumerate(classes)
+             for y in classes[i + 1:] for a in x for b in y]
+    m = Matroid(18, bases)
+    assert not matroid._parity_pays(m.n, m.d, len(m.bases))
+    assert not matroid._parity_pays(17, 8, comb(17, 8))
+
+    def refuse(n):
+        raise AssertionError("no power-set masks past 16 elements")
+
+    monkeypatch.setattr(matroid, "_power_masks", refuse)
+    cf = m.cyclic_flats()
+    assert tuple(cf) == cyclic_flats_bruteforce(
+        Matroid(m.n, m.bases, check=False))
+    assert list(cf) == [1] + [1 | mask_of(c) for c in classes] + [
+        m.full ^ 1 << 17]
+    assert Matroid(16, [mask_of([0, 5, 9])]).cyclic_flats() == {
+        (1 << 16) - 1 - mask_of([0, 5, 9]): 3}
 
 
 def test_circuits_match_the_minimal_dependent_sets():
