@@ -163,16 +163,23 @@ def cmd_distinguished(payload, args):
 def cmd_in_presentation_space(payload, args):
     vm = jsonio.parse_valuated(_need(payload, "valuation"))
     points = [jsonio.parse_point(p) for p in _need(payload, "points")]
+    # by the definition, stiefel(points) == vm; a Stiefel image is a
+    # valuated matroid, so a true answer needs no Pluecker check, and
+    # a tuple outside the domain of stiefel presents nothing
+    if vm.d and len(points) == vm.d and all(len(p) == vm.n for p in points):
+        try:
+            if stiefel(points) == vm:
+                return 0, {"ok": True}
+        except OutOfDomain:
+            pass
+    # otherwise the answer is false, after the input errors in order;
+    # the empty tuple presents a rank-0 valuation
     _require_pluecker(vm)
     if len(points) != vm.d:
         raise WrongArity(witness={"expected": vm.d, "got": len(points)})
-    points = [check_point(p, vm.n) for p in points]
-    # by the definition; the empty tuple presents a rank-0 valuation,
-    # and a tuple outside the domain of stiefel presents nothing
-    try:
-        ok = vm.d == 0 or stiefel(points) == vm
-    except OutOfDomain:
-        ok = False
+    for p in points:
+        check_point(p, vm.n)
+    ok = vm.d == 0
     return (0 if ok else 1), {"ok": ok}
 
 

@@ -10,13 +10,15 @@ from .util import MAX_SLOTS, bits, elems, ksubsets, list1
 class Matroid:
     """Matroid given by its list of bases.
 
-    check=True verifies the exchange axiom on construction: every basis
-    must meet every distinct cover mask, the masks read off the unions
-    of the bases through each (d-1)-set (see _check_exchange), and on
-    failure the NotAMatroid witness is a failing triple (b1, b2, e)
-    read off the mask that b2 misses.  The check is only worth skipping
-    for bases that are valid by construction, e.g. minors of an already
-    checked matroid.
+    check=True verifies on construction that every basis lies in the
+    ground set (ValueError) and has the first one's size (NotAMatroid
+    naming the two), then the exchange axiom: every basis must meet
+    every distinct cover mask, the masks read off the unions of the
+    bases through each (d-1)-set (see _check_exchange), and on failure
+    the NotAMatroid witness is a failing triple (b1, b2, e) read off
+    the mask that b2 misses.  check=False skips all of it, for bases
+    that are valid by construction: walk cells and faces, minors of an
+    already checked matroid.
     """
 
     def __init__(self, n, bases, check=True):
@@ -25,13 +27,14 @@ class Matroid:
             raise NoBasis("need at least one basis")
         d = bases[0].bit_count()
         full = (1 << n) - 1
-        for b in bases:
-            if b & ~full:
-                raise ValueError("basis outside the ground set")
-            if b.bit_count() != d:
-                raise NotAMatroid("bases of unequal size",
-                                  witness={"b1": list1(bases[0]),
-                                           "b2": list1(b)})
+        if check:
+            for b in bases:
+                if b & ~full:
+                    raise ValueError("basis outside the ground set")
+                if b.bit_count() != d:
+                    raise NotAMatroid("bases of unequal size",
+                                      witness={"b1": list1(bases[0]),
+                                               "b2": list1(b)})
         self.n = n
         self.d = d
         self.full = full

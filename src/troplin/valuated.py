@@ -19,14 +19,16 @@ crossed once: a cell reached across a wall skips the wall back.
 
 from fractions import Fraction
 from itertools import combinations, repeat
-from math import gcd, lcm
+from math import comb, gcd, lcm
+from operator import itemgetter
 
 from .errors import (AllInfinite, EmptyIntersection, EmptySupport,
                      InconsistentCell, InfiniteBase, NotAMatroid,
                      RankCollapse, TroplinError)
 from .matroid import Matroid, circuit_blocks
 from .trop import INF, check_point, integer_scaled
-from .util import bits, ksubsets, list1, mask_of, slot_table, submasks
+from .util import (MAX_SLOTS, BoundedMemo, bits, ksubsets, list1, mask_of,
+                   slot_table, submasks)
 
 
 class ValuatedMatroid:
@@ -148,15 +150,22 @@ def check_pluecker(vm):
     (d-2)-set S and i < j < k < l outside S, the least of
     pl(Sij) + pl(Skl), pl(Sik) + pl(Sjl) and pl(Sil) + pl(Sjk) is
     attained twice when finite.  Over a matroid support these imply
-    every (d-1, d+1) relation (Dress-Wenzel 1992).  That loop runs on
-    integers only, on one pair table per (d-2)-set and over the elements
-    of its finite pairs, so its cost follows the support (see
-    _three_term_violation).
+    every (d-1, d+1) relation (Dress-Wenzel 1992).  At one S they are
+    the four-point condition of the rank-2 table p(ab) = pl(Sab), so
+    two lemmas cut them down (see _three_term_violation): the
+    quadruples through one element x0 with a finite pair at S imply the
+    rest, and on a full support the (d-2)-sets holding element 0 are
+    implied by the others.  A valid full support scans
+    C(n-1, d-2) C(n-d+1, 3) relations, 4/n of all C(n, d-2) C(n-d+2, 4):
+    1,260 instead of 3,150 at d = 4, n = 10.  The loop runs on integers
+    only, on one pair table per (d-2)-set and over the elements of its
+    finite pairs, so its cost follows the support.
 
     Returns (True, None), or (False, witness) where the witness names a
     (d-1, d+1)-set pair (a, c) whose minimum over j in c - a of
     pl(a + j) + pl(c - j) is finite and attained only once: the first
-    violated relation the check meets, read off the failure in hand.
+    violated relation in (S ascending, quadruples in combinations)
+    order, read off the failure in hand.
     An exchange failure (b1, b2, e) gives a = b1 - e, c = b2 + e, whose
     only finite term is j = e: no b1 - e + f with f in b2 - b1 is in
     the support.
@@ -177,24 +186,58 @@ def _three_term_violation(n, d, table):
     terms are the relation's three sums; None if every relation holds.
 
     table must be normalized (least entry 0, as ValuatedMatroid.ints
-    is); it is read in place, with no copy.  INF is read as
+    is).  INF is read as
     big = 2 * max(finite) + 1: a sum of two finite entries is below big,
     and a sum with an INF is at or above it.  So z = pl(Sil) + pl(Sjk)
     breaks the relation iff z < lo and z < big, or z > lo, lo < hi and
     lo < big, where lo <= hi are the other two sums.
 
-    Each (d-2)-set S reads its pair table p, the values at S + ij, once,
+    Each (d-2)-set S reads its pair table p, the values at S + ab, once,
     and the quadruples run on indices into p (_quadruples).  Only the
     elements of finite pairs at S can break a relation at S, since each
     sum covers all four of i, j, k, l: when p holds an INF, the scan
     runs on those elements alone, in the same order, with INF as big in
-    their pair table, and skips S when there are fewer than four.  So
-    the first failure met is the same as over every quadruple, and a
+    their pair table, and skips S when there are fewer than four.
+
+    Lemma 1 (base-point prefix).  Let x0 be the first of those
+    elements; it has a finite pair.  The quadruples through x0, the
+    first C(m - 1, 3) of the m elements' quadruples, imply the rest, so
+    only they are scanned, and the first failure is still the first in
+    full order.  Proof, with p(x0 a) finite for every a first:
+    q(ab) = p(ab) - p(x0 a) - p(x0 b) shifts the three sums of each
+    quadruple by one constant; the quadruples through x0 say that on
+    each triangle the least q is attained twice; and such a q passes
+    every quadruple, by cases on where the least of its six values sits
+    (also with infinite values).  This is the four-point condition of
+    tree metrics (Speyer-Sturmfels, "The tropical Grassmannian", 2004:
+    Gr(2, n) is the space of phylogenetic trees).  If p(x0 g) is INF
+    for the g in some set G, the quadruples (x0, f, g, g') make G's
+    pairs INF, and the quadruples (x0, f, f', g) make p(f g) - p(x0 f)
+    one constant c_g over the f outside G; so a quadruple with one
+    element in G has the sums of the one through x0, plus c_g, and any
+    other has all sums infinite or two equal.
+
+    Lemma 2 (full support).  The relation at (S, Q) is the four-point
+    condition on Q of p*(ab) = pl(T - ab), T = S + Q, |T| = d + 2; with
+    no INF in the table, lemma 1 on T with x0 = 0 says that the
+    relations with 0 in Q imply those with 0 in S.  So a full support
+    first scans only the (d-2)-sets without 0, reading p with one
+    itemgetter per S (_pair_index); only if a relation fails there does
+    it rescan every S by lemma 1 alone, for the first witness in full
+    order.  A valid full table costs C(n-1, d-2) C(n-d+1, 3) relations,
+    4/n of the C(n, d-2) C(n-d+2, 4) of a full scan.  A table with an
+    INF keeps the reads by key and the live-element restriction, so a
     sparse table costs about its support.
     """
-    if n - d < 2:
+    if d < 2 or n - d < 2:
         return None  # no (d-2)-set leaves four elements outside it
     big = 2 * max(v for v in table.values() if v != INF) + 1
+    index = _pair_index(n, d) if INF not in table.values() else None
+    if index is not None:
+        m = n - d + 2
+        if all(_failing_quadruple(pairs(table), _quadruples(m), big) is None
+               for pairs in index):
+            return None
     full = (1 << n) - 1
     for s in ksubsets(n, d - 2):
         rest = [1 << e for e in bits(full & ~s)]
@@ -210,15 +253,24 @@ def _three_term_violation(n, d, table):
             p = [big if v == INF else v
                  for v in [table[s | a | b]
                            for a, b in combinations(rest, 2)]]
-        for ij, kl, ik, jl, il, jk in _quadruples(len(rest)):
-            x = p[ij] + p[kl]
-            y = p[ik] + p[jl]
-            z = p[il] + p[jk]
-            lo, hi = (x, y) if x <= y else (y, x)
-            if (z < big) if z < lo else (z > lo and lo < hi and lo < big):
-                pairs = list(combinations(rest, 2))
-                (i, j), (k, l) = pairs[ij], pairs[kl]
-                return {"a": list1(s | i), "c": list1(s | j | k | l)}
+        hit = _failing_quadruple(p, _quadruples(len(rest)), big)
+        if hit is not None:
+            pairs = list(combinations(rest, 2))
+            (i, j), (k, l) = pairs[hit[0]], pairs[hit[1]]
+            return {"a": list1(s | i), "c": list1(s | j | k | l)}
+    return None
+
+
+def _failing_quadruple(p, quads, big):
+    """(ij, kl) of the first of quads whose three-term relation fails
+    on the pair table p, INF read as big; None if all hold."""
+    for ij, kl, ik, jl, il, jk in quads:
+        x = p[ij] + p[kl]
+        y = p[ik] + p[jl]
+        z = p[il] + p[jk]
+        lo, hi = (x, y) if x <= y else (y, x)
+        if (z < big) if z < lo else (z > lo and lo < hi and lo < big):
+            return ij, kl
     return None
 
 
@@ -227,21 +279,46 @@ _QUADRUPLES = {}
 
 
 def _quadruples(m):
-    """(ij, kl, ik, jl, il, jk) for each i < j < k < l below m, in
+    """(ij, kl, ik, jl, il, jk) for each 0 = i < j < k < l below m, in
     combinations order: the indices of its six pairs in the
-    combinations order of the pairs below m.  Kept as a tuple for
-    m <= QUADRUPLE_CACHE_MAX (1,820 quadruples at 16); larger m get a
-    generator of the same tuples, since C(m, 4) outgrows memory within
-    the slot limit."""
+    combinations order of the pairs below m.  These are the quadruples
+    through the base point that _three_term_violation scans, the first
+    C(m - 1, 3) of all C(m, 4).  Kept as a tuple for
+    m <= QUADRUPLE_CACHE_MAX (455 quadruples at 16); larger m get a
+    generator of the same tuples, since C(m - 1, 3) outgrows memory
+    within the slot limit."""
     quads = _QUADRUPLES.get(m)
     if quads is None:
         index = {ab: x for x, ab in enumerate(combinations(range(m), 2))}
-        quads = ((index[i, j], index[k, l], index[i, k], index[j, l],
-                  index[i, l], index[j, k])
-                 for i, j, k, l in combinations(range(m), 4))
+        quads = ((index[0, j], index[k, l], index[0, k], index[j, l],
+                  index[0, l], index[j, k])
+                 for j, k, l in combinations(range(1, m), 3))
         if m <= QUADRUPLE_CACHE_MAX:
             quads = _QUADRUPLES[m] = tuple(quads)
     return quads
+
+
+_PAIR_INDEX = BoundedMemo()
+
+
+def _pair_index(n, d):
+    """One operator.itemgetter per (d-2)-set S without element 0, in
+    slot order, each reading S's pair table off a full table: the
+    values at S + ab for a < b outside S, in combinations order, as the
+    pairs of {0..n-1} that miss S.  None if that is more than MAX_SLOTS
+    keys.  Built on first use per (n, d), with no slot table, and kept
+    in a BoundedMemo of MAX_SLOTS keys."""
+    hit = _PAIR_INDEX.get((n, d))
+    if hit is not None:
+        return hit[1]
+    cost = comb(n - 1, d - 2) * comb(n - d + 2, 2)
+    if cost > MAX_SLOTS:
+        return None
+    pairs = list(map(sum, combinations([1 << e for e in range(n)], 2)))
+    index = [itemgetter(*[s | ab for ab in pairs if not ab & s])
+             for s in [s << 1 for s in ksubsets(n - 1, d - 2)]]
+    _PAIR_INDEX.keep((n, d), cost, index, MAX_SLOTS)
+    return index
 
 
 def membership(vm, y):

@@ -947,7 +947,9 @@ def test_commands_assuming_a_valuated_matroid_refuse_non_pluecker_tables(
 
 def test_pluecker_check_runs_once_before_the_compute(tmp_path, monkeypatch):
     """Each command that assumes a valuated matroid checks the table
-    once, after parsing and before computing, true answer or not."""
+    once, after parsing and before computing, true answer or not; but
+    in-presentation-space answers true, a Stiefel image and so a
+    valuated matroid, with no check, and false with one."""
     calls = []
 
     def counting(vm):
@@ -956,34 +958,77 @@ def test_pluecker_check_runs_once_before_the_compute(tmp_path, monkeypatch):
 
     _, table, _ = call(tmp_path, "stiefel", RANK2_FOUR)
     monkeypatch.setattr(troplin.cli, "check_pluecker", counting)
-    for command, payload in (
-            ("cells", table), ("vertices", table),
-            ("distinguished", table), ("sample-presentation", table),
+    for command, payload, checks in (
+            ("cells", table, 1), ("vertices", table, 1),
+            ("distinguished", table, 1), ("sample-presentation", table, 1),
             ("in-presentation-space",
-             {"valuation": table, "points": RANK2_FOUR}),
+             {"valuation": table, "points": RANK2_FOUR}, 0),
             ("verify-presentation",
-             {"valuation": table, "points": RANK2_FOUR})):
+             {"valuation": table, "points": RANK2_FOUR}, 1)):
         before = len(calls)
         code, _, _ = call(tmp_path, command, payload, "--seed", "2")
         assert code == 0
-        assert len(calls) == before + 1, command
+        assert len(calls) == before + checks, command
     # a valuated matroid that the command rejects keeps its own error
     code, out, _ = call(tmp_path, "distinguished", snow_full())
     assert code == 2 and out["error"] == "NotTransversalFacets"
-    assert len(calls) == 7
+    assert len(calls) == 6
     # and a false verify-presentation answer stands, checked once each
     code, out, _ = call(tmp_path, "verify-presentation",
                         {"valuation": table,
                          "points": [["0", "0", "0", "0"],
                                     ["0", "1", "1", "1"]]})
     assert code == 1 and out["outside"] == {"index": 2}
-    assert len(calls) == 8
+    assert len(calls) == 7
     code, out, _ = call(tmp_path, "verify-presentation",
                         {"valuation": table,
                          "points": [["0", "0", "0", "0"],
                                     ["0", "0", "0", "0"]]})
     assert code == 1 and out["violations"]
-    assert len(calls) == 9
+    assert len(calls) == 8
+    # a false in-presentation-space answer, in and out of the domain
+    for points in ([["0", "0", "0", "0"], ["0", "1", "1", "1"]],
+                   [["0", "inf", "inf", "inf"], ["inf", "0", "inf", "inf"]]):
+        code, out, _ = call(tmp_path, "in-presentation-space",
+                            {"valuation": table, "points": points})
+        assert (code, out) == (1, {"ok": False})
+    assert len(calls) == 10
+
+
+def test_in_presentation_space_keeps_its_input_errors_on_a_valid_table(
+        tmp_path):
+    """A Pluecker table with points that present nothing: an all-inf
+    point, too few or too many points, points of the wrong length.
+    Each keeps its exit code and body: the input errors in the order
+    check, arity, points, as when every answer ran the check first."""
+    table = {"n": 4, "rank": 2,
+             "entries": {"1,2": "0", "1,3": "0", "1,4": "0", "2,3": "0",
+                         "2,4": "0", "3,4": "1"}}
+    row, inf = ["0", "0", "0", "0"], ["inf"] * 4
+    all_inf = {"error": "AllInfinite",
+               "message": "point has no finite coordinate", "witness": None}
+    length = {"error": "ValueError", "message": "point length mismatch",
+              "witness": None}
+
+    def arity(got):
+        return {"error": "WrongArity", "message": "WrongArity",
+                "witness": {"expected": 2, "got": got}}
+
+    for points, code, body in (
+            ([row, inf], 2, all_inf), ([inf, inf], 2, all_inf),
+            ([inf, row[:3]], 2, all_inf),
+            ([row], 2, arity(1)), ([], 2, arity(0)),
+            ([row, ["0", "0", "1", "1"], ["0", "1", "0", "1"]], 2,
+             arity(3)),
+            ([row, inf, inf], 2, arity(3)),
+            ([row[:3], ["0", "0", "1"]], 2, length),
+            ([row + ["0"], ["0", "0", "1", "1", "1"]], 2, length),
+            ([row, ["0", "0", "1"]], 2, length),
+            ([row, ["0", "0", "1", "1"]], 0, {"ok": True}),
+            ([row, ["0", "0", "1", "2"]], 0, {"ok": True})):
+        got = call(tmp_path, "in-presentation-space",
+                   {"valuation": table, "points": points})
+        assert got[:2] == (code, body), points
 
 
 def test_parser_is_reused_across_runs(tmp_path):

@@ -30,6 +30,33 @@ def test_exchange_rejects_two_disjoint_pairs():
         Matroid(4, [mask_of([0, 1]), mask_of([2, 3])], check=False), **wit)
 
 
+def test_only_a_checked_matroid_reads_every_basis():
+    """check=True refuses a basis outside the ground set (ValueError)
+    and one of another size (NotAMatroid naming the first basis and
+    it); check=False trusts its bases and reads none of them beyond the
+    first's size, so its construction is the sort and nothing more."""
+    with pytest.raises(ValueError, match="outside the ground set"):
+        Matroid(3, [mask_of([0, 1]), mask_of([1, 3])])
+    with pytest.raises(NotAMatroid, match="unequal size") as err:
+        Matroid(4, [mask_of([0, 1]), mask_of([0, 1, 2])])
+    assert err.value.witness == {"b1": [1, 2], "b2": [1, 2, 3]}
+
+    class Basis(int):
+        "A basis mask that counts its bit_count calls."
+        counted = 0
+
+        def bit_count(self):
+            Basis.counted += 1
+            return int(self).bit_count()
+
+    bases = [Basis(b) for b in ksubsets(6, 3)]
+    unchecked = Matroid(6, bases, check=False)
+    assert (unchecked.n, unchecked.d, len(unchecked.bases)) == (6, 3, 20)
+    assert Basis.counted == 1
+    Matroid(6, bases, check=True)
+    assert Basis.counted >= 1 + 20
+
+
 def exchange_witness(check):
     try:
         check()

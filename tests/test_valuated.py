@@ -1,6 +1,8 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -22,7 +24,7 @@ from troplin import (INF, AllInfinite, EmptyIntersection, EmptySupport,
                      stiefel, trop, uniform_matroid, v_contract, v_dual,
                      v_restrict, valuated)
 from troplin.oracle import cell_complex_bruteforce
-from troplin.util import bits, elems, ksubsets, mask_of, submasks
+from troplin.util import BoundedMemo, bits, elems, ksubsets, mask_of, submasks
 
 
 def cell_without_34():
@@ -273,6 +275,114 @@ def test_three_term_violation_matches_the_plain_scan(monkeypatch, cache_max):
         failures += got is not None
     assert 60 < failures < 340
     assert set(valuated._QUADRUPLES) <= set(range(cache_max + 1))
+
+
+def full_support_case(rng):
+    """A table with no INF, d <= 5 and n <= 8: random {0, 1, 2} entries
+    (nearly always broken, often first at a (d-2)-set holding element
+    0), a Stiefel image of a finite matrix (valid), or that image with
+    one entry moved by 1."""
+    d = rng.randint(2, 5)
+    n = rng.randint(d + 2, 8)
+    kind = rng.choice(("random", "image", "moved"))
+    if kind == "random":
+        return ValuatedMatroid(n, d, {b: rng.choice((0, 1, 2))
+                                      for b in ksubsets(n, d)})
+    table = dict(stiefel(random_rows(rng, d, n)).table)
+    if kind == "moved":
+        table[rng.choice(ksubsets(n, d))] += rng.choice((-1, 1))
+    return ValuatedMatroid(n, d, table)
+
+
+@pytest.mark.parametrize("cache_max", [valuated.QUADRUPLE_CACHE_MAX, 3])
+def test_full_support_scan_skips_sets_holding_0_then_rescans(monkeypatch,
+                                                            cache_max):
+    """On a full support the scan first reads only the (d-2)-sets
+    without element 0, by their pair index; a failure there sends it
+    back over every set for the first witness in full order.  Equal to
+    the plain scan on dense tables with n <= 8, valid and broken, among
+    them tables whose first failure sits at a set holding 0 (1 in both
+    a and c of the witness), which the first pass does not read; with
+    the cache bound patched low, the generator path gives the same."""
+    monkeypatch.setattr(valuated, "QUADRUPLE_CACHE_MAX", cache_max)
+    monkeypatch.setattr(valuated, "_QUADRUPLES", {})
+    monkeypatch.setattr(valuated, "_PAIR_INDEX", BoundedMemo())
+    rng = random.Random(1729)
+    seen = Counter()
+    for _ in range(300):
+        v = full_support_case(rng)
+        got = valuated._three_term_violation(v.n, v.d, v.ints)
+        assert got == three_term_violation_scan(v.n, v.d, v.ints)
+        seen["valid" if got is None else
+             "at 0" if 1 in got["a"] and 1 in got["c"] else "off 0"] += 1
+    assert min(seen.values()) > 30, seen
+    assert set(valuated._QUADRUPLES) <= set(range(cache_max + 1))
+    assert len(valuated._PAIR_INDEX) > 10
+
+
+def test_a_valid_full_support_scans_4_in_n_of_the_relations(monkeypatch):
+    """A valid full 4 x 10 table makes 1,260 quadruple tests, the
+    prefixes through 0 at the 36 (d-2)-sets without 0, where the scan
+    over every quadruple at every (d-2)-set makes 3,150."""
+    quadruples, tested = valuated._quadruples, []
+
+    def counted(m):
+        for q in quadruples(m):
+            tested.append(m)
+            yield q
+
+    monkeypatch.setattr(valuated, "_quadruples", counted)
+    v = stiefel(random_rows(random.Random(10), 4, 10))
+    assert len(v.support) == 210
+    assert check_pluecker(v) == (True, None)
+    assert len(tested) == comb(9, 2) * comb(7, 3) == 1260
+    assert comb(10, 2) * comb(8, 4) == 3150 == 1260 * 10 // 4
+    # a broken one stops the first pass at its failure, then rescans by
+    # lemma 1 alone from the start, up to the first witness
+    table = dict(v.table)
+    table[mask_of([0, 1, 2, 3])] += 1
+    del tested[:]
+    broken = ValuatedMatroid(10, 4, table)
+    got = valuated._three_term_violation(10, 4, broken.ints)
+    assert got == three_term_violation_scan(10, 4, broken.ints) \
+        == {"a": [1, 2, 3], "c": [1, 2, 4, 5, 6]}
+    assert 0 < len(tested) < 35
+
+
+def test_base_point_prefix_needs_one_finite_pair_at_the_base():
+    """Lemma 1 holds when the base point x0 has one finite pair: the
+    quadruples through x0 make the pairs of the elements g with
+    p(x0 g) = INF all INF, and p(f g) - p(x0 f) one constant over the
+    other f, so no failure lies outside them.  The scan takes x0 as the
+    first live element: with element 1 a loop, whose row is all INF,
+    the one violated quadruple 2345 lies outside the quadruples through
+    1 and is found through 2.  On random pair tables whose base row
+    holds an INF beside a finite value, the prefix gives the plain
+    scan's witness."""
+    table = {mask_of(ab): 1 for ab in combinations(range(1, 5), 2)}
+    table[mask_of([1, 2])] = 0
+    loop = ValuatedMatroid(5, 2, table)
+    assert loop.ints[mask_of([0, 1])] == INF
+    assert check_pluecker(loop) == (False, {"a": [2], "c": [3, 4, 5]})
+    assert three_term_violation_scan(5, 2, loop.ints) == {"a": [2],
+                                                          "c": [3, 4, 5]}
+    rng = random.Random(3141)
+    verdicts = Counter()
+    for _ in range(600):
+        d = rng.randint(2, 3)
+        n = rng.randint(d + 2, d + 5)
+        s = mask_of(rng.sample(range(n), d - 2))
+        rest = [e for e in range(n) if not s >> e & 1]
+        table = {s | 1 << a | 1 << b: rng.choice((0, 1, 2, INF))
+                 for a, b in combinations(rest, 2)}
+        dead, kept = rng.sample(rest[1:], 2)
+        table[s | 1 << rest[0] | 1 << dead] = INF
+        table[s | 1 << rest[0] | 1 << kept] = rng.randint(0, 2)
+        v = ValuatedMatroid(n, d, table)
+        got = valuated._three_term_violation(n, d, v.ints)
+        assert got == three_term_violation_scan(n, d, v.ints)
+        verdicts[got is None] += 1
+    assert min(verdicts.values()) > 30, verdicts
 
 
 def test_three_term_violation_reads_inf_pairs_among_live_elements():
