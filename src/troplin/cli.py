@@ -342,13 +342,9 @@ def run(argv=None):
         output, pretty = args.output, args.pretty
         payload = _read(args.input)
         code, out = COMMANDS[args.command](payload, args)
-    except TroplinError as exc:
+    except (TroplinError, ValueError, KeyError, TypeError, OSError) as exc:
         out = {"error": type(exc).__name__, "message": str(exc),
-               "witness": exc.witness}
-        code = 2
-    except (ValueError, KeyError, TypeError, OSError) as exc:
-        out = {"error": type(exc).__name__, "message": str(exc),
-               "witness": None}
+               "witness": getattr(exc, "witness", None)}
         code = 2
     except Exception as exc:
         # a fault of the program, not of the input: still exit 2 with a
@@ -360,7 +356,13 @@ def run(argv=None):
         out = {"error": "InternalError", "message": str(exc),
                "witness": None}
         code = 2
-    _write(output, jsonio.dumps(out, pretty))
+    try:
+        _write(output, jsonio.dumps(out, pretty))
+    except OSError as exc:  # the output file: report on stdout instead
+        out = {"error": type(exc).__name__, "message": str(exc),
+               "witness": None}
+        _write("-", jsonio.dumps(out, pretty))
+        return 2
     return code
 
 

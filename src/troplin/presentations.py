@@ -19,29 +19,30 @@ from .linprog import distinct_rows, solve_lp
 from .matroid import Matroid
 from .trop import INF, check_point, integer_scaled, lowered, relsupp, stiefel
 from .util import MAX_SLOTS, BoundedMemo, bits, elems, list1
-from .valuated import (_face, face_witness, maximal_cells, membership,
-                       v_contract)
+from .valuated import face_witness, maximal_cells, membership, v_contract
 from . import transversal
 
 
 def _escape_region(vm, cell, flat):
-    """The escape-region LP of `flat` on the cell, with no face matroid
-    (valuated._face), on integers: the scale D of the face point xw and
-    its table (face_witness), xw times D, each element's face component,
+    """The escape-region LP of `flat` on the cell, on integers: the
+    scale D of the face point xw and its table (face_witness), xw times
+    D, each element's component in the face (Matroid.polytope_face),
     the component count c, the region rows (one per distinct constraint)
     in the component shifts t_0..t_{c-2}, the last one gauged to 0, and
     a margin s, all times D (moving no pivot and no sign of the
-    optimum), and the objective s."""
-    _, face, comps = _face(cell.matroid, flat)
+    optimum), and the objective s.  It answers at the full flat too,
+    which verify_presentation skips."""
+    face = cell.matroid.polytope_face(flat)
+    comps = face.connected_components()
     (scale, xs), vals = face_witness(vm, cell, flat)
     c = len(comps)
     where = {e: i for i, k in enumerate(comps) for e in bits(k)}
-    ranks = [(face[0] & k).bit_count() for k in comps]
-    w0 = vals[face[0]]
-    onface = set(face)
+    b0 = face.bases[0]
+    ranks = [(b0 & k).bit_count() for k in comps]
+    w0 = vals[b0]
     region = []
     for b, v in vals.items():
-        if b in onface:
+        if b in face.baseset:
             continue
         coeffs = [0] * c
         for i in range(c - 1):
@@ -66,9 +67,10 @@ def _in_region(region, flat, z):
     component lies wholly on or off the flat.  If a component on the
     flat reaches the least gap of all, t = 0 satisfies those rows and
     leaves the margin s > 0 (off-face bases are strictly above the face
-    ones at xw), so z is outside with no LP.  Else one small exact LP
-    maximizing s runs per component on the flat that z meets.  Rows go
-    to a larger scale only if z's denominators do not divide D."""
+    ones at xw), so z is outside with no LP: at the full flat of a
+    connected cell, every z.  Else one small exact LP maximizing s runs
+    per component on the flat that z meets.  Rows go to a larger scale
+    only if z's denominators do not divide D."""
     scale, xs, where, c, rows, cap = region
     common, zs = integer_scaled(z, scale)
     up = common // scale
@@ -117,13 +119,14 @@ def verify_presentation(vm, points):
     For every connected maximal cell, with vertex v (its witness, up to
     a constant that moves no relative support): at most cork(F) points
     may have relative support from v covering the flat F, and for cyclic
-    F the escape-region count must equal cork(F) exactly.  A support rs
-    is a flat of the cell, as v + eps e_rs lies in the space (tropical
-    convexity), so the first count runs only at the meets of the
-    supports, in transversal.covering_violations.  Each point is placed
-    in or out of an escape region at the region's face point when its
-    least gap there lies on the flat, and else by one LP per face
-    component on the flat (_in_region).
+    F the escape-region count must equal cork(F) exactly, which holds
+    at F = E with no region built: no point is in it (_in_region) and
+    cork(E) = 0.  A support rs is a flat of the cell, as v + eps e_rs
+    lies in the space (tropical convexity), so the first count runs only
+    at the meets of the supports, in transversal.covering_violations.
+    Each point is placed in or out of an escape region at the region's
+    face point when its least gap there lies on the flat, and else by
+    one LP per face component on the flat (_in_region).
     Returns {"ok": bool, "violations": [...]}.
     """
     if len(points) != vm.d:
@@ -145,8 +148,8 @@ def verify_presentation(vm, points):
                  "flat": list1(f), "kind": "sigma0",
                  "count": count, "bound": m.corank(f)})
         for f in m.cyclic_flats():
-            if f == 0:
-                continue  # all d points count there, and cork(0) = d
+            if f == 0 or f == m.full:
+                continue  # d points at 0, none at E: cork(0) = d, cork(E) = 0
             region = _escape_region(vm, cell, f)
             count = sum(1 for p in points if _in_region(region, f, p))
             if count != m.corank(f):

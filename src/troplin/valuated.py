@@ -25,7 +25,7 @@ from operator import itemgetter
 from .errors import (AllInfinite, EmptyIntersection, EmptySupport,
                      InconsistentCell, InfiniteBase, NotAMatroid,
                      RankCollapse, TroplinError)
-from .matroid import Matroid, circuit_blocks
+from .matroid import Matroid
 from .trop import INF, check_point, integer_scaled
 from .util import (MAX_SLOTS, BoundedMemo, bits, ksubsets, list1, mask_of,
                    slot_table, submasks)
@@ -503,29 +503,6 @@ def _descend_to_maximal(vm, uv, target):
                 raise InconsistentCell("descent found no breakpoint")
             brk = (-brk[0], brk[1])
         x, common, vals = _moved(vm, x, common, vals, k, *brk)
-
-
-def _face(m, f):
-    """(r(f), face bases, face components) for a flat f of m, with no
-    face matroid built.  The face is the bases b with |b & f| = r(f),
-    found with r(f) in one scan.  For a face basis b0, the face's
-    fundamental circuit of e is C(e, b0) cut down to the side of f that
-    holds e, its one element outside b0, so the components come from
-    one basis, sorted by value as connected_components() gives them."""
-    r = -1
-    face = []
-    for b in m.bases:
-        k = (b & f).bit_count()
-        if k > r:
-            r = k
-            face = [b]
-        elif k == r:
-            face.append(b)
-    b0 = face[0]
-    side = m.full ^ f
-    circ = [c & (f if c & f & ~b0 else side)
-            for c in m._fundamental_circuits(b0)]
-    return r, tuple(face), circuit_blocks(m.full, circ)
 
 
 def _parts(m, comps, loops):

@@ -42,9 +42,9 @@ from troplin.transversal import (covering_violations, is_pseudopresentation,
 from troplin.trop import (INF, ONE, ZERO, check_point, integer_scaled,
                           matrix_shape, min_assignment, relsupp, stiefel)
 from troplin.util import bits, elems, ksubsets, list1, mask_of, submasks
-from troplin.valuated import (SubdivisionCell, ValuatedMatroid, _face,
-                              check_pluecker, face_witness, initial_matroid,
-                              maximal_cells, membership, require_loop_free)
+from troplin.valuated import (SubdivisionCell, ValuatedMatroid, check_pluecker,
+                              face_witness, initial_matroid, maximal_cells,
+                              membership, require_loop_free)
 
 
 class NotCyclicFlat(TroplinError):
@@ -672,21 +672,21 @@ def cyclic_flats_bruteforce(m):
 
 def _face_facets(m, flats):
     """(f, face bases) for each proper flat f in `flats` whose face has
-    one more component than m, counted by valuated._face."""
+    one more component than m, the face built by Matroid.polytope_face."""
     target = len(m.connected_components()) + 1
     for f in flats:
         if f == 0 or f == m.full:
             continue
-        _, face, comps = _face(m, f)
-        if len(comps) == target:
-            yield f, face
+        face = m.polytope_face(f)
+        if len(face.connected_components()) == target:
+            yield f, face.bases
 
 
 def cell_complex_by_faces(vm):
     """valuated.cell_complex as a closure of the maximal cells under the
-    facets that _face finds: every cyclic flat of each cell, from its
-    own cyclic_flats(), then every point flat by element, each face
-    counted from its fundamental circuits.  The cells come in the same
+    facets that _face_facets finds: every cyclic flat of each cell, from
+    its own cyclic_flats(), then every point flat by element, each face
+    matroid built and its components counted.  The cells come in the same
     order, each face first found from the same (cell, flat), so the
     witnesses are the same too."""
     require_loop_free(vm)

@@ -1078,6 +1078,26 @@ def test_deeply_nested_json_is_an_input_error(tmp_path, capsys,
     assert json.loads(captured.out) == want and captured.err == ""
 
 
+@pytest.mark.parametrize("target, error", [
+    ("missing/x.json", "FileNotFoundError"), (".", "IsADirectoryError")])
+@pytest.mark.parametrize("text", ['{"matrix": [["0", "1", "2"]]}',
+                                  '{"matrix": '])
+def test_an_unwritable_output_exits_two_with_a_body_on_stdout(
+        tmp_path, capsys, monkeypatch, target, error, text):
+    """--output naming a file in a missing directory, or a directory,
+    cannot be opened: for a computed answer and for an error body alike
+    the run exits 2 with the OSError's body on stdout, not a traceback
+    with exit 1, and nothing on stderr."""
+    path = tmp_path / target
+    with pytest.raises(OSError) as exc:
+        open(path, "w")
+    want = {"error": error, "message": str(exc.value), "witness": None}
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(["stiefel", "--output", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == want and captured.err == ""
+
+
 # Rank-2 tables at n = 60 that check-pluecker refuses: four entries on
 # the parallel classes {57, 58} and {59, 60}, one lowered, and two
 # entries whose support is not a matroid.

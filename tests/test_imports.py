@@ -11,6 +11,8 @@ name in the code of the package, the tests or the benchmark, outside
 its own definition.  A name counts where it is a Python name token or
 a string literal that is a whole identifier or dotted path (as the
 tracer names functions); prose in comments and docstrings does not.
+A private function or method of the package (`_name`) must occur so in
+the package or the benchmark: tests alone do not keep a helper alive.
 Likewise every error class of errors.py must be raised somewhere in the
 package outside oracle.py.  And troplin.oracle, which every benchmark
 process imports, defines only what bench/ imports from it and what that
@@ -134,6 +136,40 @@ def test_no_uncalled_functions():
     using = [p.read_text(encoding="utf-8") for p in USERS]
     found = ["%s:%d %s" % hit for hit in unused_functions(defining, using)]
     assert not found, "functions nobody calls:\n" + "\n".join(found)
+
+
+def private_helpers_unused(package, bench):
+    """(label, line, name) for each private function or method (`_name`,
+    not a dunder) that the modules in `package` ({label: text}) define
+    and whose name occurs nowhere in `package` or `bench` outside its
+    own definition (unused_functions), whatever the tests call."""
+    return [hit for hit in unused_functions(package, bench)
+            if hit[2].startswith("_")]
+
+
+def test_private_helper_checker_leaves_out_the_tests():
+    package = {"m": "def _kept():\n    return 1\n"
+                    "def _tested():\n    return 2\n"
+                    "def _timed():\n    return 3\n"
+                    "def public():\n    return _kept()\n"
+                    "class C:\n    def _spare(self):\n        return 4\n"
+                    "    def __len__(self):\n        return 0\n"}
+    bench = ['TRACED = ["m._timed"]\n']
+    # a test calling _tested, public or C._spare is not passed in
+    assert private_helpers_unused(package, bench) == [("m", 3, "_tested"),
+                                                      ("m", 10, "_spare")]
+
+
+def test_no_private_helper_lives_on_tests_alone():
+    package = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
+               for p in PACKAGE}
+    bench = [p.read_text(encoding="utf-8")
+             for p in sorted((ROOT / "bench").glob("*.py"))]
+    assert len(package) > 10 and len(bench) > 3
+    found = ["%s:%d %s" % hit for hit in private_helpers_unused(package,
+                                                                bench)]
+    assert not found, ("private helpers that only tests call:\n"
+                       + "\n".join(found))
 
 
 def unraised_errors(errors, modules):

@@ -125,13 +125,8 @@ def test_rinf_agrees_with_the_full_row_lp():
     assert by_components[2] == by_components[3] == {True, False}
 
 
-def test_rinf_agrees_with_the_full_row_lp_off_the_region_scale():
-    """Valuations with den > 1 and points with thirds and fifths, whose
-    denominators mostly do not divide the scale of the integer rows of
-    _escape_region, so _in_region takes the rows to a larger one: the
-    verdict is still that of the full-row LP, both ways on walls with 2
-    and 3 components."""
-    rng = random.Random(2357)
+def off_scale_pool(rng):
+    "Eight loop-free 3 x 6 Stiefel images with den > 1, drawn from rng."
     pool = []
     while len(pool) < 8:
         rows = [[v if v == INF else v / rng.choice((2, 4)) for v in row]
@@ -139,6 +134,17 @@ def test_rinf_agrees_with_the_full_row_lp_off_the_region_scale():
         v = stiefel(rows)
         if v.den > 1 and not v.underlying().loops():
             pool.append(v)
+    return pool
+
+
+def test_rinf_agrees_with_the_full_row_lp_off_the_region_scale():
+    """Valuations with den > 1 and points with thirds and fifths, whose
+    denominators mostly do not divide the scale of the integer rows of
+    _escape_region, so _in_region takes the rows to a larger one: the
+    verdict is still that of the full-row LP, both ways on walls with 2
+    and 3 components."""
+    rng = random.Random(2357)
+    pool = off_scale_pool(rng)
     rescaled = 0
     by_components = {}
     for v in pool:
@@ -164,6 +170,45 @@ def test_rinf_agrees_with_the_full_row_lp_off_the_region_scale():
     assert rescaled >= 50
     assert {1, 2, 3} <= set(by_components)
     assert by_components[2] == by_components[3] == {True, False}
+
+
+def test_no_point_is_in_the_escape_region_of_the_full_flat(monkeypatch):
+    """Why verify_presentation builds no region at the full flat E: on
+    every connected maximal cell of escape_region_cases() and of the
+    off-scale pool, the face at E is the whole cell, one component on
+    the flat, so with solve_lp failing _in_region places every point
+    drawn (the case's points, points near the face point and points
+    with thirds and fifths) outside the region of E, and cork(E) = 0:
+    the count there always meets its bound."""
+    def refuse(*args):
+        raise AssertionError("an escape-region LP ran")
+
+    monkeypatch.setattr(presentations, "solve_lp", refuse)
+    rng = random.Random(4421)
+    pool = [(stiefel(rows), points) for rows, points in escape_region_cases()]
+    pool += [(v, []) for v in off_scale_pool(random.Random(2357))]
+    cells = placed = 0
+    for v, points in pool:
+        for cell in maximal_cells(v):
+            m = cell.matroid
+            if len(m.connected_components()) != 1:
+                continue
+            assert m.corank(m.full) == 0
+            region = presentations._escape_region(v, cell, m.full)
+            scale, xs = region[:2]
+            drawn = list(points)
+            for k in range(6):
+                z = [Fraction(x, scale) + rng.randint(-2, 2) if k % 2 else
+                     Fraction(rng.randint(-12, 24), rng.choice((1, 3, 5, 15)))
+                     for x in xs]
+                if k > 1:
+                    z[rng.randrange(v.n)] = INF
+                drawn.append(tuple(z))
+            for z in drawn:
+                assert not presentations._in_region(region, m.full, z)
+            cells += 1
+            placed += len(drawn)
+    assert cells > 100 and placed > 700
 
 
 def test_escape_regions_run_on_integers(monkeypatch):
@@ -1139,36 +1184,41 @@ ESCAPE_REGION_DIGEST = ("d18462609d9b62e4984459ad1fc9906a"
 
 def test_escape_regions_come_from_the_cell_in_hand(monkeypatch, tmp_path):
     """verify_presentation builds one escape region per connected maximal
-    cell and non-empty cyclic flat, from the cell it walks: with
-    polytope_face failing, it and the
-    verify-presentation command give the answers and bytes they gave
-    when every point looked its cell up again and built the face
-    matroid (frozen as a digest)."""
-    def refuse(name):
-        def fail(*args):
-            raise AssertionError("verify_presentation ran " + name)
-        return fail
-
+    cell and proper non-empty cyclic flat, from the cell it walks, and
+    one face matroid (polytope_face) per region, none per point placed:
+    it and the verify-presentation command give the answers and bytes
+    they gave when every point looked its cell up again and built the
+    face matroid (frozen as a digest)."""
     built = []
+    faces = []
     region = presentations._escape_region
+    face = Matroid.polytope_face
 
     def counted(vm, cell, flat):
         built.append((cell.matroid.bases, flat))
         return region(vm, cell, flat)
 
+    def counted_face(self, flat):
+        faces.append((self.bases, flat))
+        return face(self, flat)
+
     cases = escape_region_cases()
-    want = []
+    walked, want = 0, []
     for rows, _ in cases:
         for cell in maximal_cells(stiefel(rows)):
             m = cell.matroid
             if len(m.connected_components()) == 1:
-                want += [(m.bases, f) for f in m.cyclic_flats() if f]
-    monkeypatch.setattr(Matroid, "polytope_face", refuse("polytope_face"))
+                flats = [f for f in m.cyclic_flats() if f]
+                walked += len(flats)  # the full flat among them
+                want += [(m.bases, f) for f in flats if f != m.full]
+    monkeypatch.setattr(Matroid, "polytope_face", counted_face)
     monkeypatch.setattr(presentations, "_escape_region", counted)
     got = escape_region_answers(cases, tmp_path)
     # each case runs once in the library and once through the command
     assert sorted(built) == sorted(want + want)
-    assert len(want) > 100
+    # one face per region, so none for any point placed in it
+    assert sorted(faces) == sorted(built)
+    assert walked > 100
     assert got == ESCAPE_REGION_DIGEST
 
 

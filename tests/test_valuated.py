@@ -908,8 +908,8 @@ def test_cell_complex_matches_bruteforce(monkeypatch):
     images up to (d, n) = (4, 7), and every witness has its cell as its
     initial matroid.  With the maximal cells known, the closure runs no
     LP, no flat lattice, no polytope_face, no initial_matroid, no
-    circuit pass, no cyclic_flats and no _face, and builds one Matroid
-    per face it adds."""
+    circuit pass and no cyclic_flats, and builds one Matroid per face it
+    adds."""
     def refuse(name):
         def fail(*args):
             raise AssertionError("cell_complex ran " + name)
@@ -945,7 +945,6 @@ def test_cell_complex_matches_bruteforce(monkeypatch):
             mp.setattr(valuated, "initial_matroid", refuse("initial_matroid"))
             mp.setattr(Matroid, "circuits", refuse("Matroid.circuits"))
             mp.setattr(Matroid, "cyclic_flats", refuse("cyclic_flats"))
-            mp.setattr(valuated, "_face", refuse("_face"))
             mp.setattr(valuated, "Matroid", counted)
             cc = cell_complex(v)
         assert len(built) == len(cc) - len(maximal)
@@ -975,15 +974,16 @@ def test_lattice_facet_test_matches_face_components():
     several components among them), faces included where the support is
     loop-free: each cell carries the parts of its matroid (_parts).  At
     every cyclic flat, _flacet on the one part the flat splits finds a
-    facet iff _face counts one more component, with whole parts added or
-    not; at every point, _point does iff {e} is a flat and _face counts
-    one more.  Each facet's new parts are the parts of its face."""
+    facet iff the face (Matroid.polytope_face) has one more component,
+    with whole parts added or not; at every point, _point does iff {e}
+    is a flat and its face has one more.  Each facet's new parts are the
+    parts of its face."""
     def by_part(parts):
         return sorted(parts, key=lambda p: p[0])
 
-    def face_parts(v, face, loops):
-        m = Matroid(v.n, face, check=False)
-        return by_part(valuated._parts(m, m.connected_components(), loops))
+    def face_parts(face, loops):
+        return by_part(valuated._parts(face, face.connected_components(),
+                                       loops))
 
     rng = random.Random(3571)
     pool = census_sample(rng) + [v for v, _, _ in walk_images(rng, 120)]
@@ -1001,12 +1001,13 @@ def test_lattice_facet_test_matches_face_components():
                          if 0 != f & k != k]
                 new = len(split) == 1 and valuated._flacet(
                     parts[split[0][0]], split[0][1])
-                _, face, comps = valuated._face(m, f)
-                assert bool(new) == (len(comps) == target)
+                face = m.polytope_face(f)
+                assert bool(new) == (len(face.connected_components())
+                                     == target)
                 if new:
                     j = split[0][0]
                     assert by_part([*parts[:j], *new, *parts[j + 1:]]) == \
-                        face_parts(v, face, loops)
+                        face_parts(face, loops)
                     seen["flacet" if split[0][1] == f & ~loops
                          else "flacet with whole parts"] += 1
                 else:
@@ -1017,20 +1018,21 @@ def test_lattice_facet_test_matches_face_components():
                 j = next((j for j, (k, _) in enumerate(parts) if k >> e & 1),
                          None)
                 new = j is not None and valuated._point(parts[j], e)
-                _, face, comps = valuated._face(m, 1 << e)
-                assert bool(new) == (m.is_flat(1 << e)
-                                     and len(comps) == target)
+                face = m.polytope_face(1 << e) if m.is_flat(1 << e) else None
+                assert bool(new) == (face is not None and len(
+                    face.connected_components()) == target)
                 if new:
                     assert by_part([*parts[:j], *new, *parts[j + 1:]]) == \
-                        face_parts(v, face, loops)
+                        face_parts(face, loops)
                 seen["point" if new else "point, no facet"] += 1
     assert min(seen.values()) > 300, seen
 
 
 def test_cell_complex_equals_the_face_count_closure():
     """cell_complex gives the cells of reference.cell_complex_by_faces,
-    which counts each candidate face's components with _face, in the
-    same order with the same witness integers, on a census sample."""
+    which counts each candidate face's components on its matroid
+    (Matroid.polytope_face), in the same order with the same witness
+    integers, on a census sample."""
     for v in census_sample(random.Random(2357)):
         if v.underlying().loops():
             continue
