@@ -100,14 +100,15 @@ def cmd_cells(payload, args):
 
 
 def cmd_vertices(payload, args):
-    "One vertex per connected cell, read off the maximal cells."
+    """One vertex per connected cell: each maximal cell of a connected
+    support, as each has its components (maximal_cells); none else."""
     vm = jsonio.parse_valuated(payload)
     _require_pluecker(vm)
     require_loop_free(vm)
+    connected = len(vm.underlying().connected_components()) == 1
     out = [{"bases": [list1(b) for b in c.matroid.bases],
             "point": jsonio.fmt_scaled(*c.scaled, lower=True)}
-           for c in maximal_cells(vm)
-           if len(c.matroid.connected_components()) == 1]
+           for c in (maximal_cells(vm) if connected else [])]
     return 0, {"n": vm.n, "vertices": out}
 
 

@@ -13,8 +13,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from .errors import (NotTransversalFacets, PointOutsideL, TroplinError,
-                     WrongArity)
+from .errors import (NotTransversalFacets, OutOfDomain, PointOutsideL,
+                     TroplinError, WrongArity)
 from .linprog import distinct_rows, solve_lp
 from .matroid import Matroid
 from .trop import INF, check_point, integer_scaled, lowered, relsupp, stiefel
@@ -116,11 +116,15 @@ def _loop_and_coloop_free(vm):
 def verify_presentation(vm, points):
     """Check the point-counting conditions that characterize presentations.
 
-    For every connected maximal cell, with vertex v (its witness, up to
-    a constant that moves no relative support): at most cork(F) points
-    may have relative support from v covering the flat F, and for cyclic
-    F the escape-region count must equal cork(F) exactly, which holds
-    at F = E with no region built: no point is in it (_in_region) and
+    A maximal cell has the support's components (maximal_cells), so a
+    support of two components or more has no connected maximal cell to
+    count on: its verdict is the definition, stiefel(points) == vm, an
+    OutOfDomain read as false.  On a connected support, for every
+    maximal cell, with vertex v (its witness, up to a constant that
+    moves no relative support): at most cork(F) points may have relative
+    support from v covering the flat F, and for cyclic F the
+    escape-region count must equal cork(F) exactly, which holds at
+    F = E with no region built: no point is in it (_in_region) and
     cork(E) = 0.  A support rs is a flat of the cell, as v + eps e_rs
     lies in the space (tropical convexity), so the first count runs only
     at the meets of the supports, in transversal.covering_violations.
@@ -131,16 +135,19 @@ def verify_presentation(vm, points):
     """
     if len(points) != vm.d:
         raise WrongArity(witness={"expected": vm.d, "got": len(points)})
-    _loop_and_coloop_free(vm)
+    uv = _loop_and_coloop_free(vm)
     points = [check_point(p) for p in points]
     for i, p in enumerate(points):
         if not membership(vm, p):  # also refuses a wrong length
             raise PointOutsideL(witness={"index": i + 1})
+    if len(uv.connected_components()) > 1:
+        try:
+            return {"ok": stiefel(points) == vm, "violations": []}
+        except OutOfDomain:
+            return {"ok": False, "violations": []}
     violations = []
     for cell in maximal_cells(vm):
         m = cell.matroid
-        if len(m.connected_components()) != 1:
-            continue
         supports = Counter(relsupp(cell.witness, p) for p in points)
         for f, count in transversal.covering_violations(m, supports):
             violations.append(
@@ -210,11 +217,12 @@ def distinguished(vm):
     """All distinguished matroids of the valuation, with apices: the
     list of DistinguishedEntry sorted by (flat, bases).
 
-    Scans the cyclic flats F of the support; for each, the connected
-    maximal cells M of the contraction at F with positive empty-flat
-    multiplicity contribute; the vertex is M's witness less its minimum
-    (M fixes its point up to a constant), the apex that extended by inf
-    on F.  Multiplicities always sum to the rank, and the apices present
+    Walks the contraction at each cyclic flat F of the support whose
+    own support is connected, so that its maximal cells are all
+    connected (maximal_cells); those M with positive empty-flat
+    multiplicity contribute, the vertex M's witness less its minimum (M
+    fixes its point up to a constant), the apex that extended by inf on
+    F.  Multiplicities always sum to the rank, and the apices present
     vm.  Assumes vm is a valuated matroid (see check_pluecker).
 
     The answer is kept in _MEMO under vm.canonical(), within MAX_SLOTS
@@ -240,11 +248,11 @@ def distinguished(vm):
         if f == uv.full:
             continue
         vf = vm if f == 0 else v_contract(vm, f)
+        if len(vf.underlying().connected_components()) > 1:
+            continue
         coords = tuple(elems(vm.full ^ f))
         for cell in maximal_cells(vf):
             m = cell.matroid
-            if len(m.connected_components()) != 1:
-                continue
             t = m.cyclic_flats()[0]  # m has no loops: vf contracts a flat
             if t <= 0:
                 continue

@@ -150,16 +150,10 @@ def check_pluecker(vm):
     (d-2)-set S and i < j < k < l outside S, the least of
     pl(Sij) + pl(Skl), pl(Sik) + pl(Sjl) and pl(Sil) + pl(Sjk) is
     attained twice when finite.  Over a matroid support these imply
-    every (d-1, d+1) relation (Dress-Wenzel 1992).  At one S they are
-    the four-point condition of the rank-2 table p(ab) = pl(Sab), so
-    two lemmas cut them down (see _three_term_violation): the
-    quadruples through one element x0 with a finite pair at S imply the
-    rest, and on a full support the (d-2)-sets holding element 0 are
-    implied by the others.  A valid full support scans
-    C(n-1, d-2) C(n-d+1, 3) relations, 4/n of all C(n, d-2) C(n-d+2, 4):
-    1,260 instead of 3,150 at d = 4, n = 10.  The loop runs on integers
-    only, on one pair table per (d-2)-set and over the elements of its
-    finite pairs, so its cost follows the support.
+    every (d-1, d+1) relation (Dress-Wenzel 1992).  Two lemmas cut them
+    down (_three_term_violation): a valid full support scans 4/n of
+    them, 1,260 of 3,150 at d = 4, n = 10, and a sparse one about its
+    support, on integers only.
 
     Returns (True, None), or (False, witness) where the witness names a
     (d-1, d+1)-set pair (a, c) whose minimum over j in c - a of
@@ -219,30 +213,24 @@ def _three_term_violation(n, d, table):
 
     Lemma 2 (full support).  The relation at (S, Q) is the four-point
     condition on Q of p*(ab) = pl(T - ab), T = S + Q, |T| = d + 2; with
-    no INF in the table, lemma 1 on T with x0 = 0 says that the
-    relations with 0 in Q imply those with 0 in S.  So a full support
-    first scans only the (d-2)-sets without 0, reading p with one
-    itemgetter per S (_pair_index); only if a relation fails there does
-    it rescan every S by lemma 1 alone, for the first witness in full
-    order.  A valid full table costs C(n-1, d-2) C(n-d+1, 3) relations,
-    4/n of the C(n, d-2) C(n-d+2, 4) of a full scan.  A table with an
-    INF keeps the reads by key and the live-element restriction, so a
-    sparse table costs about its support.
+    no INF in the table, lemma 1 on T with x0 = n - 1 says that the
+    relations with n - 1 in Q imply those with n - 1 in S.  The sets
+    without n - 1 come first in ksubsets order, so a full support's
+    scan stops at the first set holding n - 1, its first failure still
+    the first in full order: C(n-1, d-2) C(n-d+1, 3) relations when
+    valid, 4/n of the C(n, d-2) C(n-d+2, 4) of a full scan.  One loop
+    serves every table, each S reading p with its itemgetter
+    (_pair_readers); only a table with an INF looks for INF in p.
     """
     if d < 2 or n - d < 2:
         return None  # no (d-2)-set leaves four elements outside it
     big = 2 * max(v for v in table.values() if v != INF) + 1
-    index = _pair_index(n, d) if INF not in table.values() else None
-    if index is not None:
-        m = n - d + 2
-        if all(_failing_quadruple(pairs(table), _quadruples(m), big) is None
-               for pairs in index):
-            return None
-    full = (1 << n) - 1
-    for s in ksubsets(n, d - 2):
-        rest = [1 << e for e in bits(full & ~s)]
-        p = [table[s | a | b] for a, b in combinations(rest, 2)]
-        if INF in p:
+    sparse = INF in table.values()
+    for s, rest, get in _pair_readers(n, d):
+        if s >> (n - 1) and not sparse:
+            break
+        p = get(table)
+        if sparse and INF in p:
             live = 0
             for ab, v in zip(map(sum, combinations(rest, 2)), p):
                 if v != INF:
@@ -301,24 +289,25 @@ def _quadruples(m):
 _PAIR_INDEX = BoundedMemo()
 
 
-def _pair_index(n, d):
-    """One operator.itemgetter per (d-2)-set S without element 0, in
-    slot order, each reading S's pair table off a full table: the
-    values at S + ab for a < b outside S, in combinations order, as the
-    pairs of {0..n-1} that miss S.  None if that is more than MAX_SLOTS
-    keys.  Built on first use per (n, d), with no slot table, and kept
-    in a BoundedMemo of MAX_SLOTS keys."""
+def _pair_readers(n, d):
+    """(S, rest, get) per (d-2)-set S in ksubsets order: rest the bits
+    outside S, ascending, and get an itemgetter of S's pair table, the
+    keys S + ab for a < b in rest in combinations order.  Kept per
+    (n, d) within MAX_SLOTS keys; a larger shape's readers are built
+    one S at a time as the scan reaches them."""
     hit = _PAIR_INDEX.get((n, d))
     if hit is not None:
         return hit[1]
-    cost = comb(n - 1, d - 2) * comb(n - d + 2, 2)
-    if cost > MAX_SLOTS:
-        return None
-    pairs = list(map(sum, combinations([1 << e for e in range(n)], 2)))
-    index = [itemgetter(*[s | ab for ab in pairs if not ab & s])
-             for s in [s << 1 for s in ksubsets(n - 1, d - 2)]]
-    _PAIR_INDEX.keep((n, d), cost, index, MAX_SLOTS)
-    return index
+    full = (1 << n) - 1
+    readers = ((s, rest, itemgetter(*[s | a | b for a, b
+                                      in combinations(rest, 2)]))
+               for s in ksubsets(n, d - 2)
+               for rest in [[1 << e for e in bits(full & ~s)]])
+    cost = comb(n, d - 2) * comb(n - d + 2, 2)
+    if cost <= MAX_SLOTS:
+        readers = list(readers)
+        _PAIR_INDEX.keep((n, d), cost, readers, MAX_SLOTS)
+    return readers
 
 
 def membership(vm, y):
@@ -588,6 +577,9 @@ def maximal_cells(vm):
     across f skips its wall back, K - f, K the part that f splits.  That
     wall leads back to the cell the walk came from only if vm is a
     valuated matroid (see check_pluecker), which the walk assumes.
+    A maximal cell has the dimension of the support's polytope, n less
+    the component count, so it has the support's components: its parts
+    are read with them, no flip recomputes them, and the tests check it.
     """
     if vm._maxcells is not None:
         return vm._maxcells
@@ -612,10 +604,6 @@ def maximal_cells(vm):
             if keep in cells:
                 continue
             m2 = Matroid(vm.n, keep, check=False)
-            if len(m2.connected_components()) != len(comps):
-                raise InconsistentCell(
-                    "wall flip did not land on a maximal cell",
-                    witness={"flat": list1(f | loops)})
             x2, common2, vals2 = _moved(vm, xs, common, cell.vals,
                                         f | loops, *brk)
             nc = SubdivisionCell(m2, (common2, x2), vals2, True,

@@ -93,6 +93,20 @@ def random_valuation(rng, d, n, inf_prob=0.0):
     return stiefel(random_rows(rng, d, n, inf_prob))
 
 
+def block_diagonal_rows(rng, shapes, inf_prob=0.0):
+    """A block-diagonal matrix with columns shuffled: one random_rows
+    block per (d, n) in shapes, INF off the blocks.  Its Stiefel image
+    is the direct sum of the blocks' images."""
+    width = sum(n for _, n in shapes)
+    rows, left = [], 0
+    for d, n in shapes:
+        for row in random_rows(rng, d, n, inf_prob):
+            rows.append([INF] * left + row + [INF] * (width - left - n))
+        left += n
+    order = rng.sample(range(width), width)
+    return [[row[j] for j in order] for row in rows]
+
+
 def points_of(rows):
     return [tuple(r) for r in rows]
 

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import troplin.cli
-from common import (k4_graphic_valuation, random_rows, random_valuation,
-                    rank2_four, three_pair_valuation)
+from common import (block_diagonal_rows, k4_graphic_valuation, random_rows,
+                    random_valuation, rank2_four, three_pair_valuation)
 from reference import (check_pluecker_bruteforce, initial_matroid_bruteforce,
                        membership_bruteforce, violated_relation)
 from troplin import (INF, AllInfinite, Matroid, OutOfDomain, TooLarge,
@@ -50,6 +50,9 @@ DUAL_ROWS = [["0", "inf", "0", "inf", "0", "inf"],
              ["inf", "inf", "inf", "1", "0", "0"],
              ["inf", "inf", "0", "0", "1", "inf"],
              ["0", "0", "1", "inf", "inf", "inf"]]
+# U(1, 2) + U(1, 2) on {1, 2} and {3, 4}
+DIRECT_SUM = {"n": 4, "rank": 2,
+              "entries": {"1,3": "0", "1,4": "1", "2,3": "0", "2,4": "1"}}
 SNOW = {"n": 6, "rank": 2,
         "entries": {"1,2": "1", "3,4": "1", "5,6": "1"}}
 
@@ -243,6 +246,21 @@ def test_vertices_read_the_maximal_cells(tmp_path, monkeypatch):
     assert code == 0 and verts["vertices"]
 
 
+def test_vertices_of_a_disconnected_support_run_no_walk(tmp_path,
+                                                        monkeypatch):
+    """No cell of a disconnected support is connected, so vertices
+    prints none and walks no cell; a loop is still refused first."""
+    def no_walk(vm):
+        raise AssertionError("maximal cells walked")
+
+    monkeypatch.setattr(troplin.cli, "maximal_cells", no_walk)
+    code, _, text = call(tmp_path, "vertices", DIRECT_SUM)
+    assert code == 0 and text == '{"n":4,"vertices":[]}\n'
+    code, out, _ = call(tmp_path, "vertices",
+                        {"n": 3, "rank": 1, "entries": {"1": "0", "2": "1"}})
+    assert code == 2 and out["witness"] == [3]
+
+
 def test_is_transversal_matroid_certificate(tmp_path):
     bases = [[i, j] for i in range(1, 7) for j in range(i + 1, 7)
              if [i, j] not in ([1, 2], [3, 4], [5, 6])]
@@ -282,6 +300,73 @@ def test_distinguished_golden(tmp_path):
         ["1", "1", "1", "0", "0"],
         ["inf", "0", "0", "inf", "inf"]])
     assert sum(e["multiplicity"] for e in out["entries"]) == 3
+
+
+def test_distinguished_skips_disconnected_contractions(tmp_path,
+                                                       monkeypatch):
+    """On the direct sum of two U(1, 2) only the transversality scan
+    walks the disconnected support; the contractions at {1, 2} and
+    {3, 4} are walked, and the bytes are those of the per-cell filter."""
+    walked, walk = [], presentations.maximal_cells
+
+    def counted(vm):
+        walked.append(vm)
+        return walk(vm)
+
+    monkeypatch.setattr(presentations, "maximal_cells", counted)
+    code, _, text = call(tmp_path, "distinguished", DIRECT_SUM)
+    assert code == 0 and text == (
+        '{"apices":[["inf","inf","0","1"],["0","0","inf","inf"]],'
+        '"entries":[{"apex":["inf","inf","0","1"],"coords":[3,4],'
+        '"flat":[1,2],"matroid":{"bases":[[1],[2]],"n":2,"rank":1},'
+        '"multiplicity":1,"vertex":["0","1"]},'
+        '{"apex":["0","0","inf","inf"],"coords":[1,2],"flat":[3,4],'
+        '"matroid":{"bases":[[1],[2]],"n":2,"rank":1},"multiplicity":1,'
+        '"vertex":["0","0"]}],"n":4,"rank":2}\n')
+    assert [len(v.underlying().connected_components())
+            for v in walked] == [2, 1, 1]
+
+
+def test_verify_presentation_answers_a_direct_sum_by_its_definition(
+        tmp_path):
+    """A support of two components or more has no connected maximal
+    cell, so the counting conditions are empty there and
+    verify-presentation answers by the definition: the verdict of
+    in-presentation-space, on block-diagonal images, for the rows, one
+    perturbed row and one duplicated row.  Two tuples in the space of
+    the direct sum of two U(1, 2) present nothing and exit 1 with no
+    violation; its apices exit 0."""
+    for points, code in (([["0", "0", "inf", "inf"]] * 2, 1),
+                         ([["0", "0", "0", "1"], ["0", "0", "1", "2"]], 1),
+                         ([["inf", "inf", "0", "1"],
+                           ["0", "0", "inf", "inf"]], 0)):
+        payload = {"valuation": DIRECT_SUM, "points": points}
+        assert call(tmp_path, "verify-presentation", payload)[:2] == (
+            code, {"ok": not code, "violations": []})
+        assert call(tmp_path, "in-presentation-space", payload)[:2] == (
+            code, {"ok": not code})
+    rng = random.Random(40)
+    verdicts = Counter()
+    for _ in range(30):
+        shapes = [(d, rng.randint(d + 1, d + 3))
+                  for d in rng.choices((1, 2), k=rng.randint(2, 3))]
+        rows = block_diagonal_rows(rng, shapes)
+        table = fmt_valuated(stiefel(rows))
+        moved = [list(row) for row in rows]
+        r = rng.randrange(len(rows))
+        j = rng.choice([j for j, x in enumerate(rows[r]) if x != INF])
+        moved[r][j] += 1
+        twice = [rows[0], *rows[:-1]]
+        for kind, points in (("rows", rows), ("moved", moved),
+                             ("twice", twice)):
+            payload = {"valuation": table, "points": fmt_matrix(points)}
+            code, out, _ = call(tmp_path, "verify-presentation", payload)
+            want = call(tmp_path, "in-presentation-space", payload)[:2]
+            assert (code, out["ok"]) == (want[0], want[1]["ok"]), kind
+            verdicts[kind, out["ok"], "outside" in out] += 1
+    assert verdicts["rows", True, False] == 30
+    assert verdicts["twice", False, False] == 30
+    assert verdicts["moved", False, True] > 5
 
 
 def test_verify_presentation_and_membership(tmp_path):

@@ -17,10 +17,12 @@ Likewise every error class of errors.py must be raised somewhere in the
 package outside oracle.py.  And troplin.oracle, which every benchmark
 process imports, defines only what bench/ imports from it and what that
 calls.  Each package module imports a name from the module that
-defines it, not through another module that imports it in turn.
+defines it, not through another module that imports it in turn.  And
+every dotted package name that README.md puts in backticks resolves.
 """
 
 import ast
+import importlib
 import io
 import re
 import tokenize
@@ -292,3 +294,50 @@ def test_names_are_imported_from_their_defining_module():
     found = ["%s:%d %s" % hit for hit in reexported_imports(modules)]
     assert not found, "names imported through a re-export:\n" + \
         "\n".join(found)
+
+
+CLASSES = ("Matroid", "ValuatedMatroid", "SubdivisionCell",
+           "WeightedDigraph")
+BACKTICKED = re.compile(r"`(%s)" % DOTTED.pattern)
+
+
+def unresolved_doc_names(text, modules):
+    """Each dotted name that opens a backticked span of the text and
+    names the package: `troplin.mod.name`, `mod.name` for a module in
+    `modules`, or `Class.name` for one of CLASSES, that getattr does not
+    resolve.  Other dotted names (`json.loads`, `vm.slots`) are left
+    alone."""
+    found = []
+    for match in BACKTICKED.finditer(text):
+        parts = match.group(1).split(".")
+        if len(parts) < 2 or parts[0] not in {"troplin", *modules,
+                                              *CLASSES}:
+            continue
+        if parts[0] != "troplin":
+            parts.insert(0, "troplin")
+        try:  # an attribute, else a submodule not yet imported
+            obj = importlib.import_module("troplin")
+            for i in range(1, len(parts)):
+                obj = getattr(obj, parts[i]) if hasattr(obj, parts[i]) \
+                    else importlib.import_module(".".join(parts[:i + 1]))
+        except ImportError:
+            found.append(match.group(1))
+    return found
+
+
+def test_doc_checker_sees_names_that_do_not_resolve():
+    text = ("`troplin.trop.stiefel` and `troplin.oracle`, `util.slot_table`"
+            " and `util.nothing`; `Matroid.rank` but `Matroid.delete(s)`;"
+            " `troplin.nowhere`; `json.loads`, `vm.slots`, `trop`,"
+            " `Matroid(n, bases)` and a bare Matroid.delete are not read")
+    assert unresolved_doc_names(text, {"trop", "util"}) == [
+        "util.nothing", "Matroid.delete", "troplin.nowhere"]
+
+
+def test_readme_names_resolve():
+    modules = {p.stem for p in PACKAGE if p.name != "__init__.py"}
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert len(BACKTICKED.findall(text)) > 100
+    missing = unresolved_doc_names(text, modules)
+    assert not missing, "README names that do not resolve: " + \
+        ", ".join(missing)

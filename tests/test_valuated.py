@@ -6,8 +6,9 @@ from math import comb
 
 import pytest
 
-from common import (fr, random_point, random_rows, rank2_four, rank3_five,
-                    random_valuation, three_pair_valuation)
+from common import (block_diagonal_rows, fr, random_point, random_rows,
+                    rank2_four, rank3_five, random_valuation,
+                    three_pair_valuation)
 from reference import (cell_complex_by_faces, census,
                        check_pluecker_bruteforce, component_flacets,
                        contract_lex_greatest,
@@ -294,16 +295,32 @@ def full_support_case(rng):
     return ValuatedMatroid(n, d, table)
 
 
+def fails_at_a_set_holding_the_last(v):
+    """Does a three-term relation of the full table v fail at a
+    (d-2)-set S holding n - 1?  At S they are the four-point condition
+    of the rank-2 table p(ab) = pl(S + ab), the plain scan's relations
+    at the empty set when the elements of S are loops."""
+    top = 1 << (v.n - 1)
+    for s in ksubsets(v.n, v.d - 2):
+        if s & top:
+            pairs = {b ^ s: t for b, t in v.ints.items() if b & s == s}
+            if three_term_violation_scan(v.n, 2, ValuatedMatroid(
+                    v.n, 2, pairs).ints) is not None:
+                return True
+    return False
+
+
 @pytest.mark.parametrize("cache_max", [valuated.QUADRUPLE_CACHE_MAX, 3])
-def test_full_support_scan_skips_sets_holding_0_then_rescans(monkeypatch,
-                                                            cache_max):
-    """On a full support the scan first reads only the (d-2)-sets
-    without element 0, by their pair index; a failure there sends it
-    back over every set for the first witness in full order.  Equal to
+def test_full_support_scan_stops_at_the_first_set_holding_the_last(
+        monkeypatch, cache_max):
+    """On a full support the scan reads the (d-2)-sets in ksubsets order
+    and stops at the first one holding n - 1, since the sets holding
+    n - 1 come last and are implied by the others (lemma 2), so its
+    first failure is the first in full order with no rescan.  Equal to
     the plain scan on dense tables with n <= 8, valid and broken, among
-    them tables whose first failure sits at a set holding 0 (1 in both
-    a and c of the witness), which the first pass does not read; with
-    the cache bound patched low, the generator path gives the same."""
+    them tables whose first failure sits before a failing set that holds
+    n - 1, which the scan never reads; with the cache bound patched low,
+    the generator path gives the same."""
     monkeypatch.setattr(valuated, "QUADRUPLE_CACHE_MAX", cache_max)
     monkeypatch.setattr(valuated, "_QUADRUPLES", {})
     monkeypatch.setattr(valuated, "_PAIR_INDEX", BoundedMemo())
@@ -314,7 +331,8 @@ def test_full_support_scan_skips_sets_holding_0_then_rescans(monkeypatch,
         got = valuated._three_term_violation(v.n, v.d, v.ints)
         assert got == three_term_violation_scan(v.n, v.d, v.ints)
         seen["valid" if got is None else
-             "at 0" if 1 in got["a"] and 1 in got["c"] else "off 0"] += 1
+             "also at n - 1" if fails_at_a_set_holding_the_last(v) else
+             "before n - 1 only"] += 1
     assert min(seen.values()) > 30, seen
     assert set(valuated._QUADRUPLES) <= set(range(cache_max + 1))
     assert len(valuated._PAIR_INDEX) > 10
@@ -337,8 +355,8 @@ def test_a_valid_full_support_scans_4_in_n_of_the_relations(monkeypatch):
     assert check_pluecker(v) == (True, None)
     assert len(tested) == comb(9, 2) * comb(7, 3) == 1260
     assert comb(10, 2) * comb(8, 4) == 3150 == 1260 * 10 // 4
-    # a broken one stops the first pass at its failure, then rescans by
-    # lemma 1 alone from the start, up to the first witness
+    # a broken one stops at its first failure, the first in full order,
+    # with no rescan
     table = dict(v.table)
     table[mask_of([0, 1, 2, 3])] += 1
     del tested[:]
@@ -799,6 +817,39 @@ def test_each_wall_is_crossed_once(monkeypatch):
         if loops or len(comps) > 1:
             skipped += len(cells) - 1
     assert skipped > 150
+
+
+def test_every_maximal_cell_has_its_supports_components():
+    """A maximal cell spans the support's polytope, so it has exactly
+    the support's connected components; the walk reads each cell's
+    parts with them and recomputes none per flip, so this test holds
+    it.  On Stiefel images with INF entries, loops and disconnected
+    supports among them, and on block-diagonal images, direct sums of
+    two or three blocks."""
+    rng = random.Random(2019)
+    seen = Counter()
+    for i in range(200):
+        if i % 2:
+            shapes = [(d, rng.randint(d, d + 3))
+                      for d in rng.choices((1, 2, 3), k=rng.randint(2, 3))]
+            if sum(n for _, n in shapes) > 10:
+                shapes = shapes[:2]
+            rows = block_diagonal_rows(rng, shapes, rng.uniform(0, 0.2))
+        else:
+            d = rng.randint(1, 4)
+            rows = random_rows(rng, d, rng.randint(d, 8),
+                               rng.uniform(0.1, 0.5))
+        v = stiefel(rows)
+        uv = v.underlying()
+        comps = uv.connected_components()
+        cells = maximal_cells(v)
+        assert cells
+        for cell in cells:
+            assert cell.matroid.connected_components() == comps
+        seen["loops"] += bool(uv.loops())
+        seen["two parts"] += sum(k.bit_count() > 1 for k in comps) > 1
+        seen["walls"] += len(cells) > 1
+    assert min(seen.values()) > 30, seen
 
 
 def test_maximal_cells_rank2_four():
